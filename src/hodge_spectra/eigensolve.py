@@ -1,8 +1,11 @@
 """Symmetric generalized eigensolver for the assembled pencils.
 
 Solves A x = theta B x for the m smallest eigenvalues with certified
-residuals.  Small pencils are reduced densely (LAPACK); larger ones use
-shift-invert Lanczos around a factorized (A - sigma B).  Every returned
+residuals.  Pencils of at most DENSE_CUTOFF dof are reduced densely
+(LAPACK, O(n^3)); larger ones use shift-invert Lanczos around a factorized
+(A - sigma B).  The cutoff is the measured dense/sparse crossover:
+`bench/crossover.py` times both paths for every problem kind in 2D and 3D
+and records the table in BENCH_dense_cutoff.json.  Every returned
 pair is polished by inverse iteration until the relative residual
 ||Ax - theta Bx|| / ||Ax|| meets the tolerance, and a run with identical
 inputs and configuration is bitwise reproducible (fixed start vector,
@@ -38,7 +41,8 @@ __all__ = [
     "DENSE_CUTOFF",
 ]
 
-DENSE_CUTOFF = 4000
+# largest block size (dof) solved densely; see BENCH_dense_cutoff.json
+DENSE_CUTOFF = 225
 DEFAULT_TOL = 1e-9
 MAX_ITER = 10_000
 _POLISH_STEPS = 4
@@ -320,9 +324,13 @@ def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,
     first positive eigenvalue is reported.  `cache` may be shared across
     problems on the same grid to reuse block solves.
     """
-    if m > problem.dof_count:
-        raise ValueError(f"m={m} exceeds dof_count={problem.dof_count}")
     deflate_full = kernel_basis(problem)
+    # every block deflates each kernel vector's restriction to it
+    available = problem.dof_count - len(deflate_full) * len(problem.blocks)
+    if m > available:
+        raise ValueError(
+            f"m={m} exceeds the {available} eigenvalues left of dof_count="
+            f"{problem.dof_count} after deflating {len(deflate_full)} kernel vector(s)")
     local_cache: dict = cache if cache is not None else {}
     merged: list[tuple[float, float, int, int]] = []
     block_results: dict[int, Spectrum] = {}

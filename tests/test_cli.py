@@ -90,6 +90,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run(["box", "--dim", "2", "--extent", "1,1", "--cells", "2,63",
                 "--problem", "buckling", "--degree", "1"]) == 1
     assert run(["constants", "--dim", "2", "--degree", "2"]) == 1
+    # more values than the deflated Neumann pencil has
+    assert run(["box", "--dim", "2", "--extent", "1,1", "--cells", "3,3",
+                "--problem", "absolute_laplace", "--degree", "0", "--count", "25"]) == 1
     capsys.readouterr()
 
 

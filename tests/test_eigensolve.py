@@ -1,11 +1,14 @@
 """Eigensolver tests: trivial pencils, closed-form grids, deflation, determinism."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hodge_spectra.eigensolve as es
 from hodge_spectra.discretize import ProblemKind, assemble, build_domain, kernel_basis
 from hodge_spectra.eigensolve import (
     DeflatedPencil,
@@ -74,20 +77,44 @@ def test_reproducibility_bitwise():
     assert np.array_equal(one.residuals, two.residuals)
 
 
-def test_sparse_path_matches_dense_path():
-    # same problem forced down both paths by shrinking the cutoff
-    import hodge_spectra.eigensolve as es
-    dom = build_domain(2, [1.0, 1.0], [14, 14])
-    prob = assemble(dom, 0, ProblemKind.DIRICHLET_LAPLACE)
-    dense = solve_generalized(prob.A, prob.B, m=3)
-    original = es.DENSE_CUTOFF
-    es.DENSE_CUTOFF = 10
-    try:
-        sparse = solve_generalized(prob.A, prob.B, m=3)
-    finally:
-        es.DENSE_CUTOFF = original
-    assert sparse.values == pytest.approx(dense.values, rel=1e-10)
-    assert np.all(sparse.residuals <= 1e-9)
+def test_sparse_path_matches_dense_path(monkeypatch):
+    # every kind (absolute p=0 takes the deflated Woodbury branch) and one 3D
+    # block, 272 to 343 dof, inside the measured crossover band, each forced
+    # down both paths
+    cases = [(2, [16, 17], kind) for kind in ProblemKind] + \
+        [(3, [7, 7, 7], ProblemKind.CLAMPED_PLATE)]
+    for dim, cells, kind in cases:
+        prob = assemble(build_domain(dim, [1.0] * dim, cells), 0, kind)
+        spectra = []
+        for cutoff in (10 ** 9, 0):
+            monkeypatch.setattr(es, "DENSE_CUTOFF", cutoff)
+            spectra.append(solve_problem(prob, m=4))
+        dense, sparse = spectra
+        assert sparse.values == pytest.approx(dense.values, rel=1e-10), kind
+        assert np.all(dense.residuals <= es.DEFAULT_TOL), kind
+        assert np.all(sparse.residuals <= es.DEFAULT_TOL), kind
+
+
+def test_large_block_does_not_use_dense_eigh(monkeypatch):
+    # a 63^2 block (3969 dof) is far above the measured dense/sparse crossover
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense eigh called on a 3969-dof block")
+
+    monkeypatch.setattr(es.sla, "eigh", no_dense)
+    prob = assemble(build_domain(2, [1.0, 1.0], [63, 63]), 0, ProblemKind.DIRICHLET_LAPLACE)
+    spec = solve_problem(prob, m=2)
+    h = 1.0 / 64.0
+    exact = 8.0 / h ** 2 * math.sin(math.pi * h / 2.0) ** 2
+    assert spec.values[0] == pytest.approx(exact, rel=1e-10)
+
+
+def test_dense_cutoff_lies_in_the_measured_crossover_band():
+    bench = json.loads((Path(__file__).resolve().parents[1]
+                        / "BENCH_dense_cutoff.json").read_text())
+    # the band spans every recorded run, not only the pooled recommendation
+    assert len(bench["per_run"]) == bench["runs"] > 1
+    low, high = bench["band"]
+    assert low <= es.DENSE_CUTOFF < high
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +141,16 @@ def test_neumann_deflation_reports_positive_value():
     spec = solve_pencil(pencil, m=3, kind=prob.kind.value, degree=0)
     assert spec.deflated_kernel_dim == 1
     assert spec.values[0] > 0.0
+
+
+def test_request_beyond_deflated_dof_count_is_rejected():
+    # 25 dof less the Neumann constant leave 24 eigenvalues; a 25th must not
+    # be silently dropped
+    prob = assemble(build_domain(2, [1.0, 1.0], [3, 3]), 0, ProblemKind.ABSOLUTE_LAPLACE)
+    assert prob.dof_count == 25
+    assert solve_problem(prob, m=24).values.size == 24
+    with pytest.raises(ValueError, match="24 eigenvalues"):
+        solve_problem(prob, m=25)
 
 
 def test_neumann_63x63_matches_pi_squared():
