@@ -5,13 +5,15 @@ Usage (from the repository root):
     python3 bench/crossover.py [--out BENCH_dense_cutoff.json]
         [--battery-2d PARENT.jsonl CHANGE.jsonl]
 
-For each problem kind at degree 0 (one block per problem), in 2D and 3D,
-`solve_problem(problem, m=4)` is timed with the block forced down the dense
-path (DENSE_CUTOFF at the block size) and forced down the sparse path
-(DENSE_CUTOFF = 0), best of REPEATS, on cubic grids of about 50 to about
-2400 dof.  BLAS runs on one thread.  The dense and sparse runs alternate, so
-that a slow stretch of a shared machine hits both.  The whole sweep is made
-RUNS times, and every run is recorded.
+For each fourth-order problem kind at degree 0 (one block per problem), in
+2D and 3D, `solve_problem(problem, m=4)` is timed with the block forced
+down the dense path (DENSE_CUTOFF at the block size) and forced down the
+sparse path (DENSE_CUTOFF = 0), best of REPEATS, on cubic grids of about 50
+to about 2400 dof.  The second-order kinds are not swept: their blocks take
+the separable solve, which never reaches DENSE_CUTOFF.  BLAS runs on one
+thread.  The dense and sparse runs alternate, so that a slow stretch of a
+shared machine hits both.  The whole sweep is made RUNS times, and every
+run is recorded.
 
 Near the crossover both paths take a few milliseconds, so one sweep's
 answer moves with machine noise.  The recommended cutoff therefore comes
@@ -58,8 +60,9 @@ from hodge_spectra.discretize import ProblemKind, assemble, build_domain  # noqa
 M = 4
 REPEATS = 3
 RUNS = 5
+# the kinds whose blocks reach the dense/sparse dispatch
+KINDS = tuple(kind for kind in ProblemKind if kind.is_fourth_order)
 # block side lengths: side**dim runs from 49 to 2401 dof in 2D, 125 to 2197 in 3D
-# (the 3D absolute block needs at least 3 interior cells per axis)
 SIDES = {
     2: (7, 9, 11, 13, 15, 17, 19, 21, 25, 29, 35, 41, 49),
     3: (5, 6, 7, 8, 9, 10, 11, 13),
@@ -67,9 +70,7 @@ SIDES = {
 
 
 def _problem(kind: ProblemKind, dim: int, side: int):
-    # the absolute (Neumann) block keeps the boundary nodes: (cells + 2)**dim dof
-    cells = side - 2 if kind is ProblemKind.ABSOLUTE_LAPLACE else side
-    return assemble(build_domain(dim, [1.0] * dim, [cells] * dim), 0, kind)
+    return assemble(build_domain(dim, [1.0] * dim, [side] * dim), 0, kind)
 
 
 def _time_solve(problem, cutoff: int) -> float:
@@ -87,7 +88,7 @@ def sweep() -> list[dict]:
     """One run: best-of-REPEATS dense and sparse seconds for every series and size."""
     rows = []
     for dim, sides in SIDES.items():
-        for kind in ProblemKind:
+        for kind in KINDS:
             for side in sides:
                 problem = _problem(kind, dim, side)
                 (size,) = (block.size for block in problem.blocks)

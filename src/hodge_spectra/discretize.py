@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -22,7 +23,6 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "BoundaryKind",
     "ProblemKind",
     "FaceCondition",
     "BoxDomain",
@@ -32,14 +32,7 @@ __all__ = [
     "build_domain",
     "component_conditions",
     "assemble",
-    "kernel_basis",
 ]
-
-
-class BoundaryKind(str, enum.Enum):
-    CLAMPED = "clamped"
-    DIRICHLET = "dirichlet"
-    ABSOLUTE = "absolute"
 
 
 class ProblemKind(str, enum.Enum):
@@ -47,14 +40,6 @@ class ProblemKind(str, enum.Enum):
     BUCKLING = "buckling"
     DIRICHLET_LAPLACE = "dirichlet_laplace"
     ABSOLUTE_LAPLACE = "absolute_laplace"
-
-    @property
-    def boundary(self) -> BoundaryKind:
-        if self in (ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING):
-            return BoundaryKind.CLAMPED
-        if self is ProblemKind.DIRICHLET_LAPLACE:
-            return BoundaryKind.DIRICHLET
-        return BoundaryKind.ABSOLUTE
 
     @property
     def is_fourth_order(self) -> bool:
@@ -65,6 +50,13 @@ class FaceCondition(str, enum.Enum):
     VALUE = "value"                # component vanishes on the face
     DERIVATIVE = "derivative"      # normal derivative of the component vanishes
     CLAMPED = "clamped"            # both
+
+
+def _representable_spacing(h: float) -> bool:
+    try:
+        return all(math.isfinite(x) and x != 0.0 for x in (h ** 4, h ** -4))
+    except (OverflowError, ZeroDivisionError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -83,12 +75,14 @@ class BoxDomain:
                           ("spacing", self.spacing)):
             if len(seq) != self.dim:
                 raise ValueError(f"{name} must have length {self.dim}, got {seq!r}")
-        if any(not e > 0.0 for e in self.extent):
-            raise ValueError(f"extents must be positive, got {self.extent}")
+        if any(not (e > 0.0 and math.isfinite(e)) for e in self.extent):
+            raise ValueError(f"extents must be positive and finite, got {self.extent}")
         if any(c < 3 for c in self.cells):
             raise ValueError(f"need at least 3 interior nodes per axis, got {self.cells}")
-        if any(not h > 0.0 for h in self.spacing):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if any(not _representable_spacing(h) for h in self.spacing):
+            raise ValueError(
+                f"spacing {self.spacing} is out of range: the fourth-order operators "
+                "need h**4 and h**-4 to be finite nonzero floats")
 
     @property
     def key(self) -> tuple:
@@ -147,29 +141,24 @@ class ComponentIndex:
 
 
 def component_conditions(
-    domain: BoxDomain, component: ComponentIndex, kind: BoundaryKind
-) -> dict[tuple[int, int], FaceCondition]:
-    """Per-face scalar condition for one component.
+    domain: BoxDomain, component: ComponentIndex, kind: ProblemKind
+) -> tuple[FaceCondition, ...]:
+    """Scalar condition on both faces of each axis, for one component.
 
-    Keys are (axis, side) with axis in 1..n and side in {-1, +1}.  Clamped
-    fixes value and normal derivative on every face; Dirichlet fixes the
-    value; the absolute condition fixes the value where the face normal
-    axis belongs to the component's multi-index and the normal derivative
-    where it does not.
+    Entry k-1 holds the condition on the two faces normal to axis k.  The
+    fourth-order kinds clamp every face; Dirichlet fixes the value; the
+    absolute condition fixes the value where the face normal axis belongs to
+    the component's multi-index and the normal derivative where it does not.
     """
+    kind = ProblemKind(kind)
     if component.degree > domain.dim or (component.axes and component.axes[-1] > domain.dim):
         raise ValueError(f"component {component} does not fit in dimension {domain.dim}")
-    out: dict[tuple[int, int], FaceCondition] = {}
-    for axis in range(1, domain.dim + 1):
-        if kind is BoundaryKind.CLAMPED:
-            cond = FaceCondition.CLAMPED
-        elif kind is BoundaryKind.DIRICHLET:
-            cond = FaceCondition.VALUE
-        else:
-            cond = FaceCondition.VALUE if axis in component.axes else FaceCondition.DERIVATIVE
-        out[(axis, -1)] = cond
-        out[(axis, +1)] = cond
-    return out
+    if kind.is_fourth_order:
+        return (FaceCondition.CLAMPED,) * domain.dim
+    if kind is ProblemKind.DIRICHLET_LAPLACE:
+        return (FaceCondition.VALUE,) * domain.dim
+    return tuple(FaceCondition.VALUE if axis in component.axes else FaceCondition.DERIVATIVE
+                 for axis in range(1, domain.dim + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +201,6 @@ def _symmetrize(a: sp.spmatrix) -> sp.csr_matrix:
     out.sum_duplicates()
     out.sort_indices()
     return out
-
-
-def _second_order_operators(
-    domain: BoxDomain, conds: tuple[FaceCondition, ...]
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(K, M) for the componentwise Laplacian with per-axis conditions."""
-    axes = [_axis_stiffness(c, h, cond)
-            for c, h, cond in zip(domain.cells, domain.spacing, conds)]
-    masses = [sp.diags(w, format="csr") for _, w in axes]
-    size = int(np.prod([m.shape[0] for m in masses]))
-    stiff = sp.csr_matrix((size, size))
-    for k in range(domain.dim):
-        factors = [axes[k][0] if j == k else masses[j] for j in range(domain.dim)]
-        stiff = stiff + _kron_chain(factors)
-    mass = _kron_chain(masses)
-    return _symmetrize(stiff), mass.tocsr()
 
 
 def _interior_laplacian(domain: BoxDomain) -> sp.csr_matrix:
@@ -286,6 +259,9 @@ class ComponentBlock:
     signature: tuple
     laplacian: Optional[sp.csr_matrix] = None   # evaluation-grid Laplacian (fourth order)
     eval_weights: Optional[np.ndarray] = None   # quadrature weights of its rows
+    # second order: per-axis 1D pencils (S_k, w_k) whose Kronecker sum is (a, b)
+    axis_factors: Optional[tuple[tuple[sp.csr_matrix, np.ndarray], ...]] = None
+    kernel_dim: int = 0                         # dimension of the kernel of a
 
 
 @dataclass(frozen=True)
@@ -301,7 +277,8 @@ class FormProblem:
     blocks: tuple[ComponentBlock, ...]
 
 
-def _fourth_order_block(domain: BoxDomain, kind: ProblemKind) -> dict:
+def _fourth_order_block(domain: BoxDomain, kind: ProblemKind,
+                        conds: tuple[FaceCondition, ...]) -> dict:
     interior = _interior_laplacian(domain)
     face, face_w = _face_rows(domain)
     lap = sp.vstack([interior, face], format="csr")
@@ -313,7 +290,6 @@ def _fourth_order_block(domain: BoxDomain, kind: ProblemKind) -> dict:
     else:
         b = _symmetrize(interior * domain.cell_volume)
         b_tag = "stiffness"
-    conds = tuple(FaceCondition.CLAMPED for _ in range(domain.dim))
     return {
         "a": a,
         "b": b,
@@ -324,13 +300,26 @@ def _fourth_order_block(domain: BoxDomain, kind: ProblemKind) -> dict:
 
 
 def _second_order_block(domain: BoxDomain, conds: tuple[FaceCondition, ...]) -> dict:
-    stiff, mass = _second_order_operators(domain, conds)
+    """Componentwise Laplacian with per-axis conditions, as a Kronecker sum.
+
+    K = sum_k W_1 x ... x S_k x ... x W_n against M = W_1 x ... x W_n, where
+    (S_k, w_k) is axis k's 1D pencil and W_k = diag(w_k).  The only kernel
+    is the constant, present when every axis keeps its boundary nodes.
+    """
+    axes = tuple(_axis_stiffness(c, h, cond)
+                 for c, h, cond in zip(domain.cells, domain.spacing, conds))
+    masses = [sp.diags(w, format="csr") for _, w in axes]
+    size = int(np.prod([m.shape[0] for m in masses]))
+    stiff = sp.csr_matrix((size, size))
+    for k in range(domain.dim):
+        factors = [axes[k][0] if j == k else masses[j] for j in range(domain.dim)]
+        stiff = stiff + _kron_chain(factors)
     return {
-        "a": stiff,
-        "b": mass,
-        "laplacian": None,
-        "eval_weights": None,
+        "a": _symmetrize(stiff),
+        "b": _kron_chain(masses),
         "signature": ("laplacian", "mass", domain.key, conds),
+        "axis_factors": axes,
+        "kernel_dim": int(all(c is FaceCondition.DERIVATIVE for c in conds)),
     }
 
 
@@ -340,38 +329,23 @@ def assemble(domain: BoxDomain, degree: int, kind: ProblemKind) -> FormProblem:
     Clamped plate: A = L^T M~ L against the mass matrix.  Buckling: the same
     A against the Dirichlet stiffness K.  Dirichlet / absolute Laplacian:
     K against the (trapezoidal) mass, with per-component face conditions.
+    Components with the same per-axis conditions share one block.
     """
     kind = ProblemKind(kind)
     n = domain.dim
     if not 0 <= degree <= n:
         raise ValueError(f"degree must satisfy 0 <= p <= {n}, got {degree}")
-    components = ComponentIndex.all_for(n, degree)
     cache: dict[tuple, dict] = {}
     blocks: list[ComponentBlock] = []
     offset = 0
-    for comp in components:
-        face_map = component_conditions(domain, comp, kind.boundary)
-        axis_conds = tuple(face_map[(axis, -1)] for axis in range(1, n + 1))
-        if kind.is_fourth_order:
-            key = ("biharmonic", kind.value, axis_conds)
-            if key not in cache:
-                cache[key] = _fourth_order_block(domain, kind)
-        else:
-            key = ("laplacian", axis_conds)
-            if key not in cache:
-                cache[key] = _second_order_block(domain, axis_conds)
-        built = cache[key]
+    for comp in ComponentIndex.all_for(n, degree):
+        conds = component_conditions(domain, comp, kind)
+        if conds not in cache:
+            cache[conds] = (_fourth_order_block(domain, kind, conds) if kind.is_fourth_order
+                            else _second_order_block(domain, conds))
+        built = cache[conds]
         size = built["a"].shape[0]
-        blocks.append(ComponentBlock(
-            component=comp,
-            offset=offset,
-            size=size,
-            a=built["a"],
-            b=built["b"],
-            signature=built["signature"],
-            laplacian=built["laplacian"],
-            eval_weights=built["eval_weights"],
-        ))
+        blocks.append(ComponentBlock(component=comp, offset=offset, size=size, **built))
         offset += size
     a_full = sp.block_diag([blk.a for blk in blocks], format="csr")
     b_full = sp.block_diag([blk.b for blk in blocks], format="csr")
@@ -384,15 +358,3 @@ def assemble(domain: BoxDomain, degree: int, kind: ProblemKind) -> FormProblem:
         dof_count=offset,
         blocks=tuple(blocks),
     )
-
-
-def kernel_basis(problem: FormProblem) -> list[np.ndarray]:
-    """Known kernel vectors of A to deflate before reporting first eigenvalues.
-
-    On a box the only harmonic space compatible with the absolute condition
-    is the constants at p = 0 (the Neumann kernel); every other assembled
-    pencil here is positive definite.
-    """
-    if problem.kind is ProblemKind.ABSOLUTE_LAPLACE and problem.degree == 0:
-        return [np.ones(problem.dof_count)]
-    return []

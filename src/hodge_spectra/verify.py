@@ -69,8 +69,8 @@ def evaluate_constants(n: int, p: int, gamma: float) -> ConstantsBundle:
         raise ValueError("n and p must be integers")
     if not 1 <= p <= n // 2:
         raise ValueError(f"degree must satisfy 1 <= p <= floor(n/2), got p={p}, n={n}")
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     weight = p * (n - p + 1)
     return ConstantsBundle(
         dim=n,

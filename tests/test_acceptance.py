@@ -24,7 +24,7 @@ from hodge_spectra.discretize import (
     build_domain,
     _second_order_block,
 )
-from hodge_spectra.eigensolve import solve_generalized, solve_problem
+from hodge_spectra.eigensolve import solve_pencil, solve_problem
 from hodge_spectra.verify import box_battery, convergence_study, evaluate_constants, \
     halfdegree_identity_gap
 
@@ -226,8 +226,8 @@ def test_criterion_7_hodge_duality_bitwise():
     rel_conds = tuple(FaceCondition.DERIVATIVE if axis in (2, 3) else FaceCondition.VALUE
                       for axis in (1, 2, 3))
     rel = _second_order_block(domain, rel_conds)
-    mu = solve_generalized(blk.a, blk.b, m=2)
-    kappa = solve_generalized(rel["a"], rel["b"], m=2)
+    mu = solve_pencil(blk.a, blk.b, m=2)
+    kappa = solve_pencil(rel["a"], rel["b"], m=2)
     assert np.array_equal(mu.values, kappa.values)
     elapsed = time.perf_counter() - start
     _announce(7, "bitwise duality on 15^3 box (star pairs + absolute/relative)", elapsed)

@@ -90,9 +90,22 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run(["box", "--dim", "2", "--extent", "1,1", "--cells", "2,63",
                 "--problem", "buckling", "--degree", "1"]) == 1
     assert run(["constants", "--dim", "2", "--degree", "2"]) == 1
-    # more values than the deflated Neumann pencil has
+    # no values at all, or more values than the deflated Neumann pencil has
+    assert run(["box", "--dim", "2", "--extent", "1,1", "--cells", "3,3",
+                "--problem", "dirichlet_laplace", "--degree", "0", "--count", "0"]) == 1
     assert run(["box", "--dim", "2", "--extent", "1,1", "--cells", "3,3",
                 "--problem", "absolute_laplace", "--degree", "0", "--count", "25"]) == 1
+    # extents whose grid spacing cannot carry the fourth-order operators
+    for extent in ("1e-200,1", "1e300,1", "inf,1"):
+        assert run(["box", "--dim", "2", "--extent", extent, "--cells", "5,5",
+                    "--problem", "clamped_plate", "--degree", "0"]) == 1, extent
+    # an infinite tolerance would make the residual certificate vacuous, and
+    # neither it nor an infinite gamma can be written as JSON
+    assert run(["box", "--dim", "2", "--extent", "1,1", "--cells", "5,5",
+                "--problem", "dirichlet_laplace", "--degree", "0", "--tol", "inf"]) == 1
+    assert run(["constants", "--dim", "4", "--degree", "2", "--gamma", "inf"]) == 1
+    assert run(["verify", "--dim", "2", "--extent", "1,1", "--cells", "5,5",
+                "--degrees", "1", "--gamma", "inf"]) == 1
     capsys.readouterr()
 
 

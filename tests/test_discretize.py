@@ -4,6 +4,7 @@ Spectrum-level assertions here use scipy.linalg.eigh directly so they do not
 depend on the package's own eigensolver.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -11,14 +12,12 @@ import pytest
 import scipy.linalg as sla
 
 from hodge_spectra.discretize import (
-    BoundaryKind,
     ComponentIndex,
     FaceCondition,
     ProblemKind,
     assemble,
     build_domain,
     component_conditions,
-    kernel_basis,
     _second_order_block,
 )
 
@@ -44,6 +43,11 @@ def test_build_domain_2d():
     (0, [], []),
     (2, [1.0, -1.0], [5, 5]),
     (2, [1.0], [5, 5]),
+    # spacings whose fourth power underflows or overflows, and infinite extents
+    (2, [1e-200, 1.0], [5, 5]),
+    (2, [1e300, 1.0], [5, 5]),
+    (2, [math.inf, 1.0], [5, 5]),
+    (2, [math.nan, 1.0], [5, 5]),
 ])
 def test_build_domain_rejects_bad_inputs(dim, extent, cells):
     with pytest.raises(ValueError):
@@ -67,31 +71,29 @@ def test_absolute_conditions_on_square_one_forms():
     dom = build_domain(2, [1.0, 1.0], [5, 5])
     comp1 = ComponentIndex(degree=1, axes=(1,))
     comp2 = ComponentIndex(degree=1, axes=(2,))
-    cond1 = component_conditions(dom, comp1, BoundaryKind.ABSOLUTE)
-    cond2 = component_conditions(dom, comp2, BoundaryKind.ABSOLUTE)
-    # face with normal e_1: component containing dx^1 vanishes, the other
-    # gets zero normal derivative
-    assert cond1[(1, -1)] is FaceCondition.VALUE
-    assert cond1[(1, +1)] is FaceCondition.VALUE
-    assert cond1[(2, -1)] is FaceCondition.DERIVATIVE
-    assert cond2[(1, -1)] is FaceCondition.DERIVATIVE
-    assert cond2[(2, +1)] is FaceCondition.VALUE
+    cond1 = component_conditions(dom, comp1, ProblemKind.ABSOLUTE_LAPLACE)
+    cond2 = component_conditions(dom, comp2, ProblemKind.ABSOLUTE_LAPLACE)
+    # faces with normal e_1: the component containing dx^1 vanishes, the
+    # other gets zero normal derivative; entry k-1 covers both faces of axis k
+    assert cond1 == (FaceCondition.VALUE, FaceCondition.DERIVATIVE)
+    assert cond2 == (FaceCondition.DERIVATIVE, FaceCondition.VALUE)
 
 
 def test_clamped_conditions_everywhere():
     dom = build_domain(2, [1.0, 1.0], [5, 5])
-    for p in (0, 1, 2):
-        for comp in ComponentIndex.all_for(2, p):
-            conds = component_conditions(dom, comp, BoundaryKind.CLAMPED)
-            assert len(conds) == 4
-            assert all(c is FaceCondition.CLAMPED for c in conds.values())
+    for kind in (ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING):
+        for p in (0, 1, 2):
+            for comp in ComponentIndex.all_for(2, p):
+                conds = component_conditions(dom, comp, kind)
+                assert len(conds) == 2
+                assert all(c is FaceCondition.CLAMPED for c in conds)
 
 
 def test_dirichlet_conditions_everywhere():
     dom = build_domain(2, [1.0, 1.0], [5, 5])
     comp = ComponentIndex(degree=1, axes=(2,))
-    conds = component_conditions(dom, comp, BoundaryKind.DIRICHLET)
-    assert all(c is FaceCondition.VALUE for c in conds.values())
+    conds = component_conditions(dom, comp, ProblemKind.DIRICHLET_LAPLACE)
+    assert conds == (FaceCondition.VALUE, FaceCondition.VALUE)
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +203,37 @@ def test_absolute_p0_constant_kernel():
     prob = assemble(dom, 0, ProblemKind.ABSOLUTE_LAPLACE)
     ones = np.ones(prob.dof_count)
     assert np.linalg.norm(prob.A @ ones) == 0.0
-    basis = kernel_basis(prob)
-    assert len(basis) == 1
-    assert np.array_equal(basis[0], ones)
+    (block,) = prob.blocks
+    assert block.kernel_dim == 1
 
 
-def test_kernel_basis_empty_elsewhere():
-    dom = build_domain(2, [1.0, 1.0], [5, 5])
-    assert kernel_basis(assemble(dom, 1, ProblemKind.ABSOLUTE_LAPLACE)) == []
-    assert kernel_basis(assemble(dom, 0, ProblemKind.DIRICHLET_LAPLACE)) == []
+@pytest.mark.parametrize("extent,cells", [([1.0, 1.3], [4, 5]), ([1.0, 0.8, 1.1], [3, 3, 4])])
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_block_kernel_dim_matches_numerical_nullity(kind, extent, cells):
+    # the structural count (1 only at absolute p=0) against the near-zero
+    # eigenvalues of each assembled block
+    dom = build_domain(len(cells), extent, cells)
+    for p in range(dom.dim + 1):
+        for block in assemble(dom, p, kind).blocks:
+            values = sla.eigh(block.a.toarray(), block.b.toarray(), eigvals_only=True)
+            nullity = int(np.sum(np.abs(values) <= 1e-10 * values[-1]))
+            assert block.kernel_dim == nullity, (kind, p, block.component)
+            expected = int(kind is ProblemKind.ABSOLUTE_LAPLACE and p == 0)
+            assert block.kernel_dim == expected
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("kind", [ProblemKind.DIRICHLET_LAPLACE, ProblemKind.ABSOLUTE_LAPLACE])
+def test_second_order_block_is_the_kronecker_sum_of_its_axis_factors(kind, p):
+    dom = build_domain(2, [1.0, 1.7], [4, 6])
+    for block in assemble(dom, p, kind).blocks:
+        stiff = [s.toarray() for s, _ in block.axis_factors]
+        mass = [np.diag(w) for _, w in block.axis_factors]
+        kron = functools.partial(functools.reduce, np.kron)
+        a = sum(kron([stiff[j] if j == k else mass[j] for j in range(dom.dim)])
+                for k in range(dom.dim))
+        assert np.allclose(block.a.toarray(), a, rtol=0.0, atol=1e-12 * np.abs(a).max())
+        assert np.array_equal(block.b.toarray(), kron(mass))
 
 
 # ---------------------------------------------------------------------------

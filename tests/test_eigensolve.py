@@ -1,4 +1,5 @@
-"""Eigensolver tests: trivial pencils, closed-form grids, deflation, determinism."""
+"""Eigensolver tests: trivial pencils, closed-form grids, the separable
+second-order path, kernels, determinism."""
 
 import json
 import math
@@ -6,50 +7,47 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 import hodge_spectra.eigensolve as es
-from hodge_spectra.discretize import ProblemKind, assemble, build_domain, kernel_basis
-from hodge_spectra.eigensolve import (
-    DeflatedPencil,
-    Spectrum,
-    deflate_kernel,
-    solve_generalized,
-    solve_pencil,
-    solve_problem,
-)
+from hodge_spectra.discretize import ProblemKind, assemble, build_domain
+from hodge_spectra.eigensolve import Spectrum, solve_pencil, solve_problem
 from hodge_spectra.errors import NumericalFailure
 
 
 def test_identity_pencil():
     eye = sp.identity(6, format="csr")
-    spec = solve_generalized(eye, eye, m=3)
+    spec = solve_pencil(eye, eye, m=3)
     assert spec.values == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
 
 
 def test_diagonal_pencil():
     a = sp.diags([3.0, 1.0, 2.0]).tocsr()
-    spec = solve_generalized(a, sp.identity(3, format="csr"), m=2)
+    spec = solve_pencil(a, sp.identity(3, format="csr"), m=2)
     assert spec.values == pytest.approx([1.0, 2.0], abs=1e-12)
 
 
 def test_rejects_mismatched_or_asymmetric():
     a = sp.identity(4, format="csr")
     with pytest.raises(ValueError):
-        solve_generalized(a, sp.identity(5, format="csr"), m=1)
+        solve_pencil(a, sp.identity(5, format="csr"), m=1)
     skew = sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     with pytest.raises(ValueError):
-        solve_generalized(skew, sp.identity(2, format="csr"), m=1)
+        solve_pencil(skew, sp.identity(2, format="csr"), m=1)
     with pytest.raises(ValueError):
-        solve_generalized(a, a, m=0)
+        solve_pencil(a, a, m=0)
     with pytest.raises(ValueError):
-        solve_generalized(a, a, m=9)
+        solve_pencil(a, a, m=9)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            solve_pencil(a, a, m=1, tol=tol)
 
 
 def test_1d_dirichlet_closed_form_through_solver():
     dom = build_domain(1, [1.0], [31])
     prob = assemble(dom, 0, ProblemKind.DIRICHLET_LAPLACE)
-    spec = solve_generalized(prob.A, prob.B, m=2)
+    spec = solve_pencil(prob.A, prob.B, m=2)
     h = 1.0 / 32.0
     exact = [4.0 / h ** 2 * math.sin(k * math.pi * h / 2.0) ** 2 for k in (1, 2)]
     assert spec.values == pytest.approx(exact, rel=1e-10)
@@ -61,7 +59,7 @@ def test_rayleigh_quotient_consistency():
     for kind in (ProblemKind.DIRICHLET_LAPLACE, ProblemKind.CLAMPED_PLATE,
                  ProblemKind.BUCKLING):
         prob = assemble(dom, 0, kind)
-        spec = solve_generalized(prob.A, prob.B, m=3, tol=1e-9)
+        spec = solve_pencil(prob.A, prob.B, m=3, tol=1e-9)
         for i, theta in enumerate(spec.values):
             x = spec.vectors[:, i]
             quotient = (x @ (prob.A @ x)) / (x @ (prob.B @ x))
@@ -78,17 +76,17 @@ def test_reproducibility_bitwise():
 
 
 def test_sparse_path_matches_dense_path(monkeypatch):
-    # every kind (absolute p=0 takes the deflated Woodbury branch) and one 3D
-    # block, 272 to 343 dof, inside the measured crossover band, each forced
-    # down both paths
-    cases = [(2, [16, 17], kind) for kind in ProblemKind] + \
-        [(3, [7, 7, 7], ProblemKind.CLAMPED_PLATE)]
-    for dim, cells, kind in cases:
-        prob = assemble(build_domain(dim, [1.0] * dim, cells), 0, kind)
+    # every kind on a 16x17 grid (absolute at p=1, whose pencil has no
+    # kernel; its two blocks give 610 dof) and one 7^3 clamped block, each
+    # forced down both paths of the general solver
+    cases = [(2, [16, 17], kind, 1 if kind is ProblemKind.ABSOLUTE_LAPLACE else 0)
+             for kind in ProblemKind] + [(3, [7, 7, 7], ProblemKind.CLAMPED_PLATE, 0)]
+    for dim, cells, kind, degree in cases:
+        prob = assemble(build_domain(dim, [1.0] * dim, cells), degree, kind)
         spectra = []
         for cutoff in (10 ** 9, 0):
             monkeypatch.setattr(es, "DENSE_CUTOFF", cutoff)
-            spectra.append(solve_problem(prob, m=4))
+            spectra.append(solve_pencil(prob.A, prob.B, m=4))
         dense, sparse = spectra
         assert sparse.values == pytest.approx(dense.values, rel=1e-10), kind
         assert np.all(dense.residuals <= es.DEFAULT_TOL), kind
@@ -96,16 +94,17 @@ def test_sparse_path_matches_dense_path(monkeypatch):
 
 
 def test_large_block_does_not_use_dense_eigh(monkeypatch):
-    # a 63^2 block (3969 dof) is far above the measured dense/sparse crossover
+    # a 63^2 clamped block (3969 dof) is far above the measured dense/sparse
+    # crossover
     def no_dense(*args, **kwargs):
         raise AssertionError("dense eigh called on a 3969-dof block")
 
     monkeypatch.setattr(es.sla, "eigh", no_dense)
-    prob = assemble(build_domain(2, [1.0, 1.0], [63, 63]), 0, ProblemKind.DIRICHLET_LAPLACE)
+    prob = assemble(build_domain(2, [1.0, 1.0], [63, 63]), 0, ProblemKind.CLAMPED_PLATE)
     spec = solve_problem(prob, m=2)
-    h = 1.0 / 64.0
-    exact = 8.0 / h ** 2 * math.sin(math.pi * h / 2.0) ** 2
-    assert spec.values[0] == pytest.approx(exact, rel=1e-10)
+    assert np.all(spec.residuals <= es.DEFAULT_TOL)
+    # the continuum clamped-plate value of the unit square is 1294.934
+    assert spec.values[0] == pytest.approx(1294.934, rel=5e-3)
 
 
 def test_dense_cutoff_lies_in_the_measured_crossover_band():
@@ -118,29 +117,97 @@ def test_dense_cutoff_lies_in_the_measured_crossover_band():
 
 
 # ---------------------------------------------------------------------------
-# deflation
+# separable second-order solves and their kernel
 # ---------------------------------------------------------------------------
 
-def test_deflate_empty_basis_is_identity():
-    a = sp.identity(4, format="csr")
-    pencil = deflate_kernel(a, a, [])
-    assert pencil.kernel_dim == 0
-    assert (pencil.a != a).nnz == 0
+def _general_reference(block, m):
+    """m smallest eigenvalues of one block from the general solver.
+
+    The absolute p=0 block has the constants as kernel, which the general
+    solver does not remove; dense eigh with the zero dropped stands in.
+    """
+    if block.kernel_dim:
+        values = sla.eigh(block.a.toarray(), block.b.toarray(), eigvals_only=True)
+        assert abs(values[0]) <= 1e-10 * values[-1]
+        return values[1:m + 1]
+    return solve_pencil(block.a, block.b, m).values
 
 
-def test_deflate_rejects_non_kernel_vector():
-    a = sp.diags([1.0, 2.0, 3.0]).tocsr()
-    with pytest.raises(ValueError):
-        deflate_kernel(a, sp.identity(3, format="csr"), [np.ones(3)])
+@pytest.mark.parametrize("extent,cells", [
+    ([1.0, 1.7], [8, 11]),
+    ([1.0, 1.2, 0.9], [4, 5, 6]),
+])
+@pytest.mark.parametrize("kind", [ProblemKind.DIRICHLET_LAPLACE, ProblemKind.ABSOLUTE_LAPLACE])
+def test_separable_path_matches_general_solver(kind, extent, cells):
+    dom = build_domain(len(cells), extent, cells)
+    m = 5
+    for degree in range(dom.dim + 1):
+        prob = assemble(dom, degree, kind)
+        spec = solve_problem(prob, m=m)
+        reference = np.sort(np.concatenate(
+            [_general_reference(block, m) for block in prob.blocks]))[:m]
+        assert spec.values == pytest.approx(reference, rel=1e-10), degree
+        assert np.all(spec.residuals <= es.DEFAULT_TOL), degree
+
+
+@pytest.mark.parametrize("extent,cells", [([1.0, 1.3], [3, 4]), ([1.0, 0.8, 1.1], [3, 3, 4])])
+@pytest.mark.parametrize("kind", [ProblemKind.DIRICHLET_LAPLACE, ProblemKind.ABSOLUTE_LAPLACE])
+def test_separable_spectrum_is_complete(kind, extent, cells):
+    # asking for every eigenvalue but the kernel returns the full dense spectrum,
+    # so none below a reported value is missed
+    dom = build_domain(len(cells), extent, cells)
+    for degree in range(dom.dim + 1):
+        prob = assemble(dom, degree, kind)
+        full = sla.eigh(prob.A.toarray(), prob.B.toarray(), eigvals_only=True)
+        kernel = sum(block.kernel_dim for block in prob.blocks)
+        assert np.all(np.abs(full[:kernel]) <= 1e-10 * full[-1])
+        spec = solve_problem(prob, m=prob.dof_count - kernel)
+        assert spec.deflated_kernel_dim == kernel
+        assert spec.values == pytest.approx(full[kernel:], rel=1e-10), degree
+
+
+def test_second_order_solves_never_factorize(monkeypatch):
+    # 31^3 blocks of 29,791 to 35,937 dof are diagonalized axis by axis:
+    # no sparse factorization, no Lanczos, no eigh larger than one axis
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sparse solver called on a second-order block")
+
+    real_eigh = es.sla.eigh
+
+    def axis_eigh(a, *args, **kwargs):
+        assert a.shape[0] <= 33, f"eigh on {a.shape[0]} dof"
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(es.spla, "splu", forbidden)
+    monkeypatch.setattr(es.spla, "eigsh", forbidden)
+    monkeypatch.setattr(es.sla, "eigh", axis_eigh)
+    dom = build_domain(3, [1.0] * 3, [31] * 3)
+    one_d = [4.0 * 32.0 ** 2 * math.sin(k * math.pi / 64.0) ** 2 for k in (1, 2)]
+    for kind, degree, first in ((ProblemKind.DIRICHLET_LAPLACE, 0, 3 * one_d[0]),
+                                (ProblemKind.DIRICHLET_LAPLACE, 1, 3 * one_d[0]),
+                                (ProblemKind.ABSOLUTE_LAPLACE, 0, one_d[0]),
+                                (ProblemKind.ABSOLUTE_LAPLACE, 1, one_d[0])):
+        spec = solve_problem(assemble(dom, degree, kind), m=4)
+        assert spec.values[0] == pytest.approx(first, rel=1e-10), (kind, degree)
+        assert np.all(spec.residuals <= es.DEFAULT_TOL), (kind, degree)
+
+
+def test_separable_residual_failure_reports_partial():
+    prob = assemble(build_domain(2, [1.0, 1.0], [9, 9]), 1, ProblemKind.DIRICHLET_LAPLACE)
+    with pytest.raises(NumericalFailure) as info:
+        solve_problem(prob, m=2, tol=1e-30)
+    assert isinstance(info.value.partial, Spectrum)
+    assert info.value.partial.values.size == 2
 
 
 def test_neumann_deflation_reports_positive_value():
+    # 9 interior cells keep their boundary nodes: h = 1/10 on both axes
     dom = build_domain(2, [1.0, 1.0], [9, 9])
-    prob = assemble(dom, 0, ProblemKind.ABSOLUTE_LAPLACE)
-    pencil = deflate_kernel(prob.A, prob.B, kernel_basis(prob))
-    spec = solve_pencil(pencil, m=3, kind=prob.kind.value, degree=0)
+    spec = solve_problem(assemble(dom, 0, ProblemKind.ABSOLUTE_LAPLACE), m=3)
     assert spec.deflated_kernel_dim == 1
     assert spec.values[0] > 0.0
+    first = 4.0 / 0.1 ** 2 * math.sin(math.pi * 0.1 / 2.0) ** 2
+    assert spec.values[:2] == pytest.approx([first, first], rel=1e-10)
 
 
 def test_request_beyond_deflated_dof_count_is_rejected():
@@ -167,9 +234,8 @@ def test_neumann_63x63_matches_pi_squared():
 
 def test_deflation_leaves_other_pairs_untouched():
     dom = build_domain(1, [1.0], [15])
-    prob = assemble(dom, 0, ProblemKind.ABSOLUTE_LAPLACE)
-    pencil = deflate_kernel(prob.A, prob.B, kernel_basis(prob))
-    spec = solve_pencil(pencil, m=3)
+    spec = solve_problem(assemble(dom, 0, ProblemKind.ABSOLUTE_LAPLACE), m=3)
+    assert spec.deflated_kernel_dim == 1
     h = 1.0 / 16.0
     exact = [4.0 / h ** 2 * math.sin(k * math.pi * h / 2.0) ** 2 for k in (1, 2, 3)]
     assert spec.values == pytest.approx(exact, rel=1e-10)
@@ -194,7 +260,7 @@ def test_block_merge_interleaves_mixed_blocks():
     dom = build_domain(2, [1.0, 2.0], [6, 9])
     prob = assemble(dom, 1, ProblemKind.ABSOLUTE_LAPLACE)
     spec = solve_problem(prob, m=5)
-    direct = solve_generalized(prob.A, prob.B, m=5)
+    direct = solve_pencil(prob.A, prob.B, m=5)
     assert spec.values == pytest.approx(direct.values, rel=1e-9)
 
 
@@ -213,14 +279,14 @@ def test_non_spd_b_raises_factorization_failure():
     a = sp.identity(3, format="csr")
     b = sp.diags([1.0, -1.0, 1.0]).tocsr()
     with pytest.raises(FactorizationFailure):
-        solve_generalized(a, b, m=1)
+        solve_pencil(a, b, m=1)
 
 
 def test_residual_tolerance_failure_reports_partial():
     dom = build_domain(1, [1.0], [31])
     prob = assemble(dom, 0, ProblemKind.CLAMPED_PLATE)
     with pytest.raises(NumericalFailure) as info:
-        solve_generalized(prob.A, prob.B, m=1, tol=1e-30)
+        solve_pencil(prob.A, prob.B, m=1, tol=1e-30)
     assert isinstance(info.value.partial, Spectrum)
 
 
