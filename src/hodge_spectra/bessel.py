@@ -243,8 +243,10 @@ class BallSpectrum:
         if not self.radius > 0.0:
             raise ValueError(f"radius must be > 0, got {self.radius}")
         lam, big_lam, big_gam = self.lambda1, self.big_lambda1, self.big_gamma1
-        if not (lam > 0.0 and big_lam > 0.0 and big_gam > 0.0):
-            raise ValueError("ball eigenvalues must be strictly positive")
+        chain = (lam, big_lam, big_gam, big_lam * big_lam, big_lam * lam, lam * lam)
+        if not all(0.0 < value < math.inf for value in chain):
+            raise ValueError(f"ball eigenvalues and their chain products must be finite "
+                             f"and > 0 (radius {self.radius})")
         if not big_lam ** 2 >= big_gam >= big_lam * lam > lam ** 2:
             raise ValueError(
                 "ball eigenvalue chain violated: "
@@ -265,8 +267,8 @@ def ball_spectrum(n: int, radius: float) -> BallSpectrum:
     """Spectrum of the radius-R ball in R^n from the first Bessel zeros."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValueError(f"dim must be an integer >= 2, got {n!r}")
-    if not radius > 0.0:
-        raise ValueError(f"radius must be > 0, got {radius}")
+    if not (radius > 0.0 and math.isfinite(radius) and radius * radius > 0.0):
+        raise ValueError(f"radius must be finite and > 0 with a nonzero square, got {radius}")
     h0_sq = 1.0 / (radius * radius)
     lam1 = first_zero_j(BesselOrder(n - 2)) ** 2 * h0_sq
     big_lam1 = first_zero_j(BesselOrder(n)) ** 2 * h0_sq

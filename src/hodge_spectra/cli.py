@@ -160,6 +160,7 @@ def _spectrum_entry(spec: Spectrum) -> dict:
         "kind": spec.kind,
         "values": [float(v) for v in spec.values],
         "residuals": [float(r) for r in spec.residuals],
+        "error_bounds": [float(e) for e in spec.error_bounds],
         "deflated_kernel_dim": int(spec.deflated_kernel_dim),
     }
 

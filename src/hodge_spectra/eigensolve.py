@@ -1,7 +1,7 @@
 """Symmetric generalized eigensolver for the assembled pencils.
 
 Solves A x = theta B x for the m smallest eigenvalues with certified
-residuals.  Second-order blocks (Dirichlet and absolute Laplacian) are
+pairs.  Second-order blocks (Dirichlet and absolute Laplacian) are
 Kronecker sums of 1D pencils (S_k, W_k): each 1D pencil is diagonalized
 densely, the m smallest sums of 1D eigenvalues are the block's
 eigenvalues, and the Kronecker products of the 1D eigenvectors are its
@@ -14,12 +14,20 @@ Other pencils, the fourth-order blocks among them, take the general path:
 at most DENSE_CUTOFF dof are reduced densely (LAPACK, O(n^3)); larger ones
 use shift-invert Lanczos around a factorized (A - sigma B).  The cutoff is
 the measured dense/sparse crossover: `bench/crossover.py` times both paths
-and records the table in BENCH_dense_cutoff.json.  Each pair from the
-general path is polished by inverse iteration until the relative residual
-||Ax - theta Bx|| / ||Ax|| meets the tolerance.  Both paths certify every
-returned pair by that residual, and a run with identical inputs and
-configuration is bitwise reproducible (fixed start vector, deterministic
-merge order).
+and records the table in BENCH_dense_cutoff.json.
+
+Every pair is certified once, straight from the eigensolver, with r =
+Ax - theta Bx.  Its normwise backward error ||r|| / ((||A||_1 + |theta|
+||B||_1) ||x||) must not exceed the tolerance (Higham & Higham, SIAM J.
+Matrix Anal. Appl. 20, 1998); unlike ||r|| / ||Ax||, it has no rounding
+floor that grows with the conditioning of the pencil.  Its error bound
+||r||_{B^-1} / ||x||_B is the radius around theta that holds an eigenvalue
+(Parlett, The Symmetric Eigenvalue Problem, ch. 15), up to the rounding
+made in forming r.  It is free when B is diagonal; otherwise B is
+factorized once per block.
+
+A run with identical inputs and configuration is bitwise reproducible
+(fixed start vector, deterministic merge order).
 """
 
 from __future__ import annotations
@@ -48,7 +56,6 @@ __all__ = [
 DENSE_CUTOFF = 225
 DEFAULT_TOL = 1e-9
 MAX_ITER = 10_000
-_POLISH_STEPS = 4
 _SEED = 0x5EEDBA11
 # relative gap below which equal eigenvalues are labeled as one multiplet
 MULTIPLICITY_GAP = 1e-7
@@ -56,20 +63,28 @@ MULTIPLICITY_GAP = 1e-7
 
 @dataclass
 class Spectrum:
-    """Sorted smallest eigenvalues of one pencil with residual certificates."""
+    """Sorted smallest eigenvalues of one pencil with their certificates.
+
+    `residuals` holds each pair's normwise backward error, `error_bounds`
+    an absolute bound on the distance from each value to an eigenvalue.
+    """
 
     kind: Optional[str]
     degree: Optional[int]
     values: np.ndarray
     residuals: np.ndarray
+    error_bounds: np.ndarray
     vectors: Optional[np.ndarray] = None
     deflated_kernel_dim: int = 0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         self.residuals = np.asarray(self.residuals, dtype=float)
-        if self.values.shape != self.residuals.shape:
-            raise ValueError("values and residuals must align")
+        self.error_bounds = np.asarray(self.error_bounds, dtype=float)
+        if not self.values.shape == self.residuals.shape == self.error_bounds.shape:
+            raise ValueError("values, residuals and error_bounds must align")
+        if not np.all(np.isfinite(self.error_bounds) & (self.error_bounds >= 0.0)):
+            raise ValueError("error_bounds must be finite and >= 0")
         if np.any(np.diff(self.values) < 0):
             raise ValueError("values must be sorted ascending")
         if self.deflated_kernel_dim > 0 and self.values.size and self.values[0] <= 0.0:
@@ -109,53 +124,42 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
-def _residuals(a, b, values, vectors) -> np.ndarray:
-    out = np.empty(len(values))
-    for i, theta in enumerate(values):
-        x = vectors[:, i]
-        ax = a @ x
-        norm_ax = np.linalg.norm(ax)
-        gap = np.linalg.norm(ax - theta * (b @ x))
-        out[i] = gap / norm_ax if norm_ax > 0.0 else gap
-    return out
+def _residuals(a, b, values, vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Backward errors and eigenvalue error bounds of the pairs (values, vectors)."""
+    bx = b @ vectors
+    r = a @ vectors - bx * values
+    scale = spla.norm(a, 1) + np.abs(values) * spla.norm(b, 1)
+    norm_r = np.linalg.norm(r, axis=0)
+    eta = np.divide(norm_r, scale * np.linalg.norm(vectors, axis=0),
+                    out=np.zeros_like(norm_r), where=norm_r != 0.0)
+    if b.count_nonzero() == np.count_nonzero(b.diagonal()):
+        b_inv_r = r / b.diagonal()[:, None]
+    else:
+        b_inv_r = spla.splu(b.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(r)
+    delta = np.sqrt(np.abs(np.sum(r * b_inv_r, axis=0) / np.sum(vectors * bx, axis=0)))
+    return eta, delta
 
 
-def _certified(values, residuals, vectors, tol: float, kind=None, degree=None,
+def _certified(values, vectors, a, b, tol: float, kind=None, degree=None,
                kernel_dim: int = 0) -> Spectrum:
-    """The pairs as a Spectrum; NumericalFailure carries it when a residual exceeds tol."""
-    spectrum = Spectrum(
-        kind=kind, degree=degree,
-        values=values, residuals=residuals, vectors=vectors,
-        deflated_kernel_dim=kernel_dim,
-    )
-    if np.any(residuals > tol):
+    """The pairs as a Spectrum; NumericalFailure carries it when a backward error exceeds tol."""
+    residuals, error_bounds = _residuals(a, b, values, vectors)
+    failed = not np.all(residuals <= tol)   # a NaN fails too
+    try:
+        spectrum = Spectrum(
+            kind=kind, degree=degree, values=values, residuals=residuals,
+            error_bounds=error_bounds, vectors=vectors, deflated_kernel_dim=kernel_dim,
+        )
+    except ValueError:
+        if not failed:
+            raise
+        spectrum = None   # non-finite pairs cannot be reported
+    if failed:
         raise NumericalFailure(
-            f"residual tolerance {tol} not met (worst {residuals.max():.3e})",
+            f"residual tolerance {tol} not met (worst backward error {residuals.max():.3e})",
             partial=spectrum,
         )
     return spectrum
-
-
-def _polish(a, b, theta: float, x: np.ndarray, tol: float):
-    """Inverse iteration against (A - sigma B) with sigma just below theta."""
-    residual = _residuals(a, b, [theta], x.reshape(-1, 1))[0]
-    steps = 0
-    while residual > 0.5 * tol and steps < _POLISH_STEPS and theta != 0.0:
-        sigma = theta * (1.0 - 1e-5)
-        try:
-            factor = spla.splu((a - sigma * b).tocsc())
-        except RuntimeError:
-            break
-        y = factor.solve(b @ x)
-        norm = math.sqrt(abs(y @ (b @ y)))
-        if norm == 0.0:
-            break
-        y /= norm
-        theta_new = float((y @ (a @ y)) / (y @ (b @ y)))
-        x, theta = y, theta_new
-        residual = _residuals(a, b, [theta], x.reshape(-1, 1))[0]
-        steps += 1
-    return theta, x, residual
 
 
 def _dense_solve(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -207,17 +211,7 @@ def solve_pencil(a, b, m: int, tol: float = DEFAULT_TOL,
         values, vectors = _dense_solve(a, b, m)
     else:
         values, vectors = _sparse_solve(a, b, m)
-    # certify and, where needed, polish each pair
-    out_values = np.empty(m)
-    out_residuals = np.empty(m)
-    for i in range(m):
-        theta, x, residual = _polish(a, b, float(values[i]), vectors[:, i].copy(), tol)
-        out_values[i] = theta
-        out_residuals[i] = residual
-        vectors[:, i] = x
-    order = np.argsort(out_values, kind="stable")
-    return _certified(out_values[order], out_residuals[order], vectors[:, order], tol,
-                      kind=kind, degree=degree)
+    return _certified(values, vectors, a, b, tol, kind=kind, degree=degree)
 
 
 def _separable_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
@@ -242,8 +236,7 @@ def _separable_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     for col, multi in enumerate(zip(*np.unravel_index(chosen, grid.shape))):
         vectors[:, col] = functools.reduce(
             np.kron, [axis_vectors[:, j] for (_, axis_vectors), j in zip(pairs, multi)])
-    values = grid.ravel()[chosen]
-    return _certified(values, _residuals(block.a, block.b, values, vectors), vectors, tol,
+    return _certified(grid.ravel()[chosen], vectors, block.a, block.b, tol,
                       kernel_dim=block.kernel_dim)
 
 
@@ -268,7 +261,7 @@ def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,
             f"m={m} exceeds the {available} eigenvalues left of dof_count="
             f"{problem.dof_count} after dropping {kernel_dim} kernel mode(s)")
     local_cache: dict = cache if cache is not None else {}
-    merged: list[tuple[float, float, int, int]] = []
+    merged: list[tuple[float, int, int]] = []
     block_results: dict[int, Spectrum] = {}
     for index, block in enumerate(problem.blocks):
         m_block = min(m, block.size - block.kernel_dim)
@@ -280,21 +273,20 @@ def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,
         result = local_cache[key]
         block_results[index] = result
         for j in range(m_block):
-            merged.append((float(result.values[j]), float(result.residuals[j]), index, j))
-    merged.sort(key=lambda item: (item[0], item[2], item[3]))
+            merged.append((float(result.values[j]), index, j))
+    merged.sort()
     chosen = merged[:m]
-    values = np.array([item[0] for item in chosen])
-    residuals = np.array([item[1] for item in chosen])
     vectors = np.zeros((problem.dof_count, len(chosen)))
-    for col, (_, _, index, j) in enumerate(chosen):
+    for col, (_, index, j) in enumerate(chosen):
         block = problem.blocks[index]
         vectors[block.offset:block.offset + block.size, col] = \
             block_results[index].vectors[:, j]
     return Spectrum(
         kind=problem.kind.value,
         degree=problem.degree,
-        values=values,
-        residuals=residuals,
+        values=np.array([value for value, _, _ in chosen]),
+        residuals=np.array([block_results[i].residuals[j] for _, i, j in chosen]),
+        error_bounds=np.array([block_results[i].error_bounds[j] for _, i, j in chosen]),
         vectors=vectors,
         deflated_kernel_dim=kernel_dim,
     )

@@ -4,9 +4,9 @@
 class NumericalFailure(RuntimeError):
     """A numerical routine could not meet its contract.
 
-    Carries an optional ``partial`` payload (e.g. a Spectrum whose residuals
-    missed the tolerance) so callers can report what was computed instead of
-    silently truncating.
+    Carries an optional ``partial`` payload (e.g. a Spectrum whose backward
+    errors missed the tolerance) so callers can report what was computed
+    instead of silently truncating.
     """
 
     def __init__(self, message: str, partial=None):

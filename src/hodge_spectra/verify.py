@@ -2,11 +2,12 @@
 studies with Richardson extrapolation.
 
 Check semantics: a strict check ('<') passes only when its margin exceeds the
-combined numerical tolerance of its inputs (solver residuals plus, when
-available, a convergence-study error estimate); a broad check ('<=') passes
-when the relation is not violated beyond that tolerance.  Checks whose inputs
-are missing are reported as skipped, never dropped, and the two families that
-would need curved-domain eigensolves are reported "constants-only".
+combined numerical tolerance of its inputs (each eigenvalue's error bound
+plus, when available, a convergence-study error estimate); a broad check
+('<=') passes when the relation is not violated beyond that tolerance.
+Checks whose inputs are missing are reported as skipped, never dropped, and
+the two families that would need curved-domain eigensolves are reported
+"constants-only".
 """
 
 from __future__ import annotations
@@ -176,10 +177,8 @@ class SpectrumSet:
         spec = self.spectra.get((kind, degree))
         if spec is None or index >= spec.values.size:
             return None
-        value = float(spec.values[index])
-        tol = float(spec.residuals[index]) * abs(value)
-        tol += self.error_estimates.get((kind, degree), 0.0)
-        return _Quantity(value, tol)
+        tol = float(spec.error_bounds[index]) + self.error_estimates.get((kind, degree), 0.0)
+        return _Quantity(spec.values[index], tol)
 
     def label(self, kind: str, degree: int) -> str:
         return f"{kind} p={degree}"

@@ -264,8 +264,15 @@ def test_ball_spectrum_rejects_bad_inputs():
         ball_spectrum(1, 1.0)
     with pytest.raises(ValueError):
         ball_spectrum(2, 0.0)
+    # radii whose eigenvalues or chain products leave the finite nonzero floats
+    for radius in (1e-100, 1e-300, 1e200, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ball_spectrum(2, radius)
 
 
 def test_ball_spectrum_type_validates_chain():
     with pytest.raises(ValueError):
         BallSpectrum(dim=2, radius=1.0, lambda1=5.0, big_lambda1=10.0, big_gamma1=101.0)
+    # a chain product that overflows is rejected, not raised as OverflowError
+    with pytest.raises(ValueError):
+        BallSpectrum(dim=2, radius=1.0, lambda1=1e150, big_lambda1=1e160, big_gamma1=1e300)

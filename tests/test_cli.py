@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import hodge_spectra.eigensolve as es
 from hodge_spectra.cli import run
 
 
@@ -53,6 +54,8 @@ def test_box_command_spectrum_schema(tmp_path):
     assert len(entry["values"]) == 3
     assert len(entry["residuals"]) == 3
     assert all(r <= 1e-9 for r in entry["residuals"])
+    assert len(entry["error_bounds"]) == 3
+    assert all(0.0 <= e <= 1e-6 * v for e, v in zip(entry["error_bounds"], entry["values"]))
     assert entry["values"] == sorted(entry["values"])
 
 
@@ -83,6 +86,41 @@ def test_converge_command(tmp_path):
     assert study["extrapolated"] == pytest.approx(math.pi ** 2, rel=1e-4)
 
 
+def test_fine_clamped_plate_is_certified_with_one_factorization(tmp_path, monkeypatch):
+    # at 127^2 the old relative residual ||Ax - theta Bx|| / ||Ax|| had a
+    # rounding floor above 1e-9 and the run exited 2; the backward error
+    # certifies every pair straight from the eigensolver, with only the
+    # shift-invert factorization
+    real_splu = es.spla.splu
+    calls = []
+
+    def counted_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(es.spla, "splu", counted_splu)
+    code, path = run_to_file(
+        tmp_path, "fine.json",
+        ["box", "--dim", "2", "--extent", "1,1", "--cells", "127,127",
+         "--problem", "clamped_plate", "--degree", "0", "--count", "4"])
+    assert code == 0
+    assert len(calls) == 1
+    (entry,) = json.loads(path.read_text())["spectra"]
+    assert all(r <= 1e-9 for r in entry["residuals"])
+    # the continuum clamped-plate value of the unit square is 1294.934
+    assert entry["values"][0] == pytest.approx(1294.934, rel=5e-3)
+
+
+def test_fine_clamped_plate_convergence_ladder(tmp_path):
+    code, path = run_to_file(
+        tmp_path, "ladder.json",
+        ["converge", "--dim", "2", "--extent", "1,1", "--problem", "clamped_plate",
+         "--degree", "0", "--resolutions", "31,63,127"])
+    assert code == 0
+    (study,) = json.loads(path.read_text())["studies"]
+    assert study["extrapolated"] == pytest.approx(1294.934, rel=5e-3)
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     assert run(["box", "--dim", "2"]) == 1
     assert run(["nonsense"]) == 1
@@ -106,6 +144,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run(["constants", "--dim", "4", "--degree", "2", "--gamma", "inf"]) == 1
     assert run(["verify", "--dim", "2", "--extent", "1,1", "--cells", "5,5",
                 "--degrees", "1", "--gamma", "inf"]) == 1
+    # radii whose ball eigenvalues overflow or whose square underflows
+    for radius in ("1e-100", "1e-300"):
+        assert run(["ball", "--dim", "2", "--radius", radius]) == 1, radius
     capsys.readouterr()
 
 

@@ -3,6 +3,7 @@ second-order path, kernels, determinism."""
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -293,7 +294,79 @@ def test_residual_tolerance_failure_reports_partial():
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         Spectrum(kind=None, degree=None, values=np.array([2.0, 1.0]),
-                 residuals=np.zeros(2))
+                 residuals=np.zeros(2), error_bounds=np.zeros(2))
     spec = Spectrum(kind="buckling", degree=1, values=np.array([1.0, 1.0 + 1e-9]),
-                    residuals=np.zeros(2))
+                    residuals=np.zeros(2), error_bounds=np.zeros(2))
     assert spec.multiplicity_of_first() == 2
+    # error bounds of the wrong shape, negative or non-finite
+    for bounds in (np.zeros(3), np.zeros((2, 1)), np.array([1e-9, -1e-9]),
+                   np.array([1e-9, math.nan]), np.array([math.inf, 1e-9])):
+        with pytest.raises(ValueError):
+            Spectrum(kind="buckling", degree=0, values=np.array([1.0, 2.0]),
+                     residuals=np.zeros(2), error_bounds=bounds)
+
+
+# ---------------------------------------------------------------------------
+# certificates: backward error and eigenvalue error bound
+# ---------------------------------------------------------------------------
+
+def _exact_rayleigh_quotient(a, b, x) -> Fraction:
+    """x^T A x / x^T B x in exact rational arithmetic.
+
+    Every double is an integer multiple of 2^-1074, so both quadratic forms
+    are exact integer sums over the nonzeros on the common scale 2^-3222.
+    """
+    def scaled(values):
+        return [num * (2 ** 1074 // den)
+                for num, den in (float(v).as_integer_ratio() for v in values)]
+
+    xs = scaled(x)
+
+    def form(matrix):
+        coo = matrix.tocoo()
+        return sum(m * xs[i] * xs[j]
+                   for m, i, j in zip(scaled(coo.data), coo.row.tolist(), coo.col.tolist()))
+
+    return Fraction(form(a), form(b))
+
+
+@pytest.mark.parametrize("extent,cells", [([1.0, 1.7], [9, 11]), ([1.0, 1.2, 0.9], [4, 5, 6])])
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_error_bounds_cover_the_eigenvalues(kind, extent, cells):
+    # theta_i lies within error_bounds[i] of the i-th eigenvalue of the full
+    # pencil (zero dropped at absolute p=0).  Dense eigh's own values are off
+    # by up to about 2 bounds on these grids, since the bounds sit at the
+    # rounding floor; the reference is the exact Rayleigh quotient of eigh's
+    # i-th eigenvector, whose error is quadratic in the eigenvector's.
+    dom = build_domain(len(cells), extent, cells)
+    m = 5
+    for degree in range(dom.dim + 1):
+        prob = assemble(dom, degree, kind)
+        spec = solve_problem(prob, m=m)
+        _, vectors = sla.eigh(prob.A.toarray(), prob.B.toarray())
+        kernel = spec.deflated_kernel_dim
+        for i in range(m):
+            exact = _exact_rayleigh_quotient(prob.A, prob.B, vectors[:, kernel + i])
+            assert abs(Fraction(spec.values[i]) - exact) <= Fraction(spec.error_bounds[i]), \
+                (degree, i)
+
+
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_error_bound_covers_a_perturbed_pair(kind):
+    # far above the rounding floor: a noisy eigenvector and its Rayleigh
+    # quotient still have the nearest true eigenvalue within the bound
+    prob = assemble(build_domain(2, [1.0, 1.3], [9, 11]), 0, kind)
+    a, b = prob.A.toarray(), prob.B.toarray()
+    true_values, true_vectors = sla.eigh(a, b)
+    x = true_vectors[:, 1] + 1e-4 * np.random.default_rng(7).standard_normal(prob.dof_count)
+    theta = (x @ a @ x) / (x @ b @ x)
+    _, bound = es._residuals(prob.A, prob.B, [theta], x[:, None])
+    distance = np.min(np.abs(true_values - theta))
+    assert 1e-8 * theta < distance <= bound[0]
+
+
+def test_backward_error_flags_nan():
+    # a NaN pair must fail certification, not slip past a `>` comparison
+    eye = sp.identity(3, format="csr")
+    with pytest.raises(NumericalFailure):
+        es._certified(np.array([1.0]), np.full((3, 1), math.nan), eye, eye, 1e-9)

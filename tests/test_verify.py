@@ -103,7 +103,8 @@ def test_halfdegree_identity_exact(n):
 def _fake_spectrum(kind, degree, values):
     values = np.asarray(values, dtype=float)
     return Spectrum(kind=kind, degree=degree, values=values,
-                    residuals=np.full(values.shape, 1e-12))
+                    residuals=np.full(values.shape, 1e-12),
+                    error_bounds=1e-12 * np.abs(values))
 
 
 def test_ball_chain_checks_pass_on_unit_disk():
@@ -143,7 +144,7 @@ def test_labels_validated():
     sset = SpectrumSet(dim=2)
     with pytest.raises(ValueError):
         sset.add(Spectrum(kind=None, degree=0, values=np.array([1.0]),
-                          residuals=np.array([0.0])))
+                          residuals=np.array([0.0]), error_bounds=np.array([0.0])))
     sset.add(_fake_spectrum("buckling", 0, [1.0]))
     with pytest.raises(ValueError):
         sset.add(_fake_spectrum("buckling", 0, [2.0]))
