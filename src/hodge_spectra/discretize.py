@@ -203,14 +203,19 @@ def _symmetrize(a: sp.spmatrix) -> sp.csr_matrix:
     return out
 
 
+def _second_difference(cells: int, h: float) -> sp.csr_matrix:
+    """1D Dirichlet second difference T = tridiag(-1, 2, -1) / h^2."""
+    main = np.full(cells, 2.0 / h ** 2)
+    off = np.full(cells - 1, -1.0 / h ** 2)
+    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+
+
 def _interior_laplacian(domain: BoxDomain) -> sp.csr_matrix:
     """Standard (2n+1)-point Laplacian on interior nodes, value-zero faces."""
     mats = []
     eyes = [sp.identity(c, format="csr") for c in domain.cells]
     for k, (c, h) in enumerate(zip(domain.cells, domain.spacing)):
-        main = np.full(c, 2.0 / h ** 2)
-        off = np.full(c - 1, -1.0 / h ** 2)
-        second = sp.diags([off, main, off], [-1, 0, 1], format="csr")
+        second = _second_difference(c, h)
         factors = [second if j == k else eyes[j] for j in range(domain.dim)]
         mats.append(_kron_chain(factors))
     out = mats[0]
@@ -261,6 +266,9 @@ class ComponentBlock:
     eval_weights: Optional[np.ndarray] = None   # quadrature weights of its rows
     # second order: per-axis 1D pencils (S_k, w_k) whose Kronecker sum is (a, b)
     axis_factors: Optional[tuple[tuple[sp.csr_matrix, np.ndarray], ...]] = None
+    # fourth order: per-axis dense (q_k, b_k); Q = sum_k I x q_k x I has
+    # Q <= a <= n Q, and b = sum_k I x b_k x I unless b is diagonal (b_k None)
+    axis_operators: Optional[tuple[tuple[np.ndarray, Optional[np.ndarray]], ...]] = None
     kernel_dim: int = 0                         # dimension of the kernel of a
 
 
@@ -279,6 +287,14 @@ class FormProblem:
 
 def _fourth_order_block(domain: BoxDomain, kind: ProblemKind,
                         conds: tuple[FaceCondition, ...]) -> dict:
+    """Clamped biharmonic block a = L^T M~ L and its per-axis bounds.
+
+    a = vol (sum_k T_k)^2 + sum_k D_k, with T_k axis k's second difference
+    and D_k = 2 vol / h_k^4 on the first and last layer of axis k (the face
+    rows).  Dropping the cross terms 2 vol T_j x T_k, which are positive
+    semidefinite, leaves Q = sum_k I x q_k x I with q_k = vol T_k^2 plus
+    2 vol / h_k^4 at both ends of the diagonal, so Q <= a <= n Q for every h.
+    """
     interior = _interior_laplacian(domain)
     face, face_w = _face_rows(domain)
     lap = sp.vstack([interior, face], format="csr")
@@ -290,12 +306,21 @@ def _fourth_order_block(domain: BoxDomain, kind: ProblemKind,
     else:
         b = _symmetrize(interior * domain.cell_volume)
         b_tag = "stiffness"
+    volume = domain.cell_volume
+    axes = []
+    for c, h in zip(domain.cells, domain.spacing):
+        second = _second_difference(c, h).toarray()
+        q = volume * (second @ second)
+        q[0, 0] += 2.0 * volume / h ** 4
+        q[-1, -1] += 2.0 * volume / h ** 4
+        axes.append((q, None if b_tag == "mass" else volume * second))
     return {
         "a": a,
         "b": b,
         "laplacian": lap,
         "eval_weights": weights,
         "signature": ("biharmonic", b_tag, domain.key, conds),
+        "axis_operators": tuple(axes),
     }
 
 

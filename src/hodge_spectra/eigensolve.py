@@ -1,7 +1,9 @@
 """Symmetric generalized eigensolver for the assembled pencils.
 
 Solves A x = theta B x for the m smallest eigenvalues with certified
-pairs.  Second-order blocks (Dirichlet and absolute Laplacian) are
+pairs, by one of three routes.
+
+Separable (second order).  Dirichlet and absolute Laplacian blocks are
 Kronecker sums of 1D pencils (S_k, W_k): each 1D pencil is diagonalized
 densely, the m smallest sums of 1D eigenvalues are the block's
 eigenvalues, and the Kronecker products of the 1D eigenvectors are its
@@ -10,11 +12,22 @@ taken, so no eigenvalue below the reported ones is missed, and the kernel
 (the constant mode, at absolute p = 0) is the known product of the 1D
 kernel vectors, which is skipped rather than deflated.
 
-Other pencils, the fourth-order blocks among them, take the general path:
-at most DENSE_CUTOFF dof are reduced densely (LAPACK, O(n^3)); larger ones
-use shift-invert Lanczos around a factorized (A - sigma B).  The cutoff is
-the measured dense/sparse crossover: `bench/crossover.py` times both paths
-and records the table in BENCH_dense_cutoff.json.
+Structured (fourth order, in the measured region STRUCTURED_MIN_DOF).
+The clamped operator A = vol (sum_k T_k)^2 + sum_k D_k lies between the
+Kronecker sum Q of its per-axis 1D factors and n Q, for every h.  LOBPCG
+(Knyazev, SIAM J. Sci. Comput. 23, 2001) preconditioned by Q^-1, which is
+applied exactly by per-axis eigendecompositions, finds the m smallest
+pairs matrix-free; buckling's B = vol sum_k T_k is inverted the same way
+for its error bounds.  Nothing is factorized.
+
+General (`solve_pencil`: every other fourth-order block, a structured
+solve that fails its certificate, and any assembled pencil).  At most
+DENSE_CUTOFF dof are reduced densely (LAPACK, O(n^3)); larger ones use
+shift-invert Lanczos around a factorized (A - sigma B).  Both rules are
+measured by `bench/crossover.py` (BENCH_dense_cutoff.json): DENSE_CUTOFF
+is the crossover between the dense and the structured solve, and
+STRUCTURED_MIN_DOF gives, per dimension and number of values, the block
+size from which the structured solve beats shift-invert Lanczos.
 
 Every pair is certified once, straight from the eigensolver, with r =
 Ax - theta Bx.  Its normwise backward error ||r|| / ((||A||_1 + |theta|
@@ -22,12 +35,14 @@ Ax - theta Bx.  Its normwise backward error ||r|| / ((||A||_1 + |theta|
 Matrix Anal. Appl. 20, 1998); unlike ||r|| / ||Ax||, it has no rounding
 floor that grows with the conditioning of the pencil.  Its error bound
 ||r||_{B^-1} / ||x||_B is the radius around theta that holds an eigenvalue
-(Parlett, The Symmetric Eigenvalue Problem, ch. 15), up to the rounding
-made in forming r.  It is free when B is diagonal; otherwise B is
-factorized once per block.
+(Parlett, The Symmetric Eigenvalue Problem, ch. 15); a componentwise
+bound on the rounding made in forming r is added, so the bound encloses
+the eigenvalue in floating point.  It is free when B is diagonal;
+otherwise B^-1 comes from its per-axis factors (structured route) or one
+factorization per block (general route).
 
 A run with identical inputs and configuration is bitwise reproducible
-(fixed start vector, deterministic merge order).
+(fixed start vectors, deterministic merge order).
 """
 
 from __future__ import annotations
@@ -56,6 +71,26 @@ __all__ = [
 DENSE_CUTOFF = 225
 DEFAULT_TOL = 1e-9
 MAX_ITER = 10_000
+# where the structured solve beats solve_pencil, per dimension: a request
+# for m values takes the first (largest m, smallest dof) step with m at
+# most its largest m; see BENCH_dense_cutoff.json (`structured_min_dof`)
+STRUCTURED_MIN_DOF = {
+    2: ((4, 2209), (8, 16129)),
+    3: ((4, 729), (8, 1331), (16, 3375)),
+}
+# structured fourth-order solve (`_structured_solve`): guard columns beyond
+# the m reported, Q modes in the start space per column, seeded random start
+# columns, the relative gap under which neighbouring Ritz values are kept
+# together in the block, the backward error the iteration aims at, and the
+# iterations without a new best after which it stops
+GUARD = 2
+START_SPAN = 3
+RANDOM_COLUMNS = 2
+CLUSTER_GAP = 3e-2
+ROUNDING_TARGET = 4e-16
+STALL_ITERATIONS = 10
+LOBPCG_MAXITER = 200
+_UNIT_ROUNDOFF = 2.0 ** -53
 _SEED = 0x5EEDBA11
 # relative gap below which equal eigenvalues are labeled as one multiplet
 MULTIPLICITY_GAP = 1e-7
@@ -124,26 +159,56 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
-def _residuals(a, b, values, vectors) -> tuple[np.ndarray, np.ndarray]:
-    """Backward errors and eigenvalue error bounds of the pairs (values, vectors)."""
+def _residual_vectors(a, b, values, vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Computed r = Ax - theta Bx, Bx, and a componentwise bound on r's rounding error.
+
+    Each entry of r is a dot product of at most d terms for each matrix
+    (d its largest row nnz), then a scaling by theta and a subtraction, so
+    |fl(r) - r| <= gamma_k (|A||x| + |theta| |B||x|) with k = d + 2 and
+    gamma_k = k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 3.5).
+    """
+    values = np.asarray(values, dtype=float)
     bx = b @ vectors
     r = a @ vectors - bx * values
+    k = max(np.diff(a.indptr).max(), np.diff(b.indptr).max()) + 2
+    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+    abs_x = np.abs(vectors)
+    rounding = gamma * (abs(a) @ abs_x + (abs(b) @ abs_x) * np.abs(values))
+    return r, bx, rounding
+
+
+def _residuals(a, b, values, vectors, b_solve=None) -> tuple[np.ndarray, np.ndarray]:
+    """Backward errors and eigenvalue error bounds of the pairs (values, vectors).
+
+    The bound is (||fl(r)||_{B^-1} + ||g||_{B^-1}) / ||x||_B, with g the
+    rounding bound of `_residual_vectors`.  Since |fl(r) - r| <= g and the
+    entries of B^-1 are >= 0 (B is diagonal, or an M-matrix for buckling),
+    it bounds the exact ||r||_{B^-1} / ||x||_B.  `b_solve` applies B^-1 to
+    a block of vectors; without it a non-diagonal B is factorized.
+    """
+    r, bx, rounding = _residual_vectors(a, b, values, vectors)
     scale = spla.norm(a, 1) + np.abs(values) * spla.norm(b, 1)
     norm_r = np.linalg.norm(r, axis=0)
     eta = np.divide(norm_r, scale * np.linalg.norm(vectors, axis=0),
                     out=np.zeros_like(norm_r), where=norm_r != 0.0)
+    both = np.hstack([r, rounding])
     if b.count_nonzero() == np.count_nonzero(b.diagonal()):
-        b_inv_r = r / b.diagonal()[:, None]
+        b_inv_both = both / b.diagonal()[:, None]
+    elif b_solve is not None:
+        b_inv_both = b_solve(both)
     else:
-        b_inv_r = spla.splu(b.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(r)
-    delta = np.sqrt(np.abs(np.sum(r * b_inv_r, axis=0) / np.sum(vectors * bx, axis=0)))
+        b_inv_both = spla.splu(b.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(both)
+    b_norms = np.sqrt(np.abs(np.sum(both * b_inv_both, axis=0)))
+    m = r.shape[1]
+    delta = (b_norms[:m] + b_norms[m:]) / np.sqrt(np.sum(vectors * bx, axis=0))
     return eta, delta
 
 
 def _certified(values, vectors, a, b, tol: float, kind=None, degree=None,
-               kernel_dim: int = 0) -> Spectrum:
+               kernel_dim: int = 0, b_solve=None) -> Spectrum:
     """The pairs as a Spectrum; NumericalFailure carries it when a backward error exceeds tol."""
-    residuals, error_bounds = _residuals(a, b, values, vectors)
+    residuals, error_bounds = _residuals(a, b, values, vectors, b_solve)
     failed = not np.all(residuals <= tol)   # a NaN fails too
     try:
         spectrum = Spectrum(
@@ -214,30 +279,193 @@ def solve_pencil(a, b, m: int, tol: float = DEFAULT_TOL,
     return _certified(values, vectors, a, b, tol, kind=kind, degree=degree)
 
 
+def _sum_grid(pairs) -> np.ndarray:
+    """All sums of per-axis eigenvalues, formed in axis order, as an n-D grid."""
+    grid = pairs[0][0]
+    for values, _ in pairs[1:]:
+        grid = np.add.outer(grid, values)
+    return grid
+
+
+def _smallest_sums(pairs, count: int, skip_first: bool = False, multiplet_limit: int = 0):
+    """The `count` smallest sums of per-axis eigenvalues and their Kronecker-product vectors.
+
+    Ties are broken by stable argsort of the flat grid; vectors are in the
+    block's axis order (axis 1 slowest).  `skip_first` drops flat index 0,
+    the all-lowest multi-index.  With `multiplet_limit`, count grows, up to
+    that limit, until the next sum lies outside the last one's multiplet.
+    """
+    grid = _sum_grid(pairs)
+    order = np.argsort(grid, axis=None, kind="stable")
+    if skip_first:
+        order = order[order != 0]
+    if multiplet_limit:
+        ranked = grid.ravel()[order[:multiplet_limit + 1]]
+        while (count < ranked.size - 1
+               and ranked[count] <= ranked[count - 1] * (1.0 + MULTIPLICITY_GAP)):
+            count += 1
+    chosen = order[:count]
+    vectors = np.empty((grid.size, chosen.size))
+    for col, multi in enumerate(zip(*np.unravel_index(chosen, grid.shape))):
+        vectors[:, col] = functools.reduce(
+            np.kron, [axis_vectors[:, j] for (_, axis_vectors), j in zip(pairs, multi)])
+    return grid.ravel()[chosen], vectors
+
+
+def _along_axes(mats, x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Apply mats[j] along axis j of every column of x (columns of length prod(shape))."""
+    out = x
+    for j, mat in enumerate(mats):
+        out = np.matmul(mat, out.reshape(math.prod(shape[:j]), shape[j], -1))
+    return out.reshape(x.shape)
+
+
+def _kron_sum_solver(pairs):
+    """x -> (sum_k I x M_k x I)^-1 x on a block of vectors, from the eigenpairs of each M_k.
+
+    The inverse is U diag(1 / sums) U^T with U the Kronecker product of the
+    1D eigenvector matrices (Lynch, Rice & Thomas, Numer. Math. 6, 1964):
+    2n tensor contractions, O(N sum_k c_k) work per column.
+    """
+    inverse_sums = 1.0 / _sum_grid(pairs).reshape(-1, 1)
+    shape = tuple(vectors.shape[0] for _, vectors in pairs)
+    forward = [vectors.T for _, vectors in pairs]
+    backward = [vectors for _, vectors in pairs]
+
+    def solve(x):
+        return _along_axes(backward, _along_axes(forward, x, shape) * inverse_sums, shape)
+
+    return solve
+
+
 def _separable_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     """m smallest eigenpairs of a Kronecker-sum block from its 1D pencils.
 
     Axis k's pencil S_k v = lambda W_k v is diagonalized densely; the block's
-    eigenvalues are all sums lambda_{j_1} + ... + lambda_{j_n}, formed in
-    axis order, and its eigenvectors the matching Kronecker products, in the
-    block's axis order (axis 1 slowest).  With a kernel, the all-lowest
-    multi-index (flat index 0, the product of the 1D constants) is skipped.
+    eigenvalues are all sums lambda_{j_1} + ... + lambda_{j_n} and its
+    eigenvectors the matching Kronecker products.  With a kernel, the
+    product of the 1D constants is skipped.
     """
     pairs = [sla.eigh(stiff.toarray(), np.diag(weights))
              for stiff, weights in block.axis_factors]
-    grid = pairs[0][0]
-    for values, _ in pairs[1:]:
-        grid = np.add.outer(grid, values)
-    order = np.argsort(grid, axis=None, kind="stable")
-    if block.kernel_dim:
-        order = order[order != 0]
-    chosen = order[:m]
-    vectors = np.empty((block.size, m))
-    for col, multi in enumerate(zip(*np.unravel_index(chosen, grid.shape))):
-        vectors[:, col] = functools.reduce(
-            np.kron, [axis_vectors[:, j] for (_, axis_vectors), j in zip(pairs, multi)])
-    return _certified(grid.ravel()[chosen], vectors, block.a, block.b, tol,
-                      kernel_dim=block.kernel_dim)
+    values, vectors = _smallest_sums(pairs, m, skip_first=bool(block.kernel_dim))
+    return _certified(values, vectors, block.a, block.b, tol, kernel_dim=block.kernel_dim)
+
+
+def _b_orthonormalize(v: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A B-orthonormal basis of span(v), and B times it, by SVQB.
+
+    Directions whose share of the scaled Gram matrix lies below rounding are
+    dropped, so the basis stays well conditioned (Stathopoulos & Wu, SIAM J.
+    Sci. Comput. 23, 2002).
+    """
+    gram = v.T @ bv
+    scale = np.sqrt(np.abs(np.diag(gram)))
+    keep = scale > 0.0
+    v, bv, scale = v[:, keep], bv[:, keep], scale[keep]
+    s, z = np.linalg.eigh(gram[np.ix_(keep, keep)] / np.outer(scale, scale))
+    kept = s > 1e-14 * s[-1] if s.size else s > 0.0
+    t = z[:, kept] / np.sqrt(s[kept]) / scale[:, None]
+    return v @ t, bv @ t
+
+
+def _b_orthogonalize(v: np.ndarray, b, bases) -> tuple[np.ndarray, np.ndarray]:
+    """v made B-orthogonal to each B-orthonormal (u, Bu) in bases, then B-orthonormalized."""
+    for _ in range(2):
+        for u, bu in bases:
+            v = v - u @ (bu.T @ v)
+    return _b_orthonormalize(v, b @ v)
+
+
+def _lobpcg(a, b, precond, span: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenpairs of (A, B) by LOBPCG with soft locking, from a start space.
+
+    The block is the m + GUARD lowest Ritz vectors of `span`, widened while
+    the next Ritz value lies within CLUSTER_GAP of the last, so that no
+    cluster is cut.  Each step does Rayleigh-Ritz on the B-orthonormal
+    basis [X, W, P], W the preconditioned residuals of the columns not yet
+    converged and P the previous update (Knyazev, SIAM J. Sci. Comput. 23,
+    2001; Hetmaniuk & Lehoucq, J. Comput. Phys. 218, 2006).  It stops once
+    the m first columns reach a backward error of ROUNDING_TARGET, or after
+    STALL_ITERATIONS without a new best, and returns the best iterate.
+    """
+    norm_a, norm_b = spla.norm(a, 1), spla.norm(b, 1)
+    x, bx = _b_orthonormalize(span, b @ span)
+    gram = x.T @ (a @ x)
+    theta, c = np.linalg.eigh((gram + gram.T) / 2)
+    k = m + GUARD
+    while k < theta.size // 2 and theta[k] <= theta[k - 1] * (1.0 + CLUSTER_GAP):
+        k += 1
+    theta, x, bx = theta[:k], x @ c[:, :k], bx @ c[:, :k]
+    p = None
+    best, best_worst, best_step = (theta, x), math.inf, 0
+    for step in range(LOBPCG_MAXITER):
+        ax = a @ x
+        r = ax - bx * theta
+        eta = np.linalg.norm(r, axis=0) / (
+            (norm_a + np.abs(theta) * norm_b) * np.linalg.norm(x, axis=0))
+        worst = eta[:m].max()
+        if worst < best_worst:
+            best, best_worst, best_step = (theta, x), worst, step
+        if worst <= ROUNDING_TARGET or step - best_step >= STALL_ITERATIONS:
+            break
+        bases = [(x, bx)] if p is None else [(x, bx), (p, bp)]
+        w, bw = _b_orthogonalize(precond(r[:, eta > ROUNDING_TARGET]), b, bases)
+        if w.shape[1] == 0:
+            break
+        parts = [(x, ax, bx), (w, a @ w, bw)] + ([] if p is None else [(p, a @ p, bp)])
+        s, as_, bs = (np.hstack(group) for group in zip(*parts))
+        # the basis is B-orthonormal, so Rayleigh-Ritz is a standard problem
+        gram = s.T @ as_
+        theta, c = np.linalg.eigh((gram + gram.T) / 2)
+        theta, c = theta[:k], c[:, :k]
+        x_next = s @ c
+        bx_next = b @ x_next
+        p, bp = _b_orthogonalize(x_next - x @ c[:x.shape[1]], b, [(x_next, bx_next)])
+        if p.shape[1] == 0:
+            p = None
+        x, bx = x_next, bx_next
+    return best
+
+
+def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
+    """m smallest eigenpairs of a fourth-order block by preconditioned LOBPCG.
+
+    The preconditioner is Q^-1, applied exactly from the eigenpairs of the
+    per-axis q_k; Q <= A <= n Q makes the iteration count independent of h.
+    The start space holds the START_SPAN (m + GUARD) lowest eigenvectors of
+    Q, whole multiplets, which A ranks by Rayleigh-Ritz, and RANDOM_COLUMNS
+    seeded random vectors.  A, B and Q commute with the reflections of the
+    box, so an iteration never leaves the symmetry classes its start holds;
+    the random columns hold every class, so no class of eigenvalues is left
+    out.  `_certified` judges the result.  B^-1, for the error bounds of
+    buckling, is applied like Q^-1.
+    """
+    q_pairs = [np.linalg.eigh(q) for q, _ in block.axis_operators]
+    _, span = _smallest_sums(q_pairs, START_SPAN * (m + GUARD),
+                             multiplet_limit=block.size // 2)
+    rng = np.random.default_rng(_SEED)
+    span = np.hstack([span, rng.standard_normal((block.size, RANDOM_COLUMNS))])
+    b_solve = None
+    if block.axis_operators[0][1] is not None:
+        b_solve = _kron_sum_solver([np.linalg.eigh(b_k) for _, b_k in block.axis_operators])
+    values, vectors = _lobpcg(block.a, block.b, _kron_sum_solver(q_pairs), span, m)
+    return _certified(values[:m], vectors[:, :m], block.a, block.b, tol, b_solve=b_solve)
+
+
+def _takes_structured(block: ComponentBlock, m: int) -> bool:
+    """Whether a block is above DENSE_CUTOFF and in the structured solve's measured region.
+
+    STRUCTURED_MIN_DOF holds, per dimension, (largest m, smallest block
+    size) steps: a request for m values takes the first step whose m is at
+    least m.  Above the last step the general path is faster.
+    """
+    if block.axis_operators is None or block.size <= DENSE_CUTOFF:
+        return False
+    for largest_m, min_dof in STRUCTURED_MIN_DOF.get(len(block.axis_operators), ()):
+        if m <= largest_m:
+            return block.size >= min_dof
+    return False
 
 
 def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,
@@ -246,7 +474,10 @@ def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,
 
     Identical blocks are solved once and replicated, which keeps discrete
     degree-independence and Hodge duality exact at the bit level.  Blocks
-    with 1D factors take the separable solve, the others `solve_pencil`.
+    with 1D factors take the separable solve; fourth-order blocks take the
+    structured solve where `_takes_structured` says it is the faster, and
+    `solve_pencil` otherwise, or when the structured solve fails its
+    certificate.
     A block's kernel (the constants at absolute p = 0) is left out, so the
     first reported eigenvalue is positive.  `cache` may be shared across
     problems on the same grid to reuse block solves.
@@ -267,9 +498,15 @@ def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,
         m_block = min(m, block.size - block.kernel_dim)
         key = (block.signature, m_block, tol)
         if key not in local_cache:
-            local_cache[key] = (_separable_solve(block, m_block, tol)
-                                if block.axis_factors is not None
-                                else solve_pencil(block.a, block.b, m_block, tol))
+            if block.axis_factors is not None:
+                local_cache[key] = _separable_solve(block, m_block, tol)
+            elif _takes_structured(block, m_block):
+                try:
+                    local_cache[key] = _structured_solve(block, m_block, tol)
+                except NumericalFailure:
+                    local_cache[key] = solve_pencil(block.a, block.b, m_block, tol)
+            else:
+                local_cache[key] = solve_pencil(block.a, block.b, m_block, tol)
         result = local_cache[key]
         block_results[index] = result
         for j in range(m_block):

@@ -240,6 +240,32 @@ def test_second_order_block_is_the_kronecker_sum_of_its_axis_factors(kind, p):
 # duality of block operators
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("extent,cells", [([1.0, 1.3], [9, 11]), ([1.0, 0.8, 1.1], [4, 5, 6])])
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_fourth_order_block_lies_between_q_and_n_q(kind, extent, cells):
+    # Q = sum_k I x q_k x I drops only the cross terms 2 vol T_j x T_k of a,
+    # which are positive semidefinite, so the pencil (a, Q) has its
+    # eigenvalues in [1, n]; buckling's b is the Kronecker sum of its b_k
+    dom = build_domain(len(cells), extent, cells)
+    (block,) = assemble(dom, 0, kind).blocks
+    eyes = [np.eye(c) for c in cells]
+    kron = functools.partial(functools.reduce, np.kron)
+
+    def kron_sum(factors):
+        return sum(kron([factors[k] if j == k else eyes[j] for j in range(dom.dim)])
+                   for k in range(dom.dim))
+
+    q = kron_sum([q_k for q_k, _ in block.axis_operators])
+    ratios = sla.eigh(block.a.toarray(), q, eigvals_only=True)
+    assert ratios[0] >= 1.0 - 1e-10 and ratios[-1] <= dom.dim + 1e-10
+    b_factors = [b_k for _, b_k in block.axis_operators]
+    if kind is ProblemKind.CLAMPED_PLATE:
+        assert b_factors == [None] * dom.dim
+    else:
+        b = kron_sum(b_factors)
+        assert np.allclose(block.b.toarray(), b, rtol=0.0, atol=1e-12 * np.abs(b).max())
+
+
 @pytest.mark.parametrize("kind", [
     ProblemKind.CLAMPED_PLATE,
     ProblemKind.BUCKLING,

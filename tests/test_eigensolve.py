@@ -243,6 +243,150 @@ def test_deflation_leaves_other_pairs_untouched():
 
 
 # ---------------------------------------------------------------------------
+# structured fourth-order solves
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def structured_only(monkeypatch):
+    """Send every fourth-order block to the structured solve, none to solve_pencil."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("general solver called on a fourth-order block")
+
+    monkeypatch.setattr(es, "DENSE_CUTOFF", 0)
+    monkeypatch.setattr(es, "STRUCTURED_MIN_DOF", {2: ((10 ** 6, 0),), 3: ((10 ** 6, 0),)})
+    monkeypatch.setattr(es, "solve_pencil", forbidden)
+
+
+@pytest.mark.parametrize("extent,cells,m", [
+    # the cube's degenerate triples, and m reaching past them
+    ([1.0, 1.0], [16, 17], 12),
+    ([1.0, 1.0, 1.0], [7, 8, 9], 12),
+    ([1.0, 1.0, 1.0], [7, 7, 7], 12),
+    # elongated boxes, where A ranks the modes of the short axes
+    # differently from Q: a start block of Q's m + GUARD lowest modes alone
+    # missed an eigenvalue on the 1 x 2 x 3 box
+    ([1.0, 6.0], [8, 40], 14),
+    ([1.0, 8.0], [6, 44], 14),
+    ([1.0, 1.0, 6.0], [5, 5, 24], 14),
+    ([1.0, 2.0, 3.0], [6, 11, 17], 14),
+])
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_structured_path_matches_dense_spectrum(kind, extent, cells, m, structured_only):
+    prob = assemble(build_domain(len(cells), extent, cells), 0, kind)
+    spec = solve_problem(prob, m=m)
+    full = sla.eigh(prob.A.toarray(), prob.B.toarray(), eigvals_only=True)[:m]
+    assert np.all(np.abs(spec.values - full) <= spec.error_bounds)
+    assert np.all(spec.residuals <= es.DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_structured_path_reaches_the_rounding_floor_past_a_cut_cluster(kind, structured_only):
+    # at m = 12 the 7 x 8 x 9 block's near-degenerate eigenvalues straddle
+    # the block edge; the iteration still certifies at tol = 1e-11
+    prob = assemble(build_domain(3, [1.0] * 3, [7, 8, 9]), 0, kind)
+    spec = solve_problem(prob, m=12, tol=1e-11)
+    assert spec.residuals.max() <= 10 * es.ROUNDING_TARGET
+
+
+def test_fourth_order_solves_never_factorize(monkeypatch):
+    # 23^3 blocks (12,167 dof) are solved matrix-free: no sparse
+    # factorization, no Lanczos, no eigh larger than one axis, buckling's
+    # error bounds included
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sparse solver called on a fourth-order block")
+
+    def axis_only(eigh):
+        def limited(a, *args, **kwargs):
+            assert a.shape[0] <= 23, f"eigh on {a.shape[0]} dof"
+            return eigh(a, *args, **kwargs)
+        return limited
+
+    monkeypatch.setattr(es.spla, "splu", forbidden)
+    monkeypatch.setattr(es.spla, "eigsh", forbidden)
+    monkeypatch.setattr(es.sla, "eigh", axis_only(es.sla.eigh))
+    monkeypatch.setattr(es.np.linalg, "eigh", axis_only(es.np.linalg.eigh))
+    dom = build_domain(3, [1.0] * 3, [23] * 3)
+    for kind, degree, first in ((ProblemKind.CLAMPED_PLATE, 0, 2322.2370363),
+                                (ProblemKind.BUCKLING, 1, 64.5236994)):
+        spec = solve_problem(assemble(dom, degree, kind), m=4)
+        assert spec.values[0] == pytest.approx(first, rel=1e-9), kind
+        assert np.all(spec.residuals <= es.DEFAULT_TOL), kind
+
+
+def test_structured_path_is_bitwise_repeatable_and_degree_independent(structured_only):
+    # a 504-dof 3D block: two solves agree bit for bit, the 1-form spectrum
+    # (three copies of the same block, same request) repeats each scalar
+    # value three times, and the 3-form (Hodge dual of the scalar)
+    # reproduces it exactly
+    dom = build_domain(3, [1.0, 1.1, 0.9], [7, 8, 9])
+    one = solve_problem(assemble(dom, 0, ProblemKind.BUCKLING), m=4)
+    two = solve_problem(assemble(dom, 0, ProblemKind.BUCKLING), m=4)
+    for field in ("values", "residuals", "error_bounds", "vectors"):
+        assert np.array_equal(getattr(one, field), getattr(two, field)), field
+    dual = solve_problem(assemble(dom, 3, ProblemKind.BUCKLING), m=4)
+    assert np.array_equal(dual.values, one.values)
+    one_form = solve_problem(assemble(dom, 1, ProblemKind.BUCKLING), m=4)
+    assert np.array_equal(one_form.values, one.values[[0, 0, 0, 1]])
+
+
+@pytest.mark.parametrize("cells,m", [
+    # below the measured step's block size
+    ([40, 40], 4),
+    # more values than any measured step takes
+    ([15, 15, 15], 17),
+])
+def test_outside_the_structured_region_takes_the_general_path(monkeypatch, cells, m):
+    monkeypatch.setattr(es, "STRUCTURED_MIN_DOF", {2: ((4, 2209),), 3: ((16, 729),)})
+    calls = []
+    real = es.solve_pencil
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(es, "solve_pencil", counted)
+    prob = assemble(build_domain(len(cells), [1.0] * len(cells), cells), 0,
+                    ProblemKind.CLAMPED_PLATE)
+    spec = solve_problem(prob, m=m)
+    assert calls == [(prob.dof_count, prob.dof_count)]
+    assert np.all(spec.residuals <= es.DEFAULT_TOL)
+
+
+def test_structured_region_is_the_measured_one():
+    bench = json.loads((Path(__file__).resolve().parents[1]
+                        / "BENCH_dense_cutoff.json").read_text())
+    measured = bench["structured_region"]["structured_min_dof"]
+    assert {int(dim): tuple(map(tuple, steps)) for dim, steps in measured.items()} \
+        == es.STRUCTURED_MIN_DOF
+
+
+def test_structured_rule_steps_rise_in_both_m_and_size():
+    # a step for more values needs at least as large a block
+    for steps in es.STRUCTURED_MIN_DOF.values():
+        for (m_low, dof_low), (m_high, dof_high) in zip(steps, steps[1:]):
+            assert m_low < m_high and dof_low <= dof_high
+            assert dof_low > es.DENSE_CUTOFF
+
+
+def test_failed_structured_solve_is_answered_by_the_general_path(monkeypatch):
+    # an iteration stopped far from convergence fails its certificate, and
+    # solve_pencil answers the block instead
+    monkeypatch.setattr(es, "LOBPCG_MAXITER", 1)
+    calls = []
+    real = es.solve_pencil
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(es, "solve_pencil", counted)
+    prob = assemble(build_domain(3, [1.0] * 3, [13, 13, 13]), 0, ProblemKind.BUCKLING)
+    spec = solve_problem(prob, m=4)
+    assert calls == [(prob.dof_count, prob.dof_count)]
+    assert np.all(spec.residuals <= es.DEFAULT_TOL)
+
+
+# ---------------------------------------------------------------------------
 # blockwise problem solves
 # ---------------------------------------------------------------------------
 
@@ -363,6 +507,26 @@ def test_error_bound_covers_a_perturbed_pair(kind):
     _, bound = es._residuals(prob.A, prob.B, [theta], x[:, None])
     distance = np.min(np.abs(true_values - theta))
     assert 1e-8 * theta < distance <= bound[0]
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_rounding_term_bounds_the_error_of_the_computed_residual(kind):
+    # |fl(r) - r| <= gamma_k (|A||x| + |theta||B||x|) componentwise, with r
+    # formed exactly in rational arithmetic from the same floats
+    prob = assemble(build_domain(2, [1.0, 1.3], [9, 11]), 0, kind)
+    (block,) = prob.blocks
+    spec = solve_problem(prob, m=3)
+    computed, _, rounding = es._residual_vectors(block.a, block.b, spec.values, spec.vectors)
+    a, b = block.a.tocoo(), block.b.tocoo()
+    for col, theta in enumerate(spec.values):
+        x = [Fraction(v) for v in spec.vectors[:, col]]
+        exact = [Fraction(0)] * block.size
+        for matrix, scale in ((a, Fraction(1)), (b, -Fraction(theta))):
+            for value, i, j in zip(matrix.data, matrix.row, matrix.col):
+                exact[i] += scale * Fraction(value) * x[j]
+        for i in range(block.size):
+            assert abs(Fraction(computed[i, col]) - exact[i]) <= Fraction(rounding[i, col]), \
+                (col, i)
 
 
 def test_backward_error_flags_nan():
