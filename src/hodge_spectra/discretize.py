@@ -14,6 +14,7 @@ normal derivative keeps them and closes the stencil by ghost reflection
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -274,15 +275,25 @@ class ComponentBlock:
 
 @dataclass(frozen=True)
 class FormProblem:
-    """Assembled symmetric pencil (A, B) for one degree and problem kind."""
+    """Assembled symmetric pencil (A, B) for one degree and problem kind.
+
+    The solvers work block by block; the global block-diagonal matrices A
+    and B are built on first access.
+    """
 
     domain: BoxDomain
     degree: int
     kind: ProblemKind
-    A: sp.csr_matrix
-    B: sp.csr_matrix
     dof_count: int
     blocks: tuple[ComponentBlock, ...]
+
+    @functools.cached_property
+    def A(self) -> sp.csr_matrix:
+        return sp.block_diag([blk.a for blk in self.blocks], format="csr")
+
+    @functools.cached_property
+    def B(self) -> sp.csr_matrix:
+        return sp.block_diag([blk.b for blk in self.blocks], format="csr")
 
 
 def _fourth_order_block(domain: BoxDomain, kind: ProblemKind,
@@ -372,14 +383,10 @@ def assemble(domain: BoxDomain, degree: int, kind: ProblemKind) -> FormProblem:
         size = built["a"].shape[0]
         blocks.append(ComponentBlock(component=comp, offset=offset, size=size, **built))
         offset += size
-    a_full = sp.block_diag([blk.a for blk in blocks], format="csr")
-    b_full = sp.block_diag([blk.b for blk in blocks], format="csr")
     return FormProblem(
         domain=domain,
         degree=degree,
         kind=kind,
-        A=a_full,
-        B=b_full,
         dof_count=offset,
         blocks=tuple(blocks),
     )

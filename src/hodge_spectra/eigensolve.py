@@ -410,11 +410,11 @@ def _lobpcg(a, b, precond, span: np.ndarray, m: int) -> tuple[np.ndarray, np.nda
         if worst <= ROUNDING_TARGET or step - best_step >= STALL_ITERATIONS:
             break
         bases = [(x, bx)] if p is None else [(x, bx), (p, bp)]
-        w, bw = _b_orthogonalize(precond(r[:, eta > ROUNDING_TARGET]), b, bases)
+        w, _ = _b_orthogonalize(precond(r[:, eta > ROUNDING_TARGET]), b, bases)
         if w.shape[1] == 0:
             break
-        parts = [(x, ax, bx), (w, a @ w, bw)] + ([] if p is None else [(p, a @ p, bp)])
-        s, as_, bs = (np.hstack(group) for group in zip(*parts))
+        parts = [(x, ax), (w, a @ w)] + ([] if p is None else [(p, a @ p)])
+        s, as_ = (np.hstack(group) for group in zip(*parts))
         # the basis is B-orthonormal, so Rayleigh-Ritz is a standard problem
         gram = s.T @ as_
         theta, c = np.linalg.eigh((gram + gram.T) / 2)

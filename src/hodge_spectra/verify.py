@@ -4,10 +4,12 @@ studies with Richardson extrapolation.
 Check semantics: a strict check ('<') passes only when its margin exceeds the
 combined numerical tolerance of its inputs (each eigenvalue's error bound
 plus, when available, a convergence-study error estimate); a broad check
-('<=') passes when the relation is not violated beyond that tolerance.
-Checks whose inputs are missing are reported as skipped, never dropped, and
-the two families that would need curved-domain eigensolves are reported
-"constants-only".
+('<=') passes when the relation is not violated beyond that tolerance.  The
+tolerance of a product, square or square root encloses the image of its
+inputs' intervals, second-order terms included.  The battery is one table of
+rows under one rule: a row with any input missing is reported as skipped,
+never dropped.  The two families that would need curved-domain eigensolves
+are reported "constants-only".
 """
 
 from __future__ import annotations
@@ -133,7 +135,12 @@ class InequalityReport:
 
 
 class _Quantity:
-    """A value with an absolute uncertainty, combined linearly."""
+    """A value with an absolute uncertainty: the interval [value - tol, value + tol].
+
+    Products, squares and square roots return intervals that contain the
+    image of every point of their inputs' intervals (for the square root,
+    of its nonnegative points).
+    """
 
     __slots__ = ("value", "tol")
 
@@ -143,14 +150,19 @@ class _Quantity:
 
     def times(self, other: "_Quantity") -> "_Quantity":
         return _Quantity(self.value * other.value,
-                         abs(self.value) * other.tol + abs(other.value) * self.tol)
+                         abs(self.value) * other.tol + abs(other.value) * self.tol
+                         + self.tol * other.tol)
 
     def squared(self) -> "_Quantity":
-        return _Quantity(self.value ** 2, 2.0 * abs(self.value) * self.tol)
+        return _Quantity(self.value ** 2, (2.0 * abs(self.value) + self.tol) * self.tol)
 
     def sqrt(self) -> "_Quantity":
         root = math.sqrt(self.value)
-        return _Quantity(root, self.tol / (2.0 * root) if root > 0.0 else self.tol)
+        if root == 0.0:
+            return _Quantity(0.0, math.sqrt(self.tol))
+        # |sqrt(x) - root| = |x - value| / (root + sqrt(x)), and sqrt(x) is
+        # smallest at the interval's lower end
+        return _Quantity(root, self.tol / (root + math.sqrt(max(self.value - self.tol, 0.0))))
 
 
 @dataclass
@@ -222,103 +234,72 @@ def _constants_only(name, note, provenance=()) -> InequalityCheck:
                            provenance=provenance, note=note)
 
 
+def _agree(first: _Quantity, second: _Quantity) -> tuple[_Quantity, _Quantity]:
+    """Sides of an equality check: the gap |first - second| against a budget
+    of both tolerances plus 1e-12 relative to `first`."""
+    return (_Quantity(abs(first.value - second.value), 0.0),
+            _Quantity(first.tol + second.tol + 1e-12 * abs(first.value), 0.0))
+
+
 def check_inequalities(spectra: SpectrumSet) -> InequalityReport:
     """Run the full battery over the provided spectra set."""
     n = spectra.dim
+    fetch, label = spectra.quantity, spectra.label
     checks: list[InequalityCheck] = []
 
-    def fetch(kind: str, degree: int, index: int = 0):
-        return spectra.quantity(kind, degree, index)
-
-    def per_degree(p: int) -> None:
-        gam = fetch(_CLAMPED, p)
-        lam_big = fetch(_BUCKLING, p)
-        lam = fetch(_DIRICHLET, p)
-        prov = (spectra.label(_CLAMPED, p), spectra.label(_BUCKLING, p),
-                spectra.label(_DIRICHLET, p))
-
-        name = f"clamped_below_buckling_squared[p={p}]"
-        if gam and lam_big:
-            checks.append(_compare(name, gam, lam_big.squared(), "<", prov[:2]))
+    def check(name, relation, inputs, sides, provenance, missing,
+              skip_provenance=(), note="") -> None:
+        """One row: skipped when an input is missing, else `sides(*inputs)`
+        (or the inputs themselves) compared as lhs and rhs."""
+        if any(q is None for q in inputs):
+            checks.append(_skipped(name, relation, skip_provenance, missing))
         else:
-            checks.append(_skipped(name, "<", prov[:2], "missing clamped or buckling spectrum"))
+            lhs, rhs = inputs if sides is None else sides(*inputs)
+            checks.append(_compare(name, lhs, rhs, relation, provenance, note))
 
-        name = f"buckling_dirichlet_product_below_clamped[p={p}]"
-        if gam and lam_big and lam:
-            checks.append(_compare(name, lam_big.times(lam), gam, "<", prov))
-        else:
-            checks.append(_skipped(name, "<", prov, "missing spectra"))
-
-        name = f"dirichlet_below_sqrt_clamped[p={p}]"
-        if gam and lam:
-            checks.append(_compare(name, lam, gam.sqrt(), "<", (prov[2], prov[0])))
-        else:
-            checks.append(_skipped(name, "<", (prov[2], prov[0]), "missing spectra"))
-
-        name = f"sqrt_clamped_below_buckling[p={p}]"
-        if gam and lam_big:
-            checks.append(_compare(name, gam.sqrt(), lam_big, "<", (prov[0], prov[1])))
-        else:
-            checks.append(_skipped(name, "<", (prov[0], prov[1]), "missing spectra"))
-
-        name = f"dirichlet_below_buckling[p={p}]"
-        if lam and lam_big:
-            checks.append(_compare(name, lam, lam_big, "<", (prov[2], prov[1])))
-        else:
-            checks.append(_skipped(name, "<", (prov[2], prov[1]), "missing spectra"))
+    # in the sides below, x, y and z stand for clamped, buckling and Dirichlet values
+    for p in spectra.degrees():
+        gam, big, lam = fetch(_CLAMPED, p), fetch(_BUCKLING, p), fetch(_DIRICHLET, p)
+        g, b, d = label(_CLAMPED, p), label(_BUCKLING, p), label(_DIRICHLET, p)
+        for name, inputs, sides, prov, missing in (
+                ("clamped_below_buckling_squared", (gam, big),
+                 lambda x, y: (x, y.squared()), (g, b), "missing clamped or buckling spectrum"),
+                ("buckling_dirichlet_product_below_clamped", (gam, big, lam),
+                 lambda x, y, z: (y.times(z), x), (g, b, d), "missing spectra"),
+                ("dirichlet_below_sqrt_clamped", (lam, gam),
+                 lambda z, x: (z, x.sqrt()), (d, g), "missing spectra"),
+                ("sqrt_clamped_below_buckling", (gam, big),
+                 lambda x, y: (x.sqrt(), y), (g, b), "missing spectra"),
+                ("dirichlet_below_buckling", (lam, big), None, (d, b), "missing spectra")):
+            check(f"{name}[p={p}]", "<", inputs, sides, prov, missing, skip_provenance=prov)
 
         if p >= 1:
-            name = f"adjacent_dirichlet_below_buckling[p={p}]"
-            neighbors = [fetch(_DIRICHLET, q) for q in (p - 1, p + 1) if 0 <= q <= n]
-            neighbors = [q for q in neighbors if q is not None]
-            if neighbors and lam_big:
-                smallest = min(neighbors, key=lambda q: q.value)
-                checks.append(_compare(
-                    name, smallest, lam_big, "<=",
-                    (f"{_DIRICHLET} p={p}+-1", spectra.label(_BUCKLING, p))))
-            else:
-                checks.append(_skipped(name, "<=", (), "missing adjacent Dirichlet spectra"))
+            neighbors = [q for q in (fetch(_DIRICHLET, p - 1), fetch(_DIRICHLET, p + 1))
+                         if q is not None]
+            check(f"adjacent_dirichlet_below_buckling[p={p}]", "<=",
+                  (min(neighbors, key=lambda q: q.value, default=None), big), None,
+                  (f"{_DIRICHLET} p={p}+-1", b), "missing adjacent Dirichlet spectra")
 
-        name = f"absolute_pair_below_buckling[p={p}]"
-        mu_lo = fetch(_ABSOLUTE, p)
-        mu_hi = fetch(_ABSOLUTE, n - p)
-        if mu_lo and mu_hi and lam_big:
-            largest = max((mu_lo, mu_hi), key=lambda q: q.value)
-            checks.append(_compare(
-                name, largest, lam_big, "<=",
-                (spectra.label(_ABSOLUTE, p), spectra.label(_ABSOLUTE, n - p),
-                 spectra.label(_BUCKLING, p))))
-        else:
-            checks.append(_skipped(name, "<=", (), "missing absolute spectra at p and n-p"))
+        check(f"absolute_pair_below_buckling[p={p}]", "<=",
+              (fetch(_ABSOLUTE, p), fetch(_ABSOLUTE, n - p), big),
+              lambda lo, hi, y: (max((lo, hi), key=lambda q: q.value), y),
+              (label(_ABSOLUTE, p), label(_ABSOLUTE, n - p), b),
+              "missing absolute spectra at p and n-p")
 
         if p >= 1:
             for kind, tag in ((_BUCKLING, "buckling"), (_CLAMPED, "clamped"),
                               (_DIRICHLET, "dirichlet")):
-                name = f"degree_independence_{tag}[p={p}]"
-                base = fetch(kind, 0)
-                here = fetch(kind, p)
-                if base and here:
-                    gap = _Quantity(abs(here.value - base.value), 0.0)
-                    budget = _Quantity(base.tol + here.tol + 1e-12 * abs(base.value), 0.0)
-                    checks.append(_compare(
-                        name, gap, budget, "<=",
-                        (spectra.label(kind, p), spectra.label(kind, 0)),
-                        note="flat-domain spectra are degree independent"))
-                else:
-                    checks.append(_skipped(name, "<=", (), f"missing {tag} spectra"))
+                check(f"degree_independence_{tag}[p={p}]", "<=",
+                      (fetch(kind, 0), fetch(kind, p)), _agree,
+                      (label(kind, p), label(kind, 0)), f"missing {tag} spectra",
+                      note="flat-domain spectra are degree independent")
 
         if 1 <= p <= n // 2:
-            checks.append(_constants_only(
-                f"sphere_domain_clamped_mix[p={p}]",
-                "sphere-cap eigensolves are out of scope; "
-                f"coupling constant C = {float(_c_np_exact(n, p))!r} evaluated only"))
-            checks.append(_constants_only(
-                f"sphere_domain_buckling_mix[p={p}]",
-                "sphere-cap eigensolves are out of scope; "
-                f"coupling constant C = {float(_c_np_exact(n, p))!r} evaluated only"))
-
-    for p in spectra.degrees():
-        per_degree(p)
+            for tag in ("clamped", "buckling"):
+                checks.append(_constants_only(
+                    f"sphere_domain_{tag}_mix[p={p}]",
+                    "sphere-cap eigensolves are out of scope; "
+                    f"coupling constant C = {float(_c_np_exact(n, p))!r} evaluated only"))
 
     # Hodge-star duality: p and n-p spectra of the star-symmetric kinds come
     # from permuted-identical block operators, so they agree exactly.  The
@@ -326,78 +307,43 @@ def check_inequalities(spectra: SpectrumSet) -> InequalityReport:
     # (verified structurally in the test suite, not recomputable here).
     for kind, tag in ((_CLAMPED, "clamped"), (_BUCKLING, "buckling"),
                       (_DIRICHLET, "dirichlet")):
-        for p in spectra.degrees():
-            q = n - p
-            if p >= q or (kind, p) not in spectra.spectra:
-                continue
-            name = f"degree_complement_duality_{tag}[p={p} vs p={q}]"
-            low = fetch(kind, p)
-            high = fetch(kind, q)
-            if low and high:
-                gap = _Quantity(abs(low.value - high.value), 0.0)
-                budget = _Quantity(low.tol + high.tol + 1e-12 * abs(low.value), 0.0)
-                checks.append(_compare(
-                    name, gap, budget, "<=",
-                    (spectra.label(kind, p), spectra.label(kind, q)),
-                    note="star duality: blocks are identical up to component relabeling"))
-            else:
-                checks.append(_skipped(name, "<=", (),
-                                       f"missing {tag} spectrum at degree {q}"))
+        for p in (p for p in spectra.degrees() if p < n - p):
+            high = fetch(kind, n - p)
+            check(f"degree_complement_duality_{tag}[p={p} vs p={n - p}]", "<=",
+                  (fetch(kind, p), high), _agree, (label(kind, p), label(kind, n - p)),
+                  f"missing {tag} spectrum at degree {n - p if high is None else p}",
+                  note="star duality: blocks are identical up to component relabeling")
 
     # fixed-degree checks
-    lam1_one = fetch(_DIRICHLET, 1)
-    buck0 = fetch(_BUCKLING, 0)
-    name = "gradient_dirichlet_below_scalar_buckling"
-    if lam1_one and buck0:
-        checks.append(_compare(name, lam1_one, buck0, "<=",
-                               (spectra.label(_DIRICHLET, 1), spectra.label(_BUCKLING, 0))))
-    else:
-        checks.append(_skipped(name, "<=", (), "missing dirichlet p=1 or buckling p=0"))
-
-    name = "second_dirichlet_below_scalar_buckling"
-    lam2 = fetch(_DIRICHLET, 0, index=1)
+    buck0, mu0 = fetch(_BUCKLING, 0), fetch(_ABSOLUTE, 0)
+    check("gradient_dirichlet_below_scalar_buckling", "<=", (fetch(_DIRICHLET, 1), buck0),
+          None, (label(_DIRICHLET, 1), label(_BUCKLING, 0)),
+          "missing dirichlet p=1 or buckling p=0")
     if n != 2:
-        checks.append(_skipped(name, "<=", (), "stated for planar domains only"))
-    elif lam2 and buck0:
-        checks.append(_compare(name, lam2, buck0, "<=",
-                               (spectra.label(_DIRICHLET, 0), spectra.label(_BUCKLING, 0))))
+        checks.append(_skipped("second_dirichlet_below_scalar_buckling", "<=", (),
+                               "stated for planar domains only"))
     else:
-        checks.append(_skipped(name, "<=", (), "missing second Dirichlet value or buckling p=0"))
-
-    mu0 = fetch(_ABSOLUTE, 0)
-    lam0 = fetch(_DIRICHLET, 0)
-    name = "scalar_neumann_below_scalar_dirichlet"
-    if mu0 and lam0:
-        checks.append(_compare(name, mu0, lam0, "<",
-                               (spectra.label(_ABSOLUTE, 0), spectra.label(_DIRICHLET, 0))))
-    else:
-        checks.append(_skipped(name, "<", (), "missing absolute or dirichlet p=0"))
-
-    name = "scalar_neumann_below_scalar_buckling"
-    if mu0 and buck0:
-        checks.append(_compare(name, mu0, buck0, "<",
-                               (spectra.label(_ABSOLUTE, 0), spectra.label(_BUCKLING, 0))))
-    else:
-        checks.append(_skipped(name, "<", (), "missing absolute or buckling p=0"))
+        check("second_dirichlet_below_scalar_buckling", "<=",
+              (fetch(_DIRICHLET, 0, index=1), buck0), None,
+              (label(_DIRICHLET, 0), label(_BUCKLING, 0)),
+              "missing second Dirichlet value or buckling p=0")
+    check("scalar_neumann_below_scalar_dirichlet", "<", (mu0, fetch(_DIRICHLET, 0)), None,
+          (label(_ABSOLUTE, 0), label(_DIRICHLET, 0)), "missing absolute or dirichlet p=0")
+    check("scalar_neumann_below_scalar_buckling", "<", (mu0, buck0), None,
+          (label(_ABSOLUTE, 0), label(_BUCKLING, 0)), "missing absolute or buckling p=0")
 
     # closed-form ball chain
     ball = spectra.ball
+    chain = (tuple(_Quantity(v, _BALL_RTOL * v)
+                   for v in (ball.lambda1, ball.big_lambda1, ball.big_gamma1))
+             if ball else (None,) * 3)
     prov_ball = (f"ball n={ball.dim} R={ball.radius}",) if ball else ()
-    if ball:
-        lam = _Quantity(ball.lambda1, _BALL_RTOL * ball.lambda1)
-        big_lam = _Quantity(ball.big_lambda1, _BALL_RTOL * ball.big_lambda1)
-        big_gam = _Quantity(ball.big_gamma1, _BALL_RTOL * ball.big_gamma1)
-        checks.append(_compare("ball_chain_clamped_below_buckling_squared",
-                               big_gam, big_lam.squared(), "<", prov_ball))
-        checks.append(_compare("ball_chain_product_below_clamped",
-                               big_lam.times(lam), big_gam, "<", prov_ball))
-        checks.append(_compare("ball_chain_dirichlet_squared_below_product",
-                               lam.squared(), big_lam.times(lam), "<", prov_ball))
-    else:
-        for name in ("ball_chain_clamped_below_buckling_squared",
-                     "ball_chain_product_below_clamped",
-                     "ball_chain_dirichlet_squared_below_product"):
-            checks.append(_skipped(name, "<", (), "no ball spectrum provided"))
+    for name, sides in (
+            ("ball_chain_clamped_below_buckling_squared", lambda z, y, x: (x, y.squared())),
+            ("ball_chain_product_below_clamped", lambda z, y, x: (y.times(z), x)),
+            ("ball_chain_dirichlet_squared_below_product",
+             lambda z, y, x: (z.squared(), y.times(z)))):
+        check(name, "<", chain, sides, prov_ball, "no ball spectrum provided")
 
     # curvature-driven lower bounds have no discrete home on flat boxes
     checks.append(_constants_only(

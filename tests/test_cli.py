@@ -2,11 +2,13 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 import hodge_spectra.eigensolve as es
-from hodge_spectra.cli import run
+from hodge_spectra.cli import _build_parser, run
 
 
 def run_to_file(tmp_path, name, argv):
@@ -207,6 +209,16 @@ def test_stdout_output(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("hodge-spectra ")]
+    assert len(commands) >= 6
+    for argv in commands:
+        _build_parser().parse_args(argv[1:])
 
 
 def test_module_invocation_honors_thread_cap(tmp_path):

@@ -133,6 +133,17 @@ def test_2d_one_form_dirichlet_doubles_the_scalar_spectrum():
     assert vals1 == pytest.approx(np.sort(np.concatenate([vals0, vals0])), rel=1e-12)
 
 
+def test_global_pencil_is_built_on_first_access():
+    prob = assemble(build_domain(2, [1.0, 1.0], [5, 6]), 1, ProblemKind.BUCKLING)
+    assert "A" not in vars(prob) and "B" not in vars(prob)
+    assert prob.A is prob.A
+    assert prob.A.shape == prob.B.shape == (prob.dof_count, prob.dof_count)
+    for blk in prob.blocks:
+        window = slice(blk.offset, blk.offset + blk.size)
+        assert (prob.A[window, window] != blk.a).nnz == 0
+        assert (prob.B[window, window] != blk.b).nnz == 0
+
+
 @pytest.mark.parametrize("kind", list(ProblemKind))
 def test_assembled_pairs_are_exactly_symmetric(kind):
     dom = build_domain(2, [1.0, 1.5], [5, 7])

@@ -5,6 +5,7 @@ Continuum targets are recomputed in-test from their defining equations
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hodge_spectra.verify import (
     convergence_study,
     evaluate_constants,
     halfdegree_identity_gap,
+    _Quantity,
 )
 
 
@@ -138,6 +140,53 @@ def test_missing_inputs_reported_as_skipped_never_dropped():
     assert "scalar_neumann_below_scalar_dirichlet" in names
     assert "curvature_dirichlet_lower_bound" in names
     assert "halfdegree_coupling_identity[n=2]" in names
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_removing_one_spectrum_never_drops_a_row(dim):
+    keys = [(kind.value, p) for kind in ProblemKind for p in range(dim + 1)]
+
+    def names(without):
+        sset = SpectrumSet(dim=dim)
+        for kind, p in keys:
+            if (kind, p) != without:
+                sset.add(_fake_spectrum(kind, p, [1.0, 2.0]))
+        return check_inequalities(sset).names()
+
+    full = names(None)
+    for key in keys:
+        assert names(key) == full, key
+
+
+def _bounds(q):
+    """Exact [value - tol, value + tol], widened by a few roundings of its
+    magnitude: the rule encloses its inputs' intervals, not the rounding of
+    the computed centre."""
+    width = Fraction(q.tol) + Fraction(1e-15) * (abs(Fraction(q.value)) + Fraction(q.tol))
+    return Fraction(q.value) - width, Fraction(q.value) + width
+
+
+def test_quantity_arithmetic_encloses_the_image_of_its_inputs():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        a, b = (_Quantity(rng.uniform(0.01, 50.0) * rng.choice((-1, 1)),
+                          rng.uniform(0.0, 2.0) * 10.0 ** rng.integers(-12, 2))
+                for _ in range(2))
+        ends = [[Fraction(q.value) - Fraction(q.tol), Fraction(q.value) + Fraction(q.tol)]
+                for q in (a, b)]
+        corners = [x * y for x in ends[0] for y in ends[1]]
+        lo, hi = _bounds(a.times(b))
+        assert lo <= min(corners) and max(corners) <= hi
+        squares = [x * x for x in ends[0]]
+        lo, hi = _bounds(a.squared())
+        assert lo <= (0 if ends[0][0] <= 0 <= ends[0][1] else min(squares))
+        assert max(squares) <= hi
+        # square roots are irrational, so compare squares
+        c = _Quantity(abs(a.value), a.tol)
+        lo, hi = _bounds(c.sqrt())
+        assert lo <= 0 or lo * lo <= max(Fraction(c.value) - Fraction(c.tol), 0)
+        assert Fraction(c.value) + Fraction(c.tol) <= hi * hi
+    assert _Quantity(0.0, 0.25).sqrt().tol == 0.5
 
 
 def test_labels_validated():
