@@ -9,6 +9,10 @@ axis with spacing h = extent/(cells+1); a face whose condition fixes the
 value eliminates its boundary nodes, a face whose condition fixes the
 normal derivative keeps them and closes the stencil by ghost reflection
 (ghost value = mirror interior value, the centered derivative = 0 rule).
+
+Second-order blocks are kept as their dense 1D factors, with numpy alone;
+scipy.sparse is imported only where a sparse matrix is built: fourth-order
+blocks, and the sparse form of a second-order block on first access.
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "ProblemKind",
@@ -166,8 +172,8 @@ def component_conditions(
 # scalar building blocks
 # ---------------------------------------------------------------------------
 
-def _axis_stiffness(cells: int, h: float, cond: FaceCondition) -> tuple[sp.csr_matrix, np.ndarray]:
-    """1D stiffness S and lumped mass weights w for one axis.
+def _axis_stiffness(cells: int, h: float, cond: FaceCondition) -> tuple[np.ndarray, np.ndarray]:
+    """1D stiffness S (dense) and lumped mass weights w for one axis.
 
     VALUE faces drop the boundary nodes (classical interior Laplacian);
     DERIVATIVE faces keep them, with half mass weight and corner entries
@@ -186,11 +192,13 @@ def _axis_stiffness(cells: int, h: float, cond: FaceCondition) -> tuple[sp.csr_m
     else:
         raise ValueError(f"no second-order axis operator for {cond}")
     off = np.full(m - 1, -1.0 / h)
-    stiff = sp.diags([off, main, off], [-1, 0, 1], format="csr")
+    stiff = np.diag(main) + np.diag(off, -1) + np.diag(off, 1)
     return stiff, weights
 
 
 def _kron_chain(mats: Iterable[sp.spmatrix]) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     out = None
     for m in mats:
         out = m if out is None else sp.kron(out, m, format="csr")
@@ -206,6 +214,8 @@ def _symmetrize(a: sp.spmatrix) -> sp.csr_matrix:
 
 def _second_difference(cells: int, h: float) -> sp.csr_matrix:
     """1D Dirichlet second difference T = tridiag(-1, 2, -1) / h^2."""
+    import scipy.sparse as sp
+
     main = np.full(cells, 2.0 / h ** 2)
     off = np.full(cells - 1, -1.0 / h ** 2)
     return sp.diags([off, main, off], [-1, 0, 1], format="csr")
@@ -213,6 +223,8 @@ def _second_difference(cells: int, h: float) -> sp.csr_matrix:
 
 def _interior_laplacian(domain: BoxDomain) -> sp.csr_matrix:
     """Standard (2n+1)-point Laplacian on interior nodes, value-zero faces."""
+    import scipy.sparse as sp
+
     mats = []
     eyes = [sp.identity(c, format="csr") for c in domain.cells]
     for k, (c, h) in enumerate(zip(domain.cells, domain.spacing)):
@@ -234,6 +246,8 @@ def _face_rows(domain: BoxDomain) -> tuple[sp.csr_matrix, np.ndarray]:
     on two or more faces contribute nothing.  Row weights carry the halved
     trapezoidal quadrature in the normal direction.
     """
+    import scipy.sparse as sp
+
     n_int = domain.interior_count
     flat = np.arange(n_int).reshape(domain.cells)
     rows, cols, vals, weights = [], [], [], []
@@ -255,22 +269,48 @@ def _face_rows(domain: BoxDomain) -> tuple[sp.csr_matrix, np.ndarray]:
 
 @dataclass(frozen=True)
 class ComponentBlock:
-    """One scalar diagonal block of an assembled p-form problem."""
+    """One scalar diagonal block of an assembled p-form problem.
+
+    Its sparse pencil (`a`, `b`) is assembled with a fourth-order block; a
+    second-order block builds it from its 1D factors on first access, since
+    only the general solver and the tests read it.
+    """
 
     component: ComponentIndex
     offset: int
     size: int
-    a: sp.csr_matrix
-    b: sp.csr_matrix
     signature: tuple
     laplacian: Optional[sp.csr_matrix] = None   # evaluation-grid Laplacian (fourth order)
     eval_weights: Optional[np.ndarray] = None   # quadrature weights of its rows
-    # second order: per-axis 1D pencils (S_k, w_k) whose Kronecker sum is (a, b)
-    axis_factors: Optional[tuple[tuple[sp.csr_matrix, np.ndarray], ...]] = None
+    # second order: per-axis dense 1D pencils (S_k, w_k) whose Kronecker sum is (a, b)
+    axis_factors: Optional[tuple[tuple[np.ndarray, np.ndarray], ...]] = None
     # fourth order: per-axis dense (q_k, b_k); Q = sum_k I x q_k x I has
     # Q <= a <= n Q, and b = sum_k I x b_k x I unless b is diagonal (b_k None)
     axis_operators: Optional[tuple[tuple[np.ndarray, Optional[np.ndarray]], ...]] = None
     kernel_dim: int = 0                         # dimension of the kernel of a
+    pencil: Optional[tuple[sp.csr_matrix, sp.csr_matrix]] = None   # fourth order: (a, b)
+
+    @functools.cached_property
+    def a(self) -> sp.csr_matrix:
+        if self.pencil is not None:
+            return self.pencil[0]
+        import scipy.sparse as sp
+
+        factors = self.axis_factors
+        masses = [sp.diags(w, format="csr") for _, w in factors]
+        stiff = sp.csr_matrix((self.size, self.size))
+        for k, (s_k, _) in enumerate(factors):
+            stiff = stiff + _kron_chain(
+                [sp.csr_matrix(s_k) if j == k else masses[j] for j in range(len(factors))])
+        return _symmetrize(stiff)
+
+    @functools.cached_property
+    def b(self) -> sp.csr_matrix:
+        if self.pencil is not None:
+            return self.pencil[1]
+        import scipy.sparse as sp
+
+        return _kron_chain([sp.diags(w, format="csr") for _, w in self.axis_factors])
 
 
 @dataclass(frozen=True)
@@ -289,10 +329,14 @@ class FormProblem:
 
     @functools.cached_property
     def A(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         return sp.block_diag([blk.a for blk in self.blocks], format="csr")
 
     @functools.cached_property
     def B(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         return sp.block_diag([blk.b for blk in self.blocks], format="csr")
 
 
@@ -306,6 +350,8 @@ def _fourth_order_block(domain: BoxDomain, kind: ProblemKind,
     semidefinite, leaves Q = sum_k I x q_k x I with q_k = vol T_k^2 plus
     2 vol / h_k^4 at both ends of the diagonal, so Q <= a <= n Q for every h.
     """
+    import scipy.sparse as sp
+
     interior = _interior_laplacian(domain)
     face, face_w = _face_rows(domain)
     lap = sp.vstack([interior, face], format="csr")
@@ -326,8 +372,8 @@ def _fourth_order_block(domain: BoxDomain, kind: ProblemKind,
         q[-1, -1] += 2.0 * volume / h ** 4
         axes.append((q, None if b_tag == "mass" else volume * second))
     return {
-        "a": a,
-        "b": b,
+        "size": domain.interior_count,
+        "pencil": (a, b),
         "laplacian": lap,
         "eval_weights": weights,
         "signature": ("biharmonic", b_tag, domain.key, conds),
@@ -344,15 +390,8 @@ def _second_order_block(domain: BoxDomain, conds: tuple[FaceCondition, ...]) -> 
     """
     axes = tuple(_axis_stiffness(c, h, cond)
                  for c, h, cond in zip(domain.cells, domain.spacing, conds))
-    masses = [sp.diags(w, format="csr") for _, w in axes]
-    size = int(np.prod([m.shape[0] for m in masses]))
-    stiff = sp.csr_matrix((size, size))
-    for k in range(domain.dim):
-        factors = [axes[k][0] if j == k else masses[j] for j in range(domain.dim)]
-        stiff = stiff + _kron_chain(factors)
     return {
-        "a": _symmetrize(stiff),
-        "b": _kron_chain(masses),
+        "size": math.prod(w.size for _, w in axes),
         "signature": ("laplacian", "mass", domain.key, conds),
         "axis_factors": axes,
         "kernel_dim": int(all(c is FaceCondition.DERIVATIVE for c in conds)),
@@ -380,9 +419,8 @@ def assemble(domain: BoxDomain, degree: int, kind: ProblemKind) -> FormProblem:
             cache[conds] = (_fourth_order_block(domain, kind, conds) if kind.is_fourth_order
                             else _second_order_block(domain, conds))
         built = cache[conds]
-        size = built["a"].shape[0]
-        blocks.append(ComponentBlock(component=comp, offset=offset, size=size, **built))
-        offset += size
+        blocks.append(ComponentBlock(component=comp, offset=offset, **built))
+        offset += built["size"]
     return FormProblem(
         domain=domain,
         degree=degree,

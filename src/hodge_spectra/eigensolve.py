@@ -3,22 +3,26 @@
 Solves A x = theta B x for the m smallest eigenvalues with certified
 pairs, by one of three routes.
 
-Separable (second order).  Dirichlet and absolute Laplacian blocks are
-Kronecker sums of 1D pencils (S_k, W_k): each 1D pencil is diagonalized
-densely, the m smallest sums of 1D eigenvalues are the block's
-eigenvalues, and the Kronecker products of the 1D eigenvectors are its
-eigenvectors (Lynch, Rice & Thomas, Numer. Math. 6, 1964).  Every sum is
-taken, so no eigenvalue below the reported ones is missed, and the kernel
-(the constant mode, at absolute p = 0) is the known product of the 1D
-kernel vectors, which is skipped rather than deflated.
+Separable (second order, numpy only).  Dirichlet and absolute Laplacian
+blocks are Kronecker sums of 1D pencils (S_k, W_k): each 1D pencil is
+diagonalized densely, the m smallest sums of 1D eigenvalues are the
+block's eigenvalues, and the Kronecker products of the 1D eigenvectors are
+its eigenvectors (Lynch, Rice & Thomas, Numer. Math. 6, 1964).  Every sum
+is taken, so no eigenvalue below the reported ones is missed, and the
+kernel (the constant mode, at absolute p = 0) is the known product of the
+1D kernel vectors, which is skipped rather than deflated.  The pairs are
+certified matrix-free, from the factors axis by axis; the rounding count
+of that residual is gamma_{4n+1} in n dimensions (see
+`_separable_residual_vectors`).
 
 Structured (fourth order, in the measured region STRUCTURED_MIN_DOF).
 The clamped operator A = vol (sum_k T_k)^2 + sum_k D_k lies between the
 Kronecker sum Q of its per-axis 1D factors and n Q, for every h.  LOBPCG
 (Knyazev, SIAM J. Sci. Comput. 23, 2001) preconditioned by Q^-1, which is
 applied exactly by per-axis eigendecompositions, finds the m smallest
-pairs matrix-free; buckling's B = vol sum_k T_k is inverted the same way
-for its error bounds.  Nothing is factorized.
+pairs with the assembled sparse A and B (scipy.sparse only); buckling's
+B = vol sum_k T_k is inverted the same way for its error bounds.  Nothing
+is factorized.
 
 General (`solve_pencil`: every other fourth-order block, a structured
 solve that fails its certificate, and any assembled pencil).  At most
@@ -27,7 +31,8 @@ shift-invert Lanczos around a factorized (A - sigma B).  Both rules are
 measured by `bench/crossover.py` (BENCH_dense_cutoff.json): DENSE_CUTOFF
 is the crossover between the dense and the structured solve, and
 STRUCTURED_MIN_DOF gives, per dimension and number of values, the block
-size from which the structured solve beats shift-invert Lanczos.
+size from which the structured solve beats shift-invert Lanczos.  Only
+this route imports scipy.linalg and scipy.sparse.linalg, when it runs.
 
 Every pair is certified once, straight from the eigensolver, with r =
 Ax - theta Bx.  Its normwise backward error ||r|| / ((||A||_1 + |theta|
@@ -53,9 +58,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .discretize import ComponentBlock, FormProblem
 from .errors import FactorizationFailure, NumericalFailure
@@ -139,14 +141,16 @@ class Spectrum:
         return int(np.sum(np.abs(self.values - first) <= MULTIPLICITY_GAP * scale))
 
 
-def _as_csr(matrix) -> sp.csr_matrix:
+def _as_csr(matrix):
+    import scipy.sparse as sp
+
     out = sp.csr_matrix(matrix, dtype=float)
     out.sum_duplicates()
     out.sort_indices()
     return out
 
 
-def _check_symmetry(matrix: sp.csr_matrix, name: str) -> None:
+def _check_symmetry(matrix, name: str) -> None:
     gap = abs(matrix - matrix.T)
     if gap.nnz:
         scale = max(abs(matrix).max(), 1.0)
@@ -157,6 +161,16 @@ def _check_symmetry(matrix: sp.csr_matrix, name: str) -> None:
 def _check_tol(tol: float) -> None:
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
+def _norm1(matrix) -> float:
+    """||M||_1 of a sparse matrix: its largest absolute column sum."""
+    return abs(matrix).sum(axis=0).max()
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u the unit roundoff."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
 def _residual_vectors(a, b, values, vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,43 +186,57 @@ def _residual_vectors(a, b, values, vectors) -> tuple[np.ndarray, np.ndarray, np
     bx = b @ vectors
     r = a @ vectors - bx * values
     k = max(np.diff(a.indptr).max(), np.diff(b.indptr).max()) + 2
-    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
     abs_x = np.abs(vectors)
-    rounding = gamma * (abs(a) @ abs_x + (abs(b) @ abs_x) * np.abs(values))
+    rounding = _gamma(k) * (abs(a) @ abs_x + (abs(b) @ abs_x) * np.abs(values))
     return r, bx, rounding
 
 
-def _residuals(a, b, values, vectors, b_solve=None) -> tuple[np.ndarray, np.ndarray]:
-    """Backward errors and eigenvalue error bounds of the pairs (values, vectors).
+def _bounds(values, vectors, r, bx, rounding, norm_a: float, norm_b: float,
+            b_solve) -> tuple[np.ndarray, np.ndarray]:
+    """Backward errors and eigenvalue error bounds from a computed residual block.
 
     The bound is (||fl(r)||_{B^-1} + ||g||_{B^-1}) / ||x||_B, with g the
-    rounding bound of `_residual_vectors`.  Since |fl(r) - r| <= g and the
-    entries of B^-1 are >= 0 (B is diagonal, or an M-matrix for buckling),
-    it bounds the exact ||r||_{B^-1} / ||x||_B.  `b_solve` applies B^-1 to
-    a block of vectors; without it a non-diagonal B is factorized.
+    rounding bound of the residual.  Since |fl(r) - r| <= g and the entries
+    of B^-1 are >= 0 (B is diagonal, or an M-matrix for buckling), it bounds
+    the exact ||r||_{B^-1} / ||x||_B.  `b_solve` applies B^-1 to a block of
+    vectors.
     """
-    r, bx, rounding = _residual_vectors(a, b, values, vectors)
-    scale = spla.norm(a, 1) + np.abs(values) * spla.norm(b, 1)
+    scale = norm_a + np.abs(values) * norm_b
     norm_r = np.linalg.norm(r, axis=0)
     eta = np.divide(norm_r, scale * np.linalg.norm(vectors, axis=0),
                     out=np.zeros_like(norm_r), where=norm_r != 0.0)
     both = np.hstack([r, rounding])
-    if b.count_nonzero() == np.count_nonzero(b.diagonal()):
-        b_inv_both = both / b.diagonal()[:, None]
-    elif b_solve is not None:
-        b_inv_both = b_solve(both)
-    else:
-        b_inv_both = spla.splu(b.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(both)
-    b_norms = np.sqrt(np.abs(np.sum(both * b_inv_both, axis=0)))
+    b_norms = np.sqrt(np.abs(np.sum(both * b_solve(both), axis=0)))
     m = r.shape[1]
     delta = (b_norms[:m] + b_norms[m:]) / np.sqrt(np.sum(vectors * bx, axis=0))
     return eta, delta
 
 
-def _certified(values, vectors, a, b, tol: float, kind=None, degree=None,
-               kernel_dim: int = 0, b_solve=None) -> Spectrum:
-    """The pairs as a Spectrum; NumericalFailure carries it when a backward error exceeds tol."""
-    residuals, error_bounds = _residuals(a, b, values, vectors, b_solve)
+def _residuals(a, b, values, vectors, b_solve=None) -> tuple[np.ndarray, np.ndarray]:
+    """Backward errors and eigenvalue error bounds of the pairs (values, vectors)
+    of a sparse pencil (see `_bounds`).
+
+    `b_solve` applies B^-1 to a block of vectors; without it a non-diagonal
+    B is factorized.
+    """
+    r, bx, rounding = _residual_vectors(a, b, values, vectors)
+    if b.count_nonzero() == np.count_nonzero(b.diagonal()):
+        diagonal = b.diagonal()[:, None]
+
+        def b_solve(v):
+            return v / diagonal
+    elif b_solve is None:
+        import scipy.sparse.linalg as spla
+
+        b_solve = spla.splu(b.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+    return _bounds(values, vectors, r, bx, rounding, _norm1(a), _norm1(b), b_solve)
+
+
+def _certified(values, vectors, certificates, tol: float, kind=None, degree=None,
+               kernel_dim: int = 0) -> Spectrum:
+    """The pairs as a Spectrum, given their (backward errors, error bounds);
+    NumericalFailure carries it when a backward error exceeds tol."""
+    residuals, error_bounds = certificates
     failed = not np.all(residuals <= tol)   # a NaN fails too
     try:
         spectrum = Spectrum(
@@ -228,6 +256,8 @@ def _certified(values, vectors, a, b, tol: float, kind=None, degree=None,
 
 
 def _dense_solve(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
+    import scipy.linalg as sla
+
     try:
         values, vectors = sla.eigh(a.toarray(), b.toarray(), subset_by_index=(0, m - 1))
     except sla.LinAlgError as exc:
@@ -236,6 +266,8 @@ def _dense_solve(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sparse_solve(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
+    import scipy.sparse.linalg as spla
+
     n = a.shape[0]
     trace_ratio = a.diagonal().sum() / b.diagonal().sum()
     sigma = -max(1e-8 * trace_ratio, 1e-300)
@@ -276,7 +308,8 @@ def solve_pencil(a, b, m: int, tol: float = DEFAULT_TOL,
         values, vectors = _dense_solve(a, b, m)
     else:
         values, vectors = _sparse_solve(a, b, m)
-    return _certified(values, vectors, a, b, tol, kind=kind, degree=degree)
+    return _certified(values, vectors, _residuals(a, b, values, vectors), tol,
+                      kind=kind, degree=degree)
 
 
 def _sum_grid(pairs) -> np.ndarray:
@@ -313,10 +346,12 @@ def _smallest_sums(pairs, count: int, skip_first: bool = False, multiplet_limit:
 
 
 def _along_axes(mats, x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Apply mats[j] along axis j of every column of x (columns of length prod(shape))."""
+    """Apply mats[j] along axis j of every column of x (columns of length prod(shape));
+    a None entry leaves its axis alone."""
     out = x
     for j, mat in enumerate(mats):
-        out = np.matmul(mat, out.reshape(math.prod(shape[:j]), shape[j], -1))
+        if mat is not None:
+            out = np.matmul(mat, out.reshape(math.prod(shape[:j]), shape[j], -1))
     return out.reshape(x.shape)
 
 
@@ -338,18 +373,95 @@ def _kron_sum_solver(pairs):
     return solve
 
 
+def _outer_product(vectors) -> np.ndarray:
+    """v_1 x ... x v_n as a flat column, formed in axis order."""
+    return functools.reduce(np.multiply.outer, vectors).reshape(-1, 1)
+
+
+def _kron_sum_product(factors, x: np.ndarray, absolute: bool = False) -> np.ndarray:
+    """(sum_k W_1 x ... x S_k x ... x W_n) x, axis by axis, for 1D pencils (S_k, w_k).
+
+    With `absolute`, |S_k| replaces S_k, which gives |A| x exactly: the
+    terms share no off-diagonal entry, and on the diagonal every one is
+    positive.  Term k applies S_k along axis k (a dense product whose rows
+    have at most 3 nonzeros) and then scales by the product of the other
+    axes' weights, formed in axis order.
+    """
+    shape = tuple(w.size for _, w in factors)
+    total = 0.0
+    for k, (stiff, _) in enumerate(factors):
+        mats = [None] * len(factors)
+        mats[k] = np.abs(stiff) if absolute else stiff
+        others = _outer_product([np.ones(w.size) if j == k else w
+                                 for j, (_, w) in enumerate(factors)])
+        total = total + _along_axes(mats, x, shape) * others
+    return total
+
+
+def _separable_residual_vectors(factors, values, vectors) -> tuple[np.ndarray, np.ndarray,
+                                                                   np.ndarray]:
+    """Computed r = Ax - theta Bx, Bx, and a componentwise bound on r's rounding error,
+    for the Kronecker-sum pencil of the 1D factors, applied axis by axis.
+
+    In n dimensions each term of (Ax)_i carries at most 2n + 2 rounding
+    factors (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., sec. 3.5): 3 from its 1D dot product (at most 3 nonzero terms),
+    n - 1 from the weights of the other axes (n - 2 in forming their
+    product, 1 in scaling), n - 1 from the sum over axes, and 1 from the
+    subtraction; a term of theta (Bx)_i carries n + 2 <= 2n + 2.  So
+    |fl(r) - r| <= gamma_{2n+2} (|A||x| + |theta||B||x|), r formed exactly
+    from the factors.  The assembled sparse pencil (`ComponentBlock.a`, `.b`)
+    rounds each entry of the Kronecker sum through at most 2n - 2 factors
+    (n - 1 products and n - 1 sums), so its exact residual lies within
+    gamma_{2n-2} (|A||x| + |theta||B||x|) of r too.  One more factor covers
+    the rounding made in forming the bound itself, whose relative error is
+    O(n u) and enters only multiplied by gamma: the bound is
+    gamma_{4n+1} (|A||x| + |theta||B||x|) and encloses both residuals.
+    """
+    values = np.asarray(values, dtype=float)
+    mass = _outer_product([w for _, w in factors])
+    bx = mass * vectors
+    r = _kron_sum_product(factors, vectors) - bx * values
+    abs_x = np.abs(vectors)
+    rounding = _gamma(4 * len(factors) + 1) * (
+        _kron_sum_product(factors, abs_x, absolute=True) + (mass * abs_x) * np.abs(values))
+    return r, bx, rounding
+
+
+def _separable_norms(factors) -> tuple[float, float]:
+    """||A||_1 and ||B||_1 of the Kronecker-sum pencil: the largest entry of
+    |A| 1 (A is symmetric) and of B's diagonal."""
+    ones = np.ones((math.prod(w.size for _, w in factors), 1))
+    return (_kron_sum_product(factors, ones, absolute=True).max(),
+            _outer_product([w for _, w in factors]).max())
+
+
+def _separable_residuals(factors, values, vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Backward errors and eigenvalue error bounds (see `_bounds`) of pairs of
+    the Kronecker-sum pencil of 1D factors, matrix-free; B is diagonal."""
+    mass = _outer_product([w for _, w in factors])
+    return _bounds(values, vectors, *_separable_residual_vectors(factors, values, vectors),
+                   *_separable_norms(factors), lambda v: v / mass)
+
+
 def _separable_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     """m smallest eigenpairs of a Kronecker-sum block from its 1D pencils.
 
-    Axis k's pencil S_k v = lambda W_k v is diagonalized densely; the block's
-    eigenvalues are all sums lambda_{j_1} + ... + lambda_{j_n} and its
-    eigenvectors the matching Kronecker products.  With a kernel, the
-    product of the 1D constants is skipped.
+    Axis k's pencil S_k v = lambda W_k v is diagonalized as the symmetric
+    W_k^-1/2 S_k W_k^-1/2, whose eigenvectors scaled back by W_k^-1/2 are
+    W_k-orthonormal; the block's eigenvalues are all sums lambda_{j_1} +
+    ... + lambda_{j_n} and its eigenvectors the matching Kronecker
+    products.  With a kernel, the product of the 1D constants is skipped.
+    The pairs are certified matrix-free (`_separable_residual_vectors`).
     """
-    pairs = [sla.eigh(stiff.toarray(), np.diag(weights))
-             for stiff, weights in block.axis_factors]
+    pairs = []
+    for stiff, weights in block.axis_factors:
+        scale = 1.0 / np.sqrt(weights)
+        axis_values, axis_vectors = np.linalg.eigh(stiff * np.outer(scale, scale))
+        pairs.append((axis_values, axis_vectors * scale[:, None]))
     values, vectors = _smallest_sums(pairs, m, skip_first=bool(block.kernel_dim))
-    return _certified(values, vectors, block.a, block.b, tol, kernel_dim=block.kernel_dim)
+    return _certified(values, vectors, _separable_residuals(block.axis_factors, values, vectors),
+                      tol, kernel_dim=block.kernel_dim)
 
 
 def _b_orthonormalize(v: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -389,7 +501,7 @@ def _lobpcg(a, b, precond, span: np.ndarray, m: int) -> tuple[np.ndarray, np.nda
     the m first columns reach a backward error of ROUNDING_TARGET, or after
     STALL_ITERATIONS without a new best, and returns the best iterate.
     """
-    norm_a, norm_b = spla.norm(a, 1), spla.norm(b, 1)
+    norm_a, norm_b = _norm1(a), _norm1(b)
     x, bx = _b_orthonormalize(span, b @ span)
     gram = x.T @ (a @ x)
     theta, c = np.linalg.eigh((gram + gram.T) / 2)
@@ -450,7 +562,9 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     if block.axis_operators[0][1] is not None:
         b_solve = _kron_sum_solver([np.linalg.eigh(b_k) for _, b_k in block.axis_operators])
     values, vectors = _lobpcg(block.a, block.b, _kron_sum_solver(q_pairs), span, m)
-    return _certified(values[:m], vectors[:, :m], block.a, block.b, tol, b_solve=b_solve)
+    values, vectors = values[:m], vectors[:, :m]
+    return _certified(values, vectors, _residuals(block.a, block.b, values, vectors, b_solve),
+                      tol)
 
 
 def _takes_structured(block: ComponentBlock, m: int) -> bool:

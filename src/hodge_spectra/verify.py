@@ -6,7 +6,10 @@ combined numerical tolerance of its inputs (each eigenvalue's error bound
 plus, when available, a convergence-study error estimate); a broad check
 ('<=') passes when the relation is not violated beyond that tolerance.  The
 tolerance of a product, square or square root encloses the image of its
-inputs' intervals, second-order terms included.  The battery is one table of
+inputs' intervals, second-order terms included, and the rounding of its
+computed centre; a check's tolerance also encloses the rounding of its
+margin.  Tolerances are formed in exact rationals and rounded up, so a
+pass is proven for the inputs' intervals.  The battery is one table of
 rows under one rule: a row with any input missing is reported as skipped,
 never dropped.  The two families that would need curved-domain eigensolves
 are reported "constants-only".
@@ -134,12 +137,38 @@ class InequalityReport:
         return not self.failures
 
 
+def _upper_bound(radius) -> float:
+    """The smallest float >= radius(), an exact rational; inf when that
+    leaves the float range or meets an inf or a NaN."""
+    try:
+        exact = radius()
+        up = float(exact)
+    except (OverflowError, ValueError):   # Fraction of an inf or a NaN, or a huge float
+        return math.inf
+    return up if Fraction(up) >= exact else math.nextafter(up, math.inf)
+
+
+def _sqrt_below(exact: Fraction) -> Fraction:
+    """A lower bound on sqrt(max(exact, 0)): the correctly rounded square root
+    of the float below `exact`, stepped down unless its square is below it."""
+    if exact <= 0:
+        return Fraction(0)
+    below = float(exact)
+    if Fraction(below) > exact:
+        below = math.nextafter(below, 0.0)
+    root = math.sqrt(below)
+    return Fraction(root if Fraction(root) ** 2 <= Fraction(below)
+                    else math.nextafter(root, 0.0))
+
+
 class _Quantity:
     """A value with an absolute uncertainty: the interval [value - tol, value + tol].
 
     Products, squares and square roots return intervals that contain the
     image of every point of their inputs' intervals (for the square root,
-    of its nonnegative points).
+    of its nonnegative points) around the computed centre: their tolerances
+    add the centre's rounding error and are formed in exact rationals,
+    rounded up.
     """
 
     __slots__ = ("value", "tol")
@@ -149,20 +178,34 @@ class _Quantity:
         self.tol = float(tol)
 
     def times(self, other: "_Quantity") -> "_Quantity":
-        return _Quantity(self.value * other.value,
-                         abs(self.value) * other.tol + abs(other.value) * self.tol
-                         + self.tol * other.tol)
+        value = self.value * other.value
+
+        def radius():
+            a, ta, b, tb = map(Fraction, (self.value, self.tol, other.value, other.tol))
+            return abs(a) * tb + abs(b) * ta + ta * tb + abs(a * b - Fraction(value))
+        return _Quantity(value, _upper_bound(radius))
 
     def squared(self) -> "_Quantity":
-        return _Quantity(self.value ** 2, (2.0 * abs(self.value) + self.tol) * self.tol)
+        value = self.value ** 2
+
+        def radius():
+            v, t = Fraction(self.value), Fraction(self.tol)
+            return (2 * abs(v) + t) * t + abs(v * v - Fraction(value))
+        return _Quantity(value, _upper_bound(radius))
 
     def sqrt(self) -> "_Quantity":
         root = math.sqrt(self.value)
-        if root == 0.0:
-            return _Quantity(0.0, math.sqrt(self.tol))
-        # |sqrt(x) - root| = |x - value| / (root + sqrt(x)), and sqrt(x) is
-        # smallest at the interval's lower end
-        return _Quantity(root, self.tol / (root + math.sqrt(max(self.value - self.tol, 0.0))))
+
+        def radius():
+            v, t, r = Fraction(self.value), Fraction(self.tol), Fraction(root)
+            if root == 0.0:   # the image of [0, tol] is [0, sqrt(tol)] = [0, 1/sqrt(1/tol)]
+                return t if t == 0 else 1 / _sqrt_below(1 / t)
+            # |sqrt(x) - sqrt(v)| = |x - v| / (sqrt(x) + sqrt(v)), and sqrt(x) is
+            # smallest at the interval's lower end; the same identity bounds
+            # the rounding of the centre
+            low = _sqrt_below(v)
+            return t / (low + _sqrt_below(v - t)) + abs(v - r * r) / (low + r)
+        return _Quantity(root, _upper_bound(radius))
 
 
 @dataclass
@@ -208,7 +251,10 @@ _BALL_RTOL = 1e-8
 def _compare(name, lhs: _Quantity, rhs: _Quantity, relation: str,
              provenance: tuple[str, ...], note: str = "") -> InequalityCheck:
     margin = rhs.value - lhs.value
-    tolerance = lhs.tol + rhs.tol
+    # both sides' tolerances and the rounding of the margin, rounded up
+    tolerance = _upper_bound(lambda: (
+        Fraction(lhs.tol) + Fraction(rhs.tol)
+        + abs(Fraction(rhs.value) - Fraction(lhs.value) - Fraction(margin))))
     if relation == "<":
         ok = margin > tolerance
     elif relation == "<=":

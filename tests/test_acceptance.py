@@ -17,6 +17,7 @@ import hodge_spectra.bessel as bessel_mod
 from hodge_spectra.bessel import ball_spectrum, first_zero_cross, first_zero_j
 from hodge_spectra.cli import run
 from hodge_spectra.discretize import (
+    ComponentBlock,
     ComponentIndex,
     FaceCondition,
     ProblemKind,
@@ -214,20 +215,22 @@ def test_criterion_7_hodge_duality_bitwise():
                 FaceCondition.DERIVATIVE if axis in comp.axes else FaceCondition.VALUE
                 for axis in (1, 2, 3)
             )
-            relative_blocks[comp.axes] = _second_order_block(domain, conds)
+            relative_blocks[comp.axes] = ComponentBlock(
+                component=comp, offset=0, **_second_order_block(domain, conds))
         for blk in absolute.blocks:
             complement = tuple(a for a in (1, 2, 3) if a not in blk.component.axes)
             rel = relative_blocks[complement]
-            assert (blk.a != rel["a"]).nnz == 0
-            assert (blk.b != rel["b"]).nnz == 0
+            assert (blk.a != rel.a).nnz == 0
+            assert (blk.b != rel.b).nnz == 0
     # representative spectra agree bitwise through the solver as well
     absolute = assemble(domain, 1, ProblemKind.ABSOLUTE_LAPLACE)
     blk = absolute.blocks[0]
     rel_conds = tuple(FaceCondition.DERIVATIVE if axis in (2, 3) else FaceCondition.VALUE
                       for axis in (1, 2, 3))
-    rel = _second_order_block(domain, rel_conds)
+    rel = ComponentBlock(component=blk.component, offset=0,
+                         **_second_order_block(domain, rel_conds))
     mu = solve_pencil(blk.a, blk.b, m=2)
-    kappa = solve_pencil(rel["a"], rel["b"], m=2)
+    kappa = solve_pencil(rel.a, rel.b, m=2)
     assert np.array_equal(mu.values, kappa.values)
     elapsed = time.perf_counter() - start
     _announce(7, "bitwise duality on 15^3 box (star pairs + absolute/relative)", elapsed)

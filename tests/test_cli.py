@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+import scipy.sparse.linalg as spla
 
-import hodge_spectra.eigensolve as es
 from hodge_spectra.cli import _build_parser, run
 
 
@@ -93,14 +96,14 @@ def test_fine_clamped_plate_is_certified_without_factorization(tmp_path, monkeyp
     # rounding floor above 1e-9 and the run exited 2; the backward error
     # certifies every pair straight from the eigensolver, and the block is
     # solved matrix-free, with no sparse factorization
-    real_splu = es.spla.splu
+    real_splu = spla.splu
     calls = []
 
     def counted_splu(*args, **kwargs):
         calls.append(args[0].shape)
         return real_splu(*args, **kwargs)
 
-    monkeypatch.setattr(es.spla, "splu", counted_splu)
+    monkeypatch.setattr(spla, "splu", counted_splu)
     code, path = run_to_file(
         tmp_path, "fine.json",
         ["box", "--dim", "2", "--extent", "1,1", "--cells", "127,127",
@@ -241,3 +244,49 @@ def test_module_invocation_honors_thread_cap(tmp_path):
          "import hodge_spectra, os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
         env=env, capture_output=True, text=True, timeout=60)
     assert probe.stdout.strip() == "1"
+
+
+_SCIPY_PARTS = ("scipy.sparse", "scipy.linalg", "scipy.sparse.linalg")
+_PROBE = f"""
+import sys
+from hodge_spectra.cli import run
+if sys.argv[1:] and run(sys.argv[1:]) != 0:
+    sys.exit(3)
+print(",".join(m for m in {_SCIPY_PARTS!r} if m in sys.modules))
+"""
+_BOX_23 = ["box", "--dim", "3", "--extent", "1,1,1", "--cells", "23,23,23", "--problem"]
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    ([], set()),
+    (["ball", "--dim", "2", "--radius", "1"], set()),
+    (["constants", "--dim", "4", "--degree", "2", "--gamma", "1"], set()),
+    # the separable route needs numpy only
+    (_BOX_23 + ["dirichlet_laplace", "--degree", "1"], set()),
+    (_BOX_23 + ["absolute_laplace", "--degree", "0"], set()),
+    # the structured route needs the sparse A and B
+    (_BOX_23 + ["clamped_plate", "--degree", "0"], {"scipy.sparse"}),
+    (_BOX_23 + ["buckling", "--degree", "1"], {"scipy.sparse"}),
+])
+def test_each_route_loads_only_the_scipy_it_uses(tmp_path, argv, loaded):
+    # a fresh interpreter per command, so that sys.modules holds only what it imported
+    assert _scipy_modules_loaded(tmp_path, argv) == loaded
+
+
+def test_general_route_loads_scipy_when_it_runs(tmp_path):
+    # the 961-dof fourth-order blocks of a 31^2 verify take solve_pencil; a
+    # positive control that the probe sees imports made inside functions
+    argv = ["verify", "--dim", "2", "--extent", "1,1", "--cells", "31,31", "--degrees", "0,1",
+            "--format", "csv"]
+    assert "scipy.sparse.linalg" in _scipy_modules_loaded(tmp_path, argv)
+
+
+def _scipy_modules_loaded(tmp_path, argv) -> set:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, HODGE_SPECTRA_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = ["--out", str(tmp_path / "report")] if argv else []
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv, *out],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return set(filter(None, proc.stdout.strip().split(",")))

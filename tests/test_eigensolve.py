@@ -1,6 +1,7 @@
 """Eigensolver tests: trivial pencils, closed-form grids, the separable
 second-order path, kernels, determinism."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import hodge_spectra.eigensolve as es
 from hodge_spectra.discretize import ProblemKind, assemble, build_domain
@@ -100,7 +102,7 @@ def test_large_block_does_not_use_dense_eigh(monkeypatch):
     def no_dense(*args, **kwargs):
         raise AssertionError("dense eigh called on a 3969-dof block")
 
-    monkeypatch.setattr(es.sla, "eigh", no_dense)
+    monkeypatch.setattr(sla, "eigh", no_dense)
     prob = assemble(build_domain(2, [1.0, 1.0], [63, 63]), 0, ProblemKind.CLAMPED_PLATE)
     spec = solve_problem(prob, m=2)
     assert np.all(spec.residuals <= es.DEFAULT_TOL)
@@ -169,19 +171,21 @@ def test_separable_spectrum_is_complete(kind, extent, cells):
 
 def test_second_order_solves_never_factorize(monkeypatch):
     # 31^3 blocks of 29,791 to 35,937 dof are diagonalized axis by axis:
-    # no sparse factorization, no Lanczos, no eigh larger than one axis
+    # no sparse factorization, no Lanczos, no eigh (scipy's or numpy's)
+    # larger than one axis
     def forbidden(*args, **kwargs):
         raise AssertionError("sparse solver called on a second-order block")
 
-    real_eigh = es.sla.eigh
+    def axis_only(eigh):
+        def limited(a, *args, **kwargs):
+            assert a.shape[0] <= 33, f"eigh on {a.shape[0]} dof"
+            return eigh(a, *args, **kwargs)
+        return limited
 
-    def axis_eigh(a, *args, **kwargs):
-        assert a.shape[0] <= 33, f"eigh on {a.shape[0]} dof"
-        return real_eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(es.spla, "splu", forbidden)
-    monkeypatch.setattr(es.spla, "eigsh", forbidden)
-    monkeypatch.setattr(es.sla, "eigh", axis_eigh)
+    monkeypatch.setattr(spla, "splu", forbidden)
+    monkeypatch.setattr(spla, "eigsh", forbidden)
+    monkeypatch.setattr(sla, "eigh", axis_only(sla.eigh))
+    monkeypatch.setattr(np.linalg, "eigh", axis_only(np.linalg.eigh))
     dom = build_domain(3, [1.0] * 3, [31] * 3)
     one_d = [4.0 * 32.0 ** 2 * math.sin(k * math.pi / 64.0) ** 2 for k in (1, 2)]
     for kind, degree, first in ((ProblemKind.DIRICHLET_LAPLACE, 0, 3 * one_d[0]),
@@ -301,10 +305,10 @@ def test_fourth_order_solves_never_factorize(monkeypatch):
             return eigh(a, *args, **kwargs)
         return limited
 
-    monkeypatch.setattr(es.spla, "splu", forbidden)
-    monkeypatch.setattr(es.spla, "eigsh", forbidden)
-    monkeypatch.setattr(es.sla, "eigh", axis_only(es.sla.eigh))
-    monkeypatch.setattr(es.np.linalg, "eigh", axis_only(es.np.linalg.eigh))
+    monkeypatch.setattr(spla, "splu", forbidden)
+    monkeypatch.setattr(spla, "eigsh", forbidden)
+    monkeypatch.setattr(sla, "eigh", axis_only(sla.eigh))
+    monkeypatch.setattr(np.linalg, "eigh", axis_only(np.linalg.eigh))
     dom = build_domain(3, [1.0] * 3, [23] * 3)
     for kind, degree, first in ((ProblemKind.CLAMPED_PLATE, 0, 2322.2370363),
                                 (ProblemKind.BUCKLING, 1, 64.5236994)):
@@ -529,8 +533,70 @@ def test_rounding_term_bounds_the_error_of_the_computed_residual(kind):
                 (col, i)
 
 
+def _exact_kronecker_sum(factors):
+    """Entries {(i, j): value} of sum_k W_1 x ... x S_k x ... x W_n and of
+    W_1 x ... x W_n, formed exactly in rationals from the float factors."""
+    shape = tuple(w.size for _, w in factors)
+    a, b = {}, {}
+    for multi in itertools.product(*(range(c) for c in shape)):
+        row = int(np.ravel_multi_index(multi, shape))
+        weights = [Fraction(w[i]) for (_, w), i in zip(factors, multi)]
+        b[row, row] = math.prod(weights)
+        for k, (stiff, _) in enumerate(factors):
+            others = math.prod(weights[:k] + weights[k + 1:])
+            for col_k in np.flatnonzero(stiff[multi[k]]):
+                col = int(np.ravel_multi_index(multi[:k] + (col_k,) + multi[k + 1:], shape))
+                a[row, col] = a.get((row, col), 0) + others * Fraction(stiff[multi[k], col_k])
+    return a, b
+
+
+def _sparse_entries(matrix):
+    coo = matrix.tocoo()
+    return {(int(i), int(j)): Fraction(v) for v, i, j in zip(coo.data, coo.row, coo.col)}
+
+
+@pytest.mark.parametrize("extent,cells", [([1.0, 1.3], [9, 11]), ([1.0, 1.2, 0.9], [4, 5, 6])])
+@pytest.mark.parametrize("kind", [ProblemKind.DIRICHLET_LAPLACE, ProblemKind.ABSOLUTE_LAPLACE])
+def test_separable_rounding_term_bounds_the_error_of_the_computed_residual(kind, extent, cells):
+    # the separable route's matrix-free residual: |fl(r) - r| <= its rounding
+    # term componentwise, with r formed exactly in rational arithmetic both
+    # from the 1D factors and from the assembled sparse block (degree 1 mixes
+    # value and derivative axes in the absolute blocks)
+    dom = build_domain(len(cells), extent, cells)
+    for block in assemble(dom, 1, kind).blocks:
+        spec = es._separable_solve(block, 3, es.DEFAULT_TOL)
+        computed, _, rounding = es._separable_residual_vectors(
+            block.axis_factors, spec.values, spec.vectors)
+        for a, b in (_exact_kronecker_sum(block.axis_factors),
+                     (_sparse_entries(block.a), _sparse_entries(block.b))):
+            for col, theta in enumerate(spec.values):
+                x = [Fraction(v) for v in spec.vectors[:, col]]
+                exact = [Fraction(0)] * block.size
+                for entries, scale in ((a, Fraction(1)), (b, -Fraction(theta))):
+                    for (i, j), value in entries.items():
+                        exact[i] += scale * value * x[j]
+                for i in range(block.size):
+                    assert abs(Fraction(computed[i, col]) - exact[i]) \
+                        <= Fraction(rounding[i, col]), (block.component, col, i)
+
+
+@pytest.mark.parametrize("extent,cells", [([1.0, 1.3], [9, 11]), ([1.0, 1.2, 0.9], [23, 17, 29])])
+@pytest.mark.parametrize("kind", [ProblemKind.DIRICHLET_LAPLACE, ProblemKind.ABSOLUTE_LAPLACE])
+def test_separable_norms_match_the_assembled_block(kind, extent, cells):
+    # ||A||_1 from |A| 1 and ||B||_1 from diag(B), without the sparse block,
+    # equal the sparse block's largest absolute column sums (A up to the
+    # order of summation)
+    dom = build_domain(len(cells), extent, cells)
+    for p in range(dom.dim + 1):
+        for block in assemble(dom, p, kind).blocks:
+            norm_a, norm_b = es._separable_norms(block.axis_factors)
+            assert norm_a == pytest.approx(abs(block.a).sum(axis=0).max(), rel=1e-15)
+            assert norm_b == abs(block.b).sum(axis=0).max()
+
+
 def test_backward_error_flags_nan():
     # a NaN pair must fail certification, not slip past a `>` comparison
     eye = sp.identity(3, format="csr")
+    values, vectors = np.array([1.0]), np.full((3, 1), math.nan)
     with pytest.raises(NumericalFailure):
-        es._certified(np.array([1.0]), np.full((3, 1), math.nan), eye, eye, 1e-9)
+        es._certified(values, vectors, es._residuals(eye, eye, values, vectors), 1e-9)

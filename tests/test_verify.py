@@ -159,11 +159,8 @@ def test_removing_one_spectrum_never_drops_a_row(dim):
 
 
 def _bounds(q):
-    """Exact [value - tol, value + tol], widened by a few roundings of its
-    magnitude: the rule encloses its inputs' intervals, not the rounding of
-    the computed centre."""
-    width = Fraction(q.tol) + Fraction(1e-15) * (abs(Fraction(q.value)) + Fraction(q.tol))
-    return Fraction(q.value) - width, Fraction(q.value) + width
+    """Exact [value - tol, value + tol]."""
+    return Fraction(q.value) - Fraction(q.tol), Fraction(q.value) + Fraction(q.tol)
 
 
 def test_quantity_arithmetic_encloses_the_image_of_its_inputs():
