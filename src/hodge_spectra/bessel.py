@@ -210,14 +210,14 @@ def _first_zero_cross_cached(twice_order: int) -> float:
         return (_series(twice_order, x, signed=True) * _series(twice_order + 2, x, signed=False)
                 + _series(twice_order + 2, x, signed=True) * _series(twice_order, x, signed=False))
 
-    return _find_first_zero(cross, start=_SCAN_STEP, limit=a + _SCAN_SPAN)
+    return _find_first_zero(cross, start=max(a, _SCAN_STEP), limit=a + _SCAN_SPAN)
 
 
 def first_zero_cross(a: Union[BesselOrder, int, float]) -> float:
     """First positive zero k_{a,1} of J_a I_{a+1} + J_{a+1} I_a, tolerance 1e-10.
 
-    The cross function is positive as x -> 0+ (its leading series term is),
-    so the forward scan can start just above the origin.
+    The cross function is positive on (0, a] (k_{a,1} > j_{a,1} > a), so the
+    scan starts at a: nearer the origin it underflows to 0.0 for large a.
     """
     return _first_zero_cross_cached(BesselOrder.coerce(a).twice_order)
 

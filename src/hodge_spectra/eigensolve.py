@@ -11,9 +11,8 @@ its eigenvectors (Lynch, Rice & Thomas, Numer. Math. 6, 1964).  Every sum
 is taken, so no eigenvalue below the reported ones is missed, and the
 kernel (the constant mode, at absolute p = 0) is the known product of the
 1D kernel vectors, which is skipped rather than deflated.  The pairs are
-certified matrix-free, from the factors axis by axis; the rounding count
-of that residual is gamma_{4n+1} in n dimensions (see
-`_separable_residual_vectors`).
+certified from the 1D pencils alone: the error bound is the sum of
+per-axis bounds plus rounding terms (`_separable_certificate`).
 
 Structured (fourth order, in the measured region STRUCTURED_MIN_DOF).
 The clamped operator A = vol (sum_k T_k)^2 + sum_k D_k lies between the
@@ -44,7 +43,8 @@ floor that grows with the conditioning of the pencil.  Its error bound
 bound on the rounding made in forming r is added, so the bound encloses
 the eigenvalue in floating point.  It is free when B is diagonal;
 otherwise B^-1 comes from its per-axis factors (structured route) or one
-factorization per block (general route).
+factorization per block (general route).  Separable pairs bound both
+from their 1D pencils instead.
 
 A run with identical inputs and configuration is bitwise reproducible
 (fixed start vectors, deterministic merge order).
@@ -102,8 +102,9 @@ MULTIPLICITY_GAP = 1e-7
 class Spectrum:
     """Sorted smallest eigenvalues of one pencil with their certificates.
 
-    `residuals` holds each pair's normwise backward error, `error_bounds`
-    an absolute bound on the distance from each value to an eigenvalue.
+    `residuals` holds each pair's normwise backward error (an upper bound
+    on it for separable pairs), `error_bounds` an absolute bound on the
+    distance from each value to an eigenvalue.
     """
 
     kind: Optional[str]
@@ -312,23 +313,15 @@ def solve_pencil(a, b, m: int, tol: float = DEFAULT_TOL,
                       kind=kind, degree=degree)
 
 
-def _sum_grid(pairs) -> np.ndarray:
-    """All sums of per-axis eigenvalues, formed in axis order, as an n-D grid."""
-    grid = pairs[0][0]
-    for values, _ in pairs[1:]:
-        grid = np.add.outer(grid, values)
-    return grid
-
-
 def _smallest_sums(pairs, count: int, skip_first: bool = False, multiplet_limit: int = 0):
-    """The `count` smallest sums of per-axis eigenvalues and their Kronecker-product vectors.
+    """The `count` smallest sums of 1D eigenvalues, their Kronecker-product vectors and indices.
 
     Ties are broken by stable argsort of the flat grid; vectors are in the
     block's axis order (axis 1 slowest).  `skip_first` drops flat index 0,
     the all-lowest multi-index.  With `multiplet_limit`, count grows, up to
     that limit, until the next sum lies outside the last one's multiplet.
     """
-    grid = _sum_grid(pairs)
+    grid = functools.reduce(np.add.outer, [values for values, _ in pairs])   # in axis order
     order = np.argsort(grid, axis=None, kind="stable")
     if skip_first:
         order = order[order != 0]
@@ -338,11 +331,12 @@ def _smallest_sums(pairs, count: int, skip_first: bool = False, multiplet_limit:
                and ranked[count] <= ranked[count - 1] * (1.0 + MULTIPLICITY_GAP)):
             count += 1
     chosen = order[:count]
+    multi = np.unravel_index(chosen, grid.shape)
     vectors = np.empty((grid.size, chosen.size))
-    for col, multi in enumerate(zip(*np.unravel_index(chosen, grid.shape))):
+    for col, indices in enumerate(zip(*multi)):
         vectors[:, col] = functools.reduce(
-            np.kron, [axis_vectors[:, j] for (_, axis_vectors), j in zip(pairs, multi)])
-    return grid.ravel()[chosen], vectors
+            np.kron, [axis_vectors[:, j] for (_, axis_vectors), j in zip(pairs, indices)])
+    return grid.ravel()[chosen], vectors, multi
 
 
 def _along_axes(mats, x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -362,7 +356,7 @@ def _kron_sum_solver(pairs):
     1D eigenvector matrices (Lynch, Rice & Thomas, Numer. Math. 6, 1964):
     2n tensor contractions, O(N sum_k c_k) work per column.
     """
-    inverse_sums = 1.0 / _sum_grid(pairs).reshape(-1, 1)
+    inverse_sums = 1.0 / functools.reduce(np.add.outer, [vals for vals, _ in pairs]).reshape(-1, 1)
     shape = tuple(vectors.shape[0] for _, vectors in pairs)
     forward = [vectors.T for _, vectors in pairs]
     backward = [vectors for _, vectors in pairs]
@@ -373,94 +367,96 @@ def _kron_sum_solver(pairs):
     return solve
 
 
-def _outer_product(vectors) -> np.ndarray:
-    """v_1 x ... x v_n as a flat column, formed in axis order."""
-    return functools.reduce(np.multiply.outer, vectors).reshape(-1, 1)
+def _axis_pairs(factors) -> list[tuple[np.ndarray, np.ndarray]]:
+    """All eigenpairs of each 1D pencil (S_k, W_k), from the symmetric
+    W_k^-1/2 S_k W_k^-1/2: its eigenvectors times W_k^-1/2 are W_k-orthonormal."""
+    pairs = []
+    for stiff, weights in factors:
+        scale = 1.0 / np.sqrt(weights)
+        axis_values, axis_vectors = np.linalg.eigh(stiff * np.outer(scale, scale))
+        pairs.append((axis_values, axis_vectors * scale[:, None]))
+    return pairs
 
 
-def _kron_sum_product(factors, x: np.ndarray, absolute: bool = False) -> np.ndarray:
-    """(sum_k W_1 x ... x S_k x ... x W_n) x, axis by axis, for 1D pencils (S_k, w_k).
+def _axis_certificate(stiff, weights, values, vectors) -> np.ndarray:
+    """Per-axis certificate pieces of the 1D pairs (lambda, v) of (S, W), one column each.
 
-    With `absolute`, |S_k| replaces S_k, which gives |A| x exactly: the
-    terms share no off-diagonal entry, and on the diagonal every one is
-    positive.  Term k applies S_k along axis k (a dense product whose rows
-    have at most 3 nonzeros) and then scales by the product of the other
-    axes' weights, formed in axis order.
+    rho = S v - lambda W v is formed with |fl(rho) - rho| <= g = gamma_4
+    (|S||v| + |lambda| W|v|) (at most 3 nonzero terms, two products, one
+    subtraction; Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., sec. 3.5).  Rows: (||fl(rho)||_{W^-1} + ||g||_{W^-1}) / ||v||_W,
+    which bounds ||rho||_{W^-1} / ||v||_W; ||(|S||v|)||_{W^-1} / ||v||_W;
+    ||fl(rho)||_2 / ||Wv||_2; and ||Wv||_2 / ||v||_2.
     """
-    shape = tuple(w.size for _, w in factors)
-    total = 0.0
-    for k, (stiff, _) in enumerate(factors):
-        mats = [None] * len(factors)
-        mats[k] = np.abs(stiff) if absolute else stiff
-        others = _outer_product([np.ones(w.size) if j == k else w
-                                 for j, (_, w) in enumerate(factors)])
-        total = total + _along_axes(mats, x, shape) * others
-    return total
-
-
-def _separable_residual_vectors(factors, values, vectors) -> tuple[np.ndarray, np.ndarray,
-                                                                   np.ndarray]:
-    """Computed r = Ax - theta Bx, Bx, and a componentwise bound on r's rounding error,
-    for the Kronecker-sum pencil of the 1D factors, applied axis by axis.
-
-    In n dimensions each term of (Ax)_i carries at most 2n + 2 rounding
-    factors (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., sec. 3.5): 3 from its 1D dot product (at most 3 nonzero terms),
-    n - 1 from the weights of the other axes (n - 2 in forming their
-    product, 1 in scaling), n - 1 from the sum over axes, and 1 from the
-    subtraction; a term of theta (Bx)_i carries n + 2 <= 2n + 2.  So
-    |fl(r) - r| <= gamma_{2n+2} (|A||x| + |theta||B||x|), r formed exactly
-    from the factors.  The assembled sparse pencil (`ComponentBlock.a`, `.b`)
-    rounds each entry of the Kronecker sum through at most 2n - 2 factors
-    (n - 1 products and n - 1 sums), so its exact residual lies within
-    gamma_{2n-2} (|A||x| + |theta||B||x|) of r too.  One more factor covers
-    the rounding made in forming the bound itself, whose relative error is
-    O(n u) and enters only multiplied by gamma: the bound is
-    gamma_{4n+1} (|A||x| + |theta||B||x|) and encloses both residuals.
-    """
-    values = np.asarray(values, dtype=float)
-    mass = _outer_product([w for _, w in factors])
-    bx = mass * vectors
-    r = _kron_sum_product(factors, vectors) - bx * values
-    abs_x = np.abs(vectors)
-    rounding = _gamma(4 * len(factors) + 1) * (
-        _kron_sum_product(factors, abs_x, absolute=True) + (mass * abs_x) * np.abs(values))
-    return r, bx, rounding
+    w = weights[:, None]
+    wv = w * vectors
+    rho = stiff @ vectors - wv * values
+    abs_sv = np.abs(stiff) @ np.abs(vectors)
+    rounding = _gamma(4) * (abs_sv + w * np.abs(vectors) * np.abs(values))
+    rho_w, rounding_w, abs_sv_w = np.sqrt(np.sum(np.stack([rho, rounding, abs_sv]) ** 2 / w,
+                                                 axis=1))
+    norm_v = np.sqrt(np.sum(vectors * wv, axis=0))
+    norm_wv = np.linalg.norm(wv, axis=0)
+    return np.stack([(rho_w + rounding_w) / norm_v, abs_sv_w / norm_v,
+                     np.linalg.norm(rho, axis=0) / norm_wv,
+                     norm_wv / np.linalg.norm(vectors, axis=0)])
 
 
 def _separable_norms(factors) -> tuple[float, float]:
     """||A||_1 and ||B||_1 of the Kronecker-sum pencil: the largest entry of
-    |A| 1 (A is symmetric) and of B's diagonal."""
-    ones = np.ones((math.prod(w.size for _, w in factors), 1))
-    return (_kron_sum_product(factors, ones, absolute=True).max(),
-            _outer_product([w for _, w in factors]).max())
+    |A| 1 = sum_k w_1 x ... x |S_k| 1 x ... x w_n (A is symmetric), and the
+    product of the largest weights, which rounds as B's largest entry does."""
+    weights = [w for _, w in factors]
+    row_sums = sum(functools.reduce(np.multiply.outer,
+                                    weights[:k] + [np.abs(stiff).sum(axis=1)] + weights[k + 1:])
+                   for k, (stiff, _) in enumerate(factors))
+    return row_sums.max(), math.prod(w.max() for w in weights)
 
 
-def _separable_residuals(factors, values, vectors) -> tuple[np.ndarray, np.ndarray]:
-    """Backward errors and eigenvalue error bounds (see `_bounds`) of pairs of
-    the Kronecker-sum pencil of 1D factors, matrix-free; B is diagonal."""
-    mass = _outer_product([w for _, w in factors])
-    return _bounds(values, vectors, *_separable_residual_vectors(factors, values, vectors),
-                   *_separable_norms(factors), lambda v: v / mass)
+def _separable_certificate(factors, pairs, values, multi) -> tuple[np.ndarray, np.ndarray]:
+    """Backward errors and error bounds of the pairs (theta, x) of the Kronecker-sum
+    pencil (K, M) of 1D pencils (S_k, W_k), from the 1D pairs that `multi` indexes.
+
+    For x = v_1 x ... x v_n and theta = fl(sum_k lambda_k) in axis order,
+    Kx - theta Mx is the sum over k of rho_k (`_axis_certificate`) times
+    W_j v_j on the other axes, plus (sum_k lambda_k - theta) Mx.  The M^-1
+    norm of a Kronecker product is the product of the W_j^-1 norms, so the
+    error bound is at most the sum of the per-axis bounds plus gamma_{n-1}
+    sum_k |lambda_k|.  The assembled `block.a`, `block.b` round each entry of
+    K through at most 2n - 2 factors and of M through n - 1: that adds
+    gamma_{2n-2} (sum_k ||(|S_k||v_k|)||_{W_k^-1} / ||v_k||_{W_k} + |theta|)
+    and a factor (1 - gamma_{n-1})^-1.  The sum takes at most 2c + n + 19
+    roundings of nonnegative numbers (c the longest axis); one factor 1 +
+    gamma_{2c+2n+24} covers them, that factor and its own.  The backward
+    error bounds ||Kx - theta Mx||_2 by sum_k ||rho_k||_2 prod_{j != k}
+    ||W_j v_j||_2 + |sum_k lambda_k - theta| ||Mx||_2.
+    """
+    n = len(factors)
+    bound, assembly, rho, scale = np.stack(
+        [_axis_certificate(stiff, weights, *pair)[:, index]
+         for (stiff, weights), pair, index in zip(factors, pairs, multi)], axis=1)
+    theta_rounding = _gamma(n - 1) * np.sum(np.abs(np.stack(
+        [axis_values[index] for (axis_values, _), index in zip(pairs, multi)])), axis=0)
+    theta = np.abs(values)
+    norm_a, norm_b = _separable_norms(factors)
+    eta = ((np.sum(rho, axis=0) + theta_rounding) * np.prod(scale, axis=0)
+           / (norm_a + theta * norm_b))
+    delta = (np.sum(bound, axis=0) + theta_rounding
+             + _gamma(2 * n - 2) * (np.sum(assembly, axis=0) + theta))
+    return eta, delta * (1.0 + _gamma(2 * max(w.size for _, w in factors) + 2 * n + 24))
 
 
 def _separable_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     """m smallest eigenpairs of a Kronecker-sum block from its 1D pencils.
 
-    Axis k's pencil S_k v = lambda W_k v is diagonalized as the symmetric
-    W_k^-1/2 S_k W_k^-1/2, whose eigenvectors scaled back by W_k^-1/2 are
-    W_k-orthonormal; the block's eigenvalues are all sums lambda_{j_1} +
-    ... + lambda_{j_n} and its eigenvectors the matching Kronecker
-    products.  With a kernel, the product of the 1D constants is skipped.
-    The pairs are certified matrix-free (`_separable_residual_vectors`).
+    The block's eigenvalues are all sums lambda_{j_1} + ... + lambda_{j_n}
+    of 1D eigenvalues and its eigenvectors the matching Kronecker products;
+    with a kernel, the product of the 1D constants is skipped.
     """
-    pairs = []
-    for stiff, weights in block.axis_factors:
-        scale = 1.0 / np.sqrt(weights)
-        axis_values, axis_vectors = np.linalg.eigh(stiff * np.outer(scale, scale))
-        pairs.append((axis_values, axis_vectors * scale[:, None]))
-    values, vectors = _smallest_sums(pairs, m, skip_first=bool(block.kernel_dim))
-    return _certified(values, vectors, _separable_residuals(block.axis_factors, values, vectors),
+    pairs = _axis_pairs(block.axis_factors)
+    values, vectors, multi = _smallest_sums(pairs, m, skip_first=bool(block.kernel_dim))
+    return _certified(values, vectors,
+                      _separable_certificate(block.axis_factors, pairs, values, multi),
                       tol, kernel_dim=block.kernel_dim)
 
 
@@ -554,8 +550,8 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     buckling, is applied like Q^-1.
     """
     q_pairs = [np.linalg.eigh(q) for q, _ in block.axis_operators]
-    _, span = _smallest_sums(q_pairs, START_SPAN * (m + GUARD),
-                             multiplet_limit=block.size // 2)
+    _, span, _ = _smallest_sums(q_pairs, START_SPAN * (m + GUARD),
+                                multiplet_limit=block.size // 2)
     rng = np.random.default_rng(_SEED)
     span = np.hstack([span, rng.standard_normal((block.size, RANDOM_COLUMNS))])
     b_solve = None

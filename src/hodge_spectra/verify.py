@@ -493,6 +493,13 @@ def box_battery(domain: BoxDomain, degrees: Sequence[int], m: int = 4,
     degrees = sorted(set(int(p) for p in degrees))
     if any(not 0 <= p <= domain.dim for p in degrees):
         raise ValueError(f"degrees must lie in [0, {domain.dim}], got {degrees}")
+    cells = domain.cells[0]
+    ladder = ((cells + 1) // 4 - 1, (cells + 1) // 2 - 1, cells)
+    if with_error_estimates and (any(c != cells for c in domain.cells) or (cells + 1) % 4
+                                 or ladder[0] < 3):
+        raise ValueError(
+            f"error estimates need a cubic grid with --cells c >= 15 and c + 1 divisible by 4 "
+            f"(the ladder {ladder} needs 3 cells at its coarsest); got {domain.cells}")
     cache = {} if cache is None else cache
     spectra = SpectrumSet(dim=domain.dim)
     absolute_degrees = sorted(set(degrees) | {domain.dim - p for p in degrees})
@@ -504,11 +511,6 @@ def box_battery(domain: BoxDomain, degrees: Sequence[int], m: int = 4,
         spectra.add(solve_problem(assemble(domain, p, ProblemKind.ABSOLUTE_LAPLACE),
                                   m=m, tol=tol, cache=cache))
     if with_error_estimates:
-        cells = domain.cells[0]
-        uniform = all(c == cells for c in domain.cells)
-        if not uniform or (cells + 1) % 4:
-            raise ValueError("error estimates need a cubic grid with cells + 1 divisible by 4")
-        ladder = ((cells + 1) // 4 - 1, (cells + 1) // 2 - 1, cells)
         for (kind_value, p) in list(spectra.spectra):
             study = convergence_study(domain.dim, domain.extent, ProblemKind(kind_value),
                                       p, ladder, tol=tol, m=m, cache=cache)

@@ -195,6 +195,10 @@ def test_first_zero_j_three_halves_solves_tan_x_eq_x():
 def test_first_zero_cross_values():
     assert first_zero_cross(0) == pytest.approx(CROSS0_FIRST_ZERO, abs=1e-5)
     assert first_zero_cross(0.5) == pytest.approx(TAN_TANH_ROOT, abs=1e-5)
+    # at large orders the cross function underflows near the origin; the
+    # zero still lies between j_{a,1} and j_{a+1,1}
+    assert first_zero_j(80) < first_zero_cross(80) < first_zero_j(81)
+    assert first_zero_cross(80) == pytest.approx(88.9539, abs=1e-4)
 
 
 def test_cross_function_positive_near_origin():

@@ -34,6 +34,13 @@ def test_ball_command_writes_chain_report(tmp_path):
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
+def test_ball_command_holds_at_high_dimension(tmp_path):
+    # order n/2 - 1 >= 60.5 once the cross function underflows at the origin
+    code, path = run_to_file(tmp_path, "ball.json", ["ball", "--dim", "150", "--radius", "1"])
+    assert code == 0
+    assert all(c["status"] == "pass" for c in json.loads(path.read_text())["checks"])
+
+
 def test_constants_command(tmp_path):
     code, path = run_to_file(
         tmp_path, "const.json",
@@ -152,7 +159,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     # radii whose ball eigenvalues overflow or whose square underflows
     for radius in ("1e-100", "1e-300"):
         assert run(["ball", "--dim", "2", "--radius", radius]) == 1, radius
+    # a grid too coarse for the error-estimate ladder is rejected as such,
+    # not by the coarsest grid of the ladder
     capsys.readouterr()
+    assert run(["verify", "--dim", "2", "--extent", "1,1", "--cells", "7,7",
+                "--degrees", "0", "--error-estimates"]) == 1
+    message = capsys.readouterr().err
+    assert "--cells" in message and "(1, 3, 7)" in message
 
 
 def test_numerical_failure_exit_two_with_partial_report(tmp_path, capsys):
@@ -224,13 +237,16 @@ def test_readme_commands_parse():
         _build_parser().parse_args(argv[1:])
 
 
-def test_module_invocation_honors_thread_cap(tmp_path):
-    import os
-    import subprocess
-    import sys
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that runs this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, HODGE_SPECTRA_THREADS="1",
+                PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
+
+def test_module_invocation_honors_thread_cap(tmp_path):
     out = tmp_path / "threads.json"
-    env = dict(os.environ, HODGE_SPECTRA_THREADS="1")
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "hodge_spectra", "ball", "--dim", "3",
          "--out", str(out)],
@@ -282,9 +298,7 @@ def test_general_route_loads_scipy_when_it_runs(tmp_path):
 
 
 def _scipy_modules_loaded(tmp_path, argv) -> set:
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, HODGE_SPECTRA_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = _child_env()
     out = ["--out", str(tmp_path / "report")] if argv else []
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv, *out],
                           env=env, capture_output=True, text=True, timeout=300)

@@ -478,7 +478,11 @@ def _exact_rayleigh_quotient(a, b, x) -> Fraction:
     return Fraction(form(a), form(b))
 
 
-@pytest.mark.parametrize("extent,cells", [([1.0, 1.7], [9, 11]), ([1.0, 1.2, 0.9], [4, 5, 6])])
+@pytest.mark.parametrize("extent,cells", [
+    ([1.3], [23]),
+    ([1.0, 1.7], [9, 11]),
+    ([1.0, 1.2, 0.9], [4, 5, 6]),
+])
 @pytest.mark.parametrize("kind", list(ProblemKind))
 def test_error_bounds_cover_the_eigenvalues(kind, extent, cells):
     # theta_i lies within error_bounds[i] of the i-th eigenvalue of the full
@@ -557,27 +561,30 @@ def _sparse_entries(matrix):
 
 @pytest.mark.parametrize("extent,cells", [([1.0, 1.3], [9, 11]), ([1.0, 1.2, 0.9], [4, 5, 6])])
 @pytest.mark.parametrize("kind", [ProblemKind.DIRICHLET_LAPLACE, ProblemKind.ABSOLUTE_LAPLACE])
-def test_separable_rounding_term_bounds_the_error_of_the_computed_residual(kind, extent, cells):
-    # the separable route's matrix-free residual: |fl(r) - r| <= its rounding
-    # term componentwise, with r formed exactly in rational arithmetic both
-    # from the 1D factors and from the assembled sparse block (degree 1 mixes
-    # value and derivative axes in the absolute blocks)
+def test_separable_error_bound_covers_the_exact_residual(kind, extent, cells):
+    # each bound is at least ||Ax - theta Bx||_{B^-1} / ||x||_B, formed exactly
+    # in rational arithmetic for x the exact Kronecker product of the 1D
+    # vectors, both for the Kronecker sum of the 1D factors and for the
+    # assembled sparse block (degree 1 mixes value and derivative axes in
+    # the absolute blocks)
     dom = build_domain(len(cells), extent, cells)
     for block in assemble(dom, 1, kind).blocks:
         spec = es._separable_solve(block, 3, es.DEFAULT_TOL)
-        computed, _, rounding = es._separable_residual_vectors(
-            block.axis_factors, spec.values, spec.vectors)
-        for a, b in (_exact_kronecker_sum(block.axis_factors),
-                     (_sparse_entries(block.a), _sparse_entries(block.b))):
-            for col, theta in enumerate(spec.values):
-                x = [Fraction(v) for v in spec.vectors[:, col]]
-                exact = [Fraction(0)] * block.size
+        pairs = es._axis_pairs(block.axis_factors)
+        _, _, multi = es._smallest_sums(pairs, 3, skip_first=bool(block.kernel_dim))
+        for col, (theta, bound) in enumerate(zip(spec.values, spec.error_bounds)):
+            axis_x = [[Fraction(v) for v in axis_vectors[:, index[col]]]
+                      for (_, axis_vectors), index in zip(pairs, multi)]
+            x = [math.prod(entries) for entries in itertools.product(*axis_x)]
+            for a, b in (_exact_kronecker_sum(block.axis_factors),
+                         (_sparse_entries(block.a), _sparse_entries(block.b))):
+                r = [Fraction(0)] * block.size
                 for entries, scale in ((a, Fraction(1)), (b, -Fraction(theta))):
                     for (i, j), value in entries.items():
-                        exact[i] += scale * value * x[j]
-                for i in range(block.size):
-                    assert abs(Fraction(computed[i, col]) - exact[i]) \
-                        <= Fraction(rounding[i, col]), (block.component, col, i)
+                        r[i] += scale * value * x[j]
+                r_norm_sq = sum(r[i] ** 2 / b[i, i] for i in range(block.size))
+                x_norm_sq = sum(b[i, i] * x[i] ** 2 for i in range(block.size))
+                assert r_norm_sq <= Fraction(bound) ** 2 * x_norm_sq, (block.component, col)
 
 
 @pytest.mark.parametrize("extent,cells", [([1.0, 1.3], [9, 11]), ([1.0, 1.2, 0.9], [23, 17, 29])])
