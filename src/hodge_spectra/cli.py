@@ -266,12 +266,7 @@ def _cmd_box(cfg: RunConfig, report: dict) -> None:
 
 def _cmd_verify(cfg: RunConfig, report: dict) -> None:
     domain = build_domain(cfg.dim, cfg.extent, cfg.cells)
-    spectra, battery = box_battery(domain, cfg.degrees, m=cfg.count, tol=cfg.tol,
-                                   with_error_estimates=cfg.error_estimates)
-    report["spectra"] = [_spectrum_entry(spectra.spectra[key])
-                         for key in sorted(spectra.spectra)]
-    report["checks"] = [_check_entry(c) for c in battery.checks]
-    constants = {}
+    constants = {}   # evaluated first, so a bad gamma fails before any solve
     for p in range(1, cfg.dim // 2 + 1):
         bundle = evaluate_constants(cfg.dim, p, cfg.gamma)
         constants[f"p={p}"] = {
@@ -282,6 +277,11 @@ def _cmd_verify(cfg: RunConfig, report: dict) -> None:
         }
     if cfg.dim % 2 == 0:
         constants["halfdegree_identity_gap"] = halfdegree_identity_gap(cfg.dim)
+    spectra, battery = box_battery(domain, cfg.degrees, m=cfg.count, tol=cfg.tol,
+                                   with_error_estimates=cfg.error_estimates)
+    report["spectra"] = [_spectrum_entry(spectra.spectra[key])
+                         for key in sorted(spectra.spectra)]
+    report["checks"] = [_check_entry(c) for c in battery.checks]
     report["constants"] = constants
 
 

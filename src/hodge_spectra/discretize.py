@@ -10,9 +10,10 @@ value eliminates its boundary nodes, a face whose condition fixes the
 normal derivative keeps them and closes the stencil by ghost reflection
 (ghost value = mirror interior value, the centered derivative = 0 rule).
 
-Second-order blocks are kept as their dense 1D factors, with numpy alone;
-scipy.sparse is imported only where a sparse matrix is built: fourth-order
-blocks, and the sparse form of a second-order block on first access.
+`assemble` keeps every block as its dense per-axis factors and its grid,
+with numpy alone.  A block's sparse matrices (for fourth order, the Gram
+form a = L^T M~ L of the evaluation-grid Laplacian) are built on first
+access, and scipy.sparse is imported only then.
 """
 
 from __future__ import annotations
@@ -108,12 +109,6 @@ def build_domain(dim: int, extent: Sequence[float], cells: Sequence[int]) -> Box
     """Validated BoxDomain with spacing h_k = extent_k / (cells_k + 1)."""
     extent_t = tuple(float(e) for e in extent)
     cells_t = tuple(int(c) for c in cells)
-    if dim not in (1, 2, 3):
-        raise ValueError(f"dim must be in {{1,2,3}}, got {dim}")
-    if len(extent_t) != dim or len(cells_t) != dim:
-        raise ValueError(
-            f"extent and cells must each have {dim} entries, got {extent!r}, {cells!r}"
-        )
     spacing = tuple(e / (c + 1) for e, c in zip(extent_t, cells_t))
     return BoxDomain(dim=dim, extent=extent_t, cells=cells_t, spacing=spacing)
 
@@ -205,6 +200,15 @@ def _kron_chain(mats: Iterable[sp.spmatrix]) -> sp.csr_matrix:
     return out.tocsr()
 
 
+def _kron_sum(mats: Sequence[np.ndarray], others: Sequence[sp.spmatrix]) -> sp.csr_matrix:
+    """sum_k others[0] x ... x mats[k] x ... x others[-1], for dense mats[k]."""
+    import scipy.sparse as sp
+
+    terms = [_kron_chain([sp.csr_matrix(mat) if j == k else other
+                          for j, other in enumerate(others)]) for k, mat in enumerate(mats)]
+    return sum(terms[1:], terms[0])
+
+
 def _symmetrize(a: sp.spmatrix) -> sp.csr_matrix:
     out = ((a + a.T) * 0.5).tocsr()
     out.sum_duplicates()
@@ -212,105 +216,96 @@ def _symmetrize(a: sp.spmatrix) -> sp.csr_matrix:
     return out
 
 
-def _second_difference(cells: int, h: float) -> sp.csr_matrix:
-    """1D Dirichlet second difference T = tridiag(-1, 2, -1) / h^2."""
-    import scipy.sparse as sp
-
-    main = np.full(cells, 2.0 / h ** 2)
+def _second_difference(cells: int, h: float) -> np.ndarray:
+    """1D Dirichlet second difference T = tridiag(-1, 2, -1) / h^2, dense."""
     off = np.full(cells - 1, -1.0 / h ** 2)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+    return np.diag(np.full(cells, 2.0 / h ** 2)) + np.diag(off, -1) + np.diag(off, 1)
 
 
-def _interior_laplacian(domain: BoxDomain) -> sp.csr_matrix:
-    """Standard (2n+1)-point Laplacian on interior nodes, value-zero faces."""
-    import scipy.sparse as sp
+def _gram_factors(domain: BoxDomain) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Evaluation-grid Laplacian L and its quadrature weights M~, so that a = L^T M~ L.
 
-    mats = []
-    eyes = [sp.identity(c, format="csr") for c in domain.cells]
-    for k, (c, h) in enumerate(zip(domain.cells, domain.spacing)):
-        second = _second_difference(c, h)
-        factors = [second if j == k else eyes[j] for j in range(domain.dim)]
-        mats.append(_kron_chain(factors))
-    out = mats[0]
-    for m in mats[1:]:
-        out = out + m
-    return out.tocsr()
-
-
-def _face_rows(domain: BoxDomain) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Laplacian evaluation rows on face-interior boundary nodes for clamped data.
-
-    With value zero on the whole face and ghost reflection for the normal
-    derivative, the Laplacian at a boundary node interior to the face with
-    normal e_k reduces to -2 u(adjacent interior node) / h_k^2; nodes lying
-    on two or more faces contribute nothing.  Row weights carry the halved
-    trapezoidal quadrature in the normal direction.
+    The first rows are the standard (2n+1)-point Laplacian on the interior
+    nodes, with full cell-volume weight.  Then come the face rows, axis by
+    axis, first face before last: with value zero on the whole face and
+    ghost reflection for the normal derivative, the Laplacian at a boundary
+    node interior to the face with normal e_k reduces to -2 u(adjacent
+    interior node) / h_k^2 (nodes on two or more faces contribute nothing),
+    with the trapezoidal weight halved in the normal direction.
     """
     import scipy.sparse as sp
 
-    n_int = domain.interior_count
-    flat = np.arange(n_int).reshape(domain.cells)
-    rows, cols, vals, weights = [], [], [], []
-    volume = domain.cell_volume
-    row = 0
-    for k in range(domain.dim):
-        h = domain.spacing[k]
+    interior = _kron_sum([_second_difference(c, h) for c, h in zip(domain.cells, domain.spacing)],
+                         [sp.identity(c, format="csr") for c in domain.cells])
+    flat = np.arange(domain.interior_count).reshape(domain.cells)
+    cols, vals = [], []
+    for k, h in enumerate(domain.spacing):
         for layer in (0, domain.cells[k] - 1):
-            adjacent = np.take(flat, layer, axis=k).ravel()
-            for col in adjacent:
-                rows.append(row)
-                cols.append(int(col))
-                vals.append(-2.0 / h ** 2)
-                weights.append(volume / 2.0)
-                row += 1
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(row, n_int))
-    return mat, np.asarray(weights)
+            cols.append(np.take(flat, layer, axis=k).ravel())
+            vals.append(np.full(cols[-1].size, -2.0 / h ** 2))
+    cols = np.concatenate(cols)
+    face = sp.csr_matrix((np.concatenate(vals), cols, np.arange(cols.size + 1)),
+                         shape=(cols.size, domain.interior_count))
+    weights = np.concatenate([np.full(domain.interior_count, domain.cell_volume),
+                              np.full(cols.size, domain.cell_volume / 2.0)])
+    return sp.vstack([interior, face], format="csr"), weights
 
 
 @dataclass(frozen=True)
 class ComponentBlock:
     """One scalar diagonal block of an assembled p-form problem.
 
-    Its sparse pencil (`a`, `b`) is assembled with a fourth-order block; a
-    second-order block builds it from its 1D factors on first access, since
-    only the general solver and the tests read it.
+    A block keeps its per-axis factors and its grid; its sparse pencil
+    (`a`, `b`), and for fourth order the evaluation-grid Laplacian and its
+    quadrature weights, are built on first access, since only the general
+    solver, the structured solve and the tests read them.
     """
 
     component: ComponentIndex
     offset: int
     size: int
     signature: tuple
-    laplacian: Optional[sp.csr_matrix] = None   # evaluation-grid Laplacian (fourth order)
-    eval_weights: Optional[np.ndarray] = None   # quadrature weights of its rows
+    domain: BoxDomain
     # second order: per-axis dense 1D pencils (S_k, w_k) whose Kronecker sum is (a, b)
     axis_factors: Optional[tuple[tuple[np.ndarray, np.ndarray], ...]] = None
     # fourth order: per-axis dense (q_k, b_k); Q = sum_k I x q_k x I has
     # Q <= a <= n Q, and b = sum_k I x b_k x I unless b is diagonal (b_k None)
     axis_operators: Optional[tuple[tuple[np.ndarray, Optional[np.ndarray]], ...]] = None
     kernel_dim: int = 0                         # dimension of the kernel of a
-    pencil: Optional[tuple[sp.csr_matrix, sp.csr_matrix]] = None   # fourth order: (a, b)
+
+    @functools.cached_property
+    def _gram(self) -> tuple[Optional[sp.csr_matrix], Optional[np.ndarray]]:
+        return (None, None) if self.axis_operators is None else _gram_factors(self.domain)
+
+    @property
+    def laplacian(self) -> Optional[sp.csr_matrix]:
+        """Evaluation-grid Laplacian L of a fourth-order block, a = L^T M~ L."""
+        return self._gram[0]
+
+    @property
+    def eval_weights(self) -> Optional[np.ndarray]:
+        """Quadrature weights M~ of the rows of L."""
+        return self._gram[1]
 
     @functools.cached_property
     def a(self) -> sp.csr_matrix:
-        if self.pencil is not None:
-            return self.pencil[0]
         import scipy.sparse as sp
 
-        factors = self.axis_factors
-        masses = [sp.diags(w, format="csr") for _, w in factors]
-        stiff = sp.csr_matrix((self.size, self.size))
-        for k, (s_k, _) in enumerate(factors):
-            stiff = stiff + _kron_chain(
-                [sp.csr_matrix(s_k) if j == k else masses[j] for j in range(len(factors))])
-        return _symmetrize(stiff)
+        if self.axis_operators is not None:
+            return _symmetrize(self.laplacian.T @ sp.diags(self.eval_weights) @ self.laplacian)
+        return _symmetrize(_kron_sum([s_k for s_k, _ in self.axis_factors],
+                                     [sp.diags(w, format="csr") for _, w in self.axis_factors]))
 
     @functools.cached_property
     def b(self) -> sp.csr_matrix:
-        if self.pencil is not None:
-            return self.pencil[1]
         import scipy.sparse as sp
 
-        return _kron_chain([sp.diags(w, format="csr") for _, w in self.axis_factors])
+        if self.axis_operators is None:
+            return _kron_chain([sp.diags(w, format="csr") for _, w in self.axis_factors])
+        volume = self.domain.cell_volume
+        if self.axis_operators[0][1] is None:   # clamped plate: the mass matrix
+            return (sp.identity(self.size, format="csr") * volume).tocsr()
+        return _symmetrize(self.laplacian[:self.size] * volume)   # buckling: the stiffness
 
 
 @dataclass(frozen=True)
@@ -349,34 +344,21 @@ def _fourth_order_block(domain: BoxDomain, kind: ProblemKind,
     rows).  Dropping the cross terms 2 vol T_j x T_k, which are positive
     semidefinite, leaves Q = sum_k I x q_k x I with q_k = vol T_k^2 plus
     2 vol / h_k^4 at both ends of the diagonal, so Q <= a <= n Q for every h.
+    Clamped plate pairs a with vol I, buckling with vol sum_k T_k.
     """
-    import scipy.sparse as sp
-
-    interior = _interior_laplacian(domain)
-    face, face_w = _face_rows(domain)
-    lap = sp.vstack([interior, face], format="csr")
-    weights = np.concatenate([np.full(domain.interior_count, domain.cell_volume), face_w])
-    a = _symmetrize(lap.T @ sp.diags(weights) @ lap)
-    if kind is ProblemKind.CLAMPED_PLATE:
-        b = (sp.identity(domain.interior_count, format="csr") * domain.cell_volume).tocsr()
-        b_tag = "mass"
-    else:
-        b = _symmetrize(interior * domain.cell_volume)
-        b_tag = "stiffness"
+    mass = kind is ProblemKind.CLAMPED_PLATE
     volume = domain.cell_volume
     axes = []
     for c, h in zip(domain.cells, domain.spacing):
-        second = _second_difference(c, h).toarray()
+        second = _second_difference(c, h)
         q = volume * (second @ second)
         q[0, 0] += 2.0 * volume / h ** 4
         q[-1, -1] += 2.0 * volume / h ** 4
-        axes.append((q, None if b_tag == "mass" else volume * second))
+        axes.append((q, None if mass else volume * second))
     return {
         "size": domain.interior_count,
-        "pencil": (a, b),
-        "laplacian": lap,
-        "eval_weights": weights,
-        "signature": ("biharmonic", b_tag, domain.key, conds),
+        "signature": ("biharmonic", "mass" if mass else "stiffness", domain.key, conds),
+        "domain": domain,
         "axis_operators": tuple(axes),
     }
 
@@ -393,6 +375,7 @@ def _second_order_block(domain: BoxDomain, conds: tuple[FaceCondition, ...]) -> 
     return {
         "size": math.prod(w.size for _, w in axes),
         "signature": ("laplacian", "mass", domain.key, conds),
+        "domain": domain,
         "axis_factors": axes,
         "kernel_dim": int(all(c is FaceCondition.DERIVATIVE for c in conds)),
     }
@@ -404,21 +387,20 @@ def assemble(domain: BoxDomain, degree: int, kind: ProblemKind) -> FormProblem:
     Clamped plate: A = L^T M~ L against the mass matrix.  Buckling: the same
     A against the Dirichlet stiffness K.  Dirichlet / absolute Laplacian:
     K against the (trapezoidal) mass, with per-component face conditions.
-    Components with the same per-axis conditions share one block.
+    Only the per-axis factors are built here (see `ComponentBlock`).
+    Components with the same per-axis conditions share a block signature,
+    so `solve_problem` solves their block once.
     """
     kind = ProblemKind(kind)
     n = domain.dim
     if not 0 <= degree <= n:
         raise ValueError(f"degree must satisfy 0 <= p <= {n}, got {degree}")
-    cache: dict[tuple, dict] = {}
     blocks: list[ComponentBlock] = []
     offset = 0
     for comp in ComponentIndex.all_for(n, degree):
         conds = component_conditions(domain, comp, kind)
-        if conds not in cache:
-            cache[conds] = (_fourth_order_block(domain, kind, conds) if kind.is_fourth_order
-                            else _second_order_block(domain, conds))
-        built = cache[conds]
+        built = (_fourth_order_block(domain, kind, conds) if kind.is_fourth_order
+                 else _second_order_block(domain, conds))
         blocks.append(ComponentBlock(component=comp, offset=offset, **built))
         offset += built["size"]
     return FormProblem(

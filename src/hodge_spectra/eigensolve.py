@@ -320,8 +320,12 @@ def _smallest_sums(pairs, count: int, skip_first: bool = False, multiplet_limit:
     block's axis order (axis 1 slowest).  `skip_first` drops flat index 0,
     the all-lowest multi-index.  With `multiplet_limit`, count grows, up to
     that limit, until the next sum lies outside the last one's multiplet.
+    The grid holds each axis's first `cap` values only: the 1D values ascend,
+    so an index past the cap comes after at least cap others in (value, flat
+    index) order, and the order of the rest is unchanged.
     """
-    grid = functools.reduce(np.add.outer, [values for values, _ in pairs])   # in axis order
+    cap = max(count, multiplet_limit + 1) + skip_first
+    grid = functools.reduce(np.add.outer, [values[:cap] for values, _ in pairs])   # in axis order
     order = np.argsort(grid, axis=None, kind="stable")
     if skip_first:
         order = order[order != 0]
@@ -332,7 +336,7 @@ def _smallest_sums(pairs, count: int, skip_first: bool = False, multiplet_limit:
             count += 1
     chosen = order[:count]
     multi = np.unravel_index(chosen, grid.shape)
-    vectors = np.empty((grid.size, chosen.size))
+    vectors = np.empty((math.prod(v.shape[0] for _, v in pairs), chosen.size))
     for col, indices in enumerate(zip(*multi)):
         vectors[:, col] = functools.reduce(
             np.kron, [axis_vectors[:, j] for (_, axis_vectors), j in zip(pairs, indices)])
@@ -369,12 +373,19 @@ def _kron_sum_solver(pairs):
 
 def _axis_pairs(factors) -> list[tuple[np.ndarray, np.ndarray]]:
     """All eigenpairs of each 1D pencil (S_k, W_k), from the symmetric
-    W_k^-1/2 S_k W_k^-1/2: its eigenvectors times W_k^-1/2 are W_k-orthonormal."""
+    W_k^-1/2 S_k W_k^-1/2: its eigenvectors times W_k^-1/2 are W_k-orthonormal.
+    Where the rows of S_k sum to exactly 0 (derivative faces), the lowest pair is
+    exactly (0, 1 / sqrt(sum w_k)); eigh's value, of order u ||S_k||, would swamp
+    the other axes' values in the sums at small h_k."""
     pairs = []
     for stiff, weights in factors:
         scale = 1.0 / np.sqrt(weights)
         axis_values, axis_vectors = np.linalg.eigh(stiff * np.outer(scale, scale))
-        pairs.append((axis_values, axis_vectors * scale[:, None]))
+        axis_vectors *= scale[:, None]
+        if not np.any(stiff.sum(axis=1)):
+            axis_values[0] = 0.0
+            axis_vectors[:, 0] = 1.0 / math.sqrt(weights.sum())
+        pairs.append((axis_values, axis_vectors))
     return pairs
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 import scipy.sparse.linalg as spla
 
+import hodge_spectra.cli as cli
 from hodge_spectra.cli import _build_parser, run
 
 
@@ -133,7 +134,7 @@ def test_fine_clamped_plate_convergence_ladder(tmp_path):
     assert study["extrapolated"] == pytest.approx(1294.934, rel=5e-3)
 
 
-def test_usage_errors_exit_one(tmp_path, capsys):
+def test_usage_errors_exit_one(tmp_path, capsys, monkeypatch):
     assert run(["box", "--dim", "2"]) == 1
     assert run(["nonsense"]) == 1
     # downstream contract violations surface as usage errors too
@@ -156,6 +157,17 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run(["constants", "--dim", "4", "--degree", "2", "--gamma", "inf"]) == 1
     assert run(["verify", "--dim", "2", "--extent", "1,1", "--cells", "5,5",
                 "--degrees", "1", "--gamma", "inf"]) == 1
+    # nor can a gamma whose bounds overflow or underflow; verify rejects it
+    # before it solves anything
+    def no_battery(*args, **kwargs):
+        raise AssertionError("verify solved before checking gamma")
+
+    monkeypatch.setattr(cli, "box_battery", no_battery)
+    for gamma in ("1e160", "1e200", "1e-200"):
+        assert run(["constants", "--dim", "3", "--degree", "1", "--gamma", gamma]) == 1, gamma
+        assert run(["verify", "--dim", "2", "--extent", "1,1", "--cells", "5,5",
+                    "--degrees", "1", "--gamma", gamma]) == 1, gamma
+    monkeypatch.undo()
     # radii whose ball eigenvalues overflow or whose square underflows
     for radius in ("1e-100", "1e-300"):
         assert run(["ball", "--dim", "2", "--radius", radius]) == 1, radius
@@ -166,6 +178,16 @@ def test_usage_errors_exit_one(tmp_path, capsys):
                 "--degrees", "0", "--error-estimates"]) == 1
     message = capsys.readouterr().err
     assert "--cells" in message and "(1, 3, 7)" in message
+
+
+def test_error_estimates_on_a_ladder_whose_coarsest_grid_holds_few_values(tmp_path):
+    # the 3-cell level of the 1D ladder (3, 7, 15) has 3 Dirichlet values,
+    # fewer than --count; only its first is read
+    code, path = run_to_file(tmp_path, "ladder.json",
+                             ["verify", "--dim", "1", "--extent", "1", "--cells", "15",
+                              "--degrees", "0,1", "--error-estimates"])
+    assert code == 0
+    assert json.loads(path.read_text())["meta"]["status"] == "ok"
 
 
 def test_numerical_failure_exit_two_with_partial_report(tmp_path, capsys):

@@ -6,11 +6,13 @@ depend on the package's own eigensolver.
 
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import hodge_spectra.discretize as discretize
 from hodge_spectra.discretize import (
     ComponentBlock,
     ComponentIndex,
@@ -191,6 +193,59 @@ def test_integration_by_parts_identity():
         lhs = x @ (blk.a @ y)
         rhs = (blk.laplacian @ x) @ ((blk.laplacian @ y) * blk.eval_weights)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def test_assemble_builds_no_sparse_matrix(monkeypatch):
+    # every kind keeps only its per-axis factors; scipy.sparse is loaded on
+    # first access to a block's matrices, not before
+    dom = build_domain(3, [1.0, 1.1, 0.9], [4, 5, 6])
+    with monkeypatch.context() as patch:
+        patch.setitem(sys.modules, "scipy.sparse", None)
+        problems = [assemble(dom, p, kind) for kind in ProblemKind for p in range(4)]
+    for prob in problems:
+        for blk in prob.blocks:
+            assert not {"_gram", "a", "b"} & set(vars(blk))
+    assert problems[0].blocks[0].a.shape == (120, 120)
+
+
+def test_gram_forms_are_built_once_per_distinct_block(monkeypatch):
+    # 15^2 battery at degrees 0, 1, 2 with its ladder 3^2, 7^2, 15^2: every
+    # clamped and buckling block of a grid shares one signature per kind, so
+    # solve_problem needs 2 kinds x 3 levels Gram forms
+    from hodge_spectra.verify import box_battery
+
+    built = []
+    gram_factors = discretize._gram_factors
+
+    def counting(domain):
+        built.append(domain.cells)
+        return gram_factors(domain)
+
+    monkeypatch.setattr(discretize, "_gram_factors", counting)
+    box_battery(build_domain(2, [1.0, 1.0], [15, 15]), [0, 1, 2], with_error_estimates=True)
+    assert sorted(built) == [(3, 3)] * 2 + [(7, 7)] * 2 + [(15, 15)] * 2
+
+
+@pytest.mark.parametrize("extent,cells", [([1.3], [5]), ([1.0, 1.3], [4, 6]),
+                                          ([1.0, 1.1, 0.9], [3, 4, 5])])
+def test_face_rows_match_the_per_node_rule(extent, cells):
+    # the face rows of L, built as arrays, against one row per face node in
+    # axis, face, node order: -2 / h_k^2 at the adjacent interior node
+    dom = build_domain(len(cells), extent, cells)
+    blk = assemble(dom, 0, ProblemKind.CLAMPED_PLATE).blocks[0]
+    flat = np.arange(dom.interior_count).reshape(dom.cells)
+    face_cols, face_vals = [], []
+    for k, h in enumerate(dom.spacing):
+        for layer in (0, dom.cells[k] - 1):
+            for col in np.take(flat, layer, axis=k).ravel():
+                face_cols.append(int(col))
+                face_vals.append(-2.0 / h ** 2)
+    face = blk.laplacian[dom.interior_count:]
+    assert np.array_equal(face.indptr, np.arange(len(face_cols) + 1))
+    assert np.array_equal(face.indices, face_cols)
+    assert np.array_equal(face.data, face_vals)
+    assert np.array_equal(blk.eval_weights, [dom.cell_volume] * dom.interior_count
+                          + [dom.cell_volume / 2.0] * len(face_cols))
 
 
 def test_degree_out_of_range_rejected():

@@ -1,6 +1,7 @@
 """Eigensolver tests: trivial pencils, closed-form grids, the separable
 second-order path, kernels, determinism."""
 
+import functools
 import itertools
 import json
 import math
@@ -213,6 +214,47 @@ def test_neumann_deflation_reports_positive_value():
     assert spec.values[0] > 0.0
     first = 4.0 / 0.1 ** 2 * math.sin(math.pi * 0.1 / 2.0) ** 2
     assert spec.values[:2] == pytest.approx([first, first], rel=1e-10)
+
+
+@pytest.mark.parametrize("thin", [1e-4, 1e-8])
+def test_absolute_kernel_survives_an_extreme_aspect_ratio(thin):
+    # the thin axis's constant mode has eigenvalue exactly 0, so the first
+    # value is the unit axis's first Neumann value (h = 1/16), not swamped
+    # by a rounding-sized eigenvalue of order 1/thin^2
+    dom = build_domain(2, [thin, 1.0], [15, 15])
+    spec = solve_problem(assemble(dom, 0, ProblemKind.ABSOLUTE_LAPLACE), m=2)
+    first = 4.0 * 16 ** 2 * math.sin(math.pi / 32) ** 2
+    assert spec.values[0] == pytest.approx(first, rel=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_smallest_sums_match_the_untruncated_rule(seed):
+    # a grid over each axis's first values only gives the same sums,
+    # vectors and indices as the argsort of the whole grid, ties included
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(2, 9, size=rng.integers(1, 4)))
+    pairs = [(np.sort(rng.integers(0, 4, size=c).astype(float)), rng.standard_normal((c, c)))
+             for c in shape]
+    size = math.prod(shape)
+    for count, skip, limit in ((1, False, 0), (3, True, 0), (size - 1, True, 0),
+                               (2, False, size // 2), (1, True, 3)):
+        count = min(count, size - skip)
+        grid = functools.reduce(np.add.outer, [values for values, _ in pairs])
+        order = np.argsort(grid, axis=None, kind="stable")
+        order = order[order != 0] if skip else order
+        want = count
+        if limit:
+            ranked = grid.ravel()[order[:limit + 1]]
+            while (want < ranked.size - 1
+                   and ranked[want] <= ranked[want - 1] * (1.0 + es.MULTIPLICITY_GAP)):
+                want += 1
+        multi = np.unravel_index(order[:want], shape)
+        vectors = np.stack([functools.reduce(np.kron, [v[:, j] for (_, v), j in zip(pairs, index)])
+                            for index in zip(*multi)], axis=1)
+        got = es._smallest_sums(pairs, count, skip_first=skip, multiplet_limit=limit)
+        assert np.array_equal(got[0], grid.ravel()[order[:want]])
+        assert np.array_equal(got[1], vectors)
+        assert all(np.array_equal(a, b) for a, b in zip(got[2], multi))
 
 
 def test_request_beyond_deflated_dof_count_is_rejected():
