@@ -9,12 +9,13 @@ Usage (from the repository root):
 
 `blocks` imports hodge_spectra from SRC (the `src` directory of this
 checkout, or of a checkout of the parent commit) and times
-`solve_problem(problem, m=4)` on each problem in BLOCKS, after assembly,
+`solve_problem(problem, m)` on each problem in BLOCKS, after assembly,
 best of REPEATS (a single run once one takes over SLOW_S seconds).  It also
-runs each command of CLI_COMMANDS end to end as `python -m hodge_spectra`.
-Problems of more than --max-dof dof and their commands are skipped, for a
-checkout whose sparse factorization would not fit in memory.  BLAS runs on
-one thread.
+runs each command of CLI_COMMANDS end to end as `python -m hodge_spectra`,
+COMMAND_RUNS times, and records each run's wall time and the peak RSS of
+its process.  Problems of more than --max-dof dof and their commands are
+skipped, for a checkout whose sparse factorization would not fit in
+memory.  BLAS runs on one thread.
 
 `combine` puts two `blocks` files side by side and adds, per workload, the
 results of `perfbench/run.py --workload WORKLOAD --seed N --seconds 10
@@ -37,34 +38,39 @@ if __name__ == "__main__":
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-M = 4
 REPEATS = 3
 SLOW_S = 5.0
-# (dim, cells per axis, kind, degree)
+COMMAND_RUNS = 3
+# (dim, cells per axis, kind, degree, values asked)
 BLOCKS = (
-    (3, 23, "clamped_plate", 0),
-    (3, 23, "buckling", 1),
-    (2, 127, "clamped_plate", 0),
-    (2, 127, "buckling", 0),
-    (2, 63, "clamped_plate", 0),
-    (2, 31, "buckling", 0),
-    (3, 31, "clamped_plate", 0),
-    (3, 31, "buckling", 1),
-    (3, 47, "clamped_plate", 0),
-    (3, 47, "buckling", 1),
+    (3, 23, "clamped_plate", 0, 4),
+    (3, 23, "buckling", 1, 4),
+    (2, 127, "clamped_plate", 0, 4),
+    (2, 127, "buckling", 0, 4),
+    (2, 63, "clamped_plate", 0, 4),
+    (2, 63, "buckling", 1, 3),
+    (2, 31, "buckling", 0, 4),
+    (3, 31, "clamped_plate", 0, 4),
+    (3, 31, "buckling", 1, 4),
+    (3, 31, "clamped_plate", 0, 16),
+    (3, 47, "clamped_plate", 0, 4),
+    (3, 47, "buckling", 1, 4),
 )
-CLI_COMMANDS = ((3, 47, "clamped_plate", 0), (3, 47, "buckling", 1))
+# the README's fourth-order box command and the 47^3 (about 10^5 dof) ones
+CLI_COMMANDS = ((2, 63, "buckling", 1, 3), (3, 47, "clamped_plate", 0, 4),
+                (3, 47, "buckling", 1, 4))
 PERFBENCH_METRICS = ("wall_s", "setup_s", "peak_rss_mb", "ok_ratio")
 
 
-def _label(dim: int, cells: int, kind: str, degree: int) -> str:
-    return f"{cells}^{dim} {kind} p={degree}"
+def _label(dim: int, cells: int, kind: str, degree: int, m: int) -> str:
+    return f"{cells}^{dim} {kind} p={degree} m={m}"
 
 
 def _certificates(spectrum) -> dict:
@@ -74,12 +80,33 @@ def _certificates(spectrum) -> dict:
 
 
 def time_blocks(src: Path, max_dof: int) -> dict:
+    # the commands run first: a child's peak RSS counts this process's RSS
+    # at the fork, which is small only before any problem is solved here
+    commands = {}
+    env = {**os.environ, "PYTHONPATH": str(src), "HODGE_SPECTRA_THREADS": "1"}
+    with tempfile.TemporaryDirectory() as workdir:
+        for dim, cells, kind, degree, m in CLI_COMMANDS:
+            if cells ** dim > max_dof:
+                continue
+            out = Path(workdir) / "box.json"
+            argv = [sys.executable, "-m", "hodge_spectra", "box", "--dim", str(dim),
+                    "--extent", ",".join(["1"] * dim), "--cells", ",".join([str(cells)] * dim),
+                    "--problem", kind, "--degree", str(degree), "--count", str(m),
+                    "--out", str(out)]
+            runs = [_run_command(argv, env) for _ in range(COMMAND_RUNS)]
+            (spectrum,) = json.loads(out.read_text())["spectra"]
+            commands[" ".join(["box"] + argv[4:-2])] = {
+                "exit_codes": [code for code, _, _ in runs],
+                "wall_s": [seconds for _, seconds, _ in runs],
+                "peak_rss_mb": [rss for _, _, rss in runs], **_certificates(spectrum)}
+            print(f"# box {_label(dim, cells, kind, degree, m):29s} "
+                  f"{min(seconds for _, seconds, _ in runs):8.3f} s", flush=True)
     sys.path.insert(0, str(src))
     from hodge_spectra.discretize import ProblemKind, assemble, build_domain
     from hodge_spectra.eigensolve import solve_problem
 
     blocks = {}
-    for dim, cells, kind, degree in BLOCKS:
+    for dim, cells, kind, degree, m in BLOCKS:
         if cells ** dim > max_dof:
             continue
         problem = assemble(build_domain(dim, [1.0] * dim, [cells] * dim), degree,
@@ -87,33 +114,25 @@ def time_blocks(src: Path, max_dof: int) -> dict:
         seconds = []
         while len(seconds) < REPEATS and not (seconds and max(seconds) > SLOW_S):
             start = time.perf_counter()
-            spectrum = solve_problem(problem, m=M)
+            spectrum = solve_problem(problem, m=m)
             seconds.append(time.perf_counter() - start)
-        blocks[_label(dim, cells, kind, degree)] = {
-            "dof": cells ** dim, "seconds": min(seconds), "runs": len(seconds),
-            **_certificates(vars(spectrum))}
-        print(f"# {_label(dim, cells, kind, degree):28s} {min(seconds):8.3f} s", flush=True)
-    commands = {}
-    env = {**os.environ, "PYTHONPATH": str(src), "HODGE_SPECTRA_THREADS": "1"}
-    with tempfile.TemporaryDirectory() as workdir:
-        for dim, cells, kind, degree in CLI_COMMANDS:
-            if cells ** dim > max_dof:
-                continue
-            out = Path(workdir) / "box.json"
-            argv = [sys.executable, "-m", "hodge_spectra", "box", "--dim", str(dim),
-                    "--extent", ",".join(["1"] * dim), "--cells", ",".join([str(cells)] * dim),
-                    "--problem", kind, "--degree", str(degree), "--count", str(M),
-                    "--out", str(out)]
-            start = time.perf_counter()
-            code = subprocess.call(argv, env=env)
-            seconds = time.perf_counter() - start
-            (spectrum,) = json.loads(out.read_text())["spectra"]
-            commands[" ".join(["box"] + argv[4:-2])] = {
-                "exit_code": code, "wall_s": seconds, **_certificates(spectrum)}
-            print(f"# box {_label(dim, cells, kind, degree):24s} {seconds:8.3f} s", flush=True)
-    return {"what": f"best of up to {REPEATS} solve_problem(m={M}) runs per problem, "
-                    f"after assembly; box commands end to end",
+        label = _label(dim, cells, kind, degree, m)
+        blocks[label] = {"dof": cells ** dim, "seconds": min(seconds), "runs": len(seconds),
+                         **_certificates(vars(spectrum))}
+        print(f"# {label:33s} {min(seconds):8.3f} s", flush=True)
+    return {"what": f"best of up to {REPEATS} solve_problem runs per problem, after "
+                    f"assembly; box commands end to end, {COMMAND_RUNS} runs each",
             "blocks": blocks, "commands": commands}
+
+
+def _run_command(argv: list[str], env: dict) -> tuple[int, float, float]:
+    """Exit code, wall seconds and peak RSS (MB) of one child process."""
+    start = time.perf_counter()
+    child = subprocess.Popen(argv, env=env)
+    _, status, usage = os.wait4(child.pid, 0)
+    seconds = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, seconds, usage.ru_maxrss / 1024.0
 
 
 def combine(before: Path, after: Path, perfbench: list[list[str]]) -> dict:
@@ -127,8 +146,13 @@ def combine(before: Path, after: Path, perfbench: list[list[str]]) -> dict:
                      "parent_s": parent["blocks"].get(label, {}).get("seconds"),
                      "change_s": row["seconds"]}
              for label, row in change["blocks"].items()}
-    return {"machine": machine_facts(), "per_block": table, "parent": parent,
-            "change": change,
+    commands = {command: {f"{side}_{name}": statistics.median(runs[command][name])
+                          for side, runs in (("parent", parent["commands"]),
+                                             ("change", change["commands"]))
+                          for name in ("wall_s", "peak_rss_mb")}
+                for command in change["commands"] if command in parent["commands"]}
+    return {"machine": machine_facts(), "per_block": table,
+            "per_command_median": commands, "parent": parent, "change": change,
             "perfbench": {workload: perfbench_pairs(Path(p), Path(c), PERFBENCH_METRICS)
                           for workload, p, c in perfbench}}
 

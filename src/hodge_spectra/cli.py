@@ -29,6 +29,7 @@ from .errors import NumericalFailure
 from .verify import (
     ConvergenceStudy,
     SpectrumSet,
+    _curvature_bounds,
     box_battery,
     check_inequalities,
     convergence_study,
@@ -266,7 +267,10 @@ def _cmd_box(cfg: RunConfig, report: dict) -> None:
 
 def _cmd_verify(cfg: RunConfig, report: dict) -> None:
     domain = build_domain(cfg.dim, cfg.extent, cfg.cells)
-    constants = {}   # evaluated first, so a bad gamma fails before any solve
+    # gamma first, so that a bad one fails before any solve, also where no
+    # degree has constants to evaluate (dim 1); BoxDomain's dim <= 3 has p = 1 only
+    _curvature_bounds(cfg.dim, 1, cfg.gamma)
+    constants = {}
     for p in range(1, cfg.dim // 2 + 1):
         bundle = evaluate_constants(cfg.dim, p, cfg.gamma)
         constants[f"p={p}"] = {

@@ -11,9 +11,10 @@ normal derivative keeps them and closes the stencil by ghost reflection
 (ghost value = mirror interior value, the centered derivative = 0 rule).
 
 `assemble` keeps every block as its dense per-axis factors and its grid,
-with numpy alone.  A block's sparse matrices (for fourth order, the Gram
-form a = L^T M~ L of the evaluation-grid Laplacian) are built on first
-access, and scipy.sparse is imported only then.
+with numpy alone, and the separable and structured solvers work from
+those.  A block's sparse matrices (for fourth order, the Gram form
+a = L^T M~ L of the evaluation-grid Laplacian) are built on first access,
+and scipy.sparse is imported only then.
 """
 
 from __future__ import annotations
@@ -222,6 +223,26 @@ def _second_difference(cells: int, h: float) -> np.ndarray:
     return np.diag(np.full(cells, 2.0 / h ** 2)) + np.diag(off, -1) + np.diag(off, 1)
 
 
+def _face_value(h: float) -> float:
+    """Entry of a face row of the evaluation-grid Laplacian (see `_gram_factors`)."""
+    return -2.0 / h ** 2
+
+
+def _face_diagonal(domain: BoxDomain) -> np.ndarray:
+    """Diagonal D = sum_k D_k of the face rows' share L_f^T M~_f L_f of the Gram form.
+
+    A node on the first or last layer of axis k gets (vol / 2) f_k^2 from
+    that face's row, f_k its entry; the terms are summed in axis order.
+    """
+    half = domain.cell_volume / 2.0
+    per_axis = []
+    for c, h in zip(domain.cells, domain.spacing):
+        d_k = np.zeros(c)
+        d_k[[0, -1]] = half * _face_value(h) * _face_value(h)
+        per_axis.append(d_k)
+    return functools.reduce(np.add.outer, per_axis).ravel()
+
+
 def _gram_factors(domain: BoxDomain) -> tuple[sp.csr_matrix, np.ndarray]:
     """Evaluation-grid Laplacian L and its quadrature weights M~, so that a = L^T M~ L.
 
@@ -242,7 +263,7 @@ def _gram_factors(domain: BoxDomain) -> tuple[sp.csr_matrix, np.ndarray]:
     for k, h in enumerate(domain.spacing):
         for layer in (0, domain.cells[k] - 1):
             cols.append(np.take(flat, layer, axis=k).ravel())
-            vals.append(np.full(cols[-1].size, -2.0 / h ** 2))
+            vals.append(np.full(cols[-1].size, _face_value(h)))
     cols = np.concatenate(cols)
     face = sp.csr_matrix((np.concatenate(vals), cols, np.arange(cols.size + 1)),
                          shape=(cols.size, domain.interior_count))
@@ -255,10 +276,13 @@ def _gram_factors(domain: BoxDomain) -> tuple[sp.csr_matrix, np.ndarray]:
 class ComponentBlock:
     """One scalar diagonal block of an assembled p-form problem.
 
-    A block keeps its per-axis factors and its grid; its sparse pencil
-    (`a`, `b`), and for fourth order the evaluation-grid Laplacian and its
-    quadrature weights, are built on first access, since only the general
-    solver, the structured solve and the tests read them.
+    A block keeps its per-axis factors and its grid, from which the
+    separable and the structured solves work: a fourth-order block's
+    a = vol (sum_k T_k)^2 + D and b are applied from its per-axis second
+    differences T_k and its face diagonal D.  Its sparse pencil (`a`, `b`),
+    and for fourth order the evaluation-grid Laplacian and its quadrature
+    weights, are built on first access, since only the general solver and
+    the tests read them.
     """
 
     component: ComponentIndex
@@ -272,6 +296,19 @@ class ComponentBlock:
     # Q <= a <= n Q, and b = sum_k I x b_k x I unless b is diagonal (b_k None)
     axis_operators: Optional[tuple[tuple[np.ndarray, Optional[np.ndarray]], ...]] = None
     kernel_dim: int = 0                         # dimension of the kernel of a
+
+    @functools.cached_property
+    def second_differences(self) -> Optional[tuple[np.ndarray, ...]]:
+        """Per-axis dense second differences T_k of a fourth-order block."""
+        if self.axis_operators is None:
+            return None
+        return tuple(_second_difference(c, h)
+                     for c, h in zip(self.domain.cells, self.domain.spacing))
+
+    @functools.cached_property
+    def face_diagonal(self) -> Optional[np.ndarray]:
+        """Diagonal D = a - vol (sum_k T_k)^2 of a fourth-order block."""
+        return None if self.axis_operators is None else _face_diagonal(self.domain)
 
     @functools.cached_property
     def _gram(self) -> tuple[Optional[sp.csr_matrix], Optional[np.ndarray]]:
@@ -322,17 +359,24 @@ class FormProblem:
     dof_count: int
     blocks: tuple[ComponentBlock, ...]
 
-    @functools.cached_property
-    def A(self) -> sp.csr_matrix:
+    def _global(self, name: str) -> sp.csr_matrix:
+        """block_diag of each block's matrix `name`, taken from the first block
+        of its signature, so that a signature's matrices are built once."""
         import scipy.sparse as sp
 
-        return sp.block_diag([blk.a for blk in self.blocks], format="csr")
+        first = {}
+        for blk in self.blocks:
+            first.setdefault(blk.signature, blk)
+        return sp.block_diag([getattr(first[blk.signature], name) for blk in self.blocks],
+                             format="csr")
+
+    @functools.cached_property
+    def A(self) -> sp.csr_matrix:
+        return self._global("a")
 
     @functools.cached_property
     def B(self) -> sp.csr_matrix:
-        import scipy.sparse as sp
-
-        return sp.block_diag([blk.b for blk in self.blocks], format="csr")
+        return self._global("b")
 
 
 def _fourth_order_block(domain: BoxDomain, kind: ProblemKind,

@@ -14,14 +14,15 @@ kernel (the constant mode, at absolute p = 0) is the known product of the
 certified from the 1D pencils alone: the error bound is the sum of
 per-axis bounds plus rounding terms (`_separable_certificate`).
 
-Structured (fourth order, in the measured region STRUCTURED_MIN_DOF).
-The clamped operator A = vol (sum_k T_k)^2 + sum_k D_k lies between the
-Kronecker sum Q of its per-axis 1D factors and n Q, for every h.  LOBPCG
-(Knyazev, SIAM J. Sci. Comput. 23, 2001) preconditioned by Q^-1, which is
-applied exactly by per-axis eigendecompositions, finds the m smallest
-pairs with the assembled sparse A and B (scipy.sparse only); buckling's
-B = vol sum_k T_k is inverted the same way for its error bounds.  Nothing
-is factorized.
+Structured (fourth order, in the measured region STRUCTURED_MIN_DOF,
+numpy only).  The clamped operator A = vol (sum_k T_k)^2 + sum_k D_k lies
+between the Kronecker sum Q of its per-axis 1D factors and n Q, for every
+h.  LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) preconditioned by
+Q^-1, which is applied exactly by per-axis eigendecompositions, finds the
+m smallest pairs.  A and buckling's B = vol sum_k T_k are applied by
+per-axis contractions with the 1D second differences T_k, clamped plate's
+B = vol I as a scalar; buckling's B is inverted like Q for its error
+bounds.  Nothing is assembled or factorized.
 
 General (`solve_pencil`: every other fourth-order block, a structured
 solve that fails its certificate, and any assembled pencil).  At most
@@ -31,7 +32,8 @@ measured by `bench/crossover.py` (BENCH_dense_cutoff.json): DENSE_CUTOFF
 is the crossover between the dense and the structured solve, and
 STRUCTURED_MIN_DOF gives, per dimension and number of values, the block
 size from which the structured solve beats shift-invert Lanczos.  Only
-this route imports scipy.linalg and scipy.sparse.linalg, when it runs.
+this route imports scipy (scipy.sparse, scipy.linalg and
+scipy.sparse.linalg), when it runs.
 
 Every pair is certified once, straight from the eigensolver, with r =
 Ax - theta Bx.  Its normwise backward error ||r|| / ((||A||_1 + |theta|
@@ -41,7 +43,10 @@ floor that grows with the conditioning of the pencil.  Its error bound
 ||r||_{B^-1} / ||x||_B is the radius around theta that holds an eigenvalue
 (Parlett, The Symmetric Eigenvalue Problem, ch. 15); a componentwise
 bound on the rounding made in forming r is added, so the bound encloses
-the eigenvalue in floating point.  It is free when B is diagonal;
+the eigenvalue in floating point.  A structured residual is formed from
+the per-axis factors, and its rounding bound also covers the entry
+rounding of the assembled A and B (`_gram_residual`), so the bound holds
+for the pencil the general route solves.  It is free when B is diagonal;
 otherwise B^-1 comes from its per-axis factors (structured route) or one
 factorization per block (general route).  Separable pairs bound both
 from their 1D pencils instead.
@@ -77,8 +82,8 @@ MAX_ITER = 10_000
 # for m values takes the first (largest m, smallest dof) step with m at
 # most its largest m; see BENCH_dense_cutoff.json (`structured_min_dof`)
 STRUCTURED_MIN_DOF = {
-    2: ((4, 2209), (8, 16129)),
-    3: ((4, 729), (8, 1331), (16, 3375)),
+    2: ((4, 2209), (8, 9025)),
+    3: ((1, 729), (8, 1331), (16, 2197), (32, 6859)),
 }
 # structured fourth-order solve (`_structured_solve`): guard columns beyond
 # the m reported, Q modes in the start space per column, seeded random start
@@ -471,85 +476,191 @@ def _separable_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
                       tol, kernel_dim=block.kernel_dim)
 
 
-def _b_orthonormalize(v: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A B-orthonormal basis of span(v), and B times it, by SVQB.
+def _axis_sum(mats, x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """(sum_k I x mats[k] x I) x on every column of x, the terms added in axis order."""
+    total = _along_axes(mats[:1], x, shape)
+    for k in range(1, len(mats)):
+        total += _along_axes([None] * k + [mats[k]], x, shape)
+    return total
+
+
+def _gram_products(block: ComponentBlock, x: np.ndarray,
+                   magnitudes: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(A x, B x) of a fourth-order block on a block of vectors, by 2n per-axis contractions.
+
+    y = vol sum_k T_k x is buckling's B x, and A x = sum_k T_k y + D x
+    (A = vol (sum_k T_k)^2 + D, D the face diagonal); clamped plate's
+    B = vol I is applied as a scalar.  With `magnitudes`, the same
+    contractions with |T_k| give (|A| x, |B| x): every entry of
+    (sum_k T_k)^2 is a sum of products of one sign (the grid graph has no
+    triangles), so |A| = vol (sum_k |T_k|)^2 + D entrywise.
+    """
+    seconds = block.second_differences
+    if magnitudes:
+        seconds = [np.abs(second) for second in seconds]
+    shape = block.domain.cells
+    volume = block.domain.cell_volume
+    y = volume * _axis_sum(seconds, x, shape)
+    ax = _axis_sum(seconds, y, shape) + block.face_diagonal[:, None] * x
+    return ax, (volume * x if block.axis_operators[0][1] is None else y)
+
+
+def _gram_norms(block: ComponentBlock) -> tuple[float, float]:
+    """||A||_1 and ||B||_1 of a fourth-order block: the largest entries of |A| 1 and |B| 1."""
+    abs_a, abs_b = _gram_products(block, np.ones((block.size, 1)), magnitudes=True)
+    return abs_a.max(), abs_b.max()
+
+
+def _gram_residual(block: ComponentBlock, values,
+                   vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Computed r = Ax - theta Bx of a fourth-order block by `_gram_products`, Bx, and a
+    componentwise bound g on the distance from fl(r) to the exact residual.
+
+    The bound holds both for the pencil of the per-axis factors (A* = vol
+    (sum_k T_k)^2 + D, B* = vol sum_k T_k or vol I, exact in the float T_k,
+    D and vol) and for the assembled `block.a`, `block.b`.  Evaluation
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec.
+    3.5): each T_k product is a dot product of at most 3 nonzero terms, the
+    axis sum adds n - 1 roundings and the scaling by vol one, so y, and
+    buckling's Bx, carry gamma_{n+3} |B*||x|; the second contraction adds
+    n + 2, the addition of Dx one (D itself is within gamma_{n+1} of its
+    exact terms), so Ax carries gamma_{2n+6} |A*||x|; theta Bx and the
+    subtraction add two, so |fl(r) - r*| <= gamma_{2n+7} (|A*||x| + |theta|
+    |B*||x|).  Assembly: an entry of `block.a` is a sum of at most 2n + 1
+    products of one sign, each off by up to 2n roundings (the assembled
+    Laplacian's diagonal is a sum of n terms), so |a - A*| <= gamma_{4n}
+    |A*|, and |b - B*| <= gamma_n |B*|.  Together g = gamma_{6n+7} (|A||x|
+    + |theta||B||x|); the factor 1 + gamma_{2n+10} covers the roundings made
+    in computing g itself, a sum of nonnegative terms.
+    """
+    n = len(block.domain.cells)
+    values = np.asarray(values, dtype=float)
+    ax, bx = _gram_products(block, vectors)
+    r = ax - bx * values
+    abs_ax, abs_bx = _gram_products(block, np.abs(vectors), magnitudes=True)
+    rounding = (_gamma(6 * n + 7) * (1.0 + _gamma(2 * n + 10))) * (abs_ax + abs_bx * np.abs(values))
+    return r, bx, rounding
+
+
+def _gram_certificate(block: ComponentBlock, values, vectors: np.ndarray,
+                      norms: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Backward errors and error bounds (`_bounds`) of pairs of a fourth-order block, from
+    `_gram_residual` and the norms of `_gram_norms`; buckling's B^-1 is applied like Q^-1."""
+    if block.axis_operators[0][1] is None:
+        volume = block.domain.cell_volume
+
+        def b_solve(v):
+            return v / volume
+    else:
+        b_solve = _kron_sum_solver([np.linalg.eigh(b_k) for _, b_k in block.axis_operators])
+    return _bounds(values, vectors, *_gram_residual(block, values, vectors), *norms, b_solve)
+
+
+def _b_orthonormalize(vs: tuple) -> tuple:
+    """A B-orthonormal basis of span(v), by SVQB, for vs = (v, images..., Bv); each
+    image of v (such as Av and Bv) follows the same combination.
 
     Directions whose share of the scaled Gram matrix lies below rounding are
     dropped, so the basis stays well conditioned (Stathopoulos & Wu, SIAM J.
     Sci. Comput. 23, 2002).
     """
+    v, bv = vs[0], vs[-1]
     gram = v.T @ bv
     scale = np.sqrt(np.abs(np.diag(gram)))
     keep = scale > 0.0
-    v, bv, scale = v[:, keep], bv[:, keep], scale[keep]
+    scale = scale[keep]
     s, z = np.linalg.eigh(gram[np.ix_(keep, keep)] / np.outer(scale, scale))
     kept = s > 1e-14 * s[-1] if s.size else s > 0.0
-    t = z[:, kept] / np.sqrt(s[kept]) / scale[:, None]
-    return v @ t, bv @ t
+    t = np.zeros((keep.size, np.count_nonzero(kept)))
+    t[keep] = z[:, kept] / np.sqrt(s[kept]) / scale[:, None]
+    return tuple(u @ t for u in vs)
 
 
-def _b_orthogonalize(v: np.ndarray, b, bases) -> tuple[np.ndarray, np.ndarray]:
-    """v made B-orthogonal to each B-orthonormal (u, Bu) in bases, then B-orthonormalized."""
+def _b_orthogonalize(vs: tuple, bases) -> tuple:
+    """vs = (v, images...) with v made B-orthogonal, in two passes, to each B-orthonormal
+    basis (u, images of u..., Bu) in bases; the images of v follow the combinations."""
     for _ in range(2):
-        for u, bu in bases:
-            v = v - u @ (bu.T @ v)
-    return _b_orthonormalize(v, b @ v)
+        for base in bases:
+            coefficients = base[-1].T @ vs[0]
+            vs = tuple(v - u @ coefficients for v, u in zip(vs, base))
+    return vs
 
 
-def _lobpcg(a, b, precond, span: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _lobpcg(apply, norms: tuple[float, float], precond, span: np.ndarray,
+            m: int) -> tuple[np.ndarray, np.ndarray]:
     """Smallest eigenpairs of (A, B) by LOBPCG with soft locking, from a start space.
 
-    The block is the m + GUARD lowest Ritz vectors of `span`, widened while
-    the next Ritz value lies within CLUSTER_GAP of the last, so that no
-    cluster is cut.  Each step does Rayleigh-Ritz on the B-orthonormal
-    basis [X, W, P], W the preconditioned residuals of the columns not yet
-    converged and P the previous update (Knyazev, SIAM J. Sci. Comput. 23,
-    2001; Hetmaniuk & Lehoucq, J. Comput. Phys. 218, 2006).  It stops once
-    the m first columns reach a backward error of ROUNDING_TARGET, or after
+    `apply` maps a block of vectors x to (Ax, Bx), and `norms` are ||A||_1
+    and ||B||_1.  The block is the m + GUARD lowest Ritz vectors of `span`,
+    widened while the next Ritz value lies within CLUSTER_GAP of the last, so
+    that no cluster is cut.  Each step does Rayleigh-Ritz on the
+    B-orthonormal basis [X, W, P], W the preconditioned residuals of the
+    columns not yet converged and P the previous update W c_W + P c_P
+    (Knyazev, SIAM J. Sci. Comput. 23, 2001; Hetmaniuk & Lehoucq, J.
+    Comput. Phys. 218, 2006).  A step applies the pencil twice, to W and to
+    the new X; the images of P follow the combinations that form it, and
+    the Gram matrix is formed block by block.  It stops once the m first
+    columns reach a backward error of ROUNDING_TARGET, or after
     STALL_ITERATIONS without a new best, and returns the best iterate.
     """
-    norm_a, norm_b = _norm1(a), _norm1(b)
-    x, bx = _b_orthonormalize(span, b @ span)
-    gram = x.T @ (a @ x)
+    norm_a, norm_b = norms
+    x, ax, _ = _b_orthonormalize((span, *apply(span)))
+    gram = x.T @ ax
     theta, c = np.linalg.eigh((gram + gram.T) / 2)
     k = m + GUARD
     while k < theta.size // 2 and theta[k] <= theta[k - 1] * (1.0 + CLUSTER_GAP):
         k += 1
-    theta, x, bx = theta[:k], x @ c[:, :k], bx @ c[:, :k]
+    theta, x = theta[:k], x @ c[:, :k]
+    ax, bx = apply(x)
     p = None
     best, best_worst, best_step = (theta, x), math.inf, 0
     for step in range(LOBPCG_MAXITER):
-        ax = a @ x
         r = ax - bx * theta
-        eta = np.linalg.norm(r, axis=0) / (
-            (norm_a + np.abs(theta) * norm_b) * np.linalg.norm(x, axis=0))
+        eta = np.sqrt(np.einsum("ij,ij->j", r, r) / np.einsum("ij,ij->j", x, x)) / (
+            norm_a + np.abs(theta) * norm_b)
         worst = eta[:m].max()
         if worst < best_worst:
             best, best_worst, best_step = (theta, x), worst, step
         if worst <= ROUNDING_TARGET or step - best_step >= STALL_ITERATIONS:
             break
-        bases = [(x, bx)] if p is None else [(x, bx), (p, bp)]
-        w, _ = _b_orthogonalize(precond(r[:, eta > ROUNDING_TARGET]), b, bases)
-        if w.shape[1] == 0:
+        parts = [(x, ax, bx)] + ([] if p is None else [p])
+        (w,) = _b_orthogonalize((precond(r[:, eta > ROUNDING_TARGET]),), parts)
+        w = _b_orthonormalize((w, *apply(w)))
+        if w[0].shape[1] == 0:
             break
-        parts = [(x, ax), (w, a @ w)] + ([] if p is None else [(p, a @ p)])
-        s, as_ = (np.hstack(group) for group in zip(*parts))
+        parts.insert(1, w)
         # the basis is B-orthonormal, so Rayleigh-Ritz is a standard problem
-        gram = s.T @ as_
+        blocks = [[None] * len(parts) for _ in parts]
+        for i, (u, _, _) in enumerate(parts):
+            for j in range(i, len(parts)):
+                blocks[i][j] = u.T @ parts[j][1]
+                blocks[j][i] = blocks[i][j].T
+        gram = np.block(blocks)
         theta, c = np.linalg.eigh((gram + gram.T) / 2)
         theta, c = theta[:k], c[:, :k]
-        x_next = s @ c
-        bx_next = b @ x_next
-        p, bp = _b_orthogonalize(x_next - x @ c[:x.shape[1]], b, [(x_next, bx_next)])
-        if p.shape[1] == 0:
-            p = None
-        x, bx = x_next, bx_next
+        # P is the update [0; c_W; c_P] made orthonormal to c in coefficient
+        # space, where the basis is orthonormal (B is I there), so that X and
+        # P come out B-orthonormal
+        d = c.copy()
+        d[:x.shape[1]] = 0.0
+        (d,) = _b_orthogonalize((d,), [(c, c)])
+        d = _b_orthonormalize((d, d))[0]
+        x = _combine([u for u, _, _ in parts], c)
+        ax, bx = apply(x)
+        p = tuple(_combine(arrays, d) for arrays in zip(*parts)) if d.shape[1] else None
     return best
+
+
+def _combine(arrays, coefficients: np.ndarray) -> np.ndarray:
+    """[arrays[0], arrays[1], ...] @ coefficients, without joining the arrays."""
+    rows = np.cumsum([u.shape[1] for u in arrays])[:-1]
+    return sum(u @ part for u, part in zip(arrays, np.split(coefficients, rows)))
 
 
 def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     """m smallest eigenpairs of a fourth-order block by preconditioned LOBPCG.
 
+    A and B are applied from the block's per-axis factors (`_gram_products`).
     The preconditioner is Q^-1, applied exactly from the eigenpairs of the
     per-axis q_k; Q <= A <= n Q makes the iteration count independent of h.
     The start space holds the START_SPAN (m + GUARD) lowest eigenvectors of
@@ -557,21 +668,18 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     seeded random vectors.  A, B and Q commute with the reflections of the
     box, so an iteration never leaves the symmetry classes its start holds;
     the random columns hold every class, so no class of eigenvalues is left
-    out.  `_certified` judges the result.  B^-1, for the error bounds of
-    buckling, is applied like Q^-1.
+    out.  `_certified` judges the result (`_gram_certificate`).
     """
     q_pairs = [np.linalg.eigh(q) for q, _ in block.axis_operators]
     _, span, _ = _smallest_sums(q_pairs, START_SPAN * (m + GUARD),
                                 multiplet_limit=block.size // 2)
     rng = np.random.default_rng(_SEED)
     span = np.hstack([span, rng.standard_normal((block.size, RANDOM_COLUMNS))])
-    b_solve = None
-    if block.axis_operators[0][1] is not None:
-        b_solve = _kron_sum_solver([np.linalg.eigh(b_k) for _, b_k in block.axis_operators])
-    values, vectors = _lobpcg(block.a, block.b, _kron_sum_solver(q_pairs), span, m)
+    norms = _gram_norms(block)
+    values, vectors = _lobpcg(functools.partial(_gram_products, block), norms,
+                              _kron_sum_solver(q_pairs), span, m)
     values, vectors = values[:m], vectors[:, :m]
-    return _certified(values, vectors, _residuals(block.a, block.b, values, vectors, b_solve),
-                      tol)
+    return _certified(values, vectors, _gram_certificate(block, values, vectors, norms), tol)
 
 
 def _takes_structured(block: ComponentBlock, m: int) -> bool:

@@ -69,12 +69,8 @@ def _c_np_exact(n: int, p: int) -> Fraction:
     return n + (4 + 2 * shift) / weight + n * shift / weight ** 2
 
 
-def evaluate_constants(n: int, p: int, gamma: float) -> ConstantsBundle:
-    """Exact evaluation of the degree-coupling constant and curvature bounds."""
-    if not (isinstance(n, int) and isinstance(p, int)):
-        raise ValueError("n and p must be integers")
-    if not 1 <= p <= n // 2:
-        raise ValueError(f"degree must satisfy 1 <= p <= floor(n/2), got p={p}, n={n}")
+def _curvature_bounds(n: int, p: int, gamma: float) -> tuple[float, float]:
+    """gamma p (n - p + 1) and its square; ValueError unless both are finite floats > 0."""
     try:
         bound = float(gamma) * (p * (n - p + 1))
         clamped = bound ** 2
@@ -82,6 +78,16 @@ def evaluate_constants(n: int, p: int, gamma: float) -> ConstantsBundle:
         bound = clamped = math.inf
     if not (bound > 0.0 and math.isfinite(clamped) and clamped > 0.0):
         raise ValueError(f"gamma must make its bounds finite floats > 0, got {gamma}")
+    return bound, clamped
+
+
+def evaluate_constants(n: int, p: int, gamma: float) -> ConstantsBundle:
+    """Exact evaluation of the degree-coupling constant and curvature bounds."""
+    if not (isinstance(n, int) and isinstance(p, int)):
+        raise ValueError("n and p must be integers")
+    if not 1 <= p <= n // 2:
+        raise ValueError(f"degree must satisfy 1 <= p <= floor(n/2), got p={p}, n={n}")
+    bound, clamped = _curvature_bounds(n, p, gamma)
     return ConstantsBundle(
         dim=n,
         degree=p,

@@ -167,6 +167,9 @@ def test_usage_errors_exit_one(tmp_path, capsys, monkeypatch):
         assert run(["constants", "--dim", "3", "--degree", "1", "--gamma", gamma]) == 1, gamma
         assert run(["verify", "--dim", "2", "--extent", "1,1", "--cells", "5,5",
                     "--degrees", "1", "--gamma", gamma]) == 1, gamma
+    # in every dimension, also where no degree has constants to evaluate
+    assert run(["verify", "--dim", "1", "--extent", "1", "--cells", "7", "--degrees", "0",
+                "--gamma", "-5"]) == 1
     monkeypatch.undo()
     # radii whose ball eigenvalues overflow or whose square underflows
     for radius in ("1e-100", "1e-300"):
@@ -302,9 +305,9 @@ _BOX_23 = ["box", "--dim", "3", "--extent", "1,1,1", "--cells", "23,23,23", "--p
     # the separable route needs numpy only
     (_BOX_23 + ["dirichlet_laplace", "--degree", "1"], set()),
     (_BOX_23 + ["absolute_laplace", "--degree", "0"], set()),
-    # the structured route needs the sparse A and B
-    (_BOX_23 + ["clamped_plate", "--degree", "0"], {"scipy.sparse"}),
-    (_BOX_23 + ["buckling", "--degree", "1"], {"scipy.sparse"}),
+    # so does the structured route, which applies A and B from their per-axis factors
+    (_BOX_23 + ["clamped_plate", "--degree", "0"], set()),
+    (_BOX_23 + ["buckling", "--degree", "1"], set()),
 ])
 def test_each_route_loads_only_the_scipy_it_uses(tmp_path, argv, loaded):
     # a fresh interpreter per command, so that sys.modules holds only what it imported

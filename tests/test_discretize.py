@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import hodge_spectra.discretize as discretize
 from hodge_spectra.discretize import (
@@ -224,6 +225,24 @@ def test_gram_forms_are_built_once_per_distinct_block(monkeypatch):
     monkeypatch.setattr(discretize, "_gram_factors", counting)
     box_battery(build_domain(2, [1.0, 1.0], [15, 15]), [0, 1, 2], with_error_estimates=True)
     assert sorted(built) == [(3, 3)] * 2 + [(7, 7)] * 2 + [(15, 15)] * 2
+
+
+def test_global_pencil_builds_one_gram_form_per_signature(monkeypatch):
+    # the three components of a 3D clamped 1-form share one signature, so
+    # the global A takes all three blocks from one Gram form
+    built = []
+    gram_factors = discretize._gram_factors
+
+    def counting(domain):
+        built.append(domain.cells)
+        return gram_factors(domain)
+
+    monkeypatch.setattr(discretize, "_gram_factors", counting)
+    prob = assemble(build_domain(3, [1.0, 1.1, 0.9], [3, 4, 5]), 1, ProblemKind.CLAMPED_PLATE)
+    assert prob.A.shape == (3 * 60, 3 * 60)
+    assert built == [(3, 4, 5)]
+    (block,) = {blk.signature: blk for blk in prob.blocks}.values()
+    assert (prob.A != sp.block_diag([block.a] * 3)).nnz == 0
 
 
 @pytest.mark.parametrize("extent,cells", [([1.3], [5]), ([1.0, 1.3], [4, 6]),

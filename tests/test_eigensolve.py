@@ -14,8 +14,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import hodge_spectra.discretize as discretize
 import hodge_spectra.eigensolve as es
-from hodge_spectra.discretize import ProblemKind, assemble, build_domain
+from hodge_spectra.discretize import ComponentBlock, ProblemKind, assemble, build_domain
 from hodge_spectra.eigensolve import Spectrum, solve_pencil, solve_problem
 from hodge_spectra.errors import NumericalFailure
 
@@ -336,10 +337,13 @@ def test_structured_path_reaches_the_rounding_floor_past_a_cut_cluster(kind, str
 
 def test_fourth_order_solves_never_factorize(monkeypatch):
     # 23^3 blocks (12,167 dof) are solved matrix-free: no sparse
-    # factorization, no Lanczos, no eigh larger than one axis, buckling's
-    # error bounds included
+    # factorization, no Lanczos, no eigh larger than one axis and no
+    # assembled a or b, buckling's error bounds included
     def forbidden(*args, **kwargs):
         raise AssertionError("sparse solver called on a fourth-order block")
+
+    for name in ("a", "b"):
+        monkeypatch.setattr(ComponentBlock, name, property(forbidden))
 
     def axis_only(eigh):
         def limited(a, *args, **kwargs):
@@ -641,6 +645,104 @@ def test_separable_norms_match_the_assembled_block(kind, extent, cells):
             norm_a, norm_b = es._separable_norms(block.axis_factors)
             assert norm_a == pytest.approx(abs(block.a).sum(axis=0).max(), rel=1e-15)
             assert norm_b == abs(block.b).sum(axis=0).max()
+
+
+def _exact_gram_pencil(block):
+    """Entries {(i, j): value} of A* = vol (sum_k T_k)^2 + D and of B* (vol sum_k T_k,
+    or vol I), formed exactly in rationals from the block's float T_k and vol and
+    the face rows' float entries f_k, D holding (vol / 2) f_k^2 per face."""
+    dom = block.domain
+    shape = dom.cells
+    volume = Fraction(dom.cell_volume)
+    s, d = {}, {}
+    for multi in itertools.product(*(range(c) for c in shape)):
+        row = int(np.ravel_multi_index(multi, shape))
+        d[row] = Fraction(0)
+        for k, second in enumerate(block.second_differences):
+            for col_k in np.flatnonzero(second[multi[k]]):
+                col = int(np.ravel_multi_index(multi[:k] + (col_k,) + multi[k + 1:], shape))
+                s[row, col] = s.get((row, col), 0) + Fraction(second[multi[k], col_k])
+            if multi[k] in (0, shape[k] - 1):
+                d[row] += volume / 2 * Fraction(discretize._face_value(dom.spacing[k])) ** 2
+    by_row = {}
+    for (i, j), value in s.items():
+        by_row.setdefault(i, []).append((j, value))
+    a = {(i, i): d[i] for i in d}
+    for i, row in by_row.items():
+        for j, s_ij in row:
+            for l, s_jl in by_row[j]:
+                a[i, l] = a.get((i, l), 0) + volume * s_ij * s_jl
+    if block.axis_operators[0][1] is None:
+        return a, {(i, i): volume for i in d}
+    return a, {key: volume * value for key, value in s.items()}
+
+
+def _exact_residual(a, b, theta, x):
+    r = [Fraction(0)] * len(x)
+    for entries, scale in ((a, Fraction(1)), (b, -Fraction(theta))):
+        for (i, j), value in entries.items():
+            r[i] += scale * value * x[j]
+    return r
+
+
+@pytest.mark.parametrize("extent,cells", [([1.0, 1.3], [9, 11]), ([1.0, 1.2, 0.9], [4, 5, 6])])
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_gram_residual_bounds_the_exact_residual(kind, extent, cells):
+    # |fl(r) - r| <= g componentwise for the matrix-free residual, with r
+    # formed exactly in rational arithmetic from the same floats, both for
+    # the pencil of the per-axis factors and for the assembled block; for
+    # the solver's pairs, at the rounding floor, and for a pair off it.
+    # There, the error bound encloses ||r||_{B^-1} / ||x||_B, and 0.3 times
+    # it does not.
+    (block,) = assemble(build_domain(len(cells), extent, cells), 0, kind).blocks
+    spec = es._structured_solve(block, 3, es.DEFAULT_TOL)
+    noisy = spec.vectors[:, :1] + 1e-6 * np.random.default_rng(5).standard_normal((block.size, 1))
+    ax, bx = es._gram_products(block, noisy)
+    noisy_theta = (noisy[:, 0] @ ax[:, 0]) / (noisy[:, 0] @ bx[:, 0])
+    _, (bound,) = es._gram_certificate(block, [noisy_theta], noisy, es._gram_norms(block))
+    pencils = {"per-axis": _exact_gram_pencil(block),
+               "assembled": (_sparse_entries(block.a), _sparse_entries(block.b))}
+    # the assembly share of g: each entry of block.a and block.b lies within
+    # gamma_{4n} and gamma_n of the per-axis pencil's (measured: up to 0.3
+    # and 0.45 of that on these grids)
+    n = len(cells)
+    for exact, assembled, k in zip(*pencils.values(), (4 * n, n)):
+        assert exact.keys() == assembled.keys()
+        assert all(abs(assembled[key] - value) <= Fraction(k, 2 ** 53 - k) * abs(value)
+                   for key, value in exact.items())
+    for values, vectors in ((spec.values, spec.vectors), ([noisy_theta], noisy)):
+        computed, _, rounding = es._gram_residual(block, values, vectors)
+        for col, theta in enumerate(values):
+            x = [Fraction(v) for v in vectors[:, col]]
+            for name, (a, b) in pencils.items():
+                exact = _exact_residual(a, b, theta, x)
+                assert all(abs(Fraction(computed[i, col]) - exact[i]) <= Fraction(rounding[i, col])
+                           for i in range(block.size)), (name, col)
+    noisy_x = [Fraction(v) for v in noisy[:, 0]]
+    for name, (a, b) in pencils.items():
+        r = np.array([float(v) for v in _exact_residual(a, b, noisy_theta, noisy_x)])
+        dense_b = np.zeros((block.size, block.size))
+        for (i, j), value in b.items():
+            dense_b[i, j] = float(value)
+        ratio = math.sqrt((r @ sla.solve(dense_b, r)) / (noisy[:, 0] @ dense_b @ noisy[:, 0]))
+        assert 0.3 * bound < ratio <= bound, name
+
+
+@pytest.mark.parametrize("extent,cells", [([1.0, 1.3], [9, 11]), ([1.0, 1.2, 0.9], [4, 5, 6])])
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_gram_products_match_the_assembled_block(kind, extent, cells):
+    # the matrix-free Ax and Bx equal block.a @ x and block.b @ x within the
+    # residual's rounding bound, and |A| 1, |B| 1 give the assembled norms
+    (block,) = assemble(build_domain(len(cells), extent, cells), 0, kind).blocks
+    x = np.random.default_rng(9).standard_normal((block.size, 4))
+    ax, bx = es._gram_products(block, x)
+    _, _, a_rounding = es._gram_residual(block, np.zeros(4), x)
+    _, abs_bx = es._gram_products(block, np.abs(x), magnitudes=True)
+    assert np.all(np.abs(ax - block.a @ x) <= a_rounding)
+    assert np.all(np.abs(bx - block.b @ x) <= es._gamma(6 * len(cells) + 7) * abs_bx)
+    norm_a, norm_b = es._gram_norms(block)
+    assert norm_a == pytest.approx(es._norm1(block.a), rel=1e-14)
+    assert norm_b == pytest.approx(es._norm1(block.b), rel=1e-15)
 
 
 def test_backward_error_flags_nan():
