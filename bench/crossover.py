@@ -1,45 +1,39 @@
-"""Measure where the fourth-order solvers overtake one another.
+"""Measure where the fourth-order routes overtake one another.
 
 Usage (from the repository root):
 
     python3 bench/crossover.py [--out BENCH_dense_cutoff.json]
-        [--battery-2d PARENT.jsonl CHANGE.jsonl]
 
 Two sweeps, BLAS on one thread, each made several times with every run
 recorded.  The second-order kinds are not swept: their blocks take the
-separable solve, which reaches neither rule.
+separable solve, which reaches neither route.
 
 Dense cutoff.  For each fourth-order problem kind at degree 0 (one block
 per problem), in 2D and 3D, `solve_problem(problem, m=4)` is timed with the
-block forced down the dense path (DENSE_CUTOFF at the block size) and
-forced down the structured path (LOBPCG preconditioned by the per-axis
-fast-diagonalization inverse), best of REPEATS, on cubic grids of about 50
-to about 2400 dof.  The dense and structured runs alternate, so that a slow
-stretch of a shared machine hits both; the sweep is made RUNS times.  Near
-the crossover both paths take a few milliseconds, so one sweep's answer
-moves with machine noise.  The recommended cutoff therefore comes from the
-per-size median over the runs: for each (kind, dim) series, its last size
-before the first structured win, minimised over the series.  The crossover
-band spans what the runs say separately: from the smallest cutoff any
-single run recommends to the largest size at which some run first sees a
-structured win in some series.
+block forced down the dense path (DENSE_CUTOFF at the block size: numpy's
+Cholesky reduction of the pencil formed from the per-axis factors) and
+forced down the structured path (DENSE_CUTOFF at 0: LOBPCG preconditioned
+by the per-axis fast-diagonalization inverse), best of REPEATS, on cubic
+grids of 49 to 729 dof.  The dense and structured runs alternate, so that
+a slow stretch of a shared machine hits both; the sweep is made RUNS
+times.  Near the crossover both paths take a few milliseconds, so one
+sweep's answer moves with machine noise.  The recommended cutoff
+therefore comes from the per-size median over the runs: for each (kind,
+dim) series, its last size before the first structured win, minimised
+over the series.  The crossover band spans what the runs say separately:
+from the smallest cutoff any single run recommends to the largest size at
+which some run first sees a structured win in some series.
 
-Structured region.  Above the cutoff, each block is solved for m in
-COLUMN_COUNTS values both by the structured solve and by `solve_pencil`
-(shift-invert Lanczos around a sparse factorization), best of REPEATS, on
-cubic grids of about 350 to about 16,000 dof (2D) or 6,900 dof (3D); the
-sweep is made COLUMN_RUNS times.  On per-size medians, a (kind, dim, m)
-series' smallest structured size is the smallest size from which the
-structured solve wins at every larger size measured; a (dim, m) takes the
-largest over the kinds, and none if some kind has none.  The recommended
-`structured_min_dof` steps are these sizes, raised to rise with m, up to
-the first m with none: eigensolve.STRUCTURED_MIN_DOF must equal them.
-
---battery-2d is a later step, taken after DENSE_CUTOFF has been set from
-the first: it takes two files of `perfbench/run.py --workload battery-2d`
-results, the final JSON line of output of each run, from the parent commit
-and from the change.  It adds their wall_s, peak_rss_mb and ok_ratio to the
-existing --out file and leaves its timings as they are.
+Structured route.  The blocks above DENSE_CUTOFF that the structured
+solve takes (at most STRUCTURED_MAX_M values), at the sizes where it
+used to lose to `solve_pencil` per solve, are solved for each m in
+COLUMN_COUNTS by both, REPEATS times in each of COLUMN_RUNS runs, and
+every solve's seconds are recorded.  `solve_pencil` also costs a command
+the one-time import of scipy.sparse and scipy.sparse.linalg (with
+scipy.linalg), timed in IMPORT_SAMPLES fresh interpreters that have
+already loaded hodge_spectra.cli.  A block whose median structured solve
+is slower than its median general one by more than the median import is
+listed under `losses_beyond_import`.
 """
 
 from __future__ import annotations
@@ -57,6 +51,7 @@ import json  # noqa: E402
 import math  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -73,23 +68,26 @@ from hodge_spectra.discretize import ProblemKind, assemble, build_domain  # noqa
 M = 4
 REPEATS = 3
 RUNS = 5
-# the kinds whose blocks reach the dense/structured dispatch
+# the kinds whose blocks reach the fourth-order routes
 KINDS = tuple(kind for kind in ProblemKind if kind.is_fourth_order)
-# block side lengths: side**dim runs from 49 to 2401 dof in 2D, 125 to 2197 in 3D
+# block side lengths: side**dim runs from 49 to 625 dof in 2D, 64 to 729 in 3D
 SIDES = {
-    2: (7, 9, 11, 13, 15, 17, 19, 21, 25, 29, 35, 41, 49),
-    3: (5, 6, 7, 8, 9, 10, 11, 13),
+    2: (7, 9, 11, 13, 15, 17, 19, 21, 25),
+    3: (4, 5, 6, 7, 8, 9),
 }
 
 
-# structured region: values requested, block side lengths (529 to 16,129
-# dof in 2D, 343 to 6,859 in 3D, all above DENSE_CUTOFF), and runs
-COLUMN_COUNTS = (1, 4, 8, 16, 32)
+# structured route: values requested and block side lengths per dimension
+# (289 to 3,969 dof in 2D, 343 to 4,913 in 3D), and runs
+COLUMN_COUNTS = {2: (1, 4, 8), 3: (1, 4, 8, 16, 32)}
 COLUMN_SIDES = {
-    2: (23, 31, 47, 63, 95, 127),
-    3: (7, 9, 11, 13, 15, 19),
+    2: (17, 23, 31, 47, 63),
+    3: (7, 8, 9, 11, 13, 15, 17),
 }
 COLUMN_RUNS = 3
+IMPORT_SAMPLES = 9
+IMPORT_PROBE = ("import time, hodge_spectra.cli; start = time.perf_counter(); "
+                "import scipy.sparse.linalg; print(time.perf_counter() - start)")
 
 
 def _problem(kind: ProblemKind, dim: int, side: int):
@@ -147,67 +145,52 @@ def _time_structured(block, m: int) -> float:
 
 
 def sweep_columns() -> list[dict]:
-    """One run: best-of-REPEATS structured and general seconds for every series, size and m."""
+    """One run: every structured and general solve's seconds for every series, size and m."""
     rows = []
     for dim, sides in COLUMN_SIDES.items():
         for kind in KINDS:
             for side in sides:
                 (block,) = _problem(kind, dim, side).blocks
-                for m in COLUMN_COUNTS:
+                for m in COLUMN_COUNTS[dim]:
                     structured, general = [], []
                     for _ in range(REPEATS):
                         structured.append(_time_structured(block, m))
                         general.append(_time_general(block, m))
                     rows.append({"kind": kind.value, "dim": dim, "dof": block.size, "m": m,
-                                 "structured_s": min(structured), "general_s": min(general)})
+                                 "structured_s": structured, "general_s": general})
                     print(f"# {kind.value:18s} {dim}D {block.size:5d} dof m={m:2d}  structured "
                           f"{min(structured):8.4f} s  general {min(general):8.4f} s", flush=True)
     return rows
 
 
-def structured_rule(rows: list[dict]) -> dict:
-    """Per (dim, m), the smallest block size from which the structured solve always wins."""
-    wins = {}
-    for kind in KINDS:
-        for dim in COLUMN_SIDES:
-            for m in COLUMN_COUNTS:
-                points = sorted((r for r in rows
-                                 if (r["kind"], r["dim"], r["m"]) == (kind.value, dim, m)),
-                                key=lambda r: r["dof"])
-                first = None
-                for row in reversed(points):
-                    if row["structured_s"] >= row["general_s"]:
-                        break
-                    first = row["dof"]
-                wins.setdefault((dim, m), []).append(first)
-    smallest = {key: None if None in firsts else max(firsts) for key, firsts in wins.items()}
-    steps = {}
-    for dim in COLUMN_SIDES:
-        rising, floor = [], 0
-        for m in COLUMN_COUNTS:
-            if smallest[(dim, m)] is None:
-                break
-            floor = max(floor, smallest[(dim, m)])
-            rising.append([m, floor])
-        # a step whose size the next one repeats is covered by it
-        steps[str(dim)] = [step for step, after in zip(rising, rising[1:] + [None])
-                           if after is None or after[1] != step[1]]
-    return {"structured_min_dof": steps,
-            "smallest_structured_win": {f"{dim}D m={m}": dof
-                                        for (dim, m), dof in sorted(smallest.items())}}
+def scipy_import_seconds() -> list[float]:
+    """Seconds of importing scipy.sparse.linalg in fresh interpreters, after the CLI."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "HODGE_SPECTRA_THREADS": "1"}
+    return [float(subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, check=True,
+                                 capture_output=True, text=True).stdout)
+            for _ in range(IMPORT_SAMPLES)]
 
 
-def pooled_columns(runs: list[list[dict]]) -> dict:
-    """Per-size medians over the runs and the structured region they give."""
-    timings = [{key: first[key] for key in ("kind", "dim", "dof", "m")}
-               | {"structured_s": [run[i]["structured_s"] for run in runs],
-                  "general_s": [run[i]["general_s"] for run in runs]}
-               for i, first in enumerate(runs[0])]
-    medians = [{**row, "structured_s": statistics.median(row["structured_s"]),
-                "general_s": statistics.median(row["general_s"])} for row in timings]
-    return {**structured_rule(medians),
-            "per_run": [structured_rule(run)["structured_min_dof"] for run in runs],
-            "timings": timings}
+def pooled_columns(runs: list[list[dict]], import_s: list[float]) -> dict:
+    """Every run's solve seconds per block and m with their medians, and the blocks
+    where the structured solve loses by more than the scipy import."""
+    timings = []
+    for i, first in enumerate(runs[0]):
+        row = {key: first[key] for key in ("kind", "dim", "dof", "m")}
+        for name in ("structured", "general"):
+            row[f"{name}_s"] = [seconds for run in runs for seconds in run[i][f"{name}_s"]]
+            row[f"{name}_median_s"] = statistics.median(row[f"{name}_s"])
+        timings.append(row)
+    import_median = statistics.median(import_s)
+    return {
+        "scipy_import_s": {"values": import_s, "median": import_median},
+        "losses_beyond_import": [
+            {key: row[key] for key in ("kind", "dim", "dof", "m", "structured_median_s",
+                                       "general_median_s")}
+            for row in timings
+            if row["structured_median_s"] - row["general_median_s"] > import_median],
+        "timings": timings,
+    }
 
 
 def crossover(rows: list[dict]) -> dict:
@@ -294,22 +277,16 @@ def machine_facts() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_dense_cutoff.json")
-    parser.add_argument("--battery-2d", nargs=2, type=Path, metavar=("PARENT", "CHANGE"))
     args = parser.parse_args(argv)
-    if args.battery_2d:
-        result = json.loads(args.out.read_text())
-        result["battery_2d"] = {"dense_cutoff": eigensolve.DENSE_CUTOFF,
-                                **perfbench_pairs(*args.battery_2d)}
-        args.out.write_text(json.dumps(result, indent=1) + "\n")
-        return 0
     runs = []
     for index in range(RUNS):
         print(f"# run {index + 1} of {RUNS}", flush=True)
         runs.append(sweep())
     column_runs = []
     for index in range(COLUMN_RUNS):
-        print(f"# structured region: run {index + 1} of {COLUMN_RUNS}", flush=True)
+        print(f"# structured route: run {index + 1} of {COLUMN_RUNS}", flush=True)
         column_runs.append(sweep_columns())
+    import_s = scipy_import_seconds()
     result = {
         "what": f"seconds of solve_problem(m={M}) at degree 0, block forced dense and "
                 f"forced structured; per size, the best of {REPEATS} in each of {RUNS} runs",
@@ -322,22 +299,22 @@ def main(argv=None) -> int:
         "m": M,
         "machine": machine_facts(),
         **pooled(runs),
-        "structured_region": {
-            "what": "seconds of the structured solve and of solve_pencil (sparse) on one "
-                    f"degree-0 block per size, for m in {list(COLUMN_COUNTS)}; per size and m, "
-                    f"the best of {REPEATS} in each of {COLUMN_RUNS} runs",
-            "rule": "per (kind, dim, m), on per-size medians: the smallest size from which "
-                    "the structured solve wins at every larger size; per (dim, m) the largest "
-                    "over the kinds (none if a kind has none); structured_min_dof: these "
-                    "sizes raised to rise with m, up to the first m with none",
+        "structured_route": {
+            "what": "seconds of each structured solve and each solve_pencil (sparse) on one "
+                    "degree-0 block per size, for m up to structured_max_m; "
+                    f"{REPEATS} solves in each of {COLUMN_RUNS} runs; and of importing "
+                    "scipy.sparse.linalg in fresh interpreters",
+            "rule": "losses_beyond_import: blocks whose median structured solve is slower "
+                    "than their median general solve by more than the median import",
             "runs": COLUMN_RUNS,
-            **pooled_columns(column_runs),
+            "structured_max_m": {str(dim): m for dim, m in eigensolve.STRUCTURED_MAX_M.items()},
+            **pooled_columns(column_runs, import_s),
         },
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"# recommended cutoff {result['recommended_cutoff']}, band {result['band']},"
-          f" DENSE_CUTOFF {eigensolve.DENSE_CUTOFF}; structured_min_dof "
-          f"{result['structured_region']['structured_min_dof']}; wrote {args.out}")
+          f" DENSE_CUTOFF {eigensolve.DENSE_CUTOFF}; losses beyond the scipy import "
+          f"{result['structured_route']['losses_beyond_import']}; wrote {args.out}")
     return 0
 
 

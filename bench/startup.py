@@ -13,8 +13,9 @@ run once as a fresh interpreter equivalent to `python -m hodge_spectra`
 (BLAS on one thread through HODGE_SPECTRA_THREADS).  Per command it
 records the wall time of the whole child process (interpreter start
 included) on both sides, the child's own import time of `hodge_spectra.cli`,
-its exit code, which of scipy.sparse, scipy.linalg and scipy.sparse.linalg
-it had loaded when it ended, and in how many pairs the change was faster.
+its peak RSS, its exit code, which of scipy.sparse, scipy.linalg and
+scipy.sparse.linalg it had loaded when it ended, and in how many pairs the
+change was faster.
 --perfbench adds, per workload, the results of `perfbench/run.py
 --workload WORKLOAD --seed N --seconds 10 --trace 0` at the parent commit
 and at the change (the final JSON line of each run, one line per seed, line
@@ -45,12 +46,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SCIPY_PARTS = ("scipy.sparse", "scipy.linalg", "scipy.sparse.linalg")
 PERFBENCH_METRICS = ("wall_s", "setup_s", "peak_rss_mb", "ok_ratio")
 PROBE = f"""
-import json, sys, time
+import json, resource, sys, time
 start = time.perf_counter()
 import hodge_spectra.cli as cli
 import_s = time.perf_counter() - start
 code = cli.run(sys.argv[1:]) if sys.argv[1:] else 0
 print(json.dumps({{"import_s": import_s, "exit_code": code,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                   "scipy": [m for m in {SCIPY_PARTS!r} if m in sys.modules]}}))
 """
 IMPORT_ONLY = "import hodge_spectra.cli"
@@ -92,7 +94,7 @@ def run_once(src: Path, argv: list[str], workdir: Path) -> dict:
 
 def _summary(runs: list[dict]) -> dict:
     out = {}
-    for name in ("wall_s", "import_s"):
+    for name in ("wall_s", "import_s", "peak_rss_mb"):
         values = [run[name] for run in runs]
         q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
         out[name] = {"median": median, "q1": q1, "q3": q3, "values": values}
@@ -125,7 +127,9 @@ def measure(parent_src: Path, pairs: int) -> dict:
         row["change_wall_s_wins"] = f"{wins} of {pairs} pairs"
         table[label] = row
         print(f"# {label[:72]:72s} {row['parent']['wall_s']['median']:7.3f} -> "
-              f"{row['change']['wall_s']['median']:7.3f} s  {row['change']['scipy_loaded']}",
+              f"{row['change']['wall_s']['median']:7.3f} s  "
+              f"{row['parent']['peak_rss_mb']['median']:5.0f} -> "
+              f"{row['change']['peak_rss_mb']['median']:5.0f} MB  {row['change']['scipy_loaded']}",
               flush=True)
     return table
 
@@ -145,8 +149,9 @@ def main(argv=None) -> int:
     from crossover import machine_facts, perfbench_pairs
 
     result = {
-        "what": "wall seconds of fresh interpreters, whole child process: importing "
-                "hodge_spectra.cli alone, and each README and perfbench (seed 0) command; "
+        "what": "wall seconds and peak RSS of fresh interpreters, whole child process: "
+                "importing hodge_spectra.cli alone, and each README and perfbench (seed 0) "
+                "command; "
                 f"{args.pairs} interleaved parent/change pairs",
         "machine": machine_facts(),
         "commands": measure(args.parent_src, args.pairs),

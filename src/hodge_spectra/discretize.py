@@ -11,8 +11,8 @@ normal derivative keeps them and closes the stencil by ghost reflection
 (ghost value = mirror interior value, the centered derivative = 0 rule).
 
 `assemble` keeps every block as its dense per-axis factors and its grid,
-with numpy alone, and the separable and structured solvers work from
-those.  A block's sparse matrices (for fourth order, the Gram form
+with numpy alone, and the separable, dense and structured solvers work
+from those.  A block's sparse matrices (for fourth order, the Gram form
 a = L^T M~ L of the evaluation-grid Laplacian) are built on first access,
 and scipy.sparse is imported only then.
 """
@@ -277,7 +277,7 @@ class ComponentBlock:
     """One scalar diagonal block of an assembled p-form problem.
 
     A block keeps its per-axis factors and its grid, from which the
-    separable and the structured solves work: a fourth-order block's
+    separable, dense and structured solves work: a fourth-order block's
     a = vol (sum_k T_k)^2 + D and b are applied from its per-axis second
     differences T_k and its face diagonal D.  Its sparse pencil (`a`, `b`),
     and for fourth order the evaluation-grid Laplacian and its quadrature

@@ -1,7 +1,7 @@
 """Symmetric generalized eigensolver for the assembled pencils.
 
 Solves A x = theta B x for the m smallest eigenvalues with certified
-pairs, by one of three routes.
+pairs, by one of four routes.
 
 Separable (second order, numpy only).  Dirichlet and absolute Laplacian
 blocks are Kronecker sums of 1D pencils (S_k, W_k): each 1D pencil is
@@ -14,26 +14,32 @@ kernel (the constant mode, at absolute p = 0) is the known product of the
 certified from the 1D pencils alone: the error bound is the sum of
 per-axis bounds plus rounding terms (`_separable_certificate`).
 
-Structured (fourth order, in the measured region STRUCTURED_MIN_DOF,
-numpy only).  The clamped operator A = vol (sum_k T_k)^2 + sum_k D_k lies
-between the Kronecker sum Q of its per-axis 1D factors and n Q, for every
-h.  LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) preconditioned by
-Q^-1, which is applied exactly by per-axis eigendecompositions, finds the
-m smallest pairs.  A and buckling's B = vol sum_k T_k are applied by
-per-axis contractions with the 1D second differences T_k, clamped plate's
-B = vol I as a scalar; buckling's B is inverted like Q for its error
-bounds.  Nothing is assembled or factorized.
+Dense (fourth order, at most DENSE_CUTOFF dof, numpy only).  A and B are
+formed by the per-axis contractions of the structured route applied to
+the identity, and the pencil is reduced by a Cholesky factor of B
+(`_dense_solve`, O(n^3)); the pairs are certified like structured ones.
 
-General (`solve_pencil`: every other fourth-order block, a structured
-solve that fails its certificate, and any assembled pencil).  At most
-DENSE_CUTOFF dof are reduced densely (LAPACK, O(n^3)); larger ones use
-shift-invert Lanczos around a factorized (A - sigma B).  Both rules are
-measured by `bench/crossover.py` (BENCH_dense_cutoff.json): DENSE_CUTOFF
-is the crossover between the dense and the structured solve, and
-STRUCTURED_MIN_DOF gives, per dimension and number of values, the block
-size from which the structured solve beats shift-invert Lanczos.  Only
-this route imports scipy (scipy.sparse, scipy.linalg and
-scipy.sparse.linalg), when it runs.
+Structured (fourth order, larger 2D and 3D blocks asked for at most
+STRUCTURED_MAX_M values, numpy only).  The clamped operator A = vol
+(sum_k T_k)^2 + sum_k D_k lies between the Kronecker sum Q of its
+per-axis 1D factors and n Q, for every h.  LOBPCG (Knyazev, SIAM J. Sci.
+Comput. 23, 2001) preconditioned by Q^-1, which is applied exactly by
+per-axis eigendecompositions, finds the m smallest pairs.  A and
+buckling's B = vol sum_k T_k are applied by per-axis contractions with
+the 1D second differences T_k, clamped plate's B = vol I as a scalar;
+buckling's B is inverted like Q for its error bounds.  Nothing is
+assembled or factorized.
+
+General (`solve_pencil`: 1D fourth-order blocks above DENSE_CUTOFF, where
+the structured solve is several times slower; requests for more values
+than STRUCTURED_MAX_M; a numpy solve that fails its certificate; and any
+assembled pencil).  At most DENSE_CUTOFF dof are reduced by `_dense_solve`;
+larger pencils use shift-invert Lanczos around a factorized (A - sigma
+B).  Only this route imports scipy (scipy.sparse and scipy.sparse.linalg),
+when it runs.  DENSE_CUTOFF is the measured crossover between the dense
+and the structured solve (`bench/crossover.py`, BENCH_dense_cutoff.json),
+which also times the structured solve against shift-invert Lanczos on the
+blocks of the structured route.
 
 Every pair is certified once, straight from the eigensolver, with r =
 Ax - theta Bx.  Its normwise backward error ||r|| / ((||A||_1 + |theta|
@@ -46,8 +52,9 @@ bound on the rounding made in forming r is added, so the bound encloses
 the eigenvalue in floating point.  A structured residual is formed from
 the per-axis factors, and its rounding bound also covers the entry
 rounding of the assembled A and B (`_gram_residual`), so the bound holds
-for the pencil the general route solves.  It is free when B is diagonal;
-otherwise B^-1 comes from its per-axis factors (structured route) or one
+for the pencil the general route solves; dense fourth-order pairs are
+certified the same way.  It is free when B is diagonal; otherwise B^-1
+comes from its per-axis factors (dense and structured routes) or one
 factorization per block (general route).  Separable pairs bound both
 from their 1D pencils instead.
 
@@ -78,13 +85,9 @@ __all__ = [
 DENSE_CUTOFF = 225
 DEFAULT_TOL = 1e-9
 MAX_ITER = 10_000
-# where the structured solve beats solve_pencil, per dimension: a request
-# for m values takes the first (largest m, smallest dof) step with m at
-# most its largest m; see BENCH_dense_cutoff.json (`structured_min_dof`)
-STRUCTURED_MIN_DOF = {
-    2: ((4, 2209), (8, 9025)),
-    3: ((1, 729), (8, 1331), (16, 2197), (32, 6859)),
-}
+# largest number of values the structured solve takes, per dimension; more
+# go to solve_pencil, as do 1D blocks above DENSE_CUTOFF
+STRUCTURED_MAX_M = {2: 8, 3: 32}
 # structured fourth-order solve (`_structured_solve`): guard columns beyond
 # the m reported, Q modes in the start space per column, seeded random start
 # columns, the relative gap under which neighbouring Ritz values are kept
@@ -261,14 +264,19 @@ def _certified(values, vectors, certificates, tol: float, kind=None, degree=None
     return spectrum
 
 
-def _dense_solve(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
-    import scipy.linalg as sla
+def _dense_solve(a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m smallest eigenpairs of the dense pencil (a, b), by numpy alone.
 
+    The Cholesky factor L of b reduces the pencil to the standard problem
+    L^-1 a L^-T y = theta y, and x = L^-T y (as LAPACK's sygv does).
+    """
     try:
-        values, vectors = sla.eigh(a.toarray(), b.toarray(), subset_by_index=(0, m - 1))
-    except sla.LinAlgError as exc:
+        inverse = np.linalg.inv(np.linalg.cholesky(b))
+        reduced = inverse @ a @ inverse.T
+        values, vectors = np.linalg.eigh((reduced + reduced.T) / 2)
+    except np.linalg.LinAlgError as exc:
         raise FactorizationFailure(f"dense reduction failed: {exc}") from exc
-    return values, vectors
+    return values[:m], inverse.T @ vectors[:, :m]
 
 
 def _sparse_solve(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -311,7 +319,7 @@ def solve_pencil(a, b, m: int, tol: float = DEFAULT_TOL,
     _check_symmetry(a, "A")
     _check_symmetry(b, "B")
     if n <= DENSE_CUTOFF or m >= n - 1:
-        values, vectors = _dense_solve(a, b, m)
+        values, vectors = _dense_solve(a.toarray(), b.toarray(), m)
     else:
         values, vectors = _sparse_solve(a, b, m)
     return _certified(values, vectors, _residuals(a, b, values, vectors), tol,
@@ -682,19 +690,34 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     return _certified(values, vectors, _gram_certificate(block, values, vectors, norms), tol)
 
 
-def _takes_structured(block: ComponentBlock, m: int) -> bool:
-    """Whether a block is above DENSE_CUTOFF and in the structured solve's measured region.
+def _dense_block_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
+    """m smallest eigenpairs of a small fourth-order block, densely, by numpy alone.
 
-    STRUCTURED_MIN_DOF holds, per dimension, (largest m, smallest block
-    size) steps: a request for m values takes the first step whose m is at
-    least m.  Above the last step the general path is faster.
+    A and B are formed by `_gram_products` on the identity, the pencil is
+    reduced by `_dense_solve`, and the pairs are certified like structured
+    ones (`_gram_certificate`).
     """
-    if block.axis_operators is None or block.size <= DENSE_CUTOFF:
-        return False
-    for largest_m, min_dof in STRUCTURED_MIN_DOF.get(len(block.axis_operators), ()):
-        if m <= largest_m:
-            return block.size >= min_dof
-    return False
+    a, b = _gram_products(block, np.eye(block.size))
+    values, vectors = _dense_solve(a, b, m)
+    return _certified(values, vectors,
+                      _gram_certificate(block, values, vectors, _gram_norms(block)), tol)
+
+
+def _solve_fourth_order(block: ComponentBlock, m: int, tol: float) -> Spectrum:
+    """m smallest eigenpairs of a fourth-order block: densely up to DENSE_CUTOFF
+    dof, by the structured solve for at most STRUCTURED_MAX_M values, both by
+    numpy alone, and by `solve_pencil` otherwise or when the numpy solve fails
+    its certificate."""
+    if block.size <= DENSE_CUTOFF:
+        route = _dense_block_solve
+    elif m <= STRUCTURED_MAX_M.get(block.domain.dim, 0):
+        route = _structured_solve
+    else:
+        return solve_pencil(block.a, block.b, m, tol)
+    try:
+        return route(block, m, tol)
+    except NumericalFailure:
+        return solve_pencil(block.a, block.b, m, tol)
 
 
 def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,
@@ -703,10 +726,8 @@ def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,
 
     Identical blocks are solved once and replicated, which keeps discrete
     degree-independence and Hodge duality exact at the bit level.  Blocks
-    with 1D factors take the separable solve; fourth-order blocks take the
-    structured solve where `_takes_structured` says it is the faster, and
-    `solve_pencil` otherwise, or when the structured solve fails its
-    certificate.
+    with 1D factors take the separable solve, fourth-order blocks the route
+    `_solve_fourth_order` picks.
     A block's kernel (the constants at absolute p = 0) is left out, so the
     first reported eigenvalue is positive.  `cache` may be shared across
     problems on the same grid to reuse block solves.
@@ -727,15 +748,8 @@ def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,
         m_block = min(m, block.size - block.kernel_dim)
         key = (block.signature, m_block, tol)
         if key not in local_cache:
-            if block.axis_factors is not None:
-                local_cache[key] = _separable_solve(block, m_block, tol)
-            elif _takes_structured(block, m_block):
-                try:
-                    local_cache[key] = _structured_solve(block, m_block, tol)
-                except NumericalFailure:
-                    local_cache[key] = solve_pencil(block.a, block.b, m_block, tol)
-            else:
-                local_cache[key] = solve_pencil(block.a, block.b, m_block, tol)
+            solve = _separable_solve if block.axis_factors is not None else _solve_fourth_order
+            local_cache[key] = solve(block, m_block, tol)
         result = local_cache[key]
         block_results[index] = result
         for j in range(m_block):

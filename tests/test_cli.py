@@ -308,6 +308,14 @@ _BOX_23 = ["box", "--dim", "3", "--extent", "1,1,1", "--cells", "23,23,23", "--p
     # so does the structured route, which applies A and B from their per-axis factors
     (_BOX_23 + ["clamped_plate", "--degree", "0"], set()),
     (_BOX_23 + ["buckling", "--degree", "1"], set()),
+    # and the dense one: the README verify and converge commands, whose
+    # fourth-order blocks are dense (ladders, 1D) or structured (31^2, 63^2)
+    (["verify", "--dim", "2", "--extent", "1,1", "--cells", "63,63", "--degrees", "0,1,2",
+      "--error-estimates"], set()),
+    (["verify", "--dim", "2", "--extent", "1,1", "--cells", "31,31", "--degrees", "0,1",
+      "--format", "csv"], set()),
+    (["converge", "--dim", "1", "--extent", "1", "--problem", "clamped_plate", "--degree", "0",
+      "--resolutions", "31,63,127"], set()),
 ])
 def test_each_route_loads_only_the_scipy_it_uses(tmp_path, argv, loaded):
     # a fresh interpreter per command, so that sys.modules holds only what it imported
@@ -315,10 +323,11 @@ def test_each_route_loads_only_the_scipy_it_uses(tmp_path, argv, loaded):
 
 
 def test_general_route_loads_scipy_when_it_runs(tmp_path):
-    # the 961-dof fourth-order blocks of a 31^2 verify take solve_pencil; a
-    # positive control that the probe sees imports made inside functions
-    argv = ["verify", "--dim", "2", "--extent", "1,1", "--cells", "31,31", "--degrees", "0,1",
-            "--format", "csv"]
+    # the 255-dof 1D block of this ladder is above DENSE_CUTOFF and takes
+    # solve_pencil; a positive control that the probe sees imports made
+    # inside functions
+    argv = ["converge", "--dim", "1", "--extent", "1", "--problem", "clamped_plate",
+            "--degree", "0", "--resolutions", "63,127,255"]
     assert "scipy.sparse.linalg" in _scipy_modules_loaded(tmp_path, argv)
 
 

@@ -211,8 +211,8 @@ def test_assemble_builds_no_sparse_matrix(monkeypatch):
 
 def test_gram_forms_are_built_once_per_distinct_block(monkeypatch):
     # 15^2 battery at degrees 0, 1, 2 with its ladder 3^2, 7^2, 15^2: every
-    # clamped and buckling block of a grid shares one signature per kind, so
-    # solve_problem needs 2 kinds x 3 levels Gram forms
+    # clamped and buckling block has at most DENSE_CUTOFF dof and is solved
+    # densely from its per-axis factors, so solve_problem builds no Gram form
     from hodge_spectra.verify import box_battery
 
     built = []
@@ -224,7 +224,7 @@ def test_gram_forms_are_built_once_per_distinct_block(monkeypatch):
 
     monkeypatch.setattr(discretize, "_gram_factors", counting)
     box_battery(build_domain(2, [1.0, 1.0], [15, 15]), [0, 1, 2], with_error_estimates=True)
-    assert sorted(built) == [(3, 3)] * 2 + [(7, 7)] * 2 + [(15, 15)] * 2
+    assert built == []
 
 
 def test_global_pencil_builds_one_gram_form_per_signature(monkeypatch):

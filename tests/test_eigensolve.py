@@ -99,12 +99,12 @@ def test_sparse_path_matches_dense_path(monkeypatch):
 
 
 def test_large_block_does_not_use_dense_eigh(monkeypatch):
-    # a 63^2 clamped block (3969 dof) is far above the measured dense/sparse
+    # a 63^2 clamped block (3969 dof) is far above the measured dense
     # crossover
     def no_dense(*args, **kwargs):
-        raise AssertionError("dense eigh called on a 3969-dof block")
+        raise AssertionError("dense solve called on a 3969-dof block")
 
-    monkeypatch.setattr(sla, "eigh", no_dense)
+    monkeypatch.setattr(es, "_dense_solve", no_dense)
     prob = assemble(build_domain(2, [1.0, 1.0], [63, 63]), 0, ProblemKind.CLAMPED_PLATE)
     spec = solve_problem(prob, m=2)
     assert np.all(spec.residuals <= es.DEFAULT_TOL)
@@ -119,6 +119,16 @@ def test_dense_cutoff_lies_in_the_measured_crossover_band():
     assert len(bench["per_run"]) == bench["runs"] > 1
     low, high = bench["band"]
     assert low <= es.DENSE_CUTOFF < high
+
+
+def test_structured_route_loses_nowhere_by_more_than_the_scipy_import():
+    # on the blocks measured for the current STRUCTURED_MAX_M, no structured
+    # solve is slower than solve_pencil by more than the scipy import that
+    # solve_pencil would cost the command
+    route = json.loads((Path(__file__).resolve().parents[1]
+                        / "BENCH_dense_cutoff.json").read_text())["structured_route"]
+    assert {int(dim): m for dim, m in route["structured_max_m"].items()} == es.STRUCTURED_MAX_M
+    assert len(route["timings"]) > 0 and route["losses_beyond_import"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +304,27 @@ def test_deflation_leaves_other_pairs_untouched():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
-def structured_only(monkeypatch):
-    """Send every fourth-order block to the structured solve, none to solve_pencil."""
+def no_general_solver(monkeypatch):
+    """Fail any call of solve_pencil."""
     def forbidden(*args, **kwargs):
         raise AssertionError("general solver called on a fourth-order block")
 
-    monkeypatch.setattr(es, "DENSE_CUTOFF", 0)
-    monkeypatch.setattr(es, "STRUCTURED_MIN_DOF", {2: ((10 ** 6, 0),), 3: ((10 ** 6, 0),)})
     monkeypatch.setattr(es, "solve_pencil", forbidden)
+
+
+@pytest.fixture
+def structured_only(monkeypatch, no_general_solver):
+    """Send every fourth-order block to the structured solve, none to solve_pencil."""
+    monkeypatch.setattr(es, "DENSE_CUTOFF", 0)
+    monkeypatch.setattr(es, "STRUCTURED_MAX_M", {2: 10 ** 6, 3: 10 ** 6})
+
+
+def _forbid_assembled_blocks(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("assembled block read by a fourth-order solve")
+
+    for name in ("a", "b"):
+        monkeypatch.setattr(ComponentBlock, name, property(forbidden))
 
 
 @pytest.mark.parametrize("extent,cells,m", [
@@ -342,8 +365,7 @@ def test_fourth_order_solves_never_factorize(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("sparse solver called on a fourth-order block")
 
-    for name in ("a", "b"):
-        monkeypatch.setattr(ComponentBlock, name, property(forbidden))
+    _forbid_assembled_blocks(monkeypatch)
 
     def axis_only(eigh):
         def limited(a, *args, **kwargs):
@@ -363,30 +385,52 @@ def test_fourth_order_solves_never_factorize(monkeypatch):
         assert np.all(spec.residuals <= es.DEFAULT_TOL), kind
 
 
-def test_structured_path_is_bitwise_repeatable_and_degree_independent(structured_only):
-    # a 504-dof 3D block: two solves agree bit for bit, the 1-form spectrum
-    # (three copies of the same block, same request) repeats each scalar
-    # value three times, and the 3-form (Hodge dual of the scalar)
-    # reproduces it exactly
-    dom = build_domain(3, [1.0, 1.1, 0.9], [7, 8, 9])
-    one = solve_problem(assemble(dom, 0, ProblemKind.BUCKLING), m=4)
-    two = solve_problem(assemble(dom, 0, ProblemKind.BUCKLING), m=4)
-    for field in ("values", "residuals", "error_bounds", "vectors"):
-        assert np.array_equal(getattr(one, field), getattr(two, field)), field
-    dual = solve_problem(assemble(dom, 3, ProblemKind.BUCKLING), m=4)
-    assert np.array_equal(dual.values, one.values)
-    one_form = solve_problem(assemble(dom, 1, ProblemKind.BUCKLING), m=4)
-    assert np.array_equal(one_form.values, one.values[[0, 0, 0, 1]])
+def test_structured_path_is_bitwise_repeatable_and_degree_independent(no_general_solver):
+    # a 504-dof 3D block (structured) and a 210-dof one (dense): two solves
+    # agree bit for bit, the 1-form spectrum (three copies of the same
+    # block, same request) repeats each scalar value three times, and the
+    # 3-form (Hodge dual of the scalar) reproduces it exactly
+    for cells in ([7, 8, 9], [5, 6, 7]):
+        dom = build_domain(3, [1.0, 1.1, 0.9], cells)
+        one = solve_problem(assemble(dom, 0, ProblemKind.BUCKLING), m=4)
+        two = solve_problem(assemble(dom, 0, ProblemKind.BUCKLING), m=4)
+        for field in ("values", "residuals", "error_bounds", "vectors"):
+            assert np.array_equal(getattr(one, field), getattr(two, field)), (cells, field)
+        dual = solve_problem(assemble(dom, 3, ProblemKind.BUCKLING), m=4)
+        assert np.array_equal(dual.values, one.values), cells
+        one_form = solve_problem(assemble(dom, 1, ProblemKind.BUCKLING), m=4)
+        assert np.array_equal(one_form.values, one.values[[0, 0, 0, 1]]), cells
+
+
+@pytest.mark.parametrize("extent,cells", [
+    ([1.0], [127]),
+    ([1.0, 1.0], [15, 15]),
+    ([1.0, 1.1, 0.9], [5, 6, 7]),
+    ([1.0, 2.0, 6.0], [3, 5, 14]),
+])
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_dense_path_matches_the_assembled_pencil(kind, extent, cells, monkeypatch,
+                                                 no_general_solver):
+    # blocks of at most DENSE_CUTOFF dof are solved densely from their
+    # per-axis factors, without the assembled a or b, and every value lies
+    # within its error bound of scipy's dense eigh of the assembled pencil
+    dom = build_domain(len(cells), extent, cells)
+    reference = assemble(dom, 0, kind)
+    assert reference.dof_count <= es.DENSE_CUTOFF
+    full = sla.eigh(reference.A.toarray(), reference.B.toarray(), eigvals_only=True)[:6]
+    _forbid_assembled_blocks(monkeypatch)
+    spec = solve_problem(assemble(dom, 0, kind), m=6)
+    assert np.all(np.abs(spec.values - full) <= spec.error_bounds)
+    assert np.all(spec.residuals <= es.DEFAULT_TOL)
 
 
 @pytest.mark.parametrize("cells,m", [
-    # below the measured step's block size
-    ([40, 40], 4),
-    # more values than any measured step takes
-    ([15, 15, 15], 17),
+    # a 1D block above the dense cutoff
+    ([255], 4),
+    # more values than the structured route takes in 2D
+    ([40, 40], 9),
 ])
 def test_outside_the_structured_region_takes_the_general_path(monkeypatch, cells, m):
-    monkeypatch.setattr(es, "STRUCTURED_MIN_DOF", {2: ((4, 2209),), 3: ((16, 729),)})
     calls = []
     real = es.solve_pencil
 
@@ -402,20 +446,21 @@ def test_outside_the_structured_region_takes_the_general_path(monkeypatch, cells
     assert np.all(spec.residuals <= es.DEFAULT_TOL)
 
 
-def test_structured_region_is_the_measured_one():
-    bench = json.loads((Path(__file__).resolve().parents[1]
-                        / "BENCH_dense_cutoff.json").read_text())
-    measured = bench["structured_region"]["structured_min_dof"]
-    assert {int(dim): tuple(map(tuple, steps)) for dim, steps in measured.items()} \
-        == es.STRUCTURED_MIN_DOF
+def test_inside_the_structured_region_takes_the_structured_solve(monkeypatch,
+                                                                  no_general_solver):
+    # a 31^2 block (961 dof) asked for 4 values is solved by LOBPCG
+    calls = []
+    real = es._structured_solve
 
+    def counted(block, m, tol):
+        calls.append((block.size, m))
+        return real(block, m, tol)
 
-def test_structured_rule_steps_rise_in_both_m_and_size():
-    # a step for more values needs at least as large a block
-    for steps in es.STRUCTURED_MIN_DOF.values():
-        for (m_low, dof_low), (m_high, dof_high) in zip(steps, steps[1:]):
-            assert m_low < m_high and dof_low <= dof_high
-            assert dof_low > es.DENSE_CUTOFF
+    monkeypatch.setattr(es, "_structured_solve", counted)
+    prob = assemble(build_domain(2, [1.0, 1.0], [31, 31]), 0, ProblemKind.BUCKLING)
+    spec = solve_problem(prob, m=4)
+    assert calls == [(961, 4)]
+    assert np.all(spec.residuals <= es.DEFAULT_TOL)
 
 
 def test_failed_structured_solve_is_answered_by_the_general_path(monkeypatch):
