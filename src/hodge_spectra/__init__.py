@@ -8,13 +8,16 @@ import os as _os
 _cap = _os.environ.get("HODGE_SPECTRA_THREADS")
 if _cap is not None:
     try:
-        if int(_cap) >= 1:
-            for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-                _os.environ.setdefault(_var, str(int(_cap)))
+        _threads = int(_cap)
     except ValueError:
+        _threads = 0
+    if _threads >= 1:
+        for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            _os.environ.setdefault(_var, str(_threads))
+    else:
         import warnings
 
-        warnings.warn(f"ignoring malformed HODGE_SPECTRA_THREADS={_cap!r}")
+        warnings.warn(f"ignoring HODGE_SPECTRA_THREADS={_cap!r}: expected an integer >= 1")
 
 __version__ = "0.1.0"
 

@@ -1,10 +1,12 @@
 """Command-line front end: configure domains and problems, run solves and
 verification batteries, and emit machine-readable reports.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure (a partial report
-is still written, flagged in its meta block).  JSON is the primary format;
-CSV flattens the check table.  Identical configurations produce byte-identical
-reports; numbers are serialized in shortest round-trip decimal form.
+Exit codes: 0 success, 1 usage error (including an --out whose directory
+does not exist, found before any solve), 2 numerical failure (a partial
+report is still written, flagged in its meta block) or a report that cannot
+be written at the end.  JSON is the primary format; CSV flattens the check
+table.  Identical configurations produce byte-identical reports; numbers are
+serialized in shortest round-trip decimal form.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import platform
 import sys
 from dataclasses import asdict, dataclass
@@ -147,6 +150,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                  "out", "fmt"):
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
+    # before any solve: a report that has nowhere to go is a usage error
+    if cfg.out != "-" and not os.path.isdir(os.path.dirname(cfg.out) or "."):
+        raise UsageError(f"--out {cfg.out!r}: its directory does not exist")
     return cfg
 
 

@@ -12,9 +12,12 @@ normal derivative keeps them and closes the stencil by ghost reflection
 
 `assemble` keeps every block as its dense per-axis factors and its grid,
 with numpy alone, and the separable, dense and structured solvers work
-from those.  A block's sparse matrices (for fourth order, the Gram form
-a = L^T M~ L of the evaluation-grid Laplacian) are built on first access,
-and scipy.sparse is imported only then.
+from those.  A fourth-order block's operator is defined once, per axis:
+a = vol (sum_k T_k)^2 + D, T_k the 1D second differences and D the
+diagonal of face terms, which is the Gram form of the evaluation-grid
+Laplacian (see `ComponentBlock.axis_terms`).  A block's sparse matrices
+are assembled from the same factors on first access, and scipy.sparse is
+imported only then.
 """
 
 from __future__ import annotations
@@ -201,8 +204,8 @@ def _kron_chain(mats: Iterable[sp.spmatrix]) -> sp.csr_matrix:
     return out.tocsr()
 
 
-def _kron_sum(mats: Sequence[np.ndarray], others: Sequence[sp.spmatrix]) -> sp.csr_matrix:
-    """sum_k others[0] x ... x mats[k] x ... x others[-1], for dense mats[k]."""
+def _kron_sum(mats: Sequence, others: Sequence[sp.spmatrix]) -> sp.csr_matrix:
+    """sum_k others[0] x ... x mats[k] x ... x others[-1], for dense or sparse mats[k]."""
     import scipy.sparse as sp
 
     terms = [_kron_chain([sp.csr_matrix(mat) if j == k else other
@@ -223,53 +226,14 @@ def _second_difference(cells: int, h: float) -> np.ndarray:
     return np.diag(np.full(cells, 2.0 / h ** 2)) + np.diag(off, -1) + np.diag(off, 1)
 
 
-def _face_value(h: float) -> float:
-    """Entry of a face row of the evaluation-grid Laplacian (see `_gram_factors`)."""
-    return -2.0 / h ** 2
-
-
-def _face_diagonal(domain: BoxDomain) -> np.ndarray:
-    """Diagonal D = sum_k D_k of the face rows' share L_f^T M~_f L_f of the Gram form.
-
-    A node on the first or last layer of axis k gets (vol / 2) f_k^2 from
-    that face's row, f_k its entry; the terms are summed in axis order.
-    """
-    half = domain.cell_volume / 2.0
-    per_axis = []
-    for c, h in zip(domain.cells, domain.spacing):
-        d_k = np.zeros(c)
-        d_k[[0, -1]] = half * _face_value(h) * _face_value(h)
-        per_axis.append(d_k)
-    return functools.reduce(np.add.outer, per_axis).ravel()
-
-
-def _gram_factors(domain: BoxDomain) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Evaluation-grid Laplacian L and its quadrature weights M~, so that a = L^T M~ L.
-
-    The first rows are the standard (2n+1)-point Laplacian on the interior
-    nodes, with full cell-volume weight.  Then come the face rows, axis by
-    axis, first face before last: with value zero on the whole face and
-    ghost reflection for the normal derivative, the Laplacian at a boundary
-    node interior to the face with normal e_k reduces to -2 u(adjacent
-    interior node) / h_k^2 (nodes on two or more faces contribute nothing),
-    with the trapezoidal weight halved in the normal direction.
-    """
+def _laplacian(block: ComponentBlock) -> sp.csr_matrix:
+    """K = sum_k I x T_k x I of a fourth-order block, assembled from the three
+    diagonals of each T_k (a dense T_k would be scanned whole)."""
     import scipy.sparse as sp
 
-    interior = _kron_sum([_second_difference(c, h) for c, h in zip(domain.cells, domain.spacing)],
-                         [sp.identity(c, format="csr") for c in domain.cells])
-    flat = np.arange(domain.interior_count).reshape(domain.cells)
-    cols, vals = [], []
-    for k, h in enumerate(domain.spacing):
-        for layer in (0, domain.cells[k] - 1):
-            cols.append(np.take(flat, layer, axis=k).ravel())
-            vals.append(np.full(cols[-1].size, _face_value(h)))
-    cols = np.concatenate(cols)
-    face = sp.csr_matrix((np.concatenate(vals), cols, np.arange(cols.size + 1)),
-                         shape=(cols.size, domain.interior_count))
-    weights = np.concatenate([np.full(domain.interior_count, domain.cell_volume),
-                              np.full(cols.size, domain.cell_volume / 2.0)])
-    return sp.vstack([interior, face], format="csr"), weights
+    return _kron_sum([sp.diags([np.diag(second, j) for j in (-1, 0, 1)], [-1, 0, 1])
+                      for second, _ in block.axis_terms],
+                     [sp.identity(c, format="csr") for c in block.domain.cells])
 
 
 @dataclass(frozen=True)
@@ -277,12 +241,12 @@ class ComponentBlock:
     """One scalar diagonal block of an assembled p-form problem.
 
     A block keeps its per-axis factors and its grid, from which the
-    separable, dense and structured solves work: a fourth-order block's
-    a = vol (sum_k T_k)^2 + D and b are applied from its per-axis second
-    differences T_k and its face diagonal D.  Its sparse pencil (`a`, `b`),
-    and for fourth order the evaluation-grid Laplacian and its quadrature
-    weights, are built on first access, since only the general solver and
-    the tests read them.
+    separable, dense and structured solves work.  A fourth-order block is
+    its grid and the kind of its b: a = vol K^2 + D, with K = sum_k I x
+    T_k x I and D = sum_k I x diag(d_k) x I from its `axis_terms`, against
+    b = vol I (clamped plate) or vol K (buckling).  Its sparse pencil (`a`,
+    `b`) is built on first access, since only the general solver and the
+    tests read it.
     """
 
     component: ComponentIndex
@@ -292,44 +256,59 @@ class ComponentBlock:
     domain: BoxDomain
     # second order: per-axis dense 1D pencils (S_k, w_k) whose Kronecker sum is (a, b)
     axis_factors: Optional[tuple[tuple[np.ndarray, np.ndarray], ...]] = None
-    # fourth order: per-axis dense (q_k, b_k); Q = sum_k I x q_k x I has
-    # Q <= a <= n Q, and b = sum_k I x b_k x I unless b is diagonal (b_k None)
-    axis_operators: Optional[tuple[tuple[np.ndarray, Optional[np.ndarray]], ...]] = None
     kernel_dim: int = 0                         # dimension of the kernel of a
 
+    @property
+    def b_is_mass(self) -> bool:
+        """Whether b is a mass matrix: vol I for clamped plate, not buckling's vol K."""
+        return self.signature[1] == "mass"
+
     @functools.cached_property
-    def second_differences(self) -> Optional[tuple[np.ndarray, ...]]:
-        """Per-axis dense second differences T_k of a fourth-order block."""
-        if self.axis_operators is None:
+    def axis_terms(self) -> Optional[tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        """Per axis k of a fourth-order block, its dense second difference T_k
+        and its face terms d_k, (vol / 2) f_k^2 at both ends and 0 between.
+
+        At a node of a face normal to axis k the value is zero on the whole
+        face, and ghost reflection of the zero normal derivative leaves the
+        Laplacian f_k u = -2 u / h_k^2, u the value at the adjacent interior
+        node; the face node's trapezoidal weight is vol / 2.  So D is the
+        face rows' share of the Gram form L^T M~ L of the evaluation-grid
+        Laplacian L, and a the whole form (a node on two faces or more has
+        a zero Laplacian, and no row).
+        """
+        if self.axis_factors is not None:
             return None
-        return tuple(_second_difference(c, h)
-                     for c, h in zip(self.domain.cells, self.domain.spacing))
+        half = self.domain.cell_volume / 2.0
+        terms = []
+        for c, h in zip(self.domain.cells, self.domain.spacing):
+            face = -2.0 / h ** 2
+            d = np.zeros(c)
+            d[[0, -1]] = half * face * face
+            terms.append((_second_difference(c, h), d))
+        return tuple(terms)
 
     @functools.cached_property
     def face_diagonal(self) -> Optional[np.ndarray]:
-        """Diagonal D = a - vol (sum_k T_k)^2 of a fourth-order block."""
-        return None if self.axis_operators is None else _face_diagonal(self.domain)
-
-    @functools.cached_property
-    def _gram(self) -> tuple[Optional[sp.csr_matrix], Optional[np.ndarray]]:
-        return (None, None) if self.axis_operators is None else _gram_factors(self.domain)
-
-    @property
-    def laplacian(self) -> Optional[sp.csr_matrix]:
-        """Evaluation-grid Laplacian L of a fourth-order block, a = L^T M~ L."""
-        return self._gram[0]
-
-    @property
-    def eval_weights(self) -> Optional[np.ndarray]:
-        """Quadrature weights M~ of the rows of L."""
-        return self._gram[1]
+        """Diagonal D = sum_k I x diag(d_k) x I of a fourth-order block, the
+        terms added in axis order."""
+        if self.axis_terms is None:
+            return None
+        return functools.reduce(np.add.outer, [d for _, d in self.axis_terms]).ravel()
 
     @functools.cached_property
     def a(self) -> sp.csr_matrix:
         import scipy.sparse as sp
 
-        if self.axis_operators is not None:
-            return _symmetrize(self.laplacian.T @ sp.diags(self.eval_weights) @ self.laplacian)
+        if self.axis_factors is None:
+            laplacian = _laplacian(self)
+            a = (self.domain.cell_volume * laplacian) @ laplacian
+            # a node's face terms follow its interior sum one by one, in axis
+            # order, as the face rows of L follow its interior rows
+            diagonal = a.diagonal().reshape(self.domain.cells)
+            for k, (_, d) in enumerate(self.axis_terms):
+                diagonal += d.reshape([-1 if j == k else 1 for j in range(self.domain.dim)])
+            a.setdiag(diagonal.ravel())
+            return _symmetrize(a)
         return _symmetrize(_kron_sum([s_k for s_k, _ in self.axis_factors],
                                      [sp.diags(w, format="csr") for _, w in self.axis_factors]))
 
@@ -337,12 +316,12 @@ class ComponentBlock:
     def b(self) -> sp.csr_matrix:
         import scipy.sparse as sp
 
-        if self.axis_operators is None:
+        if self.axis_factors is not None:
             return _kron_chain([sp.diags(w, format="csr") for _, w in self.axis_factors])
         volume = self.domain.cell_volume
-        if self.axis_operators[0][1] is None:   # clamped plate: the mass matrix
+        if self.b_is_mass:
             return (sp.identity(self.size, format="csr") * volume).tocsr()
-        return _symmetrize(self.laplacian[:self.size] * volume)   # buckling: the stiffness
+        return _symmetrize(_laplacian(self) * volume)
 
 
 @dataclass(frozen=True)
@@ -381,29 +360,13 @@ class FormProblem:
 
 def _fourth_order_block(domain: BoxDomain, kind: ProblemKind,
                         conds: tuple[FaceCondition, ...]) -> dict:
-    """Clamped biharmonic block a = L^T M~ L and its per-axis bounds.
-
-    a = vol (sum_k T_k)^2 + sum_k D_k, with T_k axis k's second difference
-    and D_k = 2 vol / h_k^4 on the first and last layer of axis k (the face
-    rows).  Dropping the cross terms 2 vol T_j x T_k, which are positive
-    semidefinite, leaves Q = sum_k I x q_k x I with q_k = vol T_k^2 plus
-    2 vol / h_k^4 at both ends of the diagonal, so Q <= a <= n Q for every h.
-    Clamped plate pairs a with vol I, buckling with vol sum_k T_k.
-    """
+    """Clamped biharmonic block: its grid, and the kind of b in its signature
+    (see `ComponentBlock`)."""
     mass = kind is ProblemKind.CLAMPED_PLATE
-    volume = domain.cell_volume
-    axes = []
-    for c, h in zip(domain.cells, domain.spacing):
-        second = _second_difference(c, h)
-        q = volume * (second @ second)
-        q[0, 0] += 2.0 * volume / h ** 4
-        q[-1, -1] += 2.0 * volume / h ** 4
-        axes.append((q, None if mass else volume * second))
     return {
         "size": domain.interior_count,
         "signature": ("biharmonic", "mass" if mass else "stiffness", domain.key, conds),
         "domain": domain,
-        "axis_operators": tuple(axes),
     }
 
 
@@ -428,9 +391,10 @@ def _second_order_block(domain: BoxDomain, conds: tuple[FaceCondition, ...]) -> 
 def assemble(domain: BoxDomain, degree: int, kind: ProblemKind) -> FormProblem:
     """Assemble the block-diagonal pencil (A, B) for p-forms of the given kind.
 
-    Clamped plate: A = L^T M~ L against the mass matrix.  Buckling: the same
-    A against the Dirichlet stiffness K.  Dirichlet / absolute Laplacian:
-    K against the (trapezoidal) mass, with per-component face conditions.
+    Clamped plate: A = vol K^2 + D against the mass matrix vol I, K the
+    Dirichlet Laplacian sum_k I x T_k x I.  Buckling: the same A against the
+    stiffness vol K.  Dirichlet / absolute Laplacian: the stiffness against
+    the (trapezoidal) mass, with per-component face conditions.
     Only the per-axis factors are built here (see `ComponentBlock`).
     Components with the same per-axis conditions share a block signature,
     so `solve_problem` solves their block once.

@@ -21,21 +21,22 @@ the identity, and the pencil is reduced by a Cholesky factor of B
 
 Structured (fourth order, larger 2D and 3D blocks asked for at most
 STRUCTURED_MAX_M values, numpy only).  The clamped operator A = vol
-(sum_k T_k)^2 + sum_k D_k lies between the Kronecker sum Q of its
-per-axis 1D factors and n Q, for every h.  LOBPCG (Knyazev, SIAM J. Sci.
-Comput. 23, 2001) preconditioned by Q^-1, which is applied exactly by
+(sum_k T_k)^2 + D, from the block's per-axis second differences T_k and
+face terms d_k, lies between the Kronecker sum Q of the per-axis q_k =
+vol T_k^2 + diag(d_k) and n Q, for every h.  LOBPCG (Knyazev, SIAM J.
+Sci. Comput. 23, 2001) preconditioned by Q^-1, which is applied exactly by
 per-axis eigendecompositions, finds the m smallest pairs.  A and
 buckling's B = vol sum_k T_k are applied by per-axis contractions with
-the 1D second differences T_k, clamped plate's B = vol I as a scalar;
-buckling's B is inverted like Q for its error bounds.  Nothing is
-assembled or factorized.
+the T_k, clamped plate's B = vol I as a scalar; buckling's B is inverted
+like Q for its error bounds.  Nothing is assembled or factorized.
 
 General (`solve_pencil`: 1D fourth-order blocks above DENSE_CUTOFF, where
 the structured solve is several times slower; requests for more values
 than STRUCTURED_MAX_M; a numpy solve that fails its certificate; and any
-assembled pencil).  At most DENSE_CUTOFF dof are reduced by `_dense_solve`;
-larger pencils use shift-invert Lanczos around a factorized (A - sigma
-B).  Only this route imports scipy (scipy.sparse and scipy.sparse.linalg),
+assembled pencil, a fourth-order block's assembled from the same T_k and
+d_k).  At most DENSE_CUTOFF dof are reduced by `_dense_solve`; larger
+pencils use shift-invert Lanczos around a factorized (A - sigma B).  Only
+this route imports scipy (scipy.sparse and scipy.sparse.linalg),
 when it runs.  DENSE_CUTOFF is the measured crossover between the dense
 and the structured solve (`bench/crossover.py`, BENCH_dense_cutoff.json),
 which also times the structured solve against shift-invert Lanczos on the
@@ -221,12 +222,10 @@ def _bounds(values, vectors, r, bx, rounding, norm_a: float, norm_b: float,
     return eta, delta
 
 
-def _residuals(a, b, values, vectors, b_solve=None) -> tuple[np.ndarray, np.ndarray]:
+def _residuals(a, b, values, vectors) -> tuple[np.ndarray, np.ndarray]:
     """Backward errors and eigenvalue error bounds of the pairs (values, vectors)
-    of a sparse pencil (see `_bounds`).
-
-    `b_solve` applies B^-1 to a block of vectors; without it a non-diagonal
-    B is factorized.
+    of a sparse pencil (see `_bounds`); a non-diagonal B is factorized to apply
+    B^-1.
     """
     r, bx, rounding = _residual_vectors(a, b, values, vectors)
     if b.count_nonzero() == np.count_nonzero(b.diagonal()):
@@ -234,7 +233,7 @@ def _residuals(a, b, values, vectors, b_solve=None) -> tuple[np.ndarray, np.ndar
 
         def b_solve(v):
             return v / diagonal
-    elif b_solve is None:
+    else:
         import scipy.sparse.linalg as spla
 
         b_solve = spla.splu(b.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
@@ -503,14 +502,12 @@ def _gram_products(block: ComponentBlock, x: np.ndarray,
     (sum_k T_k)^2 is a sum of products of one sign (the grid graph has no
     triangles), so |A| = vol (sum_k |T_k|)^2 + D entrywise.
     """
-    seconds = block.second_differences
-    if magnitudes:
-        seconds = [np.abs(second) for second in seconds]
+    seconds = [np.abs(second) if magnitudes else second for second, _ in block.axis_terms]
     shape = block.domain.cells
     volume = block.domain.cell_volume
     y = volume * _axis_sum(seconds, x, shape)
     ax = _axis_sum(seconds, y, shape) + block.face_diagonal[:, None] * x
-    return ax, (volume * x if block.axis_operators[0][1] is None else y)
+    return ax, (volume * x if block.b_is_mass else y)
 
 
 def _gram_norms(block: ComponentBlock) -> tuple[float, float]:
@@ -526,20 +523,26 @@ def _gram_residual(block: ComponentBlock, values,
 
     The bound holds both for the pencil of the per-axis factors (A* = vol
     (sum_k T_k)^2 + D, B* = vol sum_k T_k or vol I, exact in the float T_k,
-    D and vol) and for the assembled `block.a`, `block.b`.  Evaluation
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec.
-    3.5): each T_k product is a dot product of at most 3 nonzero terms, the
-    axis sum adds n - 1 roundings and the scaling by vol one, so y, and
-    buckling's Bx, carry gamma_{n+3} |B*||x|; the second contraction adds
-    n + 2, the addition of Dx one (D itself is within gamma_{n+1} of its
-    exact terms), so Ax carries gamma_{2n+6} |A*||x|; theta Bx and the
-    subtraction add two, so |fl(r) - r*| <= gamma_{2n+7} (|A*||x| + |theta|
-    |B*||x|).  Assembly: an entry of `block.a` is a sum of at most 2n + 1
-    products of one sign, each off by up to 2n roundings (the assembled
-    Laplacian's diagonal is a sum of n terms), so |a - A*| <= gamma_{4n}
-    |A*|, and |b - B*| <= gamma_n |B*|.  Together g = gamma_{6n+7} (|A||x|
-    + |theta||B||x|); the factor 1 + gamma_{2n+10} covers the roundings made
-    in computing g itself, a sum of nonnegative terms.
+    vol and face entries f_k, D holding the terms (vol / 2) f_k^2) and for
+    the assembled `block.a`, `block.b`.  Evaluation (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 3.5): each T_k product
+    is a dot product of at most 3 nonzero terms, the axis sum adds n - 1
+    roundings and the scaling by vol one, so y, and buckling's Bx, carry
+    gamma_{n+3} |B*||x|; the second contraction adds n + 2, the addition of
+    Dx one (D itself is within gamma_{n+1} of its exact terms), so Ax
+    carries gamma_{2n+6} |A*||x|; theta Bx and the subtraction add two, so
+    |fl(r) - r*| <= gamma_{2n+7} (|A*||x| + |theta| |B*||x|).  Assembly:
+    `block.a` is (vol K) K, K = sum_k I x T_k x I, with a node's face terms
+    then added one by one.  An entry is a sum of at most 2n + 1 terms of one
+    sign (the grid graph has no triangles): products, each off by up to 2n
+    roundings (K's diagonal is a sum of n terms), and face terms, off by
+    two; the sum adds 2n, so |a - A*| <= gamma_{4n} |A*|.  Off the diagonal
+    a product carries at most n + 1 roundings and a sum has at most two
+    terms, so the symmetrization's one rounding stays within that.  An entry
+    of vol K is off by at most n roundings, so |b - B*| <= gamma_n |B*|.
+    Together g = gamma_{6n+7} (|A||x| + |theta||B||x|); the factor 1 +
+    gamma_{2n+10} covers the roundings made in computing g itself, a sum of
+    nonnegative terms.
     """
     n = len(block.domain.cells)
     values = np.asarray(values, dtype=float)
@@ -554,13 +557,13 @@ def _gram_certificate(block: ComponentBlock, values, vectors: np.ndarray,
                       norms: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Backward errors and error bounds (`_bounds`) of pairs of a fourth-order block, from
     `_gram_residual` and the norms of `_gram_norms`; buckling's B^-1 is applied like Q^-1."""
-    if block.axis_operators[0][1] is None:
-        volume = block.domain.cell_volume
-
+    volume = block.domain.cell_volume
+    if block.b_is_mass:
         def b_solve(v):
             return v / volume
     else:
-        b_solve = _kron_sum_solver([np.linalg.eigh(b_k) for _, b_k in block.axis_operators])
+        b_solve = _kron_sum_solver([np.linalg.eigh(volume * second)
+                                    for second, _ in block.axis_terms])
     return _bounds(values, vectors, *_gram_residual(block, values, vectors), *norms, b_solve)
 
 
@@ -665,6 +668,16 @@ def _combine(arrays, coefficients: np.ndarray) -> np.ndarray:
     return sum(u @ part for u, part in zip(arrays, np.split(coefficients, rows)))
 
 
+def _axis_bounds(block: ComponentBlock) -> list[np.ndarray]:
+    """Per-axis q_k = vol T_k^2 + diag(d_k) of a fourth-order block.
+
+    Dropping the cross terms 2 vol T_j x T_k of A, which are positive
+    semidefinite, leaves Q = sum_k I x q_k x I, so Q <= A <= n Q for every h.
+    """
+    volume = block.domain.cell_volume
+    return [volume * (second @ second) + np.diag(d) for second, d in block.axis_terms]
+
+
 def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     """m smallest eigenpairs of a fourth-order block by preconditioned LOBPCG.
 
@@ -678,7 +691,7 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     the random columns hold every class, so no class of eigenvalues is left
     out.  `_certified` judges the result (`_gram_certificate`).
     """
-    q_pairs = [np.linalg.eigh(q) for q, _ in block.axis_operators]
+    q_pairs = [np.linalg.eigh(q_k) for q_k in _axis_bounds(block)]
     _, span, _ = _smallest_sums(q_pairs, START_SPAN * (m + GUARD),
                                 multiplet_limit=block.size // 2)
     rng = np.random.default_rng(_SEED)

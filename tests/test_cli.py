@@ -162,7 +162,15 @@ def test_usage_errors_exit_one(tmp_path, capsys, monkeypatch):
     def no_battery(*args, **kwargs):
         raise AssertionError("verify solved before checking gamma")
 
+    def no_solve(*args, **kwargs):
+        raise AssertionError("box solved before checking --out")
+
     monkeypatch.setattr(cli, "box_battery", no_battery)
+    monkeypatch.setattr(cli, "solve_problem", no_solve)
+    # a report whose directory does not exist fails before the solve
+    assert run(["box", "--dim", "2", "--extent", "1,1", "--cells", "5,5",
+                "--problem", "clamped_plate", "--degree", "0",
+                "--out", str(tmp_path / "missing" / "box.json")]) == 1
     for gamma in ("1e160", "1e200", "1e-200"):
         assert run(["constants", "--dim", "3", "--degree", "1", "--gamma", gamma]) == 1, gamma
         assert run(["verify", "--dim", "2", "--extent", "1,1", "--cells", "5,5",
@@ -285,6 +293,19 @@ def test_module_invocation_honors_thread_cap(tmp_path):
          "import hodge_spectra, os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
         env=env, capture_output=True, text=True, timeout=60)
     assert probe.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("cap", ["0", "two"])
+def test_thread_cap_below_one_or_malformed_is_ignored_with_a_warning(cap):
+    env = dict(_child_env(), HODGE_SPECTRA_THREADS=cap)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import hodge_spectra, os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "None"
+    assert f"ignoring HODGE_SPECTRA_THREADS={cap!r}" in probe.stderr
 
 
 _SCIPY_PARTS = ("scipy.sparse", "scipy.linalg", "scipy.sparse.linalg")

@@ -13,7 +13,8 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-import hodge_spectra.discretize as discretize
+import hodge_spectra.eigensolve as es
+from evaluation_grid import evaluation_laplacian, gram_pencil
 from hodge_spectra.discretize import (
     ComponentBlock,
     ComponentIndex,
@@ -183,17 +184,38 @@ def test_buckling_b_is_the_dirichlet_stiffness():
 
 
 def test_integration_by_parts_identity():
-    # x^T (L^T M L) y == (Lx)^T M (Ly) for the stored factors
+    # x^T a y == (Lx)^T M~ (Ly), L the evaluation-grid Laplacian built node by node
     dom = build_domain(2, [1.0, 1.0], [6, 6])
     prob = assemble(dom, 0, ProblemKind.CLAMPED_PLATE)
     blk = prob.blocks[0]
+    laplacian, weights = evaluation_laplacian(dom)
     rng = np.random.default_rng(11)
     for _ in range(100):
         x = rng.standard_normal(blk.size)
         y = rng.standard_normal(blk.size)
         lhs = x @ (blk.a @ y)
-        rhs = (blk.laplacian @ x) @ ((blk.laplacian @ y) * blk.eval_weights)
+        rhs = (laplacian @ x) @ ((laplacian @ y) * weights)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("extent,cells", [
+    ([1.0], [63]), ([1.0, 1.0], [15, 15]), ([1.0, 1.0, 1.0], [7, 7, 7]),
+    ([1.0, 1.3], [9, 11]), ([1.0, 0.8, 1.1], [4, 5, 6]), ([1.0, 1.2, 0.9], [4, 5, 6]),
+    ([1.0, 2.0, 3.0], [6, 11, 17]),
+])
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_fourth_order_pencil_is_the_gram_form_of_the_evaluation_grid_laplacian(
+        kind, extent, cells):
+    # a = vol K^2 + D and b, assembled from the per-axis factors, equal
+    # L^T M~ L and its b bitwise, sparsity included: the products and sums
+    # are formed in the same order, so FormProblem.A and .B do not depend on
+    # which of the two defines them, also where h is not a power of two
+    dom = build_domain(len(cells), extent, cells)
+    (block,) = assemble(dom, 0, kind).blocks
+    reference = gram_pencil(dom, kind is ProblemKind.CLAMPED_PLATE)
+    for assembled, expected in zip((block.a, block.b), reference):
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(assembled, name), getattr(expected, name)), name
 
 
 def test_assemble_builds_no_sparse_matrix(monkeypatch):
@@ -205,39 +227,41 @@ def test_assemble_builds_no_sparse_matrix(monkeypatch):
         problems = [assemble(dom, p, kind) for kind in ProblemKind for p in range(4)]
     for prob in problems:
         for blk in prob.blocks:
-            assert not {"_gram", "a", "b"} & set(vars(blk))
+            assert not {"a", "b"} & set(vars(blk))
     assert problems[0].blocks[0].a.shape == (120, 120)
+
+
+def _count_fourth_order_a(monkeypatch) -> list:
+    """Grids of the fourth-order blocks whose `a` gets built from now on."""
+    built = []
+    build = ComponentBlock.a.func
+
+    def counting(block):
+        if block.axis_factors is None:
+            built.append(block.domain.cells)
+        return build(block)
+
+    counting_a = functools.cached_property(counting)
+    counting_a.__set_name__(ComponentBlock, "a")
+    monkeypatch.setattr(ComponentBlock, "a", counting_a)
+    return built
 
 
 def test_gram_forms_are_built_once_per_distinct_block(monkeypatch):
     # 15^2 battery at degrees 0, 1, 2 with its ladder 3^2, 7^2, 15^2: every
     # clamped and buckling block has at most DENSE_CUTOFF dof and is solved
-    # densely from its per-axis factors, so solve_problem builds no Gram form
+    # densely from its per-axis factors, so solve_problem builds no block.a
     from hodge_spectra.verify import box_battery
 
-    built = []
-    gram_factors = discretize._gram_factors
-
-    def counting(domain):
-        built.append(domain.cells)
-        return gram_factors(domain)
-
-    monkeypatch.setattr(discretize, "_gram_factors", counting)
+    built = _count_fourth_order_a(monkeypatch)
     box_battery(build_domain(2, [1.0, 1.0], [15, 15]), [0, 1, 2], with_error_estimates=True)
     assert built == []
 
 
 def test_global_pencil_builds_one_gram_form_per_signature(monkeypatch):
     # the three components of a 3D clamped 1-form share one signature, so
-    # the global A takes all three blocks from one Gram form
-    built = []
-    gram_factors = discretize._gram_factors
-
-    def counting(domain):
-        built.append(domain.cells)
-        return gram_factors(domain)
-
-    monkeypatch.setattr(discretize, "_gram_factors", counting)
+    # the global A takes all three blocks from one block.a
+    built = _count_fourth_order_a(monkeypatch)
     prob = assemble(build_domain(3, [1.0, 1.1, 0.9], [3, 4, 5]), 1, ProblemKind.CLAMPED_PLATE)
     assert prob.A.shape == (3 * 60, 3 * 60)
     assert built == [(3, 4, 5)]
@@ -248,23 +272,19 @@ def test_global_pencil_builds_one_gram_form_per_signature(monkeypatch):
 @pytest.mark.parametrize("extent,cells", [([1.3], [5]), ([1.0, 1.3], [4, 6]),
                                           ([1.0, 1.1, 0.9], [3, 4, 5])])
 def test_face_rows_match_the_per_node_rule(extent, cells):
-    # the face rows of L, built as arrays, against one row per face node in
-    # axis, face, node order: -2 / h_k^2 at the adjacent interior node
+    # the face rows of L, one per face node in axis, face, node order with
+    # -2 / h_k^2 at the adjacent interior node, give exactly the block's face
+    # diagonal: L_f^T M~_f L_f = D, a node's terms added in axis order
     dom = build_domain(len(cells), extent, cells)
     blk = assemble(dom, 0, ProblemKind.CLAMPED_PLATE).blocks[0]
-    flat = np.arange(dom.interior_count).reshape(dom.cells)
-    face_cols, face_vals = [], []
-    for k, h in enumerate(dom.spacing):
-        for layer in (0, dom.cells[k] - 1):
-            for col in np.take(flat, layer, axis=k).ravel():
-                face_cols.append(int(col))
-                face_vals.append(-2.0 / h ** 2)
-    face = blk.laplacian[dom.interior_count:]
-    assert np.array_equal(face.indptr, np.arange(len(face_cols) + 1))
-    assert np.array_equal(face.indices, face_cols)
-    assert np.array_equal(face.data, face_vals)
-    assert np.array_equal(blk.eval_weights, [dom.cell_volume] * dom.interior_count
-                          + [dom.cell_volume / 2.0] * len(face_cols))
+    laplacian, weights = evaluation_laplacian(dom)
+    face = laplacian[dom.interior_count:]
+    share = (face.T @ sp.diags(weights[dom.interior_count:]) @ face).tocsr()
+    share.sort_indices()
+    nodes = np.flatnonzero(blk.face_diagonal)
+    assert np.array_equal(share.indptr, np.searchsorted(nodes, np.arange(dom.interior_count + 1)))
+    assert np.array_equal(share.indices, nodes)
+    assert np.array_equal(share.data, blk.face_diagonal[nodes])
 
 
 def test_degree_out_of_range_rejected():
@@ -341,14 +361,12 @@ def test_fourth_order_block_lies_between_q_and_n_q(kind, extent, cells):
         return sum(kron([factors[k] if j == k else eyes[j] for j in range(dom.dim)])
                    for k in range(dom.dim))
 
-    q = kron_sum([q_k for q_k, _ in block.axis_operators])
+    q = kron_sum(es._axis_bounds(block))
     ratios = sla.eigh(block.a.toarray(), q, eigvals_only=True)
     assert ratios[0] >= 1.0 - 1e-10 and ratios[-1] <= dom.dim + 1e-10
-    b_factors = [b_k for _, b_k in block.axis_operators]
-    if kind is ProblemKind.CLAMPED_PLATE:
-        assert b_factors == [None] * dom.dim
-    else:
-        b = kron_sum(b_factors)
+    assert block.b_is_mass is (kind is ProblemKind.CLAMPED_PLATE)
+    if not block.b_is_mass:
+        b = kron_sum([dom.cell_volume * second for second, _ in block.axis_terms])
         assert np.allclose(block.b.toarray(), b, rtol=0.0, atol=1e-12 * np.abs(b).max())
 
 

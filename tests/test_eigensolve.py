@@ -14,7 +14,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-import hodge_spectra.discretize as discretize
 import hodge_spectra.eigensolve as es
 from hodge_spectra.discretize import ComponentBlock, ProblemKind, assemble, build_domain
 from hodge_spectra.eigensolve import Spectrum, solve_pencil, solve_problem
@@ -703,12 +702,12 @@ def _exact_gram_pencil(block):
     for multi in itertools.product(*(range(c) for c in shape)):
         row = int(np.ravel_multi_index(multi, shape))
         d[row] = Fraction(0)
-        for k, second in enumerate(block.second_differences):
+        for k, (second, _) in enumerate(block.axis_terms):
             for col_k in np.flatnonzero(second[multi[k]]):
                 col = int(np.ravel_multi_index(multi[:k] + (col_k,) + multi[k + 1:], shape))
                 s[row, col] = s.get((row, col), 0) + Fraction(second[multi[k], col_k])
             if multi[k] in (0, shape[k] - 1):
-                d[row] += volume / 2 * Fraction(discretize._face_value(dom.spacing[k])) ** 2
+                d[row] += volume / 2 * Fraction(-2.0 / dom.spacing[k] ** 2) ** 2
     by_row = {}
     for (i, j), value in s.items():
         by_row.setdefault(i, []).append((j, value))
@@ -717,7 +716,7 @@ def _exact_gram_pencil(block):
         for j, s_ij in row:
             for l, s_jl in by_row[j]:
                 a[i, l] = a.get((i, l), 0) + volume * s_ij * s_jl
-    if block.axis_operators[0][1] is None:
+    if block.b_is_mass:
         return a, {(i, i): volume for i in d}
     return a, {key: volume * value for key, value in s.items()}
 
