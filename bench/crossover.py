@@ -4,7 +4,7 @@ Usage (from the repository root):
 
     python3 bench/crossover.py [--out BENCH_dense_cutoff.json]
 
-Two sweeps, BLAS on one thread, each made several times with every run
+Three sweeps, BLAS on one thread, each made several times with every run
 recorded.  The second-order kinds are not swept: their blocks take the
 separable solve, which reaches neither route.
 
@@ -23,6 +23,18 @@ dim) series, its last size before the first structured win, minimised
 over the series.  The crossover band spans what the runs say separately:
 from the smallest cutoff any single run recommends to the largest size at
 which some run first sees a structured win in some series.
+
+Reflection classes.  For each fourth-order kind at degree 0, in 2D and 3D,
+`solve_problem(problem, m=4)` is timed with the block solved as one class
+(SPLIT_ITERATE above every block) and split into its 2^n reflection
+classes (SPLIT_ITERATE at 0), alternating, best of REPEATS, on cubic grids
+whose per-class iterate N (m + GUARD) / 2^n runs from about 1,000 to
+24,000, and the sweep is made RUNS times.  The rule is the dense cutoff's
+with the iterate for the size: on per-iterate medians, each series' last
+one-class win before its first split win, minimised over the series; the
+band runs from the smallest single-run recommendation to the largest
+iterate at which some run first sees a split win.  SPLIT_ITERATE belongs
+above the band's start and at most at its end.
 
 Structured route.  The blocks above DENSE_CUTOFF that the structured
 solve takes (at most STRUCTURED_MAX_M values), at the sizes where it
@@ -77,11 +89,17 @@ SIDES = {
 }
 
 
+# reflection classes: block side lengths, per-class iterates about 1,000 to
+# 24,000 at m = 4 in both dimensions
+SPLIT_SIDES = {
+    2: (31, 47, 55, 63, 71, 79, 95, 127),
+    3: (11, 13, 15, 17, 19, 21, 23, 31),
+}
 # structured route: values requested and block side lengths per dimension
-# (289 to 3,969 dof in 2D, 343 to 4,913 in 3D), and runs
-COLUMN_COUNTS = {2: (1, 4, 8), 3: (1, 4, 8, 16, 32)}
+# (289 to 16,129 dof in 2D, 343 to 4,913 in 3D), and runs
+COLUMN_COUNTS = {2: (1, 4, 8, 16, 32), 3: (1, 4, 8, 16, 32)}
 COLUMN_SIDES = {
-    2: (17, 23, 31, 47, 63),
+    2: (17, 23, 31, 47, 63, 127),
     3: (7, 8, 9, 11, 13, 15, 17),
 }
 COLUMN_RUNS = 3
@@ -94,15 +112,18 @@ def _problem(kind: ProblemKind, dim: int, side: int):
     return assemble(build_domain(dim, [1.0] * dim, [side] * dim), 0, kind)
 
 
-def _time_solve(problem, cutoff: int) -> float:
-    saved = eigensolve.DENSE_CUTOFF
-    eigensolve.DENSE_CUTOFF = cutoff
+def _time_solve(problem, **settings) -> float:
+    """Seconds of solve_problem(problem, M) with the eigensolve constants in settings."""
+    saved = {name: getattr(eigensolve, name) for name in settings}
+    for name, value in settings.items():
+        setattr(eigensolve, name, value)
     try:
         start = time.perf_counter()
         eigensolve.solve_problem(problem, m=M)
         return time.perf_counter() - start
     finally:
-        eigensolve.DENSE_CUTOFF = saved
+        for name, value in saved.items():
+            setattr(eigensolve, name, value)
 
 
 def sweep() -> list[dict]:
@@ -115,12 +136,32 @@ def sweep() -> list[dict]:
                 (size,) = (block.size for block in problem.blocks)
                 dense, structured = [], []
                 for _ in range(REPEATS):
-                    dense.append(_time_solve(problem, size))
-                    structured.append(_time_solve(problem, 0))
+                    dense.append(_time_solve(problem, DENSE_CUTOFF=size))
+                    structured.append(_time_solve(problem, DENSE_CUTOFF=0))
                 rows.append({"kind": kind.value, "dim": dim, "dof": size,
                              "dense_s": min(dense), "structured_s": min(structured)})
                 print(f"# {kind.value:18s} {dim}D {size:5d} dof  dense {min(dense):8.4f} s"
                       f"  structured {min(structured):8.4f} s", flush=True)
+    return rows
+
+
+def sweep_split() -> list[dict]:
+    """One run: best-of-REPEATS one-class and split seconds for every series and size."""
+    rows = []
+    for dim, sides in SPLIT_SIDES.items():
+        for kind in KINDS:
+            for side in sides:
+                problem = _problem(kind, dim, side)
+                (size,) = (block.size for block in problem.blocks)
+                one_class, split = [], []
+                for _ in range(REPEATS):
+                    one_class.append(_time_solve(problem, SPLIT_ITERATE=math.inf))
+                    split.append(_time_solve(problem, SPLIT_ITERATE=0))
+                iterate = size * (M + eigensolve.GUARD) // 2 ** dim
+                rows.append({"kind": kind.value, "dim": dim, "dof": size, "iterate": iterate,
+                             "one_class_s": min(one_class), "split_s": min(split)})
+                print(f"# {kind.value:18s} {dim}D iterate {iterate:6d}  one class "
+                      f"{min(one_class):8.4f} s  split {min(split):8.4f} s", flush=True)
     return rows
 
 
@@ -193,46 +234,47 @@ def pooled_columns(runs: list[list[dict]], import_s: list[float]) -> dict:
     }
 
 
-def crossover(rows: list[dict]) -> dict:
-    """Per-series last dense win and first structured win, and the cutoff they imply."""
+def crossover(rows: list[dict], size: str = "dof", low: str = "dense",
+              high: str = "structured") -> dict:
+    """Per-series last win of the `low` route and first win of the `high` one, by
+    `size`, and the cutoff they imply: the `low` route's last win, minimised over
+    the series."""
+    first_high, last_low = f"first_{high}_win", f"last_{low}_win"
     series = {}
     for row in rows:
         series.setdefault(f"{row['kind']} {row['dim']}D", []).append(row)
     per_series = {}
     for name, points in series.items():
-        points = sorted(points, key=lambda r: r["dof"])
-        first_structured = next(
-            (r["dof"] for r in points if r["structured_s"] < r["dense_s"]), None)
-        dense_wins = [r["dof"] for r in points
-                      if first_structured is None or r["dof"] < first_structured]
-        per_series[name] = {"last_dense_win": max(dense_wins, default=None),
-                            "first_structured_win": first_structured}
-    last_dense = [s["last_dense_win"] for s in per_series.values()]
-    first_structured = [s["first_structured_win"] for s in per_series.values()
-                        if s["first_structured_win"] is not None]
+        points = sorted(points, key=lambda r: r[size])
+        first = next((r[size] for r in points if r[f"{high}_s"] < r[f"{low}_s"]), None)
+        low_wins = [r[size] for r in points if first is None or r[size] < first]
+        per_series[name] = {last_low: max(low_wins, default=None), first_high: first}
+    last_lows = [s[last_low] for s in per_series.values()]
+    first_highs = [s[first_high] for s in per_series.values() if s[first_high] is not None]
     return {
-        "recommended_cutoff": None if None in last_dense else min(last_dense),
-        "first_structured_win": min(first_structured, default=None),
+        "recommended_cutoff": None if None in last_lows else min(last_lows),
+        first_high: min(first_highs, default=None),
         "series": per_series,
     }
 
 
-def pooled(runs: list[list[dict]]) -> dict:
+def pooled(runs: list[list[dict]], size: str = "dof", low: str = "dense",
+           high: str = "structured") -> dict:
     """Per-size medians over the runs, the cutoff they give, and the band of all runs."""
-    timings = [{"kind": first["kind"], "dim": first["dim"], "dof": first["dof"],
-                "dense_s": [run[i]["dense_s"] for run in runs],
-                "structured_s": [run[i]["structured_s"] for run in runs]}
+    routes = (f"{low}_s", f"{high}_s")
+    timings = [{**first, **{key: [run[i][key] for run in runs] for key in routes}}
                for i, first in enumerate(runs[0])]
-    medians = [{**row, "dense_s": statistics.median(row["dense_s"]),
-                "structured_s": statistics.median(row["structured_s"])} for row in timings]
-    per_run = [crossover(run) for run in runs]
+    medians = [{**row, **{key: statistics.median(row[key]) for key in routes}}
+               for row in timings]
+    per_run = [crossover(run, size, low, high) for run in runs]
+    first_high = f"first_{high}_win"
     lows = [r["recommended_cutoff"] for r in per_run]
-    highs = [r["first_structured_win"] for r in per_run]
+    highs = [r[first_high] for r in per_run]
     return {
-        **crossover(medians),
+        **crossover(medians, size, low, high),
         "band": [None if None in lows else min(lows),
                  None if None in highs else max(highs)],
-        "per_run": [{key: r[key] for key in ("recommended_cutoff", "first_structured_win")}
+        "per_run": [{key: r[key] for key in ("recommended_cutoff", first_high)}
                     for r in per_run],
         "timings": timings,
     }
@@ -282,6 +324,10 @@ def main(argv=None) -> int:
     for index in range(RUNS):
         print(f"# run {index + 1} of {RUNS}", flush=True)
         runs.append(sweep())
+    split_runs = []
+    for index in range(RUNS):
+        print(f"# reflection classes: run {index + 1} of {RUNS}", flush=True)
+        split_runs.append(sweep_split())
     column_runs = []
     for index in range(COLUMN_RUNS):
         print(f"# structured route: run {index + 1} of {COLUMN_RUNS}", flush=True)
@@ -299,6 +345,18 @@ def main(argv=None) -> int:
         "m": M,
         "machine": machine_facts(),
         **pooled(runs),
+        "reflection_classes": {
+            "what": f"seconds of solve_problem(m={M}) at degree 0, block solved as one "
+                    f"class and split into its reflection classes; per size, the best of "
+                    f"{REPEATS} in each of {RUNS} runs; iterate = dof (m + GUARD) / 2^dim",
+            "rule": "recommended_cutoff: on per-size medians over the runs, the largest "
+                    "iterate before the first split win, minimised over the series; band: "
+                    "from the smallest single-run recommendation to the largest single-run "
+                    "first split win; SPLIT_ITERATE lies above band[0] and at most band[1]",
+            "runs": RUNS,
+            "split_iterate": eigensolve.SPLIT_ITERATE,
+            **pooled(split_runs, "iterate", "one_class", "split"),
+        },
         "structured_route": {
             "what": "seconds of each structured solve and each solve_pencil (sparse) on one "
                     "degree-0 block per size, for m up to structured_max_m; "
@@ -312,8 +370,10 @@ def main(argv=None) -> int:
         },
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
+    split = result["reflection_classes"]
     print(f"# recommended cutoff {result['recommended_cutoff']}, band {result['band']},"
-          f" DENSE_CUTOFF {eigensolve.DENSE_CUTOFF}; losses beyond the scipy import "
+          f" DENSE_CUTOFF {eigensolve.DENSE_CUTOFF}; split iterate band {split['band']},"
+          f" SPLIT_ITERATE {eigensolve.SPLIT_ITERATE}; losses beyond the scipy import "
           f"{result['structured_route']['losses_beyond_import']}; wrote {args.out}")
     return 0
 

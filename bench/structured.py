@@ -64,7 +64,13 @@ BLOCKS = (
     (3, 31, "clamped_plate", 0, 16),
     (3, 47, "clamped_plate", 0, 4),
     (3, 47, "buckling", 1, 4),
-    # general route (solve_pencil), which assembles block.a and block.b
+    # large counts and the largest grid, which the reflection classes split
+    (2, 127, "clamped_plate", 0, 16),
+    (2, 127, "buckling", 0, 32),
+    (3, 31, "clamped_plate", 0, 32),
+    (3, 63, "clamped_plate", 0, 4),
+    # general route (solve_pencil), which assembles block.a and block.b; 63^2
+    # at m = 16 took it until the 2D STRUCTURED_MAX_M rose from 8 to 32
     (1, 1023, "buckling", 0, 4),
     (2, 63, "clamped_plate", 0, 16),
 )

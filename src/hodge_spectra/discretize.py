@@ -288,14 +288,6 @@ class ComponentBlock:
         return tuple(terms)
 
     @functools.cached_property
-    def face_diagonal(self) -> Optional[np.ndarray]:
-        """Diagonal D = sum_k I x diag(d_k) x I of a fourth-order block, the
-        terms added in axis order."""
-        if self.axis_terms is None:
-            return None
-        return functools.reduce(np.add.outer, [d for _, d in self.axis_terms]).ravel()
-
-    @functools.cached_property
     def a(self) -> sp.csr_matrix:
         import scipy.sparse as sp
 

@@ -28,7 +28,14 @@ Sci. Comput. 23, 2001) preconditioned by Q^-1, which is applied exactly by
 per-axis eigendecompositions, finds the m smallest pairs.  A and
 buckling's B = vol sum_k T_k are applied by per-axis contractions with
 the T_k, clamped plate's B = vol I as a scalar; buckling's B is inverted
-like Q for its error bounds.  Nothing is assembled or factorized.
+like Q for its error bounds.  Nothing is assembled or factorized.  A, B
+and Q commute with the reflection of each axis, so the block splits into
+2^n reflection classes, each again a per-axis pencil of about N / 2^n
+dof.  Each class is started from its own lowest Q modes, so none is left
+out.  Once the per-class iterate N (m + GUARD) / 2^n reaches
+SPLIT_ITERATE (measured by `bench/crossover.py`), the classes are solved
+one by one and their counts grown until none can hide an eigenvalue
+below the m-th; smaller blocks are solved whole.
 
 General (`solve_pencil`: 1D fourth-order blocks above DENSE_CUTOFF, where
 the structured solve is several times slower; requests for more values
@@ -60,12 +67,13 @@ factorization per block (general route).  Separable pairs bound both
 from their 1D pencils instead.
 
 A run with identical inputs and configuration is bitwise reproducible
-(fixed start vectors, deterministic merge order).
+(start vectors fixed by the block, deterministic merge order).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -88,15 +96,17 @@ DEFAULT_TOL = 1e-9
 MAX_ITER = 10_000
 # largest number of values the structured solve takes, per dimension; more
 # go to solve_pencil, as do 1D blocks above DENSE_CUTOFF
-STRUCTURED_MAX_M = {2: 8, 3: 32}
+STRUCTURED_MAX_M = {2: 32, 3: 32}
 # structured fourth-order solve (`_structured_solve`): guard columns beyond
-# the m reported, Q modes in the start space per column, seeded random start
-# columns, the relative gap under which neighbouring Ritz values are kept
-# together in the block, the backward error the iteration aims at, and the
-# iterations without a new best after which it stops
+# the m reported, Q modes in the start space per column, the per-class
+# iterate N (m + GUARD) / 2^n from which the reflection classes are solved
+# one by one (see BENCH_dense_cutoff.json), the relative gap under which
+# neighbouring Ritz values are kept together in the block, the backward
+# error the iteration aims at, and the iterations without halving it after
+# which it stops
 GUARD = 2
 START_SPAN = 3
-RANDOM_COLUMNS = 2
+SPLIT_ITERATE = 6000
 CLUSTER_GAP = 3e-2
 ROUNDING_TARGET = 4e-16
 STALL_ITERATIONS = 10
@@ -357,12 +367,15 @@ def _smallest_sums(pairs, count: int, skip_first: bool = False, multiplet_limit:
 
 def _along_axes(mats, x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Apply mats[j] along axis j of every column of x (columns of length prod(shape));
-    a None entry leaves its axis alone."""
+    a None entry leaves its axis alone.  A c'_j x c_j matrix changes axis j's length
+    to c'_j."""
+    shape = list(shape)
     out = x
     for j, mat in enumerate(mats):
         if mat is not None:
             out = np.matmul(mat, out.reshape(math.prod(shape[:j]), shape[j], -1))
-    return out.reshape(x.shape)
+            shape[j] = mat.shape[0]
+    return out.reshape((math.prod(shape),) + x.shape[1:])
 
 
 def _kron_sum_solver(pairs):
@@ -483,6 +496,38 @@ def _separable_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
                       tol, kernel_dim=block.kernel_dim)
 
 
+@dataclass(frozen=True, eq=False)
+class _AxisPencil:
+    """A fourth-order pencil given by its per-axis factors: a whole block, or one
+    reflection class of it (`_reflection_classes`).
+
+    A = vol (sum_k I x T_k x I)^2 + D, D = sum_k I x diag(d_k) x I, against
+    B = vol I (`b_is_mass`, clamped plate) or vol sum_k I x T_k x I (buckling),
+    on a grid of `shape`, axis 1 slowest.
+    """
+
+    terms: tuple[tuple[np.ndarray, np.ndarray], ...]   # (T_k, d_k) per axis
+    volume: float
+    b_is_mass: bool
+
+    @classmethod
+    def of(cls, block: ComponentBlock) -> "_AxisPencil":
+        return cls(block.axis_terms, block.domain.cell_volume, block.b_is_mass)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(d.size for _, d in self.terms)
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    @functools.cached_property
+    def face_diagonal(self) -> np.ndarray:
+        """The diagonal of D, the terms added in axis order."""
+        return functools.reduce(np.add.outer, [d for _, d in self.terms]).ravel()
+
+
 def _axis_sum(mats, x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """(sum_k I x mats[k] x I) x on every column of x, the terms added in axis order."""
     total = _along_axes(mats[:1], x, shape)
@@ -491,32 +536,29 @@ def _axis_sum(mats, x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return total
 
 
-def _gram_products(block: ComponentBlock, x: np.ndarray,
+def _gram_products(pencil: _AxisPencil, x: np.ndarray,
                    magnitudes: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(A x, B x) of a fourth-order block on a block of vectors, by 2n per-axis contractions.
+    """(A x, B x) of a fourth-order pencil on a block of vectors, by 2n per-axis contractions.
 
-    y = vol sum_k T_k x is buckling's B x, and A x = sum_k T_k y + D x
-    (A = vol (sum_k T_k)^2 + D, D the face diagonal); clamped plate's
-    B = vol I is applied as a scalar.  With `magnitudes`, the same
-    contractions with |T_k| give (|A| x, |B| x): every entry of
-    (sum_k T_k)^2 is a sum of products of one sign (the grid graph has no
-    triangles), so |A| = vol (sum_k |T_k|)^2 + D entrywise.
+    y = vol sum_k T_k x is buckling's B x, and A x = sum_k T_k y + D x;
+    clamped plate's B = vol I is applied as a scalar.  With `magnitudes`,
+    the same contractions with |T_k| give (|A| x, |B| x) of a whole block:
+    every entry of (sum_k T_k)^2 is a sum of products of one sign (the grid
+    graph has no triangles), so |A| = vol (sum_k |T_k|)^2 + D entrywise.
     """
-    seconds = [np.abs(second) if magnitudes else second for second, _ in block.axis_terms]
-    shape = block.domain.cells
-    volume = block.domain.cell_volume
-    y = volume * _axis_sum(seconds, x, shape)
-    ax = _axis_sum(seconds, y, shape) + block.face_diagonal[:, None] * x
-    return ax, (volume * x if block.b_is_mass else y)
+    seconds = [np.abs(second) if magnitudes else second for second, _ in pencil.terms]
+    y = pencil.volume * _axis_sum(seconds, x, pencil.shape)
+    ax = _axis_sum(seconds, y, pencil.shape) + pencil.face_diagonal[:, None] * x
+    return ax, (pencil.volume * x if pencil.b_is_mass else y)
 
 
-def _gram_norms(block: ComponentBlock) -> tuple[float, float]:
+def _gram_norms(pencil: _AxisPencil) -> tuple[float, float]:
     """||A||_1 and ||B||_1 of a fourth-order block: the largest entries of |A| 1 and |B| 1."""
-    abs_a, abs_b = _gram_products(block, np.ones((block.size, 1)), magnitudes=True)
+    abs_a, abs_b = _gram_products(pencil, np.ones((pencil.size, 1)), magnitudes=True)
     return abs_a.max(), abs_b.max()
 
 
-def _gram_residual(block: ComponentBlock, values,
+def _gram_residual(pencil: _AxisPencil, values,
                    vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Computed r = Ax - theta Bx of a fourth-order block by `_gram_products`, Bx, and a
     componentwise bound g on the distance from fl(r) to the exact residual.
@@ -544,27 +586,27 @@ def _gram_residual(block: ComponentBlock, values,
     gamma_{2n+10} covers the roundings made in computing g itself, a sum of
     nonnegative terms.
     """
-    n = len(block.domain.cells)
+    n = len(pencil.shape)
     values = np.asarray(values, dtype=float)
-    ax, bx = _gram_products(block, vectors)
+    ax, bx = _gram_products(pencil, vectors)
     r = ax - bx * values
-    abs_ax, abs_bx = _gram_products(block, np.abs(vectors), magnitudes=True)
+    abs_ax, abs_bx = _gram_products(pencil, np.abs(vectors), magnitudes=True)
     rounding = (_gamma(6 * n + 7) * (1.0 + _gamma(2 * n + 10))) * (abs_ax + abs_bx * np.abs(values))
     return r, bx, rounding
 
 
-def _gram_certificate(block: ComponentBlock, values, vectors: np.ndarray,
+def _gram_certificate(pencil: _AxisPencil, values, vectors: np.ndarray,
                       norms: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Backward errors and error bounds (`_bounds`) of pairs of a fourth-order block, from
     `_gram_residual` and the norms of `_gram_norms`; buckling's B^-1 is applied like Q^-1."""
-    volume = block.domain.cell_volume
-    if block.b_is_mass:
+    volume = pencil.volume
+    if pencil.b_is_mass:
         def b_solve(v):
             return v / volume
     else:
         b_solve = _kron_sum_solver([np.linalg.eigh(volume * second)
-                                    for second, _ in block.axis_terms])
-    return _bounds(values, vectors, *_gram_residual(block, values, vectors), *norms, b_solve)
+                                    for second, _ in pencil.terms])
+    return _bounds(values, vectors, *_gram_residual(pencil, values, vectors), *norms, b_solve)
 
 
 def _b_orthonormalize(vs: tuple) -> tuple:
@@ -612,7 +654,9 @@ def _lobpcg(apply, norms: tuple[float, float], precond, span: np.ndarray,
     the new X; the images of P follow the combinations that form it, and
     the Gram matrix is formed block by block.  It stops once the m first
     columns reach a backward error of ROUNDING_TARGET, or after
-    STALL_ITERATIONS without a new best, and returns the best iterate.
+    STALL_ITERATIONS without halving the backward error, and returns the
+    best iterate: near the rounding floor the error can creep down by
+    noise, a new best every few steps, for hundreds of steps.
     """
     norm_a, norm_b = norms
     x, ax, _ = _b_orthonormalize((span, *apply(span)))
@@ -624,15 +668,18 @@ def _lobpcg(apply, norms: tuple[float, float], precond, span: np.ndarray,
     theta, x = theta[:k], x @ c[:, :k]
     ax, bx = apply(x)
     p = None
-    best, best_worst, best_step = (theta, x), math.inf, 0
+    best, best_worst = (theta, x), math.inf
+    progress, progress_step = math.inf, 0
     for step in range(LOBPCG_MAXITER):
         r = ax - bx * theta
         eta = np.sqrt(np.einsum("ij,ij->j", r, r) / np.einsum("ij,ij->j", x, x)) / (
             norm_a + np.abs(theta) * norm_b)
         worst = eta[:m].max()
         if worst < best_worst:
-            best, best_worst, best_step = (theta, x), worst, step
-        if worst <= ROUNDING_TARGET or step - best_step >= STALL_ITERATIONS:
+            best, best_worst = (theta, x), worst
+        if worst <= progress / 2:
+            progress, progress_step = worst, step
+        if worst <= ROUNDING_TARGET or step - progress_step >= STALL_ITERATIONS:
             break
         parts = [(x, ax, bx)] + ([] if p is None else [p])
         (w,) = _b_orthogonalize((precond(r[:, eta > ROUNDING_TARGET]),), parts)
@@ -651,10 +698,11 @@ def _lobpcg(apply, norms: tuple[float, float], precond, span: np.ndarray,
         theta, c = theta[:k], c[:, :k]
         # P is the update [0; c_W; c_P] made orthonormal to c in coefficient
         # space, where the basis is orthonormal (B is I there), so that X and
-        # P come out B-orthonormal
+        # P come out B-orthonormal; eigh's c is orthonormal to working
+        # precision, so one pass does (a second changed no iteration count)
         d = c.copy()
         d[:x.shape[1]] = 0.0
-        (d,) = _b_orthogonalize((d,), [(c, c)])
+        d -= c @ (c.T @ d)
         d = _b_orthonormalize((d, d))[0]
         x = _combine([u for u, _, _ in parts], c)
         ax, bx = apply(x)
@@ -668,39 +716,127 @@ def _combine(arrays, coefficients: np.ndarray) -> np.ndarray:
     return sum(u @ part for u, part in zip(arrays, np.split(coefficients, rows)))
 
 
-def _axis_bounds(block: ComponentBlock) -> list[np.ndarray]:
-    """Per-axis q_k = vol T_k^2 + diag(d_k) of a fourth-order block.
+def _axis_bounds(pencil: _AxisPencil) -> list[np.ndarray]:
+    """Per-axis q_k = vol T_k^2 + diag(d_k) of a fourth-order pencil.
 
     Dropping the cross terms 2 vol T_j x T_k of A, which are positive
     semidefinite, leaves Q = sum_k I x q_k x I, so Q <= A <= n Q for every h.
     """
-    volume = block.domain.cell_volume
-    return [volume * (second @ second) + np.diag(d) for second, d in block.axis_terms]
+    return [pencil.volume * (second @ second) + np.diag(d) for second, d in pencil.terms]
+
+
+def _fold_bases(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases, c x ceil(c/2) and c x floor(c/2), of the vectors of length c
+    that are even and odd under the reflection i -> c - 1 - i."""
+    half = c // 2
+    pairs = np.arange(half)
+    even, odd = np.zeros((c, c - half)), np.zeros((c, half))
+    even[pairs, pairs] = even[c - 1 - pairs, pairs] = odd[pairs, pairs] = math.sqrt(0.5)
+    odd[c - 1 - pairs, pairs] = -math.sqrt(0.5)
+    if c % 2:
+        even[half, half] = 1.0
+    return even, odd
+
+
+def _reflection_classes(pencil: _AxisPencil) -> list[tuple[_AxisPencil, list[np.ndarray]]]:
+    """The 2^n reflection classes of a fourth-order pencil, each with its per-axis folds.
+
+    Each T_k and d_k is symmetric under the reflection of its axis, so A, B
+    and Q commute with the reflection of every axis (Bossavit, Comput.
+    Methods Appl. Mech. Eng. 56, 1986).  Class (s_1, ..., s_n) holds the
+    vectors even (s_k = 0) or odd (s_k = 1) along each axis k.  With F_k
+    the orthonormal basis of that parity (`_fold_bases`), the pencil on the
+    class is again a per-axis pencil, of terms F_k^T T_k F_k and d_k's first
+    half (d_k is even), and its vectors unfold by F_1 x ... x F_n
+    (`_along_axes`).  Classes come in lexicographic parity order.
+    """
+    per_axis = [[(fold, (fold.T @ second @ fold, d[:fold.shape[1]]))
+                 for fold in _fold_bases(d.size)] for second, d in pencil.terms]
+    return [(_AxisPencil(tuple(term for _, term in choice), pencil.volume, pencil.b_is_mass),
+             [fold for fold, _ in choice])
+            for choice in itertools.product(*per_axis)]
+
+
+def _class_counts(q_pairs, m: int) -> list[int]:
+    """First guess of the number of values each class needs: its share of the m
+    smallest eigenvalues of Q, over all classes, plus one."""
+    lowest = [np.sort(functools.reduce(np.add.outer, [values[:m] for values, _ in pairs]),
+                      axis=None)[:m] for pairs in q_pairs]
+    labels = np.repeat(np.arange(len(lowest)), [values.size for values in lowest])
+    shares = labels[np.argsort(np.concatenate(lowest), kind="stable")[:m]]
+    return [int(share) + 1 for share in np.bincount(shares, minlength=len(lowest))]
 
 
 def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     """m smallest eigenpairs of a fourth-order block by preconditioned LOBPCG.
 
     A and B are applied from the block's per-axis factors (`_gram_products`).
-    The preconditioner is Q^-1, applied exactly from the eigenpairs of the
-    per-axis q_k; Q <= A <= n Q makes the iteration count independent of h.
-    The start space holds the START_SPAN (m + GUARD) lowest eigenvectors of
-    Q, whole multiplets, which A ranks by Rayleigh-Ritz, and RANDOM_COLUMNS
-    seeded random vectors.  A, B and Q commute with the reflections of the
-    box, so an iteration never leaves the symmetry classes its start holds;
-    the random columns hold every class, so no class of eigenvalues is left
-    out.  `_certified` judges the result (`_gram_certificate`).
+    The block splits into 2^n reflection classes (`_reflection_classes`),
+    each a per-axis pencil of about N / 2^n dof.  A class is preconditioned
+    by its Q^-1, applied exactly from the eigenpairs of its q_k (Q <= A <=
+    n Q makes the iteration count independent of h), and started from the
+    START_SPAN (count + GUARD) lowest eigenvectors of its Q, whole
+    multiplets, which A ranks by Rayleigh-Ritz.  An iteration never leaves
+    the classes its start holds, so every class is started.
+
+    Once the per-class iterate N (m + GUARD) / 2^n reaches SPLIT_ITERATE,
+    each class is solved by itself, asked first for its share of Q's m
+    lowest values plus one (`_class_counts`).  With sigma the m-th smallest
+    value over all classes, a class whose top value is not clearly above
+    sigma (top - its bound <= sigma + sigma's bound) doubles its count and
+    is solved again, until none is left.  A class then holds no eigenvalue
+    below sigma that it did not return, so none is missed (as long as each
+    class returns its lowest values).  Below SPLIT_ITERATE, the per-class
+    Python and LAPACK calls cost more than the smaller iterates save, and
+    the block is solved as one class, started from the union of each
+    class's count + GUARD lowest Q modes, unfolded (START_SPAN times as
+    many cost more setup than they save iterations).  Either way the pairs
+    are unfolded, merged by (value, class), and certified on the whole
+    block (`_gram_certificate`), so the certificate does not rest on the
+    folding; `_certified` judges the result.
     """
-    q_pairs = [np.linalg.eigh(q_k) for q_k in _axis_bounds(block)]
-    _, span, _ = _smallest_sums(q_pairs, START_SPAN * (m + GUARD),
-                                multiplet_limit=block.size // 2)
-    rng = np.random.default_rng(_SEED)
-    span = np.hstack([span, rng.standard_normal((block.size, RANDOM_COLUMNS))])
-    norms = _gram_norms(block)
-    values, vectors = _lobpcg(functools.partial(_gram_products, block), norms,
-                              _kron_sum_solver(q_pairs), span, m)
-    values, vectors = values[:m], vectors[:, :m]
-    return _certified(values, vectors, _gram_certificate(block, values, vectors, norms), tol)
+    whole = _AxisPencil.of(block)
+    norms = _gram_norms(whole)
+    classes = _reflection_classes(whole)
+    q_pairs = [[np.linalg.eigh(q_k) for q_k in _axis_bounds(pencil)] for pencil, _ in classes]
+    counts = [min(count, pencil.size)
+              for count, (pencil, _) in zip(_class_counts(q_pairs, m), classes)]
+
+    def start(i: int, columns: int) -> np.ndarray:
+        return _smallest_sums(q_pairs[i], columns, multiplet_limit=classes[i][0].size // 2)[1]
+
+    if whole.size * (m + GUARD) < SPLIT_ITERATE * len(classes):
+        span = np.hstack([_along_axes(folds, start(i, counts[i] + GUARD), pencil.shape)
+                          for i, (pencil, folds) in enumerate(classes)])
+        values, vectors = _lobpcg(
+            functools.partial(_gram_products, whole), norms,
+            _kron_sum_solver([np.linalg.eigh(q_k) for q_k in _axis_bounds(whole)]), span, m)
+        values, vectors = values[:m], vectors[:, :m]
+        return _certified(values, vectors, _gram_certificate(whole, values, vectors, norms), tol)
+    solved: list = [None] * len(classes)
+    while True:
+        for i, (pencil, folds) in enumerate(classes):
+            if solved[i] is None or solved[i][0].size < counts[i]:
+                values, vectors = _lobpcg(functools.partial(_gram_products, pencil), norms,
+                                          _kron_sum_solver(q_pairs[i]),
+                                          start(i, START_SPAN * (counts[i] + GUARD)), counts[i])
+                solved[i] = (values[:counts[i]],
+                             _along_axes(folds, vectors[:, :counts[i]], pencil.shape))
+        values = np.concatenate([class_values for class_values, _ in solved])
+        vectors = np.hstack([class_vectors for _, class_vectors in solved])
+        eta, delta = _gram_certificate(whole, values, vectors, norms)
+        sizes = [class_values.size for class_values, _ in solved]
+        order = np.lexsort((np.repeat(np.arange(len(classes)), sizes), values))
+        sigma = values[order[m - 1]] + delta[order[m - 1]] if values.size >= m else math.inf
+        tops = np.cumsum(sizes) - 1
+        grow = [i for i, (pencil, _) in enumerate(classes)
+                if counts[i] < pencil.size and values[tops[i]] - delta[tops[i]] <= sigma]
+        if not grow:
+            break
+        for i in grow:
+            counts[i] = min(2 * counts[i], classes[i][0].size)
+    chosen = order[:m]
+    return _certified(values[chosen], vectors[:, chosen], (eta[chosen], delta[chosen]), tol)
 
 
 def _dense_block_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
@@ -710,10 +846,11 @@ def _dense_block_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     reduced by `_dense_solve`, and the pairs are certified like structured
     ones (`_gram_certificate`).
     """
-    a, b = _gram_products(block, np.eye(block.size))
+    whole = _AxisPencil.of(block)
+    a, b = _gram_products(whole, np.eye(whole.size))
     values, vectors = _dense_solve(a, b, m)
     return _certified(values, vectors,
-                      _gram_certificate(block, values, vectors, _gram_norms(block)), tol)
+                      _gram_certificate(whole, values, vectors, _gram_norms(whole)), tol)
 
 
 def _solve_fourth_order(block: ComponentBlock, m: int, tol: float) -> Spectrum:

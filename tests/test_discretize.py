@@ -273,18 +273,19 @@ def test_global_pencil_builds_one_gram_form_per_signature(monkeypatch):
                                           ([1.0, 1.1, 0.9], [3, 4, 5])])
 def test_face_rows_match_the_per_node_rule(extent, cells):
     # the face rows of L, one per face node in axis, face, node order with
-    # -2 / h_k^2 at the adjacent interior node, give exactly the block's face
-    # diagonal: L_f^T M~_f L_f = D, a node's terms added in axis order
+    # -2 / h_k^2 at the adjacent interior node, give exactly the face diagonal
+    # the solvers apply: L_f^T M~_f L_f = D, a node's terms added in axis order
     dom = build_domain(len(cells), extent, cells)
     blk = assemble(dom, 0, ProblemKind.CLAMPED_PLATE).blocks[0]
     laplacian, weights = evaluation_laplacian(dom)
     face = laplacian[dom.interior_count:]
     share = (face.T @ sp.diags(weights[dom.interior_count:]) @ face).tocsr()
     share.sort_indices()
-    nodes = np.flatnonzero(blk.face_diagonal)
+    face_diagonal = es._AxisPencil.of(blk).face_diagonal
+    nodes = np.flatnonzero(face_diagonal)
     assert np.array_equal(share.indptr, np.searchsorted(nodes, np.arange(dom.interior_count + 1)))
     assert np.array_equal(share.indices, nodes)
-    assert np.array_equal(share.data, blk.face_diagonal[nodes])
+    assert np.array_equal(share.data, face_diagonal[nodes])
 
 
 def test_degree_out_of_range_rejected():
@@ -361,7 +362,7 @@ def test_fourth_order_block_lies_between_q_and_n_q(kind, extent, cells):
         return sum(kron([factors[k] if j == k else eyes[j] for j in range(dom.dim)])
                    for k in range(dom.dim))
 
-    q = kron_sum(es._axis_bounds(block))
+    q = kron_sum(es._axis_bounds(es._AxisPencil.of(block)))
     ratios = sla.eigh(block.a.toarray(), q, eigvals_only=True)
     assert ratios[0] >= 1.0 - 1e-10 and ratios[-1] <= dom.dim + 1e-10
     assert block.b_is_mass is (kind is ProblemKind.CLAMPED_PLATE)

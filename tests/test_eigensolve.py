@@ -120,6 +120,18 @@ def test_dense_cutoff_lies_in_the_measured_crossover_band():
     assert low <= es.DENSE_CUTOFF < high
 
 
+def test_split_iterate_lies_in_the_measured_crossover_band():
+    # blocks whose per-class iterate N (m + GUARD) / 2^n reaches
+    # SPLIT_ITERATE are solved class by class: at or past every run's
+    # last one-class win, and no later than some run's first split win
+    split = json.loads((Path(__file__).resolve().parents[1]
+                        / "BENCH_dense_cutoff.json").read_text())["reflection_classes"]
+    assert len(split["per_run"]) == split["runs"] > 1
+    assert split["split_iterate"] == es.SPLIT_ITERATE
+    low, high = split["band"]
+    assert low < es.SPLIT_ITERATE <= high
+
+
 def test_structured_route_loses_nowhere_by_more_than_the_scipy_import():
     # on the blocks measured for the current STRUCTURED_MAX_M, no structured
     # solve is slower than solve_pencil by more than the scipy import that
@@ -318,6 +330,36 @@ def structured_only(monkeypatch, no_general_solver):
     monkeypatch.setattr(es, "STRUCTURED_MAX_M", {2: 10 ** 6, 3: 10 ** 6})
 
 
+@pytest.fixture
+def split_only(monkeypatch, structured_only):
+    """Solve every fourth-order block class by class; record each class solve's size."""
+    monkeypatch.setattr(es, "SPLIT_ITERATE", 0)
+    sizes = []
+    real = es._lobpcg
+
+    def counted(apply, norms, precond, span, m):
+        sizes.append(span.shape[0])
+        return real(apply, norms, precond, span, m)
+
+    monkeypatch.setattr(es, "_lobpcg", counted)
+    return sizes
+
+
+def _certified_reference(prob, m):
+    """The m smallest eigenvalues of the assembled pencil by scipy's dense eigh, with
+    their error bounds on that pencil (`_residuals`): the enclosures they certify."""
+    values, vectors = sla.eigh(prob.A.toarray(), prob.B.toarray(), subset_by_index=[0, m - 1])
+    residuals, bounds = es._residuals(prob.A, prob.B, values, vectors)
+    assert np.all(residuals <= es.DEFAULT_TOL)
+    return values, bounds
+
+
+def _assert_enclosures_meet(spec, prob, m):
+    values, bounds = _certified_reference(prob, m)
+    assert np.all(np.abs(spec.values - values) <= spec.error_bounds + bounds)
+    assert np.all(spec.residuals <= es.DEFAULT_TOL)
+
+
 def _forbid_assembled_blocks(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("assembled block read by a fourth-order solve")
@@ -341,11 +383,39 @@ def _forbid_assembled_blocks(monkeypatch):
 ])
 @pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
 def test_structured_path_matches_dense_spectrum(kind, extent, cells, m, structured_only):
+    # each value's enclosure meets the one that the dense reference pair
+    # certifies on the assembled pencil: the reference moves with the
+    # rounding of its own LAPACK solve, by up to its bound
     prob = assemble(build_domain(len(cells), extent, cells), 0, kind)
-    spec = solve_problem(prob, m=m)
-    full = sla.eigh(prob.A.toarray(), prob.B.toarray(), eigvals_only=True)[:m]
-    assert np.all(np.abs(spec.values - full) <= spec.error_bounds)
-    assert np.all(spec.residuals <= es.DEFAULT_TOL)
+    _assert_enclosures_meet(solve_problem(prob, m=m), prob, m)
+
+
+@pytest.mark.parametrize("extent,cells", [
+    ([1.0, 6.0], [8, 40]),
+    ([1.0, 8.0], [6, 44]),
+    ([1.0, 2.0, 3.0], [6, 11, 17]),
+])
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_split_path_matches_dense_spectrum(kind, extent, cells, split_only):
+    # the block solved class by class gives the dense spectrum, on the
+    # elongated boxes where A and Q rank the modes differently
+    prob = assemble(build_domain(len(cells), extent, cells), 0, kind)
+    _assert_enclosures_meet(solve_problem(prob, m=14), prob, 14)
+    assert len(split_only) >= 2 ** len(cells)
+    assert max(split_only) <= math.prod((c + 1) // 2 for c in cells)
+
+
+@pytest.mark.parametrize("extent,cells", [([1.0, 6.0], [8, 40]), ([1.0, 2.0, 3.0], [6, 11, 17])])
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_class_count_rule_recovers_an_undercounted_class(kind, extent, cells, split_only,
+                                                        monkeypatch):
+    # a first guess of one value per class misses most of the 14 lowest;
+    # doubling each class whose top value is not clearly above the 14th
+    # smallest recovers every one of them
+    monkeypatch.setattr(es, "_class_counts", lambda q_pairs, m: [1] * len(q_pairs))
+    prob = assemble(build_domain(len(cells), extent, cells), 0, kind)
+    _assert_enclosures_meet(solve_problem(prob, m=14), prob, 14)
+    assert len(split_only) > 2 ** len(cells)
 
 
 @pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
@@ -355,6 +425,30 @@ def test_structured_path_reaches_the_rounding_floor_past_a_cut_cluster(kind, str
     prob = assemble(build_domain(3, [1.0] * 3, [7, 8, 9]), 0, kind)
     spec = solve_problem(prob, m=12, tol=1e-11)
     assert spec.residuals.max() <= 10 * es.ROUNDING_TARGET
+
+
+def test_class_solves_stop_near_the_rounding_floor(monkeypatch, no_general_solver):
+    # at 31^2 clamped m=32 (split) one class is solved again for twice its
+    # count; near the rounding floor its backward error creeps down by noise,
+    # so a stop that waits for any new best runs it to LOBPCG_MAXITER, while
+    # one that waits for the error to halve stops it within a few steps
+    applies = []
+    real = es._lobpcg
+
+    def counted(apply, norms, precond, span, m):
+        applies.append(0)
+
+        def tallied(x):
+            applies[-1] += 1
+            return apply(x)
+
+        return real(tallied, norms, precond, span, m)
+
+    monkeypatch.setattr(es, "_lobpcg", counted)
+    prob = assemble(build_domain(2, [1.0, 1.0], [31, 31]), 0, ProblemKind.CLAMPED_PLATE)
+    spec = solve_problem(prob, m=32)
+    assert len(applies) > 4 and max(applies) < es.LOBPCG_MAXITER // 2
+    assert np.all(spec.residuals <= 1e-13)
 
 
 def test_fourth_order_solves_never_factorize(monkeypatch):
@@ -384,17 +478,22 @@ def test_fourth_order_solves_never_factorize(monkeypatch):
         assert np.all(spec.residuals <= es.DEFAULT_TOL), kind
 
 
-def test_structured_path_is_bitwise_repeatable_and_degree_independent(no_general_solver):
-    # a 504-dof 3D block (structured) and a 210-dof one (dense): two solves
-    # agree bit for bit, the 1-form spectrum (three copies of the same
-    # block, same request) repeats each scalar value three times, and the
-    # 3-form (Hodge dual of the scalar) reproduces it exactly
-    for cells in ([7, 8, 9], [5, 6, 7]):
+def test_structured_path_is_bitwise_repeatable_and_degree_independent(no_general_solver,
+                                                                       monkeypatch):
+    # a 504-dof 3D block (structured, one class), the same block split into
+    # its reflection classes, and a 210-dof one (dense): two solves agree bit
+    # for bit, the 1-form spectrum (three copies of the same block, same
+    # request) repeats each scalar value three times, and the 3-form (Hodge
+    # dual of the scalar) reproduces it exactly
+    for cells, split_iterate in (([7, 8, 9], es.SPLIT_ITERATE), ([7, 8, 9], 0),
+                                 ([5, 6, 7], es.SPLIT_ITERATE)):
+        monkeypatch.setattr(es, "SPLIT_ITERATE", split_iterate)
         dom = build_domain(3, [1.0, 1.1, 0.9], cells)
         one = solve_problem(assemble(dom, 0, ProblemKind.BUCKLING), m=4)
         two = solve_problem(assemble(dom, 0, ProblemKind.BUCKLING), m=4)
         for field in ("values", "residuals", "error_bounds", "vectors"):
-            assert np.array_equal(getattr(one, field), getattr(two, field)), (cells, field)
+            assert np.array_equal(getattr(one, field), getattr(two, field)), (cells, field,
+                                                                             split_iterate)
         dual = solve_problem(assemble(dom, 3, ProblemKind.BUCKLING), m=4)
         assert np.array_equal(dual.values, one.values), cells
         one_form = solve_problem(assemble(dom, 1, ProblemKind.BUCKLING), m=4)
@@ -427,7 +526,7 @@ def test_dense_path_matches_the_assembled_pencil(kind, extent, cells, monkeypatc
     # a 1D block above the dense cutoff
     ([255], 4),
     # more values than the structured route takes in 2D
-    ([40, 40], 9),
+    ([40, 40], 33),
 ])
 def test_outside_the_structured_region_takes_the_general_path(monkeypatch, cells, m):
     calls = []
@@ -739,11 +838,12 @@ def test_gram_residual_bounds_the_exact_residual(kind, extent, cells):
     # There, the error bound encloses ||r||_{B^-1} / ||x||_B, and 0.3 times
     # it does not.
     (block,) = assemble(build_domain(len(cells), extent, cells), 0, kind).blocks
+    pencil = es._AxisPencil.of(block)
     spec = es._structured_solve(block, 3, es.DEFAULT_TOL)
     noisy = spec.vectors[:, :1] + 1e-6 * np.random.default_rng(5).standard_normal((block.size, 1))
-    ax, bx = es._gram_products(block, noisy)
+    ax, bx = es._gram_products(pencil, noisy)
     noisy_theta = (noisy[:, 0] @ ax[:, 0]) / (noisy[:, 0] @ bx[:, 0])
-    _, (bound,) = es._gram_certificate(block, [noisy_theta], noisy, es._gram_norms(block))
+    _, (bound,) = es._gram_certificate(pencil, [noisy_theta], noisy, es._gram_norms(pencil))
     pencils = {"per-axis": _exact_gram_pencil(block),
                "assembled": (_sparse_entries(block.a), _sparse_entries(block.b))}
     # the assembly share of g: each entry of block.a and block.b lies within
@@ -755,7 +855,7 @@ def test_gram_residual_bounds_the_exact_residual(kind, extent, cells):
         assert all(abs(assembled[key] - value) <= Fraction(k, 2 ** 53 - k) * abs(value)
                    for key, value in exact.items())
     for values, vectors in ((spec.values, spec.vectors), ([noisy_theta], noisy)):
-        computed, _, rounding = es._gram_residual(block, values, vectors)
+        computed, _, rounding = es._gram_residual(pencil, values, vectors)
         for col, theta in enumerate(values):
             x = [Fraction(v) for v in vectors[:, col]]
             for name, (a, b) in pencils.items():
@@ -778,13 +878,14 @@ def test_gram_products_match_the_assembled_block(kind, extent, cells):
     # the matrix-free Ax and Bx equal block.a @ x and block.b @ x within the
     # residual's rounding bound, and |A| 1, |B| 1 give the assembled norms
     (block,) = assemble(build_domain(len(cells), extent, cells), 0, kind).blocks
+    pencil = es._AxisPencil.of(block)
     x = np.random.default_rng(9).standard_normal((block.size, 4))
-    ax, bx = es._gram_products(block, x)
-    _, _, a_rounding = es._gram_residual(block, np.zeros(4), x)
-    _, abs_bx = es._gram_products(block, np.abs(x), magnitudes=True)
+    ax, bx = es._gram_products(pencil, x)
+    _, _, a_rounding = es._gram_residual(pencil, np.zeros(4), x)
+    _, abs_bx = es._gram_products(pencil, np.abs(x), magnitudes=True)
     assert np.all(np.abs(ax - block.a @ x) <= a_rounding)
     assert np.all(np.abs(bx - block.b @ x) <= es._gamma(6 * len(cells) + 7) * abs_bx)
-    norm_a, norm_b = es._gram_norms(block)
+    norm_a, norm_b = es._gram_norms(pencil)
     assert norm_a == pytest.approx(es._norm1(block.a), rel=1e-14)
     assert norm_b == pytest.approx(es._norm1(block.b), rel=1e-15)
 
