@@ -25,16 +25,19 @@ from the smallest cutoff any single run recommends to the largest size at
 which some run first sees a structured win in some series.
 
 Reflection classes.  For each fourth-order kind at degree 0, in 2D and 3D,
-`solve_problem(problem, m=4)` is timed with the block solved as one class
-(SPLIT_ITERATE above every block) and split into its 2^n reflection
-classes (SPLIT_ITERATE at 0), alternating, best of REPEATS, on cubic grids
-whose per-class iterate N (m + GUARD) / 2^n runs from about 1,000 to
-24,000, and the sweep is made RUNS times.  The rule is the dense cutoff's
-with the iterate for the size: on per-iterate medians, each series' last
-one-class win before its first split win, minimised over the series; the
-band runs from the smallest single-run recommendation to the largest
-iterate at which some run first sees a split win.  SPLIT_ITERATE belongs
-above the band's start and at most at its end.
+and each m in SPLIT_COUNTS, `solve_problem(problem, m)` is timed with the
+block solved as one class (SPLIT_ITERATE above every block) and split into
+its 2^n reflection classes (SPLIT_ITERATE at 0), alternating, best of
+REPEATS, on the cubic grids above DENSE_CUTOFF whose per-class iterate
+N (m + GUARD) / 2^n lies in SPLIT_ITERATES, and the sweep is made RUNS
+times.  A threshold T splits the blocks whose iterate reaches T; its cost
+is the summed seconds of the routes it picks.  The recommended T is the
+swept iterate of least cost on the per-block medians over the runs (the
+smallest, on a tie); the band runs from the smallest to the largest
+single-run recommendation.  SPLIT_ITERATE acts as the first swept iterate
+at or above it, which belongs in the band.  The recommendation per m
+shows how far one threshold is from each m's own, and `misrouted` lists
+the blocks whose median is slower on the route SPLIT_ITERATE picks.
 
 Structured route.  The blocks above DENSE_CUTOFF that the structured
 solve takes (at most STRUCTURED_MAX_M values), at the sizes where it
@@ -89,12 +92,14 @@ SIDES = {
 }
 
 
-# reflection classes: block side lengths, per-class iterates about 1,000 to
-# 24,000 at m = 4 in both dimensions
+# reflection classes: values requested, block side lengths, and the range
+# of per-class iterates swept
+SPLIT_COUNTS = (4, 8, 16, 32)
 SPLIT_SIDES = {
-    2: (31, 47, 55, 63, 71, 79, 95, 127),
-    3: (11, 13, 15, 17, 19, 21, 23, 31),
+    2: (17, 23, 27, 31, 39, 47, 55, 63, 71, 79, 95, 127),
+    3: (7, 9, 11, 13, 15, 17, 19, 21, 23, 27, 31),
 }
+SPLIT_ITERATES = (900, 26000)
 # structured route: values requested and block side lengths per dimension
 # (289 to 16,129 dof in 2D, 343 to 4,913 in 3D), and runs
 COLUMN_COUNTS = {2: (1, 4, 8, 16, 32), 3: (1, 4, 8, 16, 32)}
@@ -112,14 +117,14 @@ def _problem(kind: ProblemKind, dim: int, side: int):
     return assemble(build_domain(dim, [1.0] * dim, [side] * dim), 0, kind)
 
 
-def _time_solve(problem, **settings) -> float:
-    """Seconds of solve_problem(problem, M) with the eigensolve constants in settings."""
+def _time_solve(problem, m: int = M, **settings) -> float:
+    """Seconds of solve_problem(problem, m) with the eigensolve constants in settings."""
     saved = {name: getattr(eigensolve, name) for name in settings}
     for name, value in settings.items():
         setattr(eigensolve, name, value)
     try:
         start = time.perf_counter()
-        eigensolve.solve_problem(problem, m=M)
+        eigensolve.solve_problem(problem, m=m)
         return time.perf_counter() - start
     finally:
         for name, value in saved.items():
@@ -146,23 +151,68 @@ def sweep() -> list[dict]:
 
 
 def sweep_split() -> list[dict]:
-    """One run: best-of-REPEATS one-class and split seconds for every series and size."""
+    """One run: best-of-REPEATS one-class and split seconds for every series, m and size."""
     rows = []
+    low, high = SPLIT_ITERATES
     for dim, sides in SPLIT_SIDES.items():
         for kind in KINDS:
-            for side in sides:
-                problem = _problem(kind, dim, side)
-                (size,) = (block.size for block in problem.blocks)
-                one_class, split = [], []
-                for _ in range(REPEATS):
-                    one_class.append(_time_solve(problem, SPLIT_ITERATE=math.inf))
-                    split.append(_time_solve(problem, SPLIT_ITERATE=0))
-                iterate = size * (M + eigensolve.GUARD) // 2 ** dim
-                rows.append({"kind": kind.value, "dim": dim, "dof": size, "iterate": iterate,
-                             "one_class_s": min(one_class), "split_s": min(split)})
-                print(f"# {kind.value:18s} {dim}D iterate {iterate:6d}  one class "
-                      f"{min(one_class):8.4f} s  split {min(split):8.4f} s", flush=True)
+            for m in SPLIT_COUNTS:
+                for side in sides:
+                    size = side ** dim
+                    iterate = size * (m + eigensolve.GUARD) // 2 ** dim
+                    if size <= eigensolve.DENSE_CUTOFF or not low <= iterate <= high:
+                        continue
+                    problem = _problem(kind, dim, side)
+                    one_class, split = [], []
+                    for _ in range(REPEATS):
+                        one_class.append(_time_solve(problem, m, SPLIT_ITERATE=math.inf))
+                        split.append(_time_solve(problem, m, SPLIT_ITERATE=0))
+                    rows.append({"kind": kind.value, "dim": dim, "m": m, "dof": size,
+                                 "iterate": iterate, "one_class_s": min(one_class),
+                                 "split_s": min(split)})
+                    print(f"# {kind.value:18s} {dim}D m={m:2d} iterate {iterate:6d}  one class "
+                          f"{min(one_class):8.4f} s  split {min(split):8.4f} s", flush=True)
     return rows
+
+
+def _split_cost(rows: list[dict], threshold: float) -> float:
+    return sum(row["split_s"] if row["iterate"] >= threshold else row["one_class_s"]
+               for row in rows)
+
+
+def _least_cost_threshold(rows: list[dict]):
+    """The swept iterate of least summed seconds as the split threshold (the
+    smallest, on a tie), or None where splitting nothing costs least."""
+    candidates = sorted({row["iterate"] for row in rows}) + [math.inf]
+    best = min(candidates, key=lambda threshold: _split_cost(rows, threshold))
+    return None if best == math.inf else best
+
+
+def split_rule(runs: list[list[dict]]) -> dict:
+    """Per-block medians over the runs, the least-cost threshold on them, overall
+    and per m, the band of the runs' own least-cost thresholds, and the blocks
+    whose median is slower on the route SPLIT_ITERATE picks."""
+    routes = ("one_class_s", "split_s")
+    timings = [{**first, **{key: [run[i][key] for run in runs] for key in routes}}
+               for i, first in enumerate(runs[0])]
+    medians = [{**row, **{key: statistics.median(row[key]) for key in routes}}
+               for row in timings]
+    per_run = [_least_cost_threshold(run) for run in runs]
+    split_iterate = eigensolve.SPLIT_ITERATE
+    return {
+        "recommended_cutoff": _least_cost_threshold(medians),
+        "recommended_per_m": {str(m): _least_cost_threshold([r for r in medians if r["m"] == m])
+                              for m in SPLIT_COUNTS},
+        "band": [min(per_run), max(per_run)],
+        "per_run": per_run,
+        "cost_s": {"split_iterate": _split_cost(medians, split_iterate),
+                   "best_route_per_block": sum(min(r[key] for key in routes) for r in medians)},
+        "misrouted": [
+            {key: row[key] for key in ("kind", "dim", "m", "dof", "iterate", *routes)}
+            for row in medians
+            if (row["split_s"] > row["one_class_s"]) == (row["iterate"] >= split_iterate)],
+        "timings": timings,
+    }
 
 
 def _time_general(block, m: int) -> float:
@@ -234,47 +284,46 @@ def pooled_columns(runs: list[list[dict]], import_s: list[float]) -> dict:
     }
 
 
-def crossover(rows: list[dict], size: str = "dof", low: str = "dense",
-              high: str = "structured") -> dict:
-    """Per-series last win of the `low` route and first win of the `high` one, by
-    `size`, and the cutoff they imply: the `low` route's last win, minimised over
-    the series."""
-    first_high, last_low = f"first_{high}_win", f"last_{low}_win"
+def crossover(rows: list[dict]) -> dict:
+    """Per-series last dense win and first structured win, and the cutoff they imply."""
     series = {}
     for row in rows:
         series.setdefault(f"{row['kind']} {row['dim']}D", []).append(row)
     per_series = {}
     for name, points in series.items():
-        points = sorted(points, key=lambda r: r[size])
-        first = next((r[size] for r in points if r[f"{high}_s"] < r[f"{low}_s"]), None)
-        low_wins = [r[size] for r in points if first is None or r[size] < first]
-        per_series[name] = {last_low: max(low_wins, default=None), first_high: first}
-    last_lows = [s[last_low] for s in per_series.values()]
-    first_highs = [s[first_high] for s in per_series.values() if s[first_high] is not None]
+        points = sorted(points, key=lambda r: r["dof"])
+        first_structured = next(
+            (r["dof"] for r in points if r["structured_s"] < r["dense_s"]), None)
+        dense_wins = [r["dof"] for r in points
+                      if first_structured is None or r["dof"] < first_structured]
+        per_series[name] = {"last_dense_win": max(dense_wins, default=None),
+                            "first_structured_win": first_structured}
+    last_dense = [s["last_dense_win"] for s in per_series.values()]
+    first_structured = [s["first_structured_win"] for s in per_series.values()
+                        if s["first_structured_win"] is not None]
     return {
-        "recommended_cutoff": None if None in last_lows else min(last_lows),
-        first_high: min(first_highs, default=None),
+        "recommended_cutoff": None if None in last_dense else min(last_dense),
+        "first_structured_win": min(first_structured, default=None),
         "series": per_series,
     }
 
 
-def pooled(runs: list[list[dict]], size: str = "dof", low: str = "dense",
-           high: str = "structured") -> dict:
+def pooled(runs: list[list[dict]]) -> dict:
     """Per-size medians over the runs, the cutoff they give, and the band of all runs."""
-    routes = (f"{low}_s", f"{high}_s")
-    timings = [{**first, **{key: [run[i][key] for run in runs] for key in routes}}
+    timings = [{"kind": first["kind"], "dim": first["dim"], "dof": first["dof"],
+                "dense_s": [run[i]["dense_s"] for run in runs],
+                "structured_s": [run[i]["structured_s"] for run in runs]}
                for i, first in enumerate(runs[0])]
-    medians = [{**row, **{key: statistics.median(row[key]) for key in routes}}
-               for row in timings]
-    per_run = [crossover(run, size, low, high) for run in runs]
-    first_high = f"first_{high}_win"
+    medians = [{**row, "dense_s": statistics.median(row["dense_s"]),
+                "structured_s": statistics.median(row["structured_s"])} for row in timings]
+    per_run = [crossover(run) for run in runs]
     lows = [r["recommended_cutoff"] for r in per_run]
-    highs = [r[first_high] for r in per_run]
+    highs = [r["first_structured_win"] for r in per_run]
     return {
-        **crossover(medians, size, low, high),
+        **crossover(medians),
         "band": [None if None in lows else min(lows),
                  None if None in highs else max(highs)],
-        "per_run": [{key: r[key] for key in ("recommended_cutoff", first_high)}
+        "per_run": [{key: r[key] for key in ("recommended_cutoff", "first_structured_win")}
                     for r in per_run],
         "timings": timings,
     }
@@ -346,16 +395,17 @@ def main(argv=None) -> int:
         "machine": machine_facts(),
         **pooled(runs),
         "reflection_classes": {
-            "what": f"seconds of solve_problem(m={M}) at degree 0, block solved as one "
-                    f"class and split into its reflection classes; per size, the best of "
+            "what": "seconds of solve_problem(m) at degree 0, block solved as one class and "
+                    "split into its reflection classes; per block and m, the best of "
                     f"{REPEATS} in each of {RUNS} runs; iterate = dof (m + GUARD) / 2^dim",
-            "rule": "recommended_cutoff: on per-size medians over the runs, the largest "
-                    "iterate before the first split win, minimised over the series; band: "
-                    "from the smallest single-run recommendation to the largest single-run "
-                    "first split win; SPLIT_ITERATE lies above band[0] and at most band[1]",
+            "rule": "recommended_cutoff: the swept iterate that, as the threshold from which "
+                    "blocks split, gives the least summed median seconds; band: from the "
+                    "smallest to the largest single-run recommendation; SPLIT_ITERATE acts "
+                    "as the first swept iterate at or above it, which lies in the band",
             "runs": RUNS,
+            "m": list(SPLIT_COUNTS),
             "split_iterate": eigensolve.SPLIT_ITERATE,
-            **pooled(split_runs, "iterate", "one_class", "split"),
+            **split_rule(split_runs),
         },
         "structured_route": {
             "what": "seconds of each structured solve and each solve_pencil (sparse) on one "
@@ -365,7 +415,7 @@ def main(argv=None) -> int:
             "rule": "losses_beyond_import: blocks whose median structured solve is slower "
                     "than their median general solve by more than the median import",
             "runs": COLUMN_RUNS,
-            "structured_max_m": {str(dim): m for dim, m in eigensolve.STRUCTURED_MAX_M.items()},
+            "structured_max_m": eigensolve.STRUCTURED_MAX_M,
             **pooled_columns(column_runs, import_s),
         },
     }

@@ -94,9 +94,9 @@ __all__ = [
 DENSE_CUTOFF = 225
 DEFAULT_TOL = 1e-9
 MAX_ITER = 10_000
-# largest number of values the structured solve takes, per dimension; more
-# go to solve_pencil, as do 1D blocks above DENSE_CUTOFF
-STRUCTURED_MAX_M = {2: 32, 3: 32}
+# largest number of values the structured solve takes from a 2D or 3D block;
+# more go to solve_pencil, as do 1D blocks above DENSE_CUTOFF
+STRUCTURED_MAX_M = 32
 # structured fourth-order solve (`_structured_solve`): guard columns beyond
 # the m reported, Q modes in the start space per column, the per-class
 # iterate N (m + GUARD) / 2^n from which the reflection classes are solved
@@ -106,7 +106,7 @@ STRUCTURED_MAX_M = {2: 32, 3: 32}
 # which it stops
 GUARD = 2
 START_SPAN = 3
-SPLIT_ITERATE = 6000
+SPLIT_ITERATE = 4900
 CLUSTER_GAP = 3e-2
 ROUNDING_TARGET = 4e-16
 STALL_ITERATIONS = 10
@@ -786,8 +786,10 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     sigma (top - its bound <= sigma + sigma's bound) doubles its count and
     is solved again, until none is left.  A class then holds no eigenvalue
     below sigma that it did not return, so none is missed (as long as each
-    class returns its lowest values).  Below SPLIT_ITERATE, the per-class
-    Python and LAPACK calls cost more than the smaller iterates save, and
+    class returns its lowest values).  A class solve that stops short of
+    tol fails the block at once, since its wide bounds would only grow it.
+    Below SPLIT_ITERATE, the per-class Python and LAPACK calls cost more
+    than the smaller iterates save, on the whole over m = 4 to 32, and
     the block is solved as one class, started from the union of each
     class's count + GUARD lowest Q modes, unfolded (START_SPAN times as
     many cost more setup than they save iterations).  Either way the pairs
@@ -825,6 +827,11 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
         values = np.concatenate([class_values for class_values, _ in solved])
         vectors = np.hstack([class_vectors for _, class_vectors in solved])
         eta, delta = _gram_certificate(whole, values, vectors, norms)
+        if not np.all(eta <= tol):
+            # a class that stopped short of tol has wide bounds, which the
+            # rule below would answer by doubling its count round after round
+            raise NumericalFailure(f"a reflection class missed the residual tolerance {tol} "
+                                   f"(worst backward error {eta.max():.3e})")
         sizes = [class_values.size for class_values, _ in solved]
         order = np.lexsort((np.repeat(np.arange(len(classes)), sizes), values))
         sigma = values[order[m - 1]] + delta[order[m - 1]] if values.size >= m else math.inf
@@ -855,12 +862,12 @@ def _dense_block_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
 
 def _solve_fourth_order(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     """m smallest eigenpairs of a fourth-order block: densely up to DENSE_CUTOFF
-    dof, by the structured solve for at most STRUCTURED_MAX_M values, both by
-    numpy alone, and by `solve_pencil` otherwise or when the numpy solve fails
-    its certificate."""
+    dof, by the structured solve for at most STRUCTURED_MAX_M values of a 2D
+    or 3D block, both by numpy alone, and by `solve_pencil` otherwise or when
+    the numpy solve fails its certificate."""
     if block.size <= DENSE_CUTOFF:
         route = _dense_block_solve
-    elif m <= STRUCTURED_MAX_M.get(block.domain.dim, 0):
+    elif block.domain.dim > 1 and m <= STRUCTURED_MAX_M:
         route = _structured_solve
     else:
         return solve_pencil(block.a, block.b, m, tol)

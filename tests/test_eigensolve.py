@@ -122,14 +122,19 @@ def test_dense_cutoff_lies_in_the_measured_crossover_band():
 
 def test_split_iterate_lies_in_the_measured_crossover_band():
     # blocks whose per-class iterate N (m + GUARD) / 2^n reaches
-    # SPLIT_ITERATE are solved class by class: at or past every run's
-    # last one-class win, and no later than some run's first split win
+    # SPLIT_ITERATE are solved class by class.  Swept for every m up to
+    # STRUCTURED_MAX_M, the threshold it acts as (the first swept iterate at
+    # or above it) lies between the least-cost thresholds of the single runs
     split = json.loads((Path(__file__).resolve().parents[1]
                         / "BENCH_dense_cutoff.json").read_text())["reflection_classes"]
     assert len(split["per_run"]) == split["runs"] > 1
     assert split["split_iterate"] == es.SPLIT_ITERATE
+    assert max(split["m"]) == es.STRUCTURED_MAX_M
+    assert {row["m"] for row in split["timings"]} == set(split["m"])
+    acts_as = min(row["iterate"] for row in split["timings"]
+                  if row["iterate"] >= es.SPLIT_ITERATE)
     low, high = split["band"]
-    assert low < es.SPLIT_ITERATE <= high
+    assert low <= acts_as <= high
 
 
 def test_structured_route_loses_nowhere_by_more_than_the_scipy_import():
@@ -138,7 +143,7 @@ def test_structured_route_loses_nowhere_by_more_than_the_scipy_import():
     # solve_pencil would cost the command
     route = json.loads((Path(__file__).resolve().parents[1]
                         / "BENCH_dense_cutoff.json").read_text())["structured_route"]
-    assert {int(dim): m for dim, m in route["structured_max_m"].items()} == es.STRUCTURED_MAX_M
+    assert route["structured_max_m"] == es.STRUCTURED_MAX_M
     assert len(route["timings"]) > 0 and route["losses_beyond_import"] == []
 
 
@@ -327,7 +332,7 @@ def no_general_solver(monkeypatch):
 def structured_only(monkeypatch, no_general_solver):
     """Send every fourth-order block to the structured solve, none to solve_pencil."""
     monkeypatch.setattr(es, "DENSE_CUTOFF", 0)
-    monkeypatch.setattr(es, "STRUCTURED_MAX_M", {2: 10 ** 6, 3: 10 ** 6})
+    monkeypatch.setattr(es, "STRUCTURED_MAX_M", 10 ** 6)
 
 
 @pytest.fixture
@@ -416,6 +421,37 @@ def test_class_count_rule_recovers_an_undercounted_class(kind, extent, cells, sp
     prob = assemble(build_domain(len(cells), extent, cells), 0, kind)
     _assert_enclosures_meet(solve_problem(prob, m=14), prob, 14)
     assert len(split_only) > 2 ** len(cells)
+
+
+def test_a_class_short_of_tolerance_fails_without_growing(monkeypatch):
+    # the first class solve stops after one step, far above tol; its wide
+    # bounds must not be answered by doubling its count: the solve fails at
+    # once, each class solved once for its first count, and the block falls
+    # back to solve_pencil
+    monkeypatch.setattr(es, "SPLIT_ITERATE", 0)
+    counts = []
+    real = es._lobpcg
+
+    def first_stops_early(apply, norms, precond, span, m):
+        counts.append(m)
+        with monkeypatch.context() as patch:
+            if len(counts) == 1:
+                patch.setattr(es, "LOBPCG_MAXITER", 1)
+            return real(apply, norms, precond, span, m)
+
+    monkeypatch.setattr(es, "_lobpcg", first_stops_early)
+    (block,) = assemble(build_domain(2, [1.0, 6.0], [8, 40]), 0,
+                        ProblemKind.CLAMPED_PLATE).blocks
+    first = es._class_counts([[np.linalg.eigh(q) for q in es._axis_bounds(pencil)]
+                              for pencil, _ in es._reflection_classes(es._AxisPencil.of(block))],
+                             14)
+    with pytest.raises(NumericalFailure):
+        es._structured_solve(block, 14, es.DEFAULT_TOL)
+    assert counts == first
+    counts.clear()
+    spec = es._solve_fourth_order(block, 14, es.DEFAULT_TOL)
+    reference = solve_pencil(block.a, block.b, 14)
+    assert np.array_equal(spec.values, reference.values)
 
 
 @pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
