@@ -64,19 +64,16 @@ if __name__ == "__main__":
 import argparse  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
-import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-import numpy  # noqa: E402
-import scipy  # noqa: E402
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from compare import machine_facts  # noqa: E402
 from hodge_spectra import eigensolve  # noqa: E402
 from hodge_spectra.discretize import ProblemKind, assemble, build_domain  # noqa: E402
 
@@ -326,42 +323,6 @@ def pooled(runs: list[list[dict]]) -> dict:
         "per_run": [{key: r[key] for key in ("recommended_cutoff", "first_structured_win")}
                     for r in per_run],
         "timings": timings,
-    }
-
-
-def _perfbench_summary(path: Path, metrics: tuple[str, ...]) -> dict:
-    results = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
-    out = {"runs": len(results), "correct": all(r["correct"] for r in results)}
-    for name in metrics:
-        values = [r["metrics"][name]["value"] for r in results]
-        q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-        out[name] = {"values": values, "median": median, "q1": q1, "q3": q3}
-    return out
-
-
-def perfbench_pairs(parent_path: Path, change_path: Path,
-                    metrics: tuple[str, ...] = ("wall_s", "peak_rss_mb", "ok_ratio")) -> dict:
-    """Median and quartiles of each metric on both sides, and the pairs won on wall_s.
-
-    Each file holds the final JSON line of `perfbench/run.py` runs, line i
-    of both files being one pair of runs (same seed).
-    """
-    parent, change = (_perfbench_summary(path, metrics) for path in (parent_path, change_path))
-    wins = sum(c < p for p, c in zip(parent["wall_s"]["values"], change["wall_s"]["values"]))
-    return {"parent": parent, "change": change,
-            "change_wall_s_wins": f"{wins} of {parent['runs']} pairs"}
-
-
-def machine_facts() -> dict:
-    return {
-        "cores": os.cpu_count(),
-        "cores_usable": len(os.sched_getaffinity(0)),
-        "blas_threads": {var: os.environ.get(var) for var in
-                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
-        "machine": platform.machine(),
     }
 
 

@@ -27,9 +27,10 @@ import scipy
 from . import __version__
 from .bessel import ball_spectrum
 from .discretize import ProblemKind, assemble, build_domain
-from .eigensolve import Spectrum, solve_problem
+from .eigensolve import DEFAULT_TOL, Spectrum, solve_problem
 from .errors import NumericalFailure
 from .verify import (
+    ConstantsBundle,
     ConvergenceStudy,
     SpectrumSet,
     _curvature_bounds,
@@ -64,7 +65,7 @@ class RunConfig:
     degrees: tuple[int, ...] = ()
     problem: Optional[str] = None
     count: int = 4
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     gamma: float = 1.0
     radius: float = 1.0
     resolutions: tuple[int, ...] = ()
@@ -96,29 +97,29 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default="-", help="report path, '-' for stdout")
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
+    # the flags of the commands that solve on a box, and of those that solve on one grid
+    solving = _Parser(add_help=False)
+    solving.add_argument("--dim", type=int, required=True)
+    solving.add_argument("--extent", type=_floats, required=True)
+    solving.add_argument("--tol", type=float, default=RunConfig.tol)
+    grid = _Parser(add_help=False, parents=[solving])
+    grid.add_argument("--cells", type=_ints, required=True)
+    grid.add_argument("--count", type=int, default=RunConfig.count)
+
     p_ball = sub.add_parser("ball", help="closed-form ball spectrum and chain checks")
     p_ball.add_argument("--dim", type=int, required=True)
     p_ball.add_argument("--radius", type=float, default=1.0)
     common(p_ball)
 
-    p_box = sub.add_parser("box", help="solve one problem on a box")
-    p_box.add_argument("--dim", type=int, required=True)
-    p_box.add_argument("--extent", type=_floats, required=True)
-    p_box.add_argument("--cells", type=_ints, required=True)
+    p_box = sub.add_parser("box", help="solve one problem on a box", parents=[grid])
     p_box.add_argument("--problem", required=True,
                        choices=[k.value for k in ProblemKind])
     p_box.add_argument("--degree", type=int, required=True)
-    p_box.add_argument("--count", type=int, default=4)
-    p_box.add_argument("--tol", type=float, default=1e-9)
     common(p_box)
 
-    p_verify = sub.add_parser("verify", help="full inequality battery on a box")
-    p_verify.add_argument("--dim", type=int, required=True)
-    p_verify.add_argument("--extent", type=_floats, required=True)
-    p_verify.add_argument("--cells", type=_ints, required=True)
+    p_verify = sub.add_parser("verify", help="full inequality battery on a box",
+                              parents=[grid])
     p_verify.add_argument("--degrees", type=_ints, required=True)
-    p_verify.add_argument("--count", type=int, default=4)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
     p_verify.add_argument("--gamma", type=float, default=1.0)
     p_verify.add_argument("--error-estimates", dest="error_estimates",
                           action="store_true",
@@ -131,14 +132,11 @@ def _build_parser() -> _Parser:
     p_const.add_argument("--gamma", type=float, default=1.0)
     common(p_const)
 
-    p_conv = sub.add_parser("converge", help="mesh refinement study")
-    p_conv.add_argument("--dim", type=int, required=True)
-    p_conv.add_argument("--extent", type=_floats, required=True)
+    p_conv = sub.add_parser("converge", help="mesh refinement study", parents=[solving])
     p_conv.add_argument("--problem", required=True,
                         choices=[k.value for k in ProblemKind])
     p_conv.add_argument("--degree", type=int, required=True)
     p_conv.add_argument("--resolutions", type=_ints, required=True)
-    p_conv.add_argument("--tol", type=float, default=1e-9)
     common(p_conv)
     return parser
 
@@ -183,6 +181,16 @@ def _check_entry(check) -> dict:
         "tolerance": float(check.tolerance),
         "provenance": list(check.provenance),
         "note": check.note,
+    }
+
+
+def _bounds_entry(bundle: ConstantsBundle) -> dict:
+    """The curvature-bound constants of one degree, as `verify` and `constants` write them."""
+    return {
+        "c_np": bundle.c_np,
+        "dirichlet_bound": bundle.dirichlet_bound,
+        "buckling_bound": bundle.buckling_bound,
+        "clamped_bound": bundle.clamped_bound,
     }
 
 
@@ -276,15 +284,8 @@ def _cmd_verify(cfg: RunConfig, report: dict) -> None:
     # gamma first, so that a bad one fails before any solve, also where no
     # degree has constants to evaluate (dim 1); BoxDomain's dim <= 3 has p = 1 only
     _curvature_bounds(cfg.dim, 1, cfg.gamma)
-    constants = {}
-    for p in range(1, cfg.dim // 2 + 1):
-        bundle = evaluate_constants(cfg.dim, p, cfg.gamma)
-        constants[f"p={p}"] = {
-            "c_np": bundle.c_np,
-            "dirichlet_bound": bundle.dirichlet_bound,
-            "buckling_bound": bundle.buckling_bound,
-            "clamped_bound": bundle.clamped_bound,
-        }
+    constants = {f"p={p}": _bounds_entry(evaluate_constants(cfg.dim, p, cfg.gamma))
+                 for p in range(1, cfg.dim // 2 + 1)}
     if cfg.dim % 2 == 0:
         constants["halfdegree_identity_gap"] = halfdegree_identity_gap(cfg.dim)
     spectra, battery = box_battery(domain, cfg.degrees, m=cfg.count, tol=cfg.tol,
@@ -301,10 +302,7 @@ def _cmd_constants(cfg: RunConfig, report: dict) -> None:
         "dim": bundle.dim,
         "degree": bundle.degree,
         "gamma": bundle.gamma,
-        "c_np": bundle.c_np,
-        "dirichlet_bound": bundle.dirichlet_bound,
-        "buckling_bound": bundle.buckling_bound,
-        "clamped_bound": bundle.clamped_bound,
+        **_bounds_entry(bundle),
     }
     if bundle.dim % 2 == 0:
         report["constants"]["halfdegree_identity_gap"] = \

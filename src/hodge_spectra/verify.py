@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .bessel import BallSpectrum
 from .discretize import BoxDomain, ProblemKind, assemble, build_domain
-from .eigensolve import Spectrum, solve_problem
+from .eigensolve import DEFAULT_TOL, Spectrum, solve_problem
 from .errors import NumericalFailure
 
 __all__ = [
@@ -441,7 +441,7 @@ class ConvergenceStudy:
 
 def convergence_study(dim: int, extent: Sequence[float], kind: ProblemKind,
                       degree: int, resolutions: Sequence[int],
-                      tol: float = 1e-9, m: int = 1,
+                      tol: float = DEFAULT_TOL, m: int = 1,
                       cache: Optional[dict] = None) -> ConvergenceStudy:
     """Solve the problem on successively refined grids and extrapolate.
 
@@ -492,7 +492,7 @@ def convergence_study(dim: int, extent: Sequence[float], kind: ProblemKind,
 # ---------------------------------------------------------------------------
 
 def box_battery(domain: BoxDomain, degrees: Sequence[int], m: int = 4,
-                tol: float = 1e-9, with_error_estimates: bool = False,
+                tol: float = DEFAULT_TOL, with_error_estimates: bool = False,
                 cache: Optional[dict] = None) -> tuple[SpectrumSet, InequalityReport]:
     """Solve all four problems on a box for the given degrees and run the checks.
 
