@@ -75,10 +75,10 @@ BLOCKS = (
     (2, 127, "buckling", 0, 32),
     (3, 31, "clamped_plate", 0, 32),
     (3, 63, "clamped_plate", 0, 4),
-    # general route (solve_pencil), which assembles block.a and block.b; 63^2
-    # at m = 16 took it until the 2D STRUCTURED_MAX_M rose from 8 to 32
+    # general route (solve_pencil), which assembles block.a and block.b: a 1D
+    # block, and a 3D one asked for more than STRUCTURED_MAX_M values
     (1, 1023, "buckling", 0, 4),
-    (2, 63, "clamped_plate", 0, 16),
+    (3, 8, "buckling", 0, 64),
 )
 SCIPY_PARTS = ("scipy.sparse", "scipy.linalg", "scipy.sparse.linalg")
 PERFBENCH_METRICS = ("wall_s", "setup_s", "peak_rss_mb", "ok_ratio")
@@ -158,7 +158,9 @@ def run_once(src: Path, args: list[str], workdir: Path) -> dict:
 
 
 def _quartiles(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    # the inclusive method keeps q1 and q3 between the smallest and largest run
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
+                      else values * 3)
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 

@@ -4,51 +4,16 @@ Usage (from the repository root):
 
     python3 bench/crossover.py [--out BENCH_dense_cutoff.json]
 
-Three sweeps, BLAS on one thread, each made several times with every run
-recorded.  The second-order kinds are not swept: their blocks take the
-separable solve, which reaches neither route.
-
-Dense cutoff.  For each fourth-order problem kind at degree 0 (one block
-per problem), in 2D and 3D, `solve_problem(problem, m=4)` is timed with the
-block forced down the dense path (DENSE_CUTOFF at the block size: numpy's
-Cholesky reduction of the pencil formed from the per-axis factors) and
-forced down the structured path (DENSE_CUTOFF at 0: LOBPCG preconditioned
-by the per-axis fast-diagonalization inverse), best of REPEATS, on cubic
-grids of 49 to 729 dof.  The dense and structured runs alternate, so that
-a slow stretch of a shared machine hits both; the sweep is made RUNS
-times.  Near the crossover both paths take a few milliseconds, so one
-sweep's answer moves with machine noise.  The recommended cutoff
-therefore comes from the per-size median over the runs: for each (kind,
-dim) series, its last size before the first structured win, minimised
-over the series.  The crossover band spans what the runs say separately:
-from the smallest cutoff any single run recommends to the largest size at
-which some run first sees a structured win in some series.
-
-Reflection classes.  For each fourth-order kind at degree 0, in 2D and 3D,
-and each m in SPLIT_COUNTS, `solve_problem(problem, m)` is timed with the
-block solved as one class (SPLIT_ITERATE above every block) and split into
-its 2^n reflection classes (SPLIT_ITERATE at 0), alternating, best of
-REPEATS, on the cubic grids above DENSE_CUTOFF whose per-class iterate
-N (m + GUARD) / 2^n lies in SPLIT_ITERATES, and the sweep is made RUNS
-times.  A threshold T splits the blocks whose iterate reaches T; its cost
-is the summed seconds of the routes it picks.  The recommended T is the
-swept iterate of least cost on the per-block medians over the runs (the
-smallest, on a tie); the band runs from the smallest to the largest
-single-run recommendation.  SPLIT_ITERATE acts as the first swept iterate
-at or above it, which belongs in the band.  The recommendation per m
-shows how far one threshold is from each m's own, and `misrouted` lists
-the blocks whose median is slower on the route SPLIT_ITERATE picks.
-
-Structured route.  The blocks above DENSE_CUTOFF that the structured
-solve takes (at most STRUCTURED_MAX_M values), at the sizes where it
-used to lose to `solve_pencil` per solve, are solved for each m in
-COLUMN_COUNTS by both, REPEATS times in each of COLUMN_RUNS runs, and
-every solve's seconds are recorded.  `solve_pencil` also costs a command
-the one-time import of scipy.sparse and scipy.sparse.linalg (with
-scipy.linalg), timed in IMPORT_SAMPLES fresh interpreters that have
-already loaded hodge_spectra.cli.  A block whose median structured solve
-is slower than its median general one by more than the median import is
-listed under `losses_beyond_import`.
+Each of the COMPARISONS times two of the ROUTES on one degree-0 block per
+fourth-order kind, side and m: dense against the structured solve as one
+class (threshold DENSE_CUTOFF), one class against split into the 2^n
+reflection classes (threshold SPLIT_ITERATE), and `_structured_solve`
+against `solve_pencil` (no threshold).  For each block and m the two
+routes alternate, so that a slow stretch of a shared machine hits both,
+and each keeps the best of REPEATS solves; every comparison is made RUNS
+times, BLAS on one thread.  One rule, `least_cost`, measures both
+thresholds; `losses_beyond_import` checks the structured route.  The
+second-order kinds take the separable solve, which reaches none of these.
 """
 
 from __future__ import annotations
@@ -64,11 +29,13 @@ if __name__ == "__main__":
 import argparse  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import operator  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
+from typing import Callable, NamedTuple, Optional  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -77,18 +44,16 @@ from compare import machine_facts  # noqa: E402
 from hodge_spectra import eigensolve  # noqa: E402
 from hodge_spectra.discretize import ProblemKind, assemble, build_domain  # noqa: E402
 
-M = 4
 REPEATS = 3
 RUNS = 5
 # the kinds whose blocks reach the fourth-order routes
 KINDS = tuple(kind for kind in ProblemKind if kind.is_fourth_order)
-# block side lengths: side**dim runs from 49 to 625 dof in 2D, 64 to 729 in 3D
+# dense cutoff: block side lengths, side**dim from 49 to 625 dof in 2D, 64
+# to 729 in 3D
 SIDES = {
     2: (7, 9, 11, 13, 15, 17, 19, 21, 25),
     3: (4, 5, 6, 7, 8, 9),
 }
-
-
 # reflection classes: values requested, block side lengths, and the range
 # of per-class iterates swept
 SPLIT_COUNTS = (4, 8, 16, 32)
@@ -98,294 +63,226 @@ SPLIT_SIDES = {
 }
 SPLIT_ITERATES = (900, 26000)
 # structured route: values requested and block side lengths per dimension
-# (289 to 16,129 dof in 2D, 343 to 4,913 in 3D), and runs
-COLUMN_COUNTS = {2: (1, 4, 8, 16, 32), 3: (1, 4, 8, 16, 32)}
+# (289 to 16,129 dof in 2D, 343 to 4,913 in 3D)
+COLUMN_COUNTS = (1, 4, 8, 16, 32)
 COLUMN_SIDES = {
     2: (17, 23, 31, 47, 63, 127),
     3: (7, 8, 9, 11, 13, 15, 17),
 }
-COLUMN_RUNS = 3
 IMPORT_SAMPLES = 9
 IMPORT_PROBE = ("import time, hodge_spectra.cli; start = time.perf_counter(); "
                 "import scipy.sparse.linalg; print(time.perf_counter() - start)")
 
 
-def _problem(kind: ProblemKind, dim: int, side: int):
-    return assemble(build_domain(dim, [1.0] * dim, [side] * dim), 0, kind)
+# each route: the solve timed, called as solve(block, m, DEFAULT_TOL), and
+# the eigensolve constants set for it, a DENSE_CUTOFF of None standing for
+# the block's size
+ROUTES = {
+    "dense": (eigensolve._solve_fourth_order, {"DENSE_CUTOFF": None}),
+    "one_class": (eigensolve._solve_fourth_order, {"DENSE_CUTOFF": 0, "SPLIT_ITERATE": math.inf}),
+    "split": (eigensolve._solve_fourth_order, {"DENSE_CUTOFF": 0, "SPLIT_ITERATE": 0}),
+    "structured": (eigensolve._structured_solve, {}),
+    "general": (lambda block, m, tol: eigensolve.solve_pencil(block.a, block.b, m, tol),
+                {"DENSE_CUTOFF": 0}),
+}
 
 
-def _time_solve(problem, m: int = M, **settings) -> float:
-    """Seconds of solve_problem(problem, m) with the eigensolve constants in settings."""
+class Comparison(NamedTuple):
+    routes: tuple[str, str]
+    blocks: tuple[tuple[ProblemKind, int, int, int], ...]   # (kind, dim, side, m)
+    constant: tuple[str, float]   # the eigensolve constant that picks the route, and its value
+    # the row field the constant is a threshold on, and whether a value takes
+    # the second route given the threshold
+    on: Optional[str] = None
+    takes_second: Optional[Callable[[float, float], bool]] = None
+
+
+def _iterate(dim: int, side: int, m: int) -> int:
+    return side ** dim * (m + eigensolve.GUARD) // 2 ** dim
+
+
+def _blocks(sides: dict, counts: tuple, iterates: tuple = (0, math.inf)) -> tuple:
+    return tuple((kind, dim, side, m) for dim, dim_sides in sides.items() for kind in KINDS
+                 for side in dim_sides for m in counts
+                 if iterates[0] <= _iterate(dim, side, m) <= iterates[1])
+
+
+COMPARISONS = {
+    "dense_cutoff": Comparison(("dense", "one_class"), _blocks(SIDES, (4,)),
+                               ("DENSE_CUTOFF", eigensolve.DENSE_CUTOFF), "dof", operator.gt),
+    "reflection_classes": Comparison(
+        ("one_class", "split"), _blocks(SPLIT_SIDES, SPLIT_COUNTS, SPLIT_ITERATES),
+        ("SPLIT_ITERATE", eigensolve.SPLIT_ITERATE), "iterate", operator.ge),
+    "structured_route": Comparison(("structured", "general"),
+                                   _blocks(COLUMN_SIDES, COLUMN_COUNTS),
+                                   ("STRUCTURED_MAX_M", eigensolve.STRUCTURED_MAX_M)),
+}
+
+
+def _seconds(route: str, block, m: int) -> float:
+    """Seconds of one solve down route; a failed certificate loses."""
+    solve, settings = ROUTES[route]
+    settings = {name: block.size if value is None else value for name, value in settings.items()}
     saved = {name: getattr(eigensolve, name) for name in settings}
     for name, value in settings.items():
         setattr(eigensolve, name, value)
     try:
         start = time.perf_counter()
-        eigensolve.solve_problem(problem, m=m)
+        solve(block, m, eigensolve.DEFAULT_TOL)
         return time.perf_counter() - start
+    except eigensolve.NumericalFailure:
+        return math.inf
     finally:
         for name, value in saved.items():
             setattr(eigensolve, name, value)
 
 
-def sweep() -> list[dict]:
-    """One run: best-of-REPEATS dense and structured seconds for every series and size."""
+def sweep(comparison: Comparison) -> list[dict]:
+    """One run: each route's best-of-REPEATS seconds for every block and m."""
     rows = []
-    for dim, sides in SIDES.items():
-        for kind in KINDS:
-            for side in sides:
-                problem = _problem(kind, dim, side)
-                (size,) = (block.size for block in problem.blocks)
-                dense, structured = [], []
-                for _ in range(REPEATS):
-                    dense.append(_time_solve(problem, DENSE_CUTOFF=size))
-                    structured.append(_time_solve(problem, DENSE_CUTOFF=0))
-                rows.append({"kind": kind.value, "dim": dim, "dof": size,
-                             "dense_s": min(dense), "structured_s": min(structured)})
-                print(f"# {kind.value:18s} {dim}D {size:5d} dof  dense {min(dense):8.4f} s"
-                      f"  structured {min(structured):8.4f} s", flush=True)
+    for kind, dim, side, m in comparison.blocks:
+        (block,) = assemble(build_domain(dim, [1.0] * dim, [side] * dim), 0, kind).blocks
+        seconds = {route: [] for route in comparison.routes}
+        for _ in range(REPEATS):
+            for route in comparison.routes:
+                seconds[route].append(_seconds(route, block, m))
+        rows.append({"kind": kind.value, "dim": dim, "dof": side ** dim, "m": m,
+                     "iterate": _iterate(dim, side, m),
+                     **{f"{route}_s": min(values) for route, values in seconds.items()}})
+        print("#", json.dumps(rows[-1]), flush=True)
     return rows
 
 
-def sweep_split() -> list[dict]:
-    """One run: best-of-REPEATS one-class and split seconds for every series, m and size."""
-    rows = []
-    low, high = SPLIT_ITERATES
-    for dim, sides in SPLIT_SIDES.items():
-        for kind in KINDS:
-            for m in SPLIT_COUNTS:
-                for side in sides:
-                    size = side ** dim
-                    iterate = size * (m + eigensolve.GUARD) // 2 ** dim
-                    if size <= eigensolve.DENSE_CUTOFF or not low <= iterate <= high:
-                        continue
-                    problem = _problem(kind, dim, side)
-                    one_class, split = [], []
-                    for _ in range(REPEATS):
-                        one_class.append(_time_solve(problem, m, SPLIT_ITERATE=math.inf))
-                        split.append(_time_solve(problem, m, SPLIT_ITERATE=0))
-                    rows.append({"kind": kind.value, "dim": dim, "m": m, "dof": size,
-                                 "iterate": iterate, "one_class_s": min(one_class),
-                                 "split_s": min(split)})
-                    print(f"# {kind.value:18s} {dim}D m={m:2d} iterate {iterate:6d}  one class "
-                          f"{min(one_class):8.4f} s  split {min(split):8.4f} s", flush=True)
-    return rows
+def pool(runs: list[list[dict]], routes: tuple[str, ...]) -> list[dict]:
+    """Each row with every run's seconds per route and their median."""
+    timings = []
+    for i, first in enumerate(runs[0]):
+        row = dict(first)
+        for route in routes:
+            row[f"{route}_s"] = [run[i][f"{route}_s"] for run in runs]
+            row[f"{route}_median_s"] = statistics.median(row[f"{route}_s"])
+        timings.append(row)
+    return timings
 
 
-def _split_cost(rows: list[dict], threshold: float) -> float:
-    return sum(row["split_s"] if row["iterate"] >= threshold else row["one_class_s"]
-               for row in rows)
+def _median(row: dict, route: str) -> float:
+    return row[f"{route}_median_s"]
 
 
-def _least_cost_threshold(rows: list[dict]):
-    """The swept iterate of least summed seconds as the split threshold (the
-    smallest, on a tie), or None where splitting nothing costs least."""
-    candidates = sorted({row["iterate"] for row in rows}) + [math.inf]
-    best = min(candidates, key=lambda threshold: _split_cost(rows, threshold))
-    return None if best == math.inf else best
+def _route(comparison: Comparison, row: dict, threshold: float) -> str:
+    first, second = comparison.routes
+    return second if comparison.takes_second(row[comparison.on], threshold) else first
 
 
-def split_rule(runs: list[list[dict]]) -> dict:
-    """Per-block medians over the runs, the least-cost threshold on them, overall
-    and per m, the band of the runs' own least-cost thresholds, and the blocks
-    whose median is slower on the route SPLIT_ITERATE picks."""
-    routes = ("one_class_s", "split_s")
-    timings = [{**first, **{key: [run[i][key] for run in runs] for key in routes}}
-               for i, first in enumerate(runs[0])]
-    medians = [{**row, **{key: statistics.median(row[key]) for key in routes}}
-               for row in timings]
-    per_run = [_least_cost_threshold(run) for run in runs]
-    split_iterate = eigensolve.SPLIT_ITERATE
+def _cost(comparison: Comparison, rows: list[dict], threshold: float, seconds) -> float:
+    return sum(seconds(row, _route(comparison, row, threshold)) for row in rows)
+
+
+def _swept(comparison: Comparison, rows: list[dict]) -> list[int]:
+    # the swept values, and one above them all that keeps every block on the
+    # first route
+    values = sorted({row[comparison.on] for row in rows})
+    return values + [values[-1] + 1]
+
+
+def _least_cost_threshold(comparison: Comparison, rows: list[dict], seconds) -> int:
+    return min(_swept(comparison, rows),
+               key=lambda threshold: _cost(comparison, rows, threshold, seconds))
+
+
+def least_cost(comparison: Comparison, timings: list[dict]) -> dict:
+    """A threshold T sends a block down the second route when its dof
+    exceeds T (DENSE_CUTOFF) or its iterate reaches T (SPLIT_ITERATE), and
+    costs the summed seconds of the routes it picks.  Recommended: the
+    swept value of least cost on the medians (the smallest, on a tie),
+    overall and per m.  Band: the smallest to the largest single-run
+    recommendation.  The constant acts as the smallest swept value that
+    routes every block as it does; its cost and the blocks whose median is
+    slower on the route it picks (misrouted) are reported."""
+    name, value = comparison.constant
+    per_run = [_least_cost_threshold(comparison, timings,
+                                     lambda row, route, i=i: row[f"{route}_s"][i])
+               for i in range(len(timings[0][f"{comparison.routes[0]}_s"]))]
+    acts_as = min(threshold for threshold in _swept(comparison, timings)
+                  if all(_route(comparison, row, threshold) == _route(comparison, row, value)
+                         for row in timings))
+
+    def fastest(row: dict) -> float:
+        return min(_median(row, route) for route in comparison.routes)
+
     return {
-        "recommended_cutoff": _least_cost_threshold(medians),
-        "recommended_per_m": {str(m): _least_cost_threshold([r for r in medians if r["m"] == m])
-                              for m in SPLIT_COUNTS},
+        "recommended": _least_cost_threshold(comparison, timings, _median),
         "band": [min(per_run), max(per_run)],
         "per_run": per_run,
-        "cost_s": {"split_iterate": _split_cost(medians, split_iterate),
-                   "best_route_per_block": sum(min(r[key] for key in routes) for r in medians)},
-        "misrouted": [
-            {key: row[key] for key in ("kind", "dim", "m", "dof", "iterate", *routes)}
-            for row in medians
-            if (row["split_s"] > row["one_class_s"]) == (row["iterate"] >= split_iterate)],
-        "timings": timings,
+        "acts_as": acts_as,
+        "recommended_per_m": {
+            str(m): _least_cost_threshold(comparison, [row for row in timings if row["m"] == m],
+                                          _median)
+            for m in sorted({row["m"] for row in timings})},
+        "cost_s": {name: _cost(comparison, timings, value, _median),
+                   "best_route_per_block": sum(fastest(row) for row in timings)},
+        "misrouted": [_summary(row) for row in timings
+                      if _median(row, _route(comparison, row, value)) > fastest(row)],
     }
 
 
-def _time_general(block, m: int) -> float:
-    saved = eigensolve.DENSE_CUTOFF
-    eigensolve.DENSE_CUTOFF = 0
-    try:
-        start = time.perf_counter()
-        eigensolve.solve_pencil(block.a, block.b, m)
-        return time.perf_counter() - start
-    finally:
-        eigensolve.DENSE_CUTOFF = saved
-
-
-def _time_structured(block, m: int) -> float:
-    start = time.perf_counter()
-    try:
-        eigensolve._structured_solve(block, m, eigensolve.DEFAULT_TOL)
-    except eigensolve.NumericalFailure:
-        return math.inf   # a failed certificate loses
-    return time.perf_counter() - start
-
-
-def sweep_columns() -> list[dict]:
-    """One run: every structured and general solve's seconds for every series, size and m."""
-    rows = []
-    for dim, sides in COLUMN_SIDES.items():
-        for kind in KINDS:
-            for side in sides:
-                (block,) = _problem(kind, dim, side).blocks
-                for m in COLUMN_COUNTS[dim]:
-                    structured, general = [], []
-                    for _ in range(REPEATS):
-                        structured.append(_time_structured(block, m))
-                        general.append(_time_general(block, m))
-                    rows.append({"kind": kind.value, "dim": dim, "dof": block.size, "m": m,
-                                 "structured_s": structured, "general_s": general})
-                    print(f"# {kind.value:18s} {dim}D {block.size:5d} dof m={m:2d}  structured "
-                          f"{min(structured):8.4f} s  general {min(general):8.4f} s", flush=True)
-    return rows
+def _summary(row: dict) -> dict:
+    return {key: value for key, value in row.items() if not isinstance(value, list)}
 
 
 def scipy_import_seconds() -> list[float]:
-    """Seconds of importing scipy.sparse.linalg in fresh interpreters, after the CLI."""
+    """Seconds of importing scipy.sparse.linalg (with scipy.sparse and scipy.linalg)
+    in IMPORT_SAMPLES fresh interpreters that have loaded hodge_spectra.cli."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "HODGE_SPECTRA_THREADS": "1"}
     return [float(subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, check=True,
                                  capture_output=True, text=True).stdout)
             for _ in range(IMPORT_SAMPLES)]
 
 
-def pooled_columns(runs: list[list[dict]], import_s: list[float]) -> dict:
-    """Every run's solve seconds per block and m with their medians, and the blocks
-    where the structured solve loses by more than the scipy import."""
-    timings = []
-    for i, first in enumerate(runs[0]):
-        row = {key: first[key] for key in ("kind", "dim", "dof", "m")}
-        for name in ("structured", "general"):
-            row[f"{name}_s"] = [seconds for run in runs for seconds in run[i][f"{name}_s"]]
-            row[f"{name}_median_s"] = statistics.median(row[f"{name}_s"])
-        timings.append(row)
+def losses_beyond_import(timings: list[dict], import_s: list[float]) -> list[dict]:
+    """The blocks whose median structured solve is slower than their median
+    general one by more than the median import of scipy.sparse.linalg that
+    the general route costs a command (scipy_import_seconds)."""
     import_median = statistics.median(import_s)
-    return {
-        "scipy_import_s": {"values": import_s, "median": import_median},
-        "losses_beyond_import": [
-            {key: row[key] for key in ("kind", "dim", "dof", "m", "structured_median_s",
-                                       "general_median_s")}
-            for row in timings
-            if row["structured_median_s"] - row["general_median_s"] > import_median],
-        "timings": timings,
-    }
+    return [_summary(row) for row in timings
+            if _median(row, "structured") - _median(row, "general") > import_median]
 
 
-def crossover(rows: list[dict]) -> dict:
-    """Per-series last dense win and first structured win, and the cutoff they imply."""
-    series = {}
-    for row in rows:
-        series.setdefault(f"{row['kind']} {row['dim']}D", []).append(row)
-    per_series = {}
-    for name, points in series.items():
-        points = sorted(points, key=lambda r: r["dof"])
-        first_structured = next(
-            (r["dof"] for r in points if r["structured_s"] < r["dense_s"]), None)
-        dense_wins = [r["dof"] for r in points
-                      if first_structured is None or r["dof"] < first_structured]
-        per_series[name] = {"last_dense_win": max(dense_wins, default=None),
-                            "first_structured_win": first_structured}
-    last_dense = [s["last_dense_win"] for s in per_series.values()]
-    first_structured = [s["first_structured_win"] for s in per_series.values()
-                        if s["first_structured_win"] is not None]
-    return {
-        "recommended_cutoff": None if None in last_dense else min(last_dense),
-        "first_structured_win": min(first_structured, default=None),
-        "series": per_series,
-    }
-
-
-def pooled(runs: list[list[dict]]) -> dict:
-    """Per-size medians over the runs, the cutoff they give, and the band of all runs."""
-    timings = [{"kind": first["kind"], "dim": first["dim"], "dof": first["dof"],
-                "dense_s": [run[i]["dense_s"] for run in runs],
-                "structured_s": [run[i]["structured_s"] for run in runs]}
-               for i, first in enumerate(runs[0])]
-    medians = [{**row, "dense_s": statistics.median(row["dense_s"]),
-                "structured_s": statistics.median(row["structured_s"])} for row in timings]
-    per_run = [crossover(run) for run in runs]
-    lows = [r["recommended_cutoff"] for r in per_run]
-    highs = [r["first_structured_win"] for r in per_run]
-    return {
-        **crossover(medians),
-        "band": [None if None in lows else min(lows),
-                 None if None in highs else max(highs)],
-        "per_run": [{key: r[key] for key in ("recommended_cutoff", "first_structured_win")}
-                    for r in per_run],
-        "timings": timings,
-    }
+def measure(section: str, comparison: Comparison) -> dict:
+    runs = []
+    for index in range(RUNS):
+        print(f"# {section}: run {index + 1} of {RUNS}", flush=True)
+        runs.append(sweep(comparison))
+    timings = pool(runs, comparison.routes)
+    name, value = comparison.constant
+    rule = least_cost if comparison.on else losses_beyond_import
+    result = {"routes": list(comparison.routes), "rule": " ".join(rule.__doc__.split()),
+              "runs": RUNS, "m": sorted({m for *_, m in comparison.blocks}),
+              "constant": name, "value": value}
+    if comparison.on:
+        result.update(on=comparison.on, **least_cost(comparison, timings))
+    else:
+        import_s = scipy_import_seconds()
+        result.update(scipy_import_s={"values": import_s, "median": statistics.median(import_s)},
+                      losses_beyond_import=losses_beyond_import(timings, import_s))
+    result["timings"] = timings
+    return result
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_dense_cutoff.json")
     args = parser.parse_args(argv)
-    runs = []
-    for index in range(RUNS):
-        print(f"# run {index + 1} of {RUNS}", flush=True)
-        runs.append(sweep())
-    split_runs = []
-    for index in range(RUNS):
-        print(f"# reflection classes: run {index + 1} of {RUNS}", flush=True)
-        split_runs.append(sweep_split())
-    column_runs = []
-    for index in range(COLUMN_RUNS):
-        print(f"# structured route: run {index + 1} of {COLUMN_RUNS}", flush=True)
-        column_runs.append(sweep_columns())
-    import_s = scipy_import_seconds()
     result = {
-        "what": f"seconds of solve_problem(m={M}) at degree 0, block forced dense and "
-                f"forced structured; per size, the best of {REPEATS} in each of {RUNS} runs",
-        "rule": "recommended_cutoff: on per-size medians over the runs, the largest size "
-                "before the first structured win, minimised over the series; band: from the "
-                "smallest single-run recommendation to the largest single-run first "
-                "structured win",
+        "what": f"seconds of a degree-0 block down each of two routes, best of {REPEATS} "
+                "per run, the routes alternating; iterate = dof (m + GUARD) / 2^dim",
         "repeats": REPEATS,
         "runs": RUNS,
-        "m": M,
         "machine": machine_facts(),
-        **pooled(runs),
-        "reflection_classes": {
-            "what": "seconds of solve_problem(m) at degree 0, block solved as one class and "
-                    "split into its reflection classes; per block and m, the best of "
-                    f"{REPEATS} in each of {RUNS} runs; iterate = dof (m + GUARD) / 2^dim",
-            "rule": "recommended_cutoff: the swept iterate that, as the threshold from which "
-                    "blocks split, gives the least summed median seconds; band: from the "
-                    "smallest to the largest single-run recommendation; SPLIT_ITERATE acts "
-                    "as the first swept iterate at or above it, which lies in the band",
-            "runs": RUNS,
-            "m": list(SPLIT_COUNTS),
-            "split_iterate": eigensolve.SPLIT_ITERATE,
-            **split_rule(split_runs),
-        },
-        "structured_route": {
-            "what": "seconds of each structured solve and each solve_pencil (sparse) on one "
-                    "degree-0 block per size, for m up to structured_max_m; "
-                    f"{REPEATS} solves in each of {COLUMN_RUNS} runs; and of importing "
-                    "scipy.sparse.linalg in fresh interpreters",
-            "rule": "losses_beyond_import: blocks whose median structured solve is slower "
-                    "than their median general solve by more than the median import",
-            "runs": COLUMN_RUNS,
-            "structured_max_m": eigensolve.STRUCTURED_MAX_M,
-            **pooled_columns(column_runs, import_s),
-        },
+        **{section: measure(section, comparison) for section, comparison in COMPARISONS.items()},
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
-    split = result["reflection_classes"]
-    print(f"# recommended cutoff {result['recommended_cutoff']}, band {result['band']},"
-          f" DENSE_CUTOFF {eigensolve.DENSE_CUTOFF}; split iterate band {split['band']},"
-          f" SPLIT_ITERATE {eigensolve.SPLIT_ITERATE}; losses beyond the scipy import "
-          f"{result['structured_route']['losses_beyond_import']}; wrote {args.out}")
+    print(f"# wrote {args.out}")
     return 0
 
 

@@ -55,14 +55,6 @@ class BesselOrder:
     def value(self) -> float:
         return self.twice_order / 2.0
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice_order % 2 == 0
-
-    def shifted(self, by: int) -> "BesselOrder":
-        """Order nu + by for integer by."""
-        return BesselOrder(self.twice_order + 2 * by)
-
     @classmethod
     def coerce(cls, nu: Union["BesselOrder", int, float]) -> "BesselOrder":
         if isinstance(nu, BesselOrder):

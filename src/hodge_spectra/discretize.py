@@ -142,9 +142,6 @@ class ComponentIndex:
             for axes in itertools.combinations(range(1, n + 1), p)
         )
 
-    def label(self) -> str:
-        return "dx^{" + ",".join(map(str, self.axes)) + "}" if self.axes else "scalar"
-
 
 def component_conditions(
     domain: BoxDomain, component: ComponentIndex, kind: ProblemKind

@@ -33,9 +33,9 @@ and Q commute with the reflection of each axis, so the block splits into
 2^n reflection classes, each again a per-axis pencil of about N / 2^n
 dof.  Each class is started from its own lowest Q modes, so none is left
 out.  Once the per-class iterate N (m + GUARD) / 2^n reaches
-SPLIT_ITERATE (measured by `bench/crossover.py`), the classes are solved
-one by one and their counts grown until none can hide an eigenvalue
-below the m-th; smaller blocks are solved whole.
+SPLIT_ITERATE, the classes are solved one by one and their counts grown
+until none can hide an eigenvalue below the m-th; smaller blocks are
+solved whole.
 
 General (`solve_pencil`: 1D fourth-order blocks above DENSE_CUTOFF, where
 the structured solve is several times slower; requests for more values
@@ -44,10 +44,11 @@ assembled pencil, a fourth-order block's assembled from the same T_k and
 d_k).  At most DENSE_CUTOFF dof are reduced by `_dense_solve`; larger
 pencils use shift-invert Lanczos around a factorized (A - sigma B).  Only
 this route imports scipy (scipy.sparse and scipy.sparse.linalg),
-when it runs.  DENSE_CUTOFF is the measured crossover between the dense
-and the structured solve (`bench/crossover.py`, BENCH_dense_cutoff.json),
-which also times the structured solve against shift-invert Lanczos on the
-blocks of the structured route.
+when it runs.  One rule measures DENSE_CUTOFF (dense against structured,
+on dof) and SPLIT_ITERATE (one class against split, on the iterate): the
+threshold of least summed time over the blocks `bench/crossover.py`
+sweeps (BENCH_dense_cutoff.json), which also times the structured solve
+against shift-invert Lanczos on the blocks of the structured route.
 
 Every pair is certified once, straight from the eigensolver, with r =
 Ax - theta Bx.  Its normwise backward error ||r|| / ((||A||_1 + |theta|
@@ -106,7 +107,7 @@ STRUCTURED_MAX_M = 32
 # which it stops
 GUARD = 2
 START_SPAN = 3
-SPLIT_ITERATE = 4900
+SPLIT_ITERATE = 4324
 CLUSTER_GAP = 3e-2
 ROUNDING_TARGET = 4e-16
 STALL_ITERATIONS = 10

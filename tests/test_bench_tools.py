@@ -1,5 +1,6 @@
 """The benchmark tools in bench/: the names they read from the package, the
-pairing of perfbench runs, the README commands and the block probe."""
+pairing of perfbench runs and its quartiles, the README commands, the block
+probe and its blocks, and the crossover record against crossover's rules."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hodge_spectra.eigensolve as es
+from hodge_spectra.discretize import ProblemKind, assemble, build_domain
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -96,3 +98,50 @@ def test_block_probe_reports_seconds_and_certificate(bench, tmp_path):
     # the continuum clamped-plate value of the unit square is 1294.934
     assert run["first_value"] == pytest.approx(1294.934, rel=5e-2)
     assert 0 < run["largest_error_bound"] < 1e-3 * run["first_value"]
+
+
+@pytest.mark.parametrize("values", [[3.916, 3.722], [0.5, 2.0, 1.0]])
+def test_quartiles_lie_within_the_runs(bench, values):
+    compare, _ = bench
+    summary = compare._quartiles(values)
+    assert min(values) <= summary["q1"] <= summary["median"] <= summary["q3"] <= max(values)
+
+
+def test_blocks_include_general_route_blocks_in_1d_and_higher_dimensions(bench, monkeypatch):
+    # every route is stubbed, so no block is solved: each solve stops at the
+    # route _solve_fourth_order picks
+    compare, _ = bench
+
+    class Routed(Exception):
+        pass
+
+    def route(name):
+        def stop(*args, **kwargs):
+            raise Routed(name)
+        return stop
+
+    for name in ("solve_pencil", "_structured_solve", "_dense_block_solve"):
+        monkeypatch.setattr(es, name, route(name))
+    general = set()
+    for dim, cells, kind, degree, m in compare.BLOCKS:
+        problem = assemble(build_domain(dim, [1.0] * dim, [cells] * dim), degree,
+                           ProblemKind(kind))
+        with pytest.raises(Routed) as routed:
+            es.solve_problem(problem, m=m)
+        if str(routed.value) == "solve_pencil":
+            general.add("1D" if dim == 1 else "2D/3D")
+    assert general == {"1D", "2D/3D"}
+
+
+def test_crossover_record_matches_its_rules(bench):
+    # the committed record's recommendations, bands and losses are what
+    # crossover's rules give on its own per-run timings
+    _, crossover = bench
+    record = json.loads((ROOT / "BENCH_dense_cutoff.json").read_text())
+    for section in ("dense_cutoff", "reflection_classes"):
+        result = crossover.least_cost(crossover.COMPARISONS[section], record[section]["timings"])
+        for key in ("recommended", "band", "per_run", "recommended_per_m", "acts_as"):
+            assert result[key] == record[section][key], (section, key)
+    route = record["structured_route"]
+    assert crossover.losses_beyond_import(route["timings"], route["scipy_import_s"]["values"]) \
+        == route["losses_beyond_import"]

@@ -111,40 +111,34 @@ def test_large_block_does_not_use_dense_eigh(monkeypatch):
     assert spec.values[0] == pytest.approx(1294.934, rel=5e-3)
 
 
-def test_dense_cutoff_lies_in_the_measured_crossover_band():
-    bench = json.loads((Path(__file__).resolve().parents[1]
-                        / "BENCH_dense_cutoff.json").read_text())
-    # the band spans every recorded run, not only the pooled recommendation
-    assert len(bench["per_run"]) == bench["runs"] > 1
-    low, high = bench["band"]
-    assert low <= es.DENSE_CUTOFF < high
+CROSSOVER = Path(__file__).resolve().parents[1] / "BENCH_dense_cutoff.json"
 
 
-def test_split_iterate_lies_in_the_measured_crossover_band():
-    # blocks whose per-class iterate N (m + GUARD) / 2^n reaches
-    # SPLIT_ITERATE are solved class by class.  Swept for every m up to
-    # STRUCTURED_MAX_M, the threshold it acts as (the first swept iterate at
-    # or above it) lies between the least-cost thresholds of the single runs
-    split = json.loads((Path(__file__).resolve().parents[1]
-                        / "BENCH_dense_cutoff.json").read_text())["reflection_classes"]
-    assert len(split["per_run"]) == split["runs"] > 1
-    assert split["split_iterate"] == es.SPLIT_ITERATE
-    assert max(split["m"]) == es.STRUCTURED_MAX_M
-    assert {row["m"] for row in split["timings"]} == set(split["m"])
-    acts_as = min(row["iterate"] for row in split["timings"]
-                  if row["iterate"] >= es.SPLIT_ITERATE)
-    low, high = split["band"]
-    assert low <= acts_as <= high
+@pytest.mark.parametrize("section, constant", [("dense_cutoff", "DENSE_CUTOFF"),
+                                               ("reflection_classes", "SPLIT_ITERATE")])
+def test_threshold_acts_as_a_value_in_its_measured_band(section, constant):
+    # blocks of more than DENSE_CUTOFF dof take the structured solve, and
+    # blocks whose per-class iterate N (m + GUARD) / 2^n reaches SPLIT_ITERATE
+    # are split into their reflection classes.  The swept value each acts as
+    # lies between the least-cost thresholds of the single runs
+    record = json.loads(CROSSOVER.read_text())[section]
+    assert len(record["per_run"]) == record["runs"] > 1
+    assert record["constant"] == constant and record["value"] == getattr(es, constant)
+    assert {row["m"] for row in record["timings"]} == set(record["m"])
+    low, high = record["band"]
+    assert low <= record["acts_as"] <= high
 
 
 def test_structured_route_loses_nowhere_by_more_than_the_scipy_import():
     # on the blocks measured for the current STRUCTURED_MAX_M, no structured
     # solve is slower than solve_pencil by more than the scipy import that
-    # solve_pencil would cost the command
-    route = json.loads((Path(__file__).resolve().parents[1]
-                        / "BENCH_dense_cutoff.json").read_text())["structured_route"]
-    assert route["structured_max_m"] == es.STRUCTURED_MAX_M
+    # solve_pencil would cost the command; the split sweep covers every m
+    # the structured route takes
+    record = json.loads(CROSSOVER.read_text())
+    route = record["structured_route"]
+    assert route["constant"] == "STRUCTURED_MAX_M" and route["value"] == es.STRUCTURED_MAX_M
     assert len(route["timings"]) > 0 and route["losses_beyond_import"] == []
+    assert max(record["reflection_classes"]["m"]) == es.STRUCTURED_MAX_M
 
 
 # ---------------------------------------------------------------------------
