@@ -56,29 +56,34 @@ ROOT = Path(__file__).resolve().parent.parent
 BOX_COMMANDS = tuple(
     f"box --dim 3 --extent 1,1,1 --cells 47,47,47 --problem {kind} --degree {degree} "
     f"--count 4".split() for kind, degree in (("clamped_plate", 0), ("buckling", 1)))
-# (dim, cells per axis, kind, degree, values asked)
+# (cells per axis, extent per axis, kind, degree, values asked)
 BLOCKS = (
-    (3, 23, "clamped_plate", 0, 4),
-    (3, 23, "buckling", 1, 4),
-    (2, 127, "clamped_plate", 0, 4),
-    (2, 127, "buckling", 0, 4),
-    (2, 63, "clamped_plate", 0, 4),
-    (2, 63, "buckling", 1, 3),
-    (2, 31, "buckling", 0, 4),
-    (3, 31, "clamped_plate", 0, 4),
-    (3, 31, "buckling", 1, 4),
-    (3, 31, "clamped_plate", 0, 16),
-    (3, 47, "clamped_plate", 0, 4),
-    (3, 47, "buckling", 1, 4),
+    ((23, 23, 23), (1, 1, 1), "clamped_plate", 0, 4),
+    ((23, 23, 23), (1, 1, 1), "buckling", 1, 4),
+    ((127, 127), (1, 1), "clamped_plate", 0, 4),
+    ((127, 127), (1, 1), "buckling", 0, 4),
+    ((63, 63), (1, 1), "clamped_plate", 0, 4),
+    ((63, 63), (1, 1), "buckling", 1, 3),
+    ((31, 31), (1, 1), "buckling", 0, 4),
+    ((31, 31, 31), (1, 1, 1), "clamped_plate", 0, 4),
+    ((31, 31, 31), (1, 1, 1), "buckling", 1, 4),
+    ((31, 31, 31), (1, 1, 1), "clamped_plate", 0, 16),
+    ((47, 47, 47), (1, 1, 1), "clamped_plate", 0, 4),
+    ((47, 47, 47), (1, 1, 1), "buckling", 1, 4),
+    # boxes with two interchangeable axes and with none
+    ((23, 23, 31), (1, 1, 1.35), "clamped_plate", 0, 4),
+    ((23, 23, 31), (1, 1, 1.35), "buckling", 1, 4),
+    ((21, 23, 25), (1, 1, 1), "clamped_plate", 0, 4),
+    ((21, 23, 25), (1, 1, 1), "buckling", 1, 4),
     # large counts and the largest grid, which the reflection classes split
-    (2, 127, "clamped_plate", 0, 16),
-    (2, 127, "buckling", 0, 32),
-    (3, 31, "clamped_plate", 0, 32),
-    (3, 63, "clamped_plate", 0, 4),
+    ((127, 127), (1, 1), "clamped_plate", 0, 16),
+    ((127, 127), (1, 1), "buckling", 0, 32),
+    ((31, 31, 31), (1, 1, 1), "clamped_plate", 0, 32),
+    ((63, 63, 63), (1, 1, 1), "clamped_plate", 0, 4),
     # general route (solve_pencil), which assembles block.a and block.b: a 1D
     # block, and a 3D one asked for more than STRUCTURED_MAX_M values
-    (1, 1023, "buckling", 0, 4),
-    (3, 8, "buckling", 0, 64),
+    ((1023,), (1,), "buckling", 0, 4),
+    ((8, 8, 8), (1, 1, 1), "buckling", 0, 64),
 )
 SCIPY_PARTS = ("scipy.sparse", "scipy.linalg", "scipy.sparse.linalg")
 PERFBENCH_METRICS = ("wall_s", "setup_s", "peak_rss_mb", "ok_ratio")
@@ -95,8 +100,8 @@ args = sys.argv[1:]
 if args[:1] == ["--block"]:
     from hodge_spectra.discretize import ProblemKind, assemble, build_domain
     from hodge_spectra.eigensolve import solve_problem
-    dim, cells, kind, degree, m = json.loads(args[1])
-    problem = assemble(build_domain(dim, [1.0] * dim, [cells] * dim), degree, ProblemKind(kind))
+    cells, extent, kind, degree, m = json.loads(args[1])
+    problem = assemble(build_domain(len(cells), extent, cells), degree, ProblemKind(kind))
     start = time.perf_counter()
     spectrum = solve_problem(problem, m=m)
     run.update(solve_s=time.perf_counter() - start, exit_code=0,
@@ -139,10 +144,17 @@ def rows() -> dict[str, list[str]]:
     for argv in readme_commands() + perfbench_commands() + list(BOX_COMMANDS):
         argv = _without_out(argv)
         table.setdefault(" ".join(argv), argv + ["--out", "report"])
-    for dim, cells, kind, degree, m in BLOCKS:
-        table[f"{cells}^{dim} {kind} p={degree} m={m}"] = [
-            "--block", json.dumps([dim, cells, kind, degree, m])]
+    for cells, extent, kind, degree, m in BLOCKS:
+        table[f"{block_grid(cells, extent)} {kind} p={degree} m={m}"] = [
+            "--block", json.dumps([cells, extent, kind, degree, m])]
     return table
+
+
+def block_grid(cells, extent) -> str:
+    """"23^3" for a unit cube of 23 cells per axis, "23x23x31 on 1,1,1.35" otherwise."""
+    if len(set(cells)) == 1 and set(extent) == {1}:
+        return f"{cells[0]}^{len(cells)}"
+    return f"{'x'.join(map(str, cells))} on {','.join(format(e, 'g') for e in extent)}"
 
 
 def run_once(src: Path, args: list[str], workdir: Path) -> dict:

@@ -35,7 +35,12 @@ dof.  Each class is started from its own lowest Q modes, so none is left
 out.  Once the per-class iterate N (m + GUARD) / 2^n reaches
 SPLIT_ITERATE, the classes are solved one by one and their counts grown
 until none can hide an eigenvalue below the m-th; smaller blocks are
-solved whole.
+solved whole.  Axes with bitwise-equal T_k and d_k (a cube, a square) are
+interchangeable, and permuting them maps classes onto classes with the
+same spectrum: one class per orbit is solved, and its vectors, their grid
+axes transposed, serve the orbit's other classes (4 LOBPCG runs in place
+of 8 on a cube, 3 in place of 4 on a square), so the multiplets across an
+orbit are bitwise equal.
 
 General (`solve_pencil`: 1D fourth-order blocks above DENSE_CUTOFF, where
 the structured solve is several times slower; requests for more values
@@ -758,6 +763,35 @@ def _reflection_classes(pencil: _AxisPencil) -> list[tuple[_AxisPencil, list[np.
             for choice in itertools.product(*per_axis)]
 
 
+def _class_orbits(pencil: _AxisPencil) -> list[tuple[int, tuple[int, ...]]]:
+    """Per reflection class (in `_reflection_classes` order), the index of its orbit's
+    representative and the axis order that maps the representative's grid tensors onto it.
+
+    Axes whose (T_k, d_k) are bitwise equal are interchangeable: permuting
+    them maps A, B and Q onto themselves, and class (s_1, ..., s_n) onto the
+    class of the permuted parities, with the same eigenvalues (Fässler &
+    Stiefel, Group Theoretical Methods and Their Applications, 1992).  An
+    orbit's representative has its parities sorted within each group of
+    interchangeable axes.  A vector x of the representative, as a grid
+    tensor, becomes one of the member's by np.transpose(x, axes): the
+    member's axis k is the representative's axis axes[k].
+    """
+    n = len(pencil.terms)
+    keys = [(second.tobytes(), d.tobytes()) for second, d in pencil.terms]
+    groups = [[k for k in range(n) if keys[k] == key] for key in dict.fromkeys(keys)]
+    parities = list(itertools.product((0, 1), repeat=n))
+    orbits = []
+    for s in parities:
+        representative, axes = list(s), list(range(n))
+        for group in groups:
+            order = sorted(range(len(group)), key=lambda t: s[group[t]])
+            for t, u in enumerate(order):
+                representative[group[t]] = s[group[u]]
+                axes[group[u]] = group[t]
+        orbits.append((parities.index(tuple(representative)), tuple(axes)))
+    return orbits
+
+
 def _class_counts(q_pairs, m: int) -> list[int]:
     """First guess of the number of values each class needs: its share of the m
     smallest eigenvalues of Q, over all classes, plus one."""
@@ -781,9 +815,14 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     the classes its start holds, so every class is started.
 
     Once the per-class iterate N (m + GUARD) / 2^n reaches SPLIT_ITERATE,
-    each class is solved by itself, asked first for its share of Q's m
-    lowest values plus one (`_class_counts`).  With sigma the m-th smallest
-    value over all classes, a class whose top value is not clearly above
+    each orbit of classes under permutations of interchangeable axes
+    (`_class_orbits`) is solved once, by its representative, asked first
+    for the largest over its members of their share of Q's m lowest values
+    plus one (`_class_counts`; summation order can break Q's ties
+    differently in each member).  Each member takes the representative's
+    unfolded vectors with the grid axes transposed, an exact permutation,
+    and its values bit for bit.  With sigma the m-th smallest value over all
+    classes, an orbit with a class whose top value is not clearly above
     sigma (top - its bound <= sigma + sigma's bound) doubles its count and
     is solved again, until none is left.  A class then holds no eigenvalue
     below sigma that it did not return, so none is missed (as long as each
@@ -816,29 +855,38 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
             _kron_sum_solver([np.linalg.eigh(q_k) for q_k in _axis_bounds(whole)]), span, m)
         values, vectors = values[:m], vectors[:, :m]
         return _certified(values, vectors, _gram_certificate(whole, values, vectors, norms), tol)
-    solved: list = [None] * len(classes)
+    orbits = _class_orbits(whole)
+    for i, (representative, _) in enumerate(orbits):
+        counts[representative] = max(counts[representative], counts[i])
+    solved: dict = {}
     while True:
-        for i, (pencil, folds) in enumerate(classes):
-            if solved[i] is None or solved[i][0].size < counts[i]:
+        for i in dict.fromkeys(representative for representative, _ in orbits):
+            pencil, folds = classes[i]
+            if i not in solved or solved[i][0].size < counts[i]:
                 values, vectors = _lobpcg(functools.partial(_gram_products, pencil), norms,
                                           _kron_sum_solver(q_pairs[i]),
                                           start(i, START_SPAN * (counts[i] + GUARD)), counts[i])
                 solved[i] = (values[:counts[i]],
                              _along_axes(folds, vectors[:, :counts[i]], pencil.shape))
-        values = np.concatenate([class_values for class_values, _ in solved])
-        vectors = np.hstack([class_vectors for _, class_vectors in solved])
+        # each member takes its representative's pairs, its grid axes transposed
+        values = np.concatenate([solved[representative][0] for representative, _ in orbits])
+        vectors = np.hstack([
+            np.transpose(solved[representative][1].reshape(whole.shape + (-1,)),
+                         axes + (len(axes),)).reshape(whole.size, -1)
+            for representative, axes in orbits])
         eta, delta = _gram_certificate(whole, values, vectors, norms)
         if not np.all(eta <= tol):
             # a class that stopped short of tol has wide bounds, which the
             # rule below would answer by doubling its count round after round
             raise NumericalFailure(f"a reflection class missed the residual tolerance {tol} "
                                    f"(worst backward error {eta.max():.3e})")
-        sizes = [class_values.size for class_values, _ in solved]
+        sizes = [solved[representative][0].size for representative, _ in orbits]
         order = np.lexsort((np.repeat(np.arange(len(classes)), sizes), values))
         sigma = values[order[m - 1]] + delta[order[m - 1]] if values.size >= m else math.inf
         tops = np.cumsum(sizes) - 1
-        grow = [i for i, (pencil, _) in enumerate(classes)
-                if counts[i] < pencil.size and values[tops[i]] - delta[tops[i]] <= sigma]
+        grow = {representative for i, (representative, _) in enumerate(orbits)
+                if counts[representative] < classes[i][0].size
+                and values[tops[i]] - delta[tops[i]] <= sigma}
         if not grow:
             break
         for i in grow:

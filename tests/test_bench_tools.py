@@ -89,8 +89,8 @@ def test_readme_commands_are_the_six_of_the_command_line_block(bench):
 
 def test_block_probe_reports_seconds_and_certificate(bench, tmp_path):
     compare, _ = bench
-    run = compare.run_once(ROOT / "src", ["--block", json.dumps([2, 17, "clamped_plate", 0, 4])],
-                           tmp_path)
+    run = compare.run_once(
+        ROOT / "src", ["--block", json.dumps([[17, 17], [1, 1], "clamped_plate", 0, 4])], tmp_path)
     assert run["exit_code"] == 0
     assert run["solve_s"] > 0 and run["wall_s"] > run["solve_s"] and run["import_s"] > 0
     assert run["peak_rss_mb"] > 0 and run["scipy"] == []
@@ -98,6 +98,16 @@ def test_block_probe_reports_seconds_and_certificate(bench, tmp_path):
     # the continuum clamped-plate value of the unit square is 1294.934
     assert run["first_value"] == pytest.approx(1294.934, rel=5e-2)
     assert 0 < run["largest_error_bound"] < 1e-3 * run["first_value"]
+
+
+def test_block_rows_name_their_cells_and_extents(bench):
+    # unit cubes and squares keep the short label of earlier records
+    compare, _ = bench
+    labels = [label for label, args in compare.rows().items() if args[:1] == ["--block"]]
+    assert len(labels) == len(set(labels)) == len(compare.BLOCKS)
+    assert "23^3 clamped_plate p=0 m=4" in labels
+    assert "23x23x31 on 1,1,1.35 buckling p=1 m=4" in labels
+    assert "21x23x25 on 1,1,1 clamped_plate p=0 m=4" in labels
 
 
 @pytest.mark.parametrize("values", [[3.916, 3.722], [0.5, 2.0, 1.0]])
@@ -123,13 +133,12 @@ def test_blocks_include_general_route_blocks_in_1d_and_higher_dimensions(bench, 
     for name in ("solve_pencil", "_structured_solve", "_dense_block_solve"):
         monkeypatch.setattr(es, name, route(name))
     general = set()
-    for dim, cells, kind, degree, m in compare.BLOCKS:
-        problem = assemble(build_domain(dim, [1.0] * dim, [cells] * dim), degree,
-                           ProblemKind(kind))
+    for cells, extent, kind, degree, m in compare.BLOCKS:
+        problem = assemble(build_domain(len(cells), extent, cells), degree, ProblemKind(kind))
         with pytest.raises(Routed) as routed:
             es.solve_problem(problem, m=m)
         if str(routed.value) == "solve_pencil":
-            general.add("1D" if dim == 1 else "2D/3D")
+            general.add("1D" if len(cells) == 1 else "2D/3D")
     assert general == {"1D", "2D/3D"}
 
 

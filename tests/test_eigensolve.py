@@ -344,6 +344,26 @@ def split_only(monkeypatch, structured_only):
     return sizes
 
 
+def _record_rounds(monkeypatch, solves: list) -> list:
+    """The number of class solves made by each split round's certificate, which
+    closes the round; `solves` holds one entry per class solve."""
+    rounds = []
+    real = es._gram_certificate
+
+    def recorded(*args):
+        rounds.append(len(solves))
+        return real(*args)
+
+    monkeypatch.setattr(es, "_gram_certificate", recorded)
+    return rounds
+
+
+@pytest.fixture
+def split_rounds(monkeypatch, split_only):
+    """The class solves made by the end of each round of a split solve."""
+    return _record_rounds(monkeypatch, split_only)
+
+
 def _certified_reference(prob, m):
     """The m smallest eigenvalues of the assembled pencil by scipy's dense eigh, with
     their error bounds on that pencil (`_residuals`): the enclosures they certify."""
@@ -389,32 +409,66 @@ def test_structured_path_matches_dense_spectrum(kind, extent, cells, m, structur
     _assert_enclosures_meet(solve_problem(prob, m=m), prob, m)
 
 
-@pytest.mark.parametrize("extent,cells", [
-    ([1.0, 6.0], [8, 40]),
-    ([1.0, 8.0], [6, 44]),
-    ([1.0, 2.0, 3.0], [6, 11, 17]),
+@pytest.mark.parametrize("extent,cells,first_round", [
+    # elongated boxes, where A and Q rank the modes differently
+    ([1.0, 6.0], [8, 40], 4),
+    ([1.0, 8.0], [6, 44], 4),
+    ([1.0, 2.0, 3.0], [6, 11, 17], 8),
+    # one class per orbit of interchangeable axes: 000; 001, 010, 100;
+    # 011, 101, 110; 111 on a cube, 00; 01, 10; 11 on a square
+    ([1.0, 1.0, 1.0], [7, 7, 7], 4),
+    ([1.0, 1.0], [15, 15], 3),
+    # two interchangeable axes: 3 orbits of their parities, times 2
+    ([1.0, 1.0, 2.0], [6, 6, 11], 6),
+    # equal cells on unequal extents give no two equal axes
+    ([1.0, 1.1, 0.9], [7, 7, 7], 8),
 ])
 @pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
-def test_split_path_matches_dense_spectrum(kind, extent, cells, split_only):
-    # the block solved class by class gives the dense spectrum, on the
-    # elongated boxes where A and Q rank the modes differently
+def test_split_path_matches_dense_spectrum(kind, extent, cells, first_round, split_only,
+                                           split_rounds):
+    # the block solved class by class, each orbit of classes once, gives
+    # the dense spectrum
     prob = assemble(build_domain(len(cells), extent, cells), 0, kind)
     _assert_enclosures_meet(solve_problem(prob, m=14), prob, 14)
-    assert len(split_only) >= 2 ** len(cells)
+    assert split_rounds[0] == first_round
     assert max(split_only) <= math.prod((c + 1) // 2 for c in cells)
 
 
-@pytest.mark.parametrize("extent,cells", [([1.0, 6.0], [8, 40]), ([1.0, 2.0, 3.0], [6, 11, 17])])
+@pytest.mark.parametrize("extent,cells", [
+    ([1.0, 6.0], [8, 40]),
+    ([1.0, 2.0, 3.0], [6, 11, 17]),
+    # a cube, whose doubling rule grows whole orbits of classes
+    ([1.0, 1.0, 1.0], [7, 7, 7]),
+])
 @pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
 def test_class_count_rule_recovers_an_undercounted_class(kind, extent, cells, split_only,
-                                                        monkeypatch):
+                                                        split_rounds, monkeypatch):
     # a first guess of one value per class misses most of the 14 lowest;
     # doubling each class whose top value is not clearly above the 14th
     # smallest recovers every one of them
     monkeypatch.setattr(es, "_class_counts", lambda q_pairs, m: [1] * len(q_pairs))
     prob = assemble(build_domain(len(cells), extent, cells), 0, kind)
     _assert_enclosures_meet(solve_problem(prob, m=14), prob, 14)
-    assert len(split_only) > 2 ** len(cells)
+    assert len(split_only) > split_rounds[0]
+
+
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_cube_triples_across_an_orbit_are_bitwise_equal(kind, split_only):
+    # the 2nd to 4th values come from the orbit of classes 001, 010 and
+    # 100, the 5th to 7th from that of 011, 101 and 110: each member takes
+    # its representative's vectors with the grid axes transposed, so the
+    # three values agree bit for bit, each column is certified on the whole
+    # block, and the transposed vectors lie in their own classes, so all
+    # are B-orthogonal
+    prob = assemble(build_domain(3, [1.0] * 3, [7, 7, 7]), 0, kind)
+    spec = solve_problem(prob, m=14)
+    _assert_enclosures_meet(spec, prob, 14)
+    values = spec.values
+    assert values[0] < values[1] < values[4] < values[7]
+    assert np.all(values[1:4] == values[1]) and np.all(values[4:7] == values[4])
+    gram = spec.vectors.T @ (prob.B @ spec.vectors)
+    norms = np.sqrt(np.diag(gram))
+    assert np.all(np.abs(gram - np.diag(np.diag(gram))) <= 1e-10 * np.outer(norms, norms))
 
 
 def test_a_class_short_of_tolerance_fails_without_growing(monkeypatch):
@@ -475,9 +529,10 @@ def test_class_solves_stop_near_the_rounding_floor(monkeypatch, no_general_solve
         return real(tallied, norms, precond, span, m)
 
     monkeypatch.setattr(es, "_lobpcg", counted)
+    rounds = _record_rounds(monkeypatch, applies)
     prob = assemble(build_domain(2, [1.0, 1.0], [31, 31]), 0, ProblemKind.CLAMPED_PLATE)
     spec = solve_problem(prob, m=32)
-    assert len(applies) > 4 and max(applies) < es.LOBPCG_MAXITER // 2
+    assert len(applies) > rounds[0] and max(applies) < es.LOBPCG_MAXITER // 2
     assert np.all(spec.residuals <= 1e-13)
 
 
@@ -511,14 +566,17 @@ def test_fourth_order_solves_never_factorize(monkeypatch):
 def test_structured_path_is_bitwise_repeatable_and_degree_independent(no_general_solver,
                                                                        monkeypatch):
     # a 504-dof 3D block (structured, one class), the same block split into
-    # its reflection classes, and a 210-dof one (dense): two solves agree bit
-    # for bit, the 1-form spectrum (three copies of the same block, same
-    # request) repeats each scalar value three times, and the 3-form (Hodge
-    # dual of the scalar) reproduces it exactly
-    for cells, split_iterate in (([7, 8, 9], es.SPLIT_ITERATE), ([7, 8, 9], 0),
-                                 ([5, 6, 7], es.SPLIT_ITERATE)):
+    # its reflection classes, a split cube (one class solved per orbit), and
+    # a 210-dof block (dense): two solves agree bit for bit, the 1-form
+    # spectrum (three copies of the same block, same request) repeats each
+    # scalar value three times, and the 3-form (Hodge dual of the scalar)
+    # reproduces it exactly
+    for extent, cells, split_iterate in (([1.0, 1.1, 0.9], [7, 8, 9], es.SPLIT_ITERATE),
+                                         ([1.0, 1.1, 0.9], [7, 8, 9], 0),
+                                         ([1.0, 1.0, 1.0], [7, 7, 7], 0),
+                                         ([1.0, 1.1, 0.9], [5, 6, 7], es.SPLIT_ITERATE)):
         monkeypatch.setattr(es, "SPLIT_ITERATE", split_iterate)
-        dom = build_domain(3, [1.0, 1.1, 0.9], cells)
+        dom = build_domain(3, extent, cells)
         one = solve_problem(assemble(dom, 0, ProblemKind.BUCKLING), m=4)
         two = solve_problem(assemble(dom, 0, ProblemKind.BUCKLING), m=4)
         for field in ("values", "residuals", "error_bounds", "vectors"):
