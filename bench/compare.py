@@ -16,11 +16,12 @@ workloads at seed 0 (without their --out) and of BOX_COMMANDS, run as
 `solve_problem(problem, m)` is timed after `assemble`, with its first value,
 worst residual and largest error bound.  Per row and side, each run records
 the child's wall seconds (interpreter start included), a block's solve
-seconds, its import time of hodge_spectra.cli, its peak RSS, its exit code
-and which of scipy.sparse, scipy.linalg and scipy.sparse.linalg it had
-loaded.  Per row come the medians and quartiles, and the pairs in which the
-change was faster (wins), as fast (ties) or slower (losses), on solve
-seconds for a block and on wall seconds otherwise.
+seconds, its import time of hodge_spectra.cli, its peak RSS, its exit code,
+whether it had loaded numpy, and which of scipy, scipy.sparse, scipy.linalg
+and scipy.sparse.linalg it had loaded.  Per row come the medians and
+quartiles, and the pairs in which the change was faster (wins), as fast
+(ties) or slower (losses), on solve seconds for a block and on wall seconds
+otherwise.
 
 --perfbench adds, per workload, the results of `perfbench/run.py --workload
 WORKLOAD --seed N --seconds 10 --trace 0` at the parent commit and at the
@@ -85,7 +86,7 @@ BLOCKS = (
     ((1023,), (1,), "buckling", 0, 4),
     ((8, 8, 8), (1, 1, 1), "buckling", 0, 64),
 )
-SCIPY_PARTS = ("scipy.sparse", "scipy.linalg", "scipy.sparse.linalg")
+SCIPY_PARTS = ("scipy", "scipy.sparse", "scipy.linalg", "scipy.sparse.linalg")
 PERFBENCH_METRICS = ("wall_s", "setup_s", "peak_rss_mb", "ok_ratio")
 # the run fields summarized by median and quartiles; the others are listed per run
 TIMED = ("wall_s", "solve_s", "import_s", "peak_rss_mb")
@@ -111,6 +112,7 @@ if args[:1] == ["--block"]:
 else:
     run["exit_code"] = cli.run(args) if args else 0
 run.update(peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+           numpy="numpy" in sys.modules,
            scipy=[m for m in {SCIPY_PARTS!r} if m in sys.modules])
 print(json.dumps(run))
 """
@@ -280,9 +282,10 @@ def main(argv=None) -> int:
     result = {
         "what": "fresh interpreters on each side, one run per pair: wall seconds of the whole "
                 "child, solve seconds of a block, import seconds of hodge_spectra.cli, peak "
-                "RSS, exit code and scipy submodules loaded; wins, ties and losses count the "
-                "pairs in which the change's solve (blocks) or wall (otherwise) seconds are "
-                f"lower, equal or higher; {args.pairs} pairs, sides alternating",
+                "RSS, exit code, whether numpy was loaded and the scipy modules loaded; wins, "
+                "ties and losses count the pairs in which the change's solve (blocks) or wall "
+                f"(otherwise) seconds are lower, equal or higher; {args.pairs} pairs, sides "
+                "alternating",
         "machine": machine_facts(),
         **measure(args.parent_src, args.pairs),
         "perfbench": perfbench,

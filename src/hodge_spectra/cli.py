@@ -7,39 +7,46 @@ report is still written, flagged in its meta block) or a report that cannot
 be written at the end.  JSON is the primary format; CSV flattens the check
 table.  Identical configurations produce byte-identical reports; numbers are
 serialized in shortest round-trip decimal form.
+
+Loading this module imports only pure-Python parts of the package (the
+problem kinds, the constants and the inequality battery from `checks`, the
+ball spectra from `bessel`), so `ball` and `constants` run without numpy
+or scipy.  `box`, `verify` and `converge` take their solver names from
+`verify` when they run, and load numpy with it; the report's numpy and
+scipy versions are read from the packages' version files, not by
+importing them.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import os
 import platform
 import sys
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
-
-import numpy
-import scipy
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .bessel import ball_spectrum
-from .discretize import ProblemKind, assemble, build_domain
-from .eigensolve import DEFAULT_TOL, Spectrum, solve_problem
-from .errors import NumericalFailure
-from .verify import (
+from .checks import (
+    DEFAULT_TOL,
     ConstantsBundle,
-    ConvergenceStudy,
+    ProblemKind,
     SpectrumSet,
     _curvature_bounds,
-    box_battery,
     check_inequalities,
-    convergence_study,
     evaluate_constants,
     halfdegree_identity_gap,
 )
+from .errors import NumericalFailure
+
+if TYPE_CHECKING:
+    from .eigensolve import Spectrum
+    from .verify import ConvergenceStudy
 
 __all__ = ["RunConfig", "run", "emit_report", "main"]
 
@@ -205,6 +212,17 @@ def _study_entry(study: ConvergenceStudy) -> dict:
     }
 
 
+def _package_version(package: str) -> str:
+    """`version` in `package`'s version.py, where its `__version__` comes from,
+    read without importing `package`."""
+    origin = importlib.util.find_spec(package).origin
+    path = os.path.join(os.path.dirname(origin), "version.py")
+    spec = importlib.util.spec_from_file_location(f"_{package}_version", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.version
+
+
 def _new_report(cfg: RunConfig) -> dict:
     config = {k: (list(v) if isinstance(v, tuple) else v)
               for k, v in asdict(cfg).items()}
@@ -215,8 +233,8 @@ def _new_report(cfg: RunConfig) -> dict:
             "versions": {
                 "hodge-spectra": __version__,
                 "python": platform.python_version(),
-                "numpy": numpy.__version__,
-                "scipy": scipy.__version__,
+                "numpy": _package_version("numpy"),
+                "scipy": _package_version("scipy"),
             },
             "status": "ok",
         },
@@ -273,6 +291,8 @@ def _cmd_ball(cfg: RunConfig, report: dict) -> None:
 
 
 def _cmd_box(cfg: RunConfig, report: dict) -> None:
+    from .verify import assemble, build_domain, solve_problem
+
     domain = build_domain(cfg.dim, cfg.extent, cfg.cells)
     problem = assemble(domain, cfg.degree, ProblemKind(cfg.problem))
     spectrum = solve_problem(problem, m=cfg.count, tol=cfg.tol)
@@ -280,6 +300,8 @@ def _cmd_box(cfg: RunConfig, report: dict) -> None:
 
 
 def _cmd_verify(cfg: RunConfig, report: dict) -> None:
+    from .verify import box_battery, build_domain
+
     domain = build_domain(cfg.dim, cfg.extent, cfg.cells)
     # gamma first, so that a bad one fails before any solve, also where no
     # degree has constants to evaluate (dim 1); BoxDomain's dim <= 3 has p = 1 only
@@ -310,6 +332,8 @@ def _cmd_constants(cfg: RunConfig, report: dict) -> None:
 
 
 def _cmd_converge(cfg: RunConfig, report: dict) -> None:
+    from .verify import convergence_study
+
     study = convergence_study(cfg.dim, cfg.extent, ProblemKind(cfg.problem),
                               cfg.degree, cfg.resolutions, tol=cfg.tol)
     report["studies"] = [_study_entry(study)]
@@ -344,7 +368,9 @@ def run(argv: Sequence[str]) -> int:
     except NumericalFailure as exc:
         report["meta"]["status"] = "error"
         report["meta"]["error"] = str(exc)
-        if isinstance(exc.partial, Spectrum):
+        # a Spectrum exists only once eigensolve has loaded, which ball and constants never do
+        eigensolve = sys.modules.get(f"{__package__}.eigensolve")
+        if eigensolve is not None and isinstance(exc.partial, eigensolve.Spectrum):
             report["spectra"].append(_spectrum_entry(exc.partial))
         try:
             emit_report(report, cfg.fmt, cfg.out)

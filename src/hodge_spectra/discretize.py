@@ -31,6 +31,8 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .checks import ProblemKind
+
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -45,17 +47,6 @@ __all__ = [
     "component_conditions",
     "assemble",
 ]
-
-
-class ProblemKind(str, enum.Enum):
-    CLAMPED_PLATE = "clamped_plate"
-    BUCKLING = "buckling"
-    DIRICHLET_LAPLACE = "dirichlet_laplace"
-    ABSOLUTE_LAPLACE = "absolute_laplace"
-
-    @property
-    def is_fourth_order(self) -> bool:
-        return self in (ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING)
 
 
 class FaceCondition(str, enum.Enum):

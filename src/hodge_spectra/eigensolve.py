@@ -86,6 +86,7 @@ from typing import Optional
 
 import numpy as np
 
+from .checks import DEFAULT_TOL
 from .discretize import ComponentBlock, FormProblem
 from .errors import FactorizationFailure, NumericalFailure
 
@@ -98,7 +99,6 @@ __all__ = [
 
 # largest block size (dof) solved densely; see BENCH_dense_cutoff.json
 DENSE_CUTOFF = 225
-DEFAULT_TOL = 1e-9
 MAX_ITER = 10_000
 # largest number of values the structured solve takes from a 2D or 3D block;
 # more go to solve_pencil, as do 1D blocks above DENSE_CUTOFF

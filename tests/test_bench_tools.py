@@ -93,11 +93,18 @@ def test_block_probe_reports_seconds_and_certificate(bench, tmp_path):
         ROOT / "src", ["--block", json.dumps([[17, 17], [1, 1], "clamped_plate", 0, 4])], tmp_path)
     assert run["exit_code"] == 0
     assert run["solve_s"] > 0 and run["wall_s"] > run["solve_s"] and run["import_s"] > 0
-    assert run["peak_rss_mb"] > 0 and run["scipy"] == []
+    assert run["peak_rss_mb"] > 0 and run["numpy"] and run["scipy"] == []
     assert run["worst_residual"] <= es.DEFAULT_TOL
     # the continuum clamped-plate value of the unit square is 1294.934
     assert run["first_value"] == pytest.approx(1294.934, rel=5e-2)
     assert 0 < run["largest_error_bound"] < 1e-3 * run["first_value"]
+
+
+def test_import_probe_records_that_the_cli_loads_neither_numpy_nor_scipy(bench, tmp_path):
+    compare, _ = bench
+    run = compare.run_once(ROOT / "src", [], tmp_path)
+    assert run["exit_code"] == 0 and run["import_s"] > 0
+    assert run["numpy"] is False and run["scipy"] == []
 
 
 def test_block_rows_name_their_cells_and_extents(bench):

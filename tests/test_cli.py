@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 import scipy.sparse.linalg as spla
 
-import hodge_spectra.cli as cli
+import hodge_spectra.verify as verify
 from hodge_spectra.cli import _build_parser, run
 
 
@@ -165,8 +167,9 @@ def test_usage_errors_exit_one(tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("box solved before checking --out")
 
-    monkeypatch.setattr(cli, "box_battery", no_battery)
-    monkeypatch.setattr(cli, "solve_problem", no_solve)
+    # the commands take their solvers from verify when they run
+    monkeypatch.setattr(verify, "box_battery", no_battery)
+    monkeypatch.setattr(verify, "solve_problem", no_solve)
     # a report whose directory does not exist fails before the solve
     assert run(["box", "--dim", "2", "--extent", "1,1", "--cells", "5,5",
                 "--problem", "clamped_plate", "--degree", "0",
@@ -308,39 +311,40 @@ def test_thread_cap_below_one_or_malformed_is_ignored_with_a_warning(cap):
     assert f"ignoring HODGE_SPECTRA_THREADS={cap!r}" in probe.stderr
 
 
-_SCIPY_PARTS = ("scipy.sparse", "scipy.linalg", "scipy.sparse.linalg")
+_MODULES = ("numpy", "scipy", "scipy.sparse", "scipy.linalg", "scipy.sparse.linalg")
 _PROBE = f"""
 import sys
 from hodge_spectra.cli import run
 if sys.argv[1:] and run(sys.argv[1:]) != 0:
     sys.exit(3)
-print(",".join(m for m in {_SCIPY_PARTS!r} if m in sys.modules))
+print(",".join(m for m in {_MODULES!r} if m in sys.modules))
 """
 _BOX_23 = ["box", "--dim", "3", "--extent", "1,1,1", "--cells", "23,23,23", "--problem"]
 
 
 @pytest.mark.parametrize("argv,loaded", [
+    # loading the CLI, and the commands that solve nothing, need neither numpy nor scipy
     ([], set()),
     (["ball", "--dim", "2", "--radius", "1"], set()),
     (["constants", "--dim", "4", "--degree", "2", "--gamma", "1"], set()),
     # the separable route needs numpy only
-    (_BOX_23 + ["dirichlet_laplace", "--degree", "1"], set()),
-    (_BOX_23 + ["absolute_laplace", "--degree", "0"], set()),
+    (_BOX_23 + ["dirichlet_laplace", "--degree", "1"], {"numpy"}),
+    (_BOX_23 + ["absolute_laplace", "--degree", "0"], {"numpy"}),
     # so does the structured route, which applies A and B from their per-axis factors
-    (_BOX_23 + ["clamped_plate", "--degree", "0"], set()),
-    (_BOX_23 + ["buckling", "--degree", "1"], set()),
+    (_BOX_23 + ["clamped_plate", "--degree", "0"], {"numpy"}),
+    (_BOX_23 + ["buckling", "--degree", "1"], {"numpy"}),
     # and the dense one: the README verify and converge commands, whose
     # fourth-order blocks are dense (ladders, 1D) or structured (31^2, 63^2)
     (["verify", "--dim", "2", "--extent", "1,1", "--cells", "63,63", "--degrees", "0,1,2",
-      "--error-estimates"], set()),
+      "--error-estimates"], {"numpy"}),
     (["verify", "--dim", "2", "--extent", "1,1", "--cells", "31,31", "--degrees", "0,1",
-      "--format", "csv"], set()),
+      "--format", "csv"], {"numpy"}),
     (["converge", "--dim", "1", "--extent", "1", "--problem", "clamped_plate", "--degree", "0",
-      "--resolutions", "31,63,127"], set()),
+      "--resolutions", "31,63,127"], {"numpy"}),
 ])
 def test_each_route_loads_only_the_scipy_it_uses(tmp_path, argv, loaded):
     # a fresh interpreter per command, so that sys.modules holds only what it imported
-    assert _scipy_modules_loaded(tmp_path, argv) == loaded
+    assert _modules_loaded(tmp_path, argv) == loaded
 
 
 def test_general_route_loads_scipy_when_it_runs(tmp_path):
@@ -349,10 +353,18 @@ def test_general_route_loads_scipy_when_it_runs(tmp_path):
     # inside functions
     argv = ["converge", "--dim", "1", "--extent", "1", "--problem", "clamped_plate",
             "--degree", "0", "--resolutions", "63,127,255"]
-    assert "scipy.sparse.linalg" in _scipy_modules_loaded(tmp_path, argv)
+    assert "scipy.sparse.linalg" in _modules_loaded(tmp_path, argv)
 
 
-def _scipy_modules_loaded(tmp_path, argv) -> set:
+def test_report_versions_are_the_imported_packages(tmp_path):
+    # read from the packages' version files, which their __version__ comes from
+    _, path = run_to_file(tmp_path, "ball.json", ["ball", "--dim", "2"])
+    versions = json.loads(path.read_text())["meta"]["versions"]
+    assert versions["numpy"] == numpy.__version__
+    assert versions["scipy"] == scipy.__version__
+
+
+def _modules_loaded(tmp_path, argv) -> set:
     env = _child_env()
     out = ["--out", str(tmp_path / "report")] if argv else []
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv, *out],
