@@ -16,31 +16,36 @@ per-axis bounds plus rounding terms (`_separable_certificate`).
 
 Dense (fourth order, at most DENSE_CUTOFF dof, numpy only).  A and B are
 formed by the per-axis contractions of the structured route applied to
-the identity, and the pencil is reduced by a Cholesky factor of B
-(`_dense_solve`, O(n^3)); the pairs are certified like structured ones.
+the identity, and the pencil is reduced by a Cholesky factor of B, or by
+clamped plate's scalar B = vol I (`_dense_solve`, O(n^3)); the pairs are
+certified like structured ones.
 
 Structured (fourth order, larger 2D and 3D blocks asked for at most
 STRUCTURED_MAX_M values, numpy only).  The clamped operator A = vol
 (sum_k T_k)^2 + D, from the block's per-axis second differences T_k and
 face terms d_k, lies between the Kronecker sum Q of the per-axis q_k =
-vol T_k^2 + diag(d_k) and n Q, for every h.  LOBPCG (Knyazev, SIAM J.
-Sci. Comput. 23, 2001) preconditioned by Q^-1, which is applied exactly by
-per-axis eigendecompositions, finds the m smallest pairs.  A and
-buckling's B = vol sum_k T_k are applied by per-axis contractions with
-the T_k, clamped plate's B = vol I as a scalar; buckling's B is inverted
-like Q for its error bounds.  Nothing is assembled or factorized.  A, B
-and Q commute with the reflection of each axis, so the block splits into
-2^n reflection classes, each again a per-axis pencil of about N / 2^n
-dof.  Each class is started from its own lowest Q modes, so none is left
-out.  Once the per-class iterate N (m + GUARD) / 2^n reaches
+vol T_k^2 + diag(d_k) and n Q, and between P / n and P, P = (sum_k
+q_k^1/2)^2, for every h.  LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001)
+preconditioned by P^-1, which is applied exactly by per-axis
+eigendecompositions, finds the m smallest pairs; P matches A's cross
+terms away from the faces, where Q drops them, so it takes fewer steps.
+A and buckling's B = vol sum_k T_k are applied by per-axis contractions
+with the T_k, clamped plate's B = vol I as a scalar; buckling's B is
+inverted like Q for its error bounds.  Nothing is assembled or
+factorized.  A, B and Q commute with the reflection of each axis, so the
+block splits into 2^n reflection classes, each again a per-axis pencil of
+about N / 2^n dof.  Each class is started from its own lowest Q modes, so
+none is left out.  Once the per-class iterate N (m + GUARD) / 2^n reaches
 SPLIT_ITERATE, the classes are solved one by one and their counts grown
-until none can hide an eigenvalue below the m-th; smaller blocks are
-solved whole.  Axes with bitwise-equal T_k and d_k (a cube, a square) are
-interchangeable, and permuting them maps classes onto classes with the
-same spectrum: one class per orbit is solved, and its vectors, their grid
-axes transposed, serve the orbit's other classes (4 LOBPCG runs in place
-of 8 on a cube, 3 in place of 4 on a square), so the multiplets across an
-orbit are bitwise equal.
+until none can hide an eigenvalue below the m-th; a class with no share
+of Q's m lowest values is solved only if its per-axis lower bound does
+not prove it empty below them.  Smaller blocks are solved whole.  Axes
+with bitwise-equal T_k and d_k (a cube, a square) are interchangeable,
+and permuting them maps classes onto classes with the same spectrum: one
+class per orbit is solved, and its vectors, their grid axes transposed,
+serve the orbit's other classes (at most 4 LOBPCG runs in place of 8 on a
+cube, 2 at m = 4; 3 in place of 4 on a square), so the multiplets across
+an orbit are bitwise equal.
 
 General (`solve_pencil`: 1D fourth-order blocks above DENSE_CUTOFF, where
 the structured solve is several times slower; requests for more values
@@ -279,13 +284,18 @@ def _certified(values, vectors, certificates, tol: float, kind=None, degree=None
     return spectrum
 
 
-def _dense_solve(a: np.ndarray, b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m smallest eigenpairs of the dense pencil (a, b), by numpy alone.
+def _dense_solve(a: np.ndarray, b, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m smallest eigenpairs of the dense pencil (a, b), by numpy alone; b is a
+    matrix, or a positive scalar standing for b I.
 
     The Cholesky factor L of b reduces the pencil to the standard problem
-    L^-1 a L^-T y = theta y, and x = L^-T y (as LAPACK's sygv does).
+    L^-1 a L^-T y = theta y, and x = L^-T y (as LAPACK's sygv does).  A
+    scalar b needs no factor: theta = eig(a) / b and x = b^-1/2 y.
     """
     try:
+        if np.ndim(b) == 0:
+            values, vectors = np.linalg.eigh((a + a.T) / 2)
+            return values[:m] / b, vectors[:, :m] / math.sqrt(b)
         inverse = np.linalg.inv(np.linalg.cholesky(b))
         reduced = inverse @ a @ inverse.T
         values, vectors = np.linalg.eigh((reduced + reduced.T) / 2)
@@ -384,14 +394,15 @@ def _along_axes(mats, x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return out.reshape((math.prod(shape),) + x.shape[1:])
 
 
-def _kron_sum_solver(pairs):
-    """x -> (sum_k I x M_k x I)^-1 x on a block of vectors, from the eigenpairs of each M_k.
+def _kron_sum_solver(pairs, power: int = 1):
+    """x -> (sum_k I x M_k x I)^-power x on a block of vectors, from the eigenpairs of each M_k.
 
-    The inverse is U diag(1 / sums) U^T with U the Kronecker product of the
-    1D eigenvector matrices (Lynch, Rice & Thomas, Numer. Math. 6, 1964):
+    The inverse is U diag(1 / sums^power) U^T with U the Kronecker product of
+    the 1D eigenvector matrices (Lynch, Rice & Thomas, Numer. Math. 6, 1964):
     2n tensor contractions, O(N sum_k c_k) work per column.
     """
-    inverse_sums = 1.0 / functools.reduce(np.add.outer, [vals for vals, _ in pairs]).reshape(-1, 1)
+    sums = functools.reduce(np.add.outer, [vals for vals, _ in pairs]).reshape(-1, 1)
+    inverse_sums = 1.0 / sums ** power
     shape = tuple(vectors.shape[0] for _, vectors in pairs)
     forward = [vectors.T for _, vectors in pairs]
     backward = [vectors for _, vectors in pairs]
@@ -725,10 +736,21 @@ def _combine(arrays, coefficients: np.ndarray) -> np.ndarray:
 def _axis_bounds(pencil: _AxisPencil) -> list[np.ndarray]:
     """Per-axis q_k = vol T_k^2 + diag(d_k) of a fourth-order pencil.
 
-    Dropping the cross terms 2 vol T_j x T_k of A, which are positive
-    semidefinite, leaves Q = sum_k I x q_k x I, so Q <= A <= n Q for every h.
+    A = sum_k I x q_k x I + 2 vol sum_{j<k} T_j x T_k.  Dropping the cross
+    terms, which are positive semidefinite, leaves Q = sum_k I x q_k x I, so
+    Q <= A <= n Q for every h.  With s_k = q_k^1/2 >= vol^1/2 T_k (the
+    square root is operator monotone), P = (sum_k I x s_k x I)^2 = Q + 2
+    sum_{j<k} s_j x s_k >= A, and P <= n Q <= n A: P / n <= A <= P, with
+    A's cross terms matched away from the faces (`_preconditioner`).
     """
     return [pencil.volume * (second @ second) + np.diag(d) for second, d in pencil.terms]
+
+
+def _preconditioner(q_pairs):
+    """x -> P^-1 x, P = (sum_k I x q_k^1/2 x I)^2 (`_axis_bounds`), from the eigenpairs of
+    each q_k: P is diagonal in their Kronecker basis, with the values (sum_k mu_k^1/2)^2,
+    so it costs what Q^-1 costs."""
+    return _kron_sum_solver([(np.sqrt(values), vectors) for values, vectors in q_pairs], power=2)
 
 
 def _fold_bases(c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -792,14 +814,110 @@ def _class_orbits(pencil: _AxisPencil) -> list[tuple[int, tuple[int, ...]]]:
     return orbits
 
 
-def _class_counts(q_pairs, m: int) -> list[int]:
-    """First guess of the number of values each class needs: its share of the m
-    smallest eigenvalues of Q, over all classes, plus one."""
+def _class_shares(q_pairs, m: int) -> list[int]:
+    """Each class's share of the m smallest eigenvalues of Q, over all classes: the first
+    guess of the number of values it needs, less one."""
     lowest = [np.sort(functools.reduce(np.add.outer, [values[:m] for values, _ in pairs]),
                       axis=None)[:m] for pairs in q_pairs]
     labels = np.repeat(np.arange(len(lowest)), [values.size for values in lowest])
     shares = labels[np.argsort(np.concatenate(lowest), kind="stable")[:m]]
-    return [int(share) + 1 for share in np.bincount(shares, minlength=len(lowest))]
+    return [int(share) for share in np.bincount(shares, minlength=len(lowest))]
+
+
+def _lowered(x: float, k: int) -> float:
+    """A float at most x / (1 + gamma_k): below the exact value of a nonnegative x
+    computed with at most k roundings of nonnegative terms."""
+    return math.nextafter(x * (1.0 - _gamma(k + 2)), -math.inf)
+
+
+def _lowest_floor(matrix: np.ndarray, spread: float, pair=None) -> float:
+    """A lower bound on the smallest eigenvalue of every symmetric matrix within
+    `spread` (in the 2-norm) of `matrix`, from eigh's pairs (lambda_i, v_i), or `pair`:
+    M is the symmetric matrix of `matrix`'s lower triangle, which eigh reads.
+
+    With V the computed vectors, G = V^T M V has the eigenvalues of M scaled
+    by factors in [1 - e, 1 + e], e >= ||V^T V - I||_2 (Ostrowski, Proc.
+    Natl. Acad. Sci. 45, 1959), and by Weyl's theorem its smallest lies
+    within w >= ||G - diag(lambda)||_2 of lambda_1.  So lambda_min(M) >=
+    lambda_1 - w - (|lambda_1| + w) e / (1 - e), and the matrices within
+    `spread` lie at most `spread` lower.  Both norms are of symmetric
+    matrices, so at most their largest absolute row sums, here of the
+    computed products plus their rounding, gamma_{2c+1} |V|^T |M| |V| and
+    gamma_{c+1} |V|^T |V| (c the order; Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 3.5).  One factor 1 + gamma_{4c+12}
+    covers the roundings of the margin, a sum of nonnegative terms, and the
+    final subtraction is rounded down.
+    """
+    matrix = np.tril(matrix) + np.tril(matrix, -1).T   # the lower triangle eigh reads
+    values, vectors = np.linalg.eigh(matrix) if pair is None else pair
+    c = values.size
+    abs_v = np.abs(vectors)
+    weyl = (np.abs(vectors.T @ (matrix @ vectors) - np.diag(values))
+            + _gamma(2 * c + 1) * (abs_v.T @ (np.abs(matrix) @ abs_v))).sum(axis=1).max()
+    skew = (np.abs(vectors.T @ vectors - np.eye(c))
+            + _gamma(c + 1) * (abs_v.T @ abs_v)).sum(axis=1).max()
+    if not skew < 0.5:
+        return -math.inf
+    lowest = float(values[0])
+    margin = weyl + (abs(lowest) + weyl) * skew / (1.0 - skew) + spread
+    return math.nextafter(lowest - margin * (1.0 + _gamma(4 * c + 12)), -math.inf)
+
+
+def _class_floor(whole: _AxisPencil, pencil: _AxisPencil, q_pairs) -> float:
+    """A lower bound on every eigenvalue of a reflection class of `whole`, given by its
+    folded per-axis terms (`pencil`) and the eigenpairs of its q_k (`q_pairs`).
+
+    With tau_k = lambda_min(T_k), mu_k = lambda_min(q_k) and c_k =
+    lambda_min(q_k, vol T_k), A = sum_k q_k + 2 vol sum_{j<k} T_j x T_k
+    (`_axis_bounds`) gives
+      clamped plate (B = vol I): lambda >= (sum_k mu_k + 2 vol sum_{j<k}
+        tau_j tau_k) / vol, as T_j x T_k >= tau_j tau_k I;
+      buckling (B = vol sum_k T_k): lambda >= min_k (c_k + sum_{j != k}
+        tau_j), as q_k >= c_k vol T_k and 2 T_j x T_k >= tau_k T_j + tau_j T_k.
+    The bound holds for the class of the pencil of the per-axis factors
+    (`_gram_residual`), whose exact folded terms differ from the computed
+    ones.  Each product of a fold is a sum of at most two nonzero terms, and
+    the fold's entries are within u of 1/sqrt(2), so ||T_k - T'_k||_2 <=
+    gamma_6 t_k = e_k, t_k >= ||T_k||_2 the largest row sum of the unfolded
+    |T_k|.  q_k's product has at most three nonzero terms, then the scaling
+    and the face terms, so ||q_k - q'_k||_2 <= gamma_5 (vol (t_k + e_k)^2 +
+    max d_k) + vol e_k (2 t_k + e_k) <= gamma_7 (3 vol t_k^2 + max d_k).
+    tau_k and mu_k are `_lowest_floor` of T'_k and q'_k with these spreads.
+    c_k is estimated from eigh of W^T q'_k W / vol, W T'_k's eigenvectors
+    scaled by tau'^-1/2, and then proved: with L the floor of q'_k - c
+    vol T'_k (spread the two above and gamma_2 of its terms),
+    q_k - c vol T_k >= L I >= (L / tau_k) T_k if L < 0, so c + min(L, 0) /
+    (vol tau_k) is a valid c_k.  Every floor is clipped at 0 (T_k and q_k
+    are positive definite), and the sums are lowered by `_lowered`.
+    """
+    volume, n = pencil.volume, len(pencil.terms)
+    taus, mus, cs = [], [], []
+    for (whole_second, _), (second, d), q, q_pair in zip(
+            whole.terms, pencil.terms, _axis_bounds(pencil), q_pairs):
+        t = np.abs(whole_second).sum(axis=1).max() * (1.0 + _gamma(3))
+        spread_t = _gamma(6) * t
+        spread_q = _gamma(7) * (3.0 * volume * t * t + d.max())
+        t_values, t_vectors = t_pair = np.linalg.eigh(second)
+        taus.append(max(_lowest_floor(second, spread_t, t_pair), 0.0))
+        mus.append(max(_lowest_floor(q, spread_q, q_pair), 0.0))
+        if pencil.b_is_mass:
+            continue
+        if not (taus[-1] > 0.0 and t_values[0] > 0.0):
+            cs.append(0.0)
+            continue
+        scaled = t_vectors / np.sqrt(t_values)
+        c = max(float(np.linalg.eigvalsh(scaled.T @ q @ scaled)[0]) / volume, 0.0)
+        floor = _lowest_floor(q - (c * volume) * second,
+                              spread_q + c * volume * spread_t
+                              + _gamma(3) * (np.abs(q).sum(axis=1).max() + c * volume * t))
+        if floor < 0.0:
+            c = math.nextafter(c + floor / (volume * taus[-1]) * (1.0 + _gamma(4)), -math.inf)
+        cs.append(max(c, 0.0))
+    if pencil.b_is_mass:
+        cross = sum(taus[j] * taus[k] for j, k in itertools.combinations(range(n), 2))
+        return _lowered((sum(mus) + 2.0 * volume * cross) / volume, n * n + 6)
+    return min(_lowered(c + sum(tau for j, tau in enumerate(taus) if j != k), n)
+               for k, c in enumerate(cs))
 
 
 def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
@@ -808,89 +926,108 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     A and B are applied from the block's per-axis factors (`_gram_products`).
     The block splits into 2^n reflection classes (`_reflection_classes`),
     each a per-axis pencil of about N / 2^n dof.  A class is preconditioned
-    by its Q^-1, applied exactly from the eigenpairs of its q_k (Q <= A <=
-    n Q makes the iteration count independent of h), and started from the
-    START_SPAN (count + GUARD) lowest eigenvectors of its Q, whole
-    multiplets, which A ranks by Rayleigh-Ritz.  An iteration never leaves
-    the classes its start holds, so every class is started.
+    by its P^-1, applied exactly from the eigenpairs of its q_k (P / n <= A
+    <= P makes the iteration count independent of h; `_axis_bounds`), and
+    started from the START_SPAN (count + GUARD) lowest eigenvectors of its
+    Q, whole multiplets, which A ranks by Rayleigh-Ritz.  An iteration never
+    leaves the classes its start holds.
 
     Once the per-class iterate N (m + GUARD) / 2^n reaches SPLIT_ITERATE,
     each orbit of classes under permutations of interchangeable axes
     (`_class_orbits`) is solved once, by its representative, asked first
     for the largest over its members of their share of Q's m lowest values
-    plus one (`_class_counts`; summation order can break Q's ties
-    differently in each member).  Each member takes the representative's
-    unfolded vectors with the grid axes transposed, an exact permutation,
-    and its values bit for bit.  With sigma the m-th smallest value over all
-    classes, an orbit with a class whose top value is not clearly above
-    sigma (top - its bound <= sigma + sigma's bound) doubles its count and
-    is solved again, until none is left.  A class then holds no eigenvalue
-    below sigma that it did not return, so none is missed (as long as each
-    class returns its lowest values).  A class solve that stops short of
-    tol fails the block at once, since its wide bounds would only grow it.
+    plus one (`_class_shares`; summation order can break Q's ties
+    differently in each member); an orbit whose share is 0 is not solved
+    yet.  Each member takes the representative's unfolded vectors with the
+    grid axes transposed, an exact permutation, and its values bit for bit.
+    With sigma the m-th smallest value over the classes solved and its
+    bound, a solved orbit with a class whose top value is not clearly above
+    sigma (top - its bound <= sigma) doubles its count, and an orbit not
+    solved is solved for one value if its lower bound (`_class_floor`) is
+    not above sigma; this repeats until no orbit changes.  A class solved
+    then holds no eigenvalue below sigma that it did not return (as long as
+    each class returns its lowest values), and one never solved is proven
+    to hold none, so none is missed.  A class solve that stops short of tol
+    fails the block at once, since its wide bounds would only grow it.
     Below SPLIT_ITERATE, the per-class Python and LAPACK calls cost more
-    than the smaller iterates save, on the whole over m = 4 to 32, and
-    the block is solved as one class, started from the union of each
-    class's count + GUARD lowest Q modes, unfolded (START_SPAN times as
-    many cost more setup than they save iterations).  Either way the pairs
-    are unfolded, merged by (value, class), and certified on the whole
-    block (`_gram_certificate`), so the certificate does not rest on the
-    folding; `_certified` judges the result.
+    than the smaller iterates save, on the whole over m = 4 to 32, and the
+    block is solved as one class, started from the union of each class's
+    share + 1 + GUARD lowest Q modes, unfolded (START_SPAN times as many
+    cost more setup than they save iterations).  Either way the pairs are
+    unfolded, merged by (value, class), and certified on the whole block
+    (`_gram_certificate`), so the certificate does not rest on the folding;
+    `_certified` judges the result.
     """
     whole = _AxisPencil.of(block)
     norms = _gram_norms(whole)
     classes = _reflection_classes(whole)
     q_pairs = [[np.linalg.eigh(q_k) for q_k in _axis_bounds(pencil)] for pencil, _ in classes]
-    counts = [min(count, pencil.size)
-              for count, (pencil, _) in zip(_class_counts(q_pairs, m), classes)]
+    shares = _class_shares(q_pairs, m)
 
     def start(i: int, columns: int) -> np.ndarray:
         return _smallest_sums(q_pairs[i], columns, multiplet_limit=classes[i][0].size // 2)[1]
 
     if whole.size * (m + GUARD) < SPLIT_ITERATE * len(classes):
-        span = np.hstack([_along_axes(folds, start(i, counts[i] + GUARD), pencil.shape)
-                          for i, (pencil, folds) in enumerate(classes)])
+        span = np.hstack([
+            _along_axes(folds, start(i, min(shares[i] + 1, pencil.size) + GUARD), pencil.shape)
+            for i, (pencil, folds) in enumerate(classes)])
         values, vectors = _lobpcg(
             functools.partial(_gram_products, whole), norms,
-            _kron_sum_solver([np.linalg.eigh(q_k) for q_k in _axis_bounds(whole)]), span, m)
+            _preconditioner([np.linalg.eigh(q_k) for q_k in _axis_bounds(whole)]), span, m)
         values, vectors = values[:m], vectors[:, :m]
         return _certified(values, vectors, _gram_certificate(whole, values, vectors, norms), tol)
     orbits = _class_orbits(whole)
+
+    @functools.cache
+    def floor(i: int) -> float:
+        return _class_floor(whole, classes[i][0], q_pairs[i])
+
+    # the count each orbit's representative is solved for, once it is solved
+    counts: dict = {}
     for i, (representative, _) in enumerate(orbits):
-        counts[representative] = max(counts[representative], counts[i])
+        if shares[i]:
+            counts[representative] = max(counts.get(representative, 0),
+                                         min(shares[i] + 1, classes[i][0].size))
     solved: dict = {}
     while True:
-        for i in dict.fromkeys(representative for representative, _ in orbits):
+        for i in sorted(counts):
             pencil, folds = classes[i]
             if i not in solved or solved[i][0].size < counts[i]:
                 values, vectors = _lobpcg(functools.partial(_gram_products, pencil), norms,
-                                          _kron_sum_solver(q_pairs[i]),
+                                          _preconditioner(q_pairs[i]),
                                           start(i, START_SPAN * (counts[i] + GUARD)), counts[i])
                 solved[i] = (values[:counts[i]],
                              _along_axes(folds, vectors[:, :counts[i]], pencil.shape))
-        # each member takes its representative's pairs, its grid axes transposed
-        values = np.concatenate([solved[representative][0] for representative, _ in orbits])
+        # each member of a solved orbit takes its representative's pairs, its
+        # grid axes transposed
+        members = [(i, representative, axes) for i, (representative, axes) in enumerate(orbits)
+                   if representative in solved]
+        values = np.concatenate([solved[representative][0] for _, representative, _ in members])
         vectors = np.hstack([
             np.transpose(solved[representative][1].reshape(whole.shape + (-1,)),
                          axes + (len(axes),)).reshape(whole.size, -1)
-            for representative, axes in orbits])
+            for _, representative, axes in members])
         eta, delta = _gram_certificate(whole, values, vectors, norms)
         if not np.all(eta <= tol):
             # a class that stopped short of tol has wide bounds, which the
             # rule below would answer by doubling its count round after round
             raise NumericalFailure(f"a reflection class missed the residual tolerance {tol} "
                                    f"(worst backward error {eta.max():.3e})")
-        sizes = [solved[representative][0].size for representative, _ in orbits]
-        order = np.lexsort((np.repeat(np.arange(len(classes)), sizes), values))
+        sizes = [solved[representative][0].size for _, representative, _ in members]
+        order = np.lexsort((np.repeat([i for i, _, _ in members], sizes), values))
         sigma = values[order[m - 1]] + delta[order[m - 1]] if values.size >= m else math.inf
         tops = np.cumsum(sizes) - 1
-        grow = {representative for i, (representative, _) in enumerate(orbits)
+        grow = {representative for (i, representative, _), top in zip(members, tops)
                 if counts[representative] < classes[i][0].size
-                and values[tops[i]] - delta[tops[i]] <= sigma}
-        if not grow:
+                and values[top] - delta[top] <= sigma}
+        new = {representative for representative, _ in orbits
+               if representative not in counts and floor(representative) <= sigma}
+        if not grow and not new:
             break
         for i in grow:
             counts[i] = min(2 * counts[i], classes[i][0].size)
+        for i in new:
+            counts[i] = 1
     chosen = order[:m]
     return _certified(values[chosen], vectors[:, chosen], (eta[chosen], delta[chosen]), tol)
 
@@ -899,12 +1036,12 @@ def _dense_block_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     """m smallest eigenpairs of a small fourth-order block, densely, by numpy alone.
 
     A and B are formed by `_gram_products` on the identity, the pencil is
-    reduced by `_dense_solve`, and the pairs are certified like structured
-    ones (`_gram_certificate`).
+    reduced by `_dense_solve` (clamped plate's B = vol I as the scalar vol),
+    and the pairs are certified like structured ones (`_gram_certificate`).
     """
     whole = _AxisPencil.of(block)
     a, b = _gram_products(whole, np.eye(whole.size))
-    values, vectors = _dense_solve(a, b, m)
+    values, vectors = _dense_solve(a, whole.volume if whole.b_is_mass else b, m)
     return _certified(values, vectors,
                       _gram_certificate(whole, values, vectors, _gram_norms(whole)), tol)
 

@@ -410,16 +410,19 @@ def test_structured_path_matches_dense_spectrum(kind, extent, cells, m, structur
 
 
 @pytest.mark.parametrize("extent,cells,first_round", [
-    # elongated boxes, where A and Q rank the modes differently
-    ([1.0, 6.0], [8, 40], 4),
-    ([1.0, 8.0], [6, 44], 4),
-    ([1.0, 2.0, 3.0], [6, 11, 17], 8),
+    # elongated boxes, where A and Q rank the modes differently; the first
+    # round leaves out the classes without a share of Q's 14 lowest values
+    # (3 of 4, 2 of 4 and 4 of 8 classes hold one)
+    ([1.0, 6.0], [8, 40], 3),
+    ([1.0, 8.0], [6, 44], 2),
+    ([1.0, 2.0, 3.0], [6, 11, 17], 4),
     # one class per orbit of interchangeable axes: 000; 001, 010, 100;
     # 011, 101, 110; 111 on a cube, 00; 01, 10; 11 on a square
     ([1.0, 1.0, 1.0], [7, 7, 7], 4),
     ([1.0, 1.0], [15, 15], 3),
-    # two interchangeable axes: 3 orbits of their parities, times 2
-    ([1.0, 1.0, 2.0], [6, 6, 11], 6),
+    # two interchangeable axes: 3 orbits of their parities, times 2, of
+    # which one holds no share
+    ([1.0, 1.0, 2.0], [6, 6, 11], 5),
     # equal cells on unequal extents give no two equal axes
     ([1.0, 1.1, 0.9], [7, 7, 7], 8),
 ])
@@ -443,10 +446,10 @@ def test_split_path_matches_dense_spectrum(kind, extent, cells, first_round, spl
 @pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
 def test_class_count_rule_recovers_an_undercounted_class(kind, extent, cells, split_only,
                                                         split_rounds, monkeypatch):
-    # a first guess of one value per class misses most of the 14 lowest;
-    # doubling each class whose top value is not clearly above the 14th
-    # smallest recovers every one of them
-    monkeypatch.setattr(es, "_class_counts", lambda q_pairs, m: [1] * len(q_pairs))
+    # a first guess of a share of one, two values, per class misses most of
+    # the 14 lowest; doubling each class whose top value is not clearly
+    # above the 14th smallest recovers every one of them
+    monkeypatch.setattr(es, "_class_shares", lambda q_pairs, m: [1] * len(q_pairs))
     prob = assemble(build_domain(len(cells), extent, cells), 0, kind)
     _assert_enclosures_meet(solve_problem(prob, m=14), prob, 14)
     assert len(split_only) > split_rounds[0]
@@ -475,7 +478,8 @@ def test_a_class_short_of_tolerance_fails_without_growing(monkeypatch):
     # the first class solve stops after one step, far above tol; its wide
     # bounds must not be answered by doubling its count: the solve fails at
     # once, each class solved once for its first count, and the block falls
-    # back to solve_pencil
+    # back to solve_pencil; the classes without a share of Q's 14 lowest
+    # values are not solved in the first round
     monkeypatch.setattr(es, "SPLIT_ITERATE", 0)
     counts = []
     real = es._lobpcg
@@ -490,16 +494,87 @@ def test_a_class_short_of_tolerance_fails_without_growing(monkeypatch):
     monkeypatch.setattr(es, "_lobpcg", first_stops_early)
     (block,) = assemble(build_domain(2, [1.0, 6.0], [8, 40]), 0,
                         ProblemKind.CLAMPED_PLATE).blocks
-    first = es._class_counts([[np.linalg.eigh(q) for q in es._axis_bounds(pencil)]
-                              for pencil, _ in es._reflection_classes(es._AxisPencil.of(block))],
-                             14)
+    shares = es._class_shares([[np.linalg.eigh(q) for q in es._axis_bounds(pencil)]
+                               for pencil, _ in es._reflection_classes(es._AxisPencil.of(block))],
+                              14)
     with pytest.raises(NumericalFailure):
         es._structured_solve(block, 14, es.DEFAULT_TOL)
-    assert counts == first
+    assert counts == [share + 1 for share in shares if share]
     counts.clear()
     spec = es._solve_fourth_order(block, 14, es.DEFAULT_TOL)
     reference = solve_pencil(block.a, block.b, 14)
     assert np.array_equal(spec.values, reference.values)
+
+
+def _class_pencils(kind, extent, cells):
+    """The whole per-axis pencil of a box's p = 0 block, and each reflection class with
+    the eigenpairs of its q_k and its dense (A, B)."""
+    (block,) = assemble(build_domain(len(cells), extent, cells), 0, kind).blocks
+    whole = es._AxisPencil.of(block)
+    for pencil, _ in es._reflection_classes(whole):
+        q_pairs = [np.linalg.eigh(q) for q in es._axis_bounds(pencil)]
+        yield whole, pencil, q_pairs, es._gram_products(pencil, np.eye(pencil.size))
+
+
+# 2D and 3D boxes with unequal extents, and a thin one
+CLASS_BOXES = [([1.0, 1.3], [9, 11]), ([1.0, 0.8, 1.1], [4, 5, 6]), ([1.0, 1.0, 0.05], [6, 5, 3])]
+
+
+@pytest.mark.parametrize("extent,cells", CLASS_BOXES)
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_preconditioner_bounds_each_class_pencil(kind, extent, cells):
+    # P = (sum_k I x q_k^1/2 x I)^2 satisfies P / n <= A <= P on every
+    # class, and the preconditioner applies its inverse
+    n = len(cells)
+    for _, pencil, q_pairs, (a, _) in _class_pencils(kind, extent, cells):
+        eyes = [np.eye(c) for c in pencil.shape]
+        root = sum(functools.reduce(np.kron, [
+            vectors @ np.diag(np.sqrt(values)) @ vectors.T if j == k else eyes[j]
+            for j in range(n)]) for k, (values, vectors) in enumerate(q_pairs))
+        p = root @ root
+        ratios = sla.eigh((a + a.T) / 2, (p + p.T) / 2, eigvals_only=True)
+        assert ratios[0] >= 1.0 / n - 1e-9 and ratios[-1] <= 1.0 + 1e-9
+        assert np.allclose(es._preconditioner(q_pairs)(p), np.eye(pencil.size), atol=1e-9)
+
+
+@pytest.mark.parametrize("extent,cells", CLASS_BOXES)
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_class_floor_lies_below_the_class_spectrum(kind, extent, cells):
+    # the per-axis lower bound of each class lies below its smallest
+    # eigenvalue, and above 0
+    for whole, pencil, q_pairs, (a, b) in _class_pencils(kind, extent, cells):
+        lowest = sla.eigh((a + a.T) / 2, (b + b.T) / 2, eigvals_only=True)[0]
+        floor = es._class_floor(whole, pencil, q_pairs)
+        assert 0.0 < floor <= lowest, (pencil.shape, floor, lowest)
+
+
+@pytest.mark.parametrize("extent,cells", [
+    ([1.0, 1.0], [16, 16]),
+    ([1.0, 3.0], [6, 20]),
+    ([1.0, 1.0, 1.0], [7, 7, 7]),
+    ([1.0, 1.2, 0.7], [6, 7, 5]),
+    ([1.0, 1.0, 4.0], [4, 4, 16]),
+    ([1.0, 1.0, 0.5], [8, 8, 4]),
+])
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_split_path_with_skipped_classes_misses_no_value(kind, extent, cells, split_only):
+    # classes proven empty below sigma are never solved; from one value to
+    # many, the split solve still gives the dense spectrum (thinner boxes
+    # can stall a class solve above tol, which sends the block to
+    # solve_pencil)
+    prob = assemble(build_domain(len(cells), extent, cells), 0, kind)
+    for m in (1, 3, 8, 17):
+        _assert_enclosures_meet(solve_problem(prob, m=m), prob, m)
+
+
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_cube_at_four_values_takes_two_class_runs(kind, split_only):
+    # at m = 4 the orbits 000 and 001 hold Q's four lowest values; the
+    # lower bounds of 011 and 111 lie above the 4th value, so those two
+    # orbits are never solved
+    prob = assemble(build_domain(3, [1.0] * 3, [7, 7, 7]), 0, kind)
+    _assert_enclosures_meet(solve_problem(prob, m=4), prob, 4)
+    assert len(split_only) == 2
 
 
 @pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
