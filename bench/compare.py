@@ -81,10 +81,12 @@ BLOCKS = (
     ((127, 127), (1, 1), "buckling", 0, 32),
     ((31, 31, 31), (1, 1, 1), "clamped_plate", 0, 32),
     ((63, 63, 63), (1, 1, 1), "clamped_plate", 0, 4),
-    # thin blocks just above DENSE_CUTOFF, on which a class solve can stall
+    # thin blocks: 3x80 (240 dof) and 3x3x26 (234) are solved densely while
+    # DENSE_CUTOFF is at least 240; on 5x100 (500) a class solve can stall
     # above the rounding floor
     ((3, 80), (1, 30), "clamped_plate", 0, 8),
     ((3, 3, 26), (1, 1, 8), "buckling", 0, 32),
+    ((5, 100), (1, 20), "clamped_plate", 0, 4),
     # general route (solve_pencil), which assembles block.a and block.b: a 1D
     # block, and a 3D one asked for more than STRUCTURED_MAX_M values
     ((1023,), (1,), "buckling", 0, 4),

@@ -5,15 +5,14 @@ Usage (from the repository root):
     python3 bench/crossover.py [--out BENCH_dense_cutoff.json]
 
 Each of the COMPARISONS times two of the ROUTES on one degree-0 block per
-fourth-order kind, side and m: dense against the structured solve as one
-class (threshold DENSE_CUTOFF), one class against split into the 2^n
-reflection classes (threshold SPLIT_ITERATE), and `_structured_solve`
-against `solve_pencil` (no threshold).  For each block and m the two
-routes alternate, so that a slow stretch of a shared machine hits both,
-and each keeps the best of REPEATS solves; every comparison is made RUNS
-times, BLAS on one thread.  One rule, `least_cost`, measures both
-thresholds; `losses_beyond_import` checks the structured route.  The
-second-order kinds take the separable solve, which reaches none of these.
+fourth-order kind, side and m: dense against the structured solve
+(threshold DENSE_CUTOFF), and the structured solve against `solve_pencil`
+(no threshold).  For each block and m the two routes alternate, so that a
+slow stretch of a shared machine hits both, and each keeps the best of
+REPEATS solves; every comparison is made RUNS times, BLAS on one thread.
+`least_cost` measures the threshold; `losses_beyond_import` checks the
+structured route.  The second-order kinds take the separable solve, which
+reaches neither.
 """
 
 from __future__ import annotations
@@ -29,13 +28,12 @@ if __name__ == "__main__":
 import argparse  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
-import operator  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
-from typing import Callable, NamedTuple, Optional  # noqa: E402
+from typing import NamedTuple  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -54,14 +52,6 @@ SIDES = {
     2: (7, 9, 11, 13, 15, 17, 19, 21, 25),
     3: (4, 5, 6, 7, 8, 9),
 }
-# reflection classes: values requested, block side lengths, and the range
-# of per-class iterates swept
-SPLIT_COUNTS = (4, 8, 16, 32)
-SPLIT_SIDES = {
-    2: (17, 23, 27, 31, 39, 47, 55, 63, 71, 79, 95, 127),
-    3: (7, 9, 11, 13, 15, 17, 19, 21, 23, 27, 31),
-}
-SPLIT_ITERATES = (900, 26000)
 # structured route: values requested and block side lengths per dimension
 # (289 to 16,129 dof in 2D, 343 to 4,913 in 3D)
 COLUMN_COUNTS = (1, 4, 8, 16, 32)
@@ -75,12 +65,9 @@ IMPORT_PROBE = ("import time, hodge_spectra.cli; start = time.perf_counter(); "
 
 
 # each route: the solve timed, called as solve(block, m, DEFAULT_TOL), and
-# the eigensolve constants set for it, a DENSE_CUTOFF of None standing for
-# the block's size
+# the eigensolve constants set for it
 ROUTES = {
-    "dense": (eigensolve._solve_fourth_order, {"DENSE_CUTOFF": None}),
-    "one_class": (eigensolve._solve_fourth_order, {"DENSE_CUTOFF": 0, "SPLIT_ITERATE": math.inf}),
-    "split": (eigensolve._solve_fourth_order, {"DENSE_CUTOFF": 0, "SPLIT_ITERATE": 0}),
+    "dense": (eigensolve._dense_block_solve, {}),
     "structured": (eigensolve._structured_solve, {}),
     "general": (lambda block, m, tol: eigensolve.solve_pencil(block.a, block.b, m, tol),
                 {"DENSE_CUTOFF": 0}),
@@ -91,28 +78,16 @@ class Comparison(NamedTuple):
     routes: tuple[str, str]
     blocks: tuple[tuple[ProblemKind, int, int, int], ...]   # (kind, dim, side, m)
     constant: tuple[str, float]   # the eigensolve constant that picks the route, and its value
-    # the row field the constant is a threshold on, and whether a value takes
-    # the second route given the threshold
-    on: Optional[str] = None
-    takes_second: Optional[Callable[[float, float], bool]] = None
 
 
-def _iterate(dim: int, side: int, m: int) -> int:
-    return side ** dim * (m + eigensolve.GUARD) // 2 ** dim
-
-
-def _blocks(sides: dict, counts: tuple, iterates: tuple = (0, math.inf)) -> tuple:
+def _blocks(sides: dict, counts: tuple) -> tuple:
     return tuple((kind, dim, side, m) for dim, dim_sides in sides.items() for kind in KINDS
-                 for side in dim_sides for m in counts
-                 if iterates[0] <= _iterate(dim, side, m) <= iterates[1])
+                 for side in dim_sides for m in counts)
 
 
 COMPARISONS = {
-    "dense_cutoff": Comparison(("dense", "one_class"), _blocks(SIDES, (4,)),
-                               ("DENSE_CUTOFF", eigensolve.DENSE_CUTOFF), "dof", operator.gt),
-    "reflection_classes": Comparison(
-        ("one_class", "split"), _blocks(SPLIT_SIDES, SPLIT_COUNTS, SPLIT_ITERATES),
-        ("SPLIT_ITERATE", eigensolve.SPLIT_ITERATE), "iterate", operator.ge),
+    "dense_cutoff": Comparison(("dense", "structured"), _blocks(SIDES, (4,)),
+                               ("DENSE_CUTOFF", eigensolve.DENSE_CUTOFF)),
     "structured_route": Comparison(("structured", "general"),
                                    _blocks(COLUMN_SIDES, COLUMN_COUNTS),
                                    ("STRUCTURED_MAX_M", eigensolve.STRUCTURED_MAX_M)),
@@ -122,7 +97,6 @@ COMPARISONS = {
 def _seconds(route: str, block, m: int) -> float:
     """Seconds of one solve down route; a failed certificate loses."""
     solve, settings = ROUTES[route]
-    settings = {name: block.size if value is None else value for name, value in settings.items()}
     saved = {name: getattr(eigensolve, name) for name in settings}
     for name, value in settings.items():
         setattr(eigensolve, name, value)
@@ -147,7 +121,6 @@ def sweep(comparison: Comparison) -> list[dict]:
             for route in comparison.routes:
                 seconds[route].append(_seconds(route, block, m))
         rows.append({"kind": kind.value, "dim": dim, "dof": side ** dim, "m": m,
-                     "iterate": _iterate(dim, side, m),
                      **{f"{route}_s": min(values) for route, values in seconds.items()}})
         print("#", json.dumps(rows[-1]), flush=True)
     return rows
@@ -171,31 +144,30 @@ def _median(row: dict, route: str) -> float:
 
 def _route(comparison: Comparison, row: dict, threshold: float) -> str:
     first, second = comparison.routes
-    return second if comparison.takes_second(row[comparison.on], threshold) else first
+    return second if row["dof"] > threshold else first
 
 
 def _cost(comparison: Comparison, rows: list[dict], threshold: float, seconds) -> float:
     return sum(seconds(row, _route(comparison, row, threshold)) for row in rows)
 
 
-def _swept(comparison: Comparison, rows: list[dict]) -> list[int]:
+def _swept(rows: list[dict]) -> list[int]:
     # the swept values, and one above them all that keeps every block on the
     # first route
-    values = sorted({row[comparison.on] for row in rows})
+    values = sorted({row["dof"] for row in rows})
     return values + [values[-1] + 1]
 
 
 def _least_cost_threshold(comparison: Comparison, rows: list[dict], seconds) -> int:
-    return min(_swept(comparison, rows),
+    return min(_swept(rows),
                key=lambda threshold: _cost(comparison, rows, threshold, seconds))
 
 
 def least_cost(comparison: Comparison, timings: list[dict]) -> dict:
-    """A threshold T sends a block down the second route when its dof
-    exceeds T (DENSE_CUTOFF) or its iterate reaches T (SPLIT_ITERATE), and
-    costs the summed seconds of the routes it picks.  Recommended: the
-    swept value of least cost on the medians (the smallest, on a tie),
-    overall and per m.  Band: the smallest to the largest single-run
+    """A threshold T (DENSE_CUTOFF) sends a block down the second route when
+    its dof exceeds T, and costs the summed seconds of the routes it picks.
+    Recommended: the swept value of least cost on the medians (the
+    smallest, on a tie).  Band: the smallest to the largest single-run
     recommendation.  The constant acts as the smallest swept value that
     routes every block as it does; its cost and the blocks whose median is
     slower on the route it picks (misrouted) are reported."""
@@ -203,7 +175,7 @@ def least_cost(comparison: Comparison, timings: list[dict]) -> dict:
     per_run = [_least_cost_threshold(comparison, timings,
                                      lambda row, route, i=i: row[f"{route}_s"][i])
                for i in range(len(timings[0][f"{comparison.routes[0]}_s"]))]
-    acts_as = min(threshold for threshold in _swept(comparison, timings)
+    acts_as = min(threshold for threshold in _swept(timings)
                   if all(_route(comparison, row, threshold) == _route(comparison, row, value)
                          for row in timings))
 
@@ -215,10 +187,6 @@ def least_cost(comparison: Comparison, timings: list[dict]) -> dict:
         "band": [min(per_run), max(per_run)],
         "per_run": per_run,
         "acts_as": acts_as,
-        "recommended_per_m": {
-            str(m): _least_cost_threshold(comparison, [row for row in timings if row["m"] == m],
-                                          _median)
-            for m in sorted({row["m"] for row in timings})},
         "cost_s": {name: _cost(comparison, timings, value, _median),
                    "best_route_per_block": sum(fastest(row) for row in timings)},
         "misrouted": [_summary(row) for row in timings
@@ -255,12 +223,13 @@ def measure(section: str, comparison: Comparison) -> dict:
         runs.append(sweep(comparison))
     timings = pool(runs, comparison.routes)
     name, value = comparison.constant
-    rule = least_cost if comparison.on else losses_beyond_import
+    # the dense cutoff is the one threshold on the swept blocks
+    rule = least_cost if section == "dense_cutoff" else losses_beyond_import
     result = {"routes": list(comparison.routes), "rule": " ".join(rule.__doc__.split()),
               "runs": RUNS, "m": sorted({m for *_, m in comparison.blocks}),
               "constant": name, "value": value}
-    if comparison.on:
-        result.update(on=comparison.on, **least_cost(comparison, timings))
+    if rule is least_cost:
+        result.update(least_cost(comparison, timings))
     else:
         import_s = scipy_import_seconds()
         result.update(scipy_import_s={"values": import_s, "median": statistics.median(import_s)},
@@ -275,7 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     result = {
         "what": f"seconds of a degree-0 block down each of two routes, best of {REPEATS} "
-                "per run, the routes alternating; iterate = dof (m + GUARD) / 2^dim",
+                "per run, the routes alternating",
         "repeats": REPEATS,
         "runs": RUNS,
         "machine": machine_facts(),

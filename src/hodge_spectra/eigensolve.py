@@ -34,18 +34,17 @@ with the T_k, clamped plate's B = vol I as a scalar; buckling's B is
 inverted like Q for its error bounds.  Nothing is assembled or
 factorized.  A, B and Q commute with the reflection of each axis, so the
 block splits into 2^n reflection classes, each again a per-axis pencil of
-about N / 2^n dof.  Each class is started from its own lowest Q modes, so
-none is left out.  Once the per-class iterate N (m + GUARD) / 2^n reaches
-SPLIT_ITERATE, the classes are solved one by one and their counts grown
-until none can hide an eigenvalue below the m-th; a class with no share
-of Q's m lowest values is solved only if its per-axis lower bound does
-not prove it empty below them.  Smaller blocks are solved whole.  Axes
-with bitwise-equal T_k and d_k (a cube, a square) are interchangeable,
-and permuting them maps classes onto classes with the same spectrum: one
-class per orbit is solved, and its vectors, their grid axes transposed,
-serve the orbit's other classes (at most 4 LOBPCG runs in place of 8 on a
-cube, 2 at m = 4; 3 in place of 4 on a square), so the multiplets across
-an orbit are bitwise equal.
+about N / 2^n dof (Bossavit, Comput. Methods Appl. Mech. Eng. 56, 1986).
+Each class is started from its own lowest Q modes, so none is left out.
+The classes are solved one by one and their counts grown until none can
+hide an eigenvalue below the m-th; a class with no share of Q's m lowest
+values is solved only if its per-axis lower bound does not prove it
+empty below them.  Axes with bitwise-equal T_k and d_k (a cube, a
+square) are interchangeable, and permuting them maps classes onto
+classes with the same spectrum: one class per orbit is solved, and its
+vectors, their grid axes transposed, serve the orbit's other classes (at
+most 4 LOBPCG runs in place of 8 on a cube, 2 at m = 4; 3 in place of 4
+on a square), so the multiplets across an orbit are bitwise equal.
 
 General (`solve_pencil`: 1D fourth-order blocks above DENSE_CUTOFF, where
 the structured solve is several times slower; requests for more values
@@ -54,8 +53,7 @@ assembled pencil, a fourth-order block's assembled from the same T_k and
 d_k).  At most DENSE_CUTOFF dof are reduced by `_dense_solve`; larger
 pencils use shift-invert Lanczos around a factorized (A - sigma B).  Only
 this route imports scipy (scipy.sparse and scipy.sparse.linalg),
-when it runs.  One rule measures DENSE_CUTOFF (dense against structured,
-on dof) and SPLIT_ITERATE (one class against split, on the iterate): the
+when it runs.  DENSE_CUTOFF (dense against structured, on dof) is the
 threshold of least summed time over the blocks `bench/crossover.py`
 sweeps (BENCH_dense_cutoff.json), which also times the structured solve
 against shift-invert Lanczos on the blocks of the structured route.
@@ -103,21 +101,18 @@ __all__ = [
 ]
 
 # largest block size (dof) solved densely; see BENCH_dense_cutoff.json
-DENSE_CUTOFF = 225
+DENSE_CUTOFF = 289
 MAX_ITER = 10_000
 # largest number of values the structured solve takes from a 2D or 3D block;
 # more go to solve_pencil, as do 1D blocks above DENSE_CUTOFF
 STRUCTURED_MAX_M = 32
 # structured fourth-order solve (`_structured_solve`): guard columns beyond
-# the m reported, Q modes in the start space per column, the per-class
-# iterate N (m + GUARD) / 2^n from which the reflection classes are solved
-# one by one (see BENCH_dense_cutoff.json), the relative gap under which
-# neighbouring Ritz values are kept together in the block, the backward
-# error the iteration aims at, and the iterations without halving it after
-# which it stops
+# the m reported, Q modes in the start space per column, the relative gap
+# under which neighbouring Ritz values are kept together in the block, the
+# backward error the iteration aims at, and the iterations without halving
+# it after which it stops
 GUARD = 2
 START_SPAN = 3
-SPLIT_ITERATE = 4324
 CLUSTER_GAP = 3e-2
 ROUNDING_TARGET = 4e-16
 STALL_ITERATIONS = 10
@@ -669,8 +664,8 @@ def _lobpcg(apply, norms: tuple[float, float], precond, span: np.ndarray,
     (Knyazev, SIAM J. Sci. Comput. 23, 2001; Hetmaniuk & Lehoucq, J.
     Comput. Phys. 218, 2006).  A step applies the pencil twice, to W and to
     the new X; the images of P follow the combinations that form it, and
-    the Gram matrix is formed block by block.  It stops once the m first
-    columns reach a backward error of ROUNDING_TARGET, or after
+    the Gram matrix is filled block by block into one array.  It stops once
+    the m first columns reach a backward error of ROUNDING_TARGET, or after
     STALL_ITERATIONS without halving the backward error, and returns the
     best iterate: near the rounding floor the error can creep down by
     noise, a new best every few steps, for hundreds of steps.
@@ -705,12 +700,12 @@ def _lobpcg(apply, norms: tuple[float, float], precond, span: np.ndarray,
             break
         parts.insert(1, w)
         # the basis is B-orthonormal, so Rayleigh-Ritz is a standard problem
-        blocks = [[None] * len(parts) for _ in parts]
+        spans = _spans(u.shape[1] for u, _, _ in parts)
+        gram = np.empty((spans[-1].stop, spans[-1].stop))
         for i, (u, _, _) in enumerate(parts):
             for j in range(i, len(parts)):
-                blocks[i][j] = u.T @ parts[j][1]
-                blocks[j][i] = blocks[i][j].T
-        gram = np.block(blocks)
+                gram[spans[i], spans[j]] = u.T @ parts[j][1]
+                gram[spans[j], spans[i]] = gram[spans[i], spans[j]].T
         theta, c = np.linalg.eigh((gram + gram.T) / 2)
         theta, c = theta[:k], c[:, :k]
         # P is the update [0; c_W; c_P] made orthonormal to c in coefficient
@@ -727,10 +722,16 @@ def _lobpcg(apply, norms: tuple[float, float], precond, span: np.ndarray,
     return best
 
 
+def _spans(widths) -> list[slice]:
+    """Consecutive ranges of the given widths, from 0."""
+    ends = list(itertools.accumulate(widths))
+    return [slice(start, end) for start, end in zip([0] + ends, ends)]
+
+
 def _combine(arrays, coefficients: np.ndarray) -> np.ndarray:
     """[arrays[0], arrays[1], ...] @ coefficients, without joining the arrays."""
-    rows = np.cumsum([u.shape[1] for u in arrays])[:-1]
-    return sum(u @ part for u, part in zip(arrays, np.split(coefficients, rows)))
+    rows = _spans(u.shape[1] for u in arrays)
+    return sum(u @ coefficients[part] for u, part in zip(arrays, rows))
 
 
 def _axis_bounds(pencil: _AxisPencil) -> list[np.ndarray]:
@@ -932,8 +933,7 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     Q, whole multiplets, which A ranks by Rayleigh-Ritz.  An iteration never
     leaves the classes its start holds.
 
-    Once the per-class iterate N (m + GUARD) / 2^n reaches SPLIT_ITERATE,
-    each orbit of classes under permutations of interchangeable axes
+    Each orbit of classes under permutations of interchangeable axes
     (`_class_orbits`) is solved once, by its representative, asked first
     for the largest over its members of their share of Q's m lowest values
     plus one (`_class_shares`; summation order can break Q's ties
@@ -949,33 +949,15 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     each class returns its lowest values), and one never solved is proven
     to hold none, so none is missed.  A class solve that stops short of tol
     fails the block at once, since its wide bounds would only grow it.
-    Below SPLIT_ITERATE, the per-class Python and LAPACK calls cost more
-    than the smaller iterates save, on the whole over m = 4 to 32, and the
-    block is solved as one class, started from the union of each class's
-    share + 1 + GUARD lowest Q modes, unfolded (START_SPAN times as many
-    cost more setup than they save iterations).  Either way the pairs are
-    unfolded, merged by (value, class), and certified on the whole block
-    (`_gram_certificate`), so the certificate does not rest on the folding;
-    `_certified` judges the result.
+    The pairs are unfolded, merged by (value, class), and certified on the
+    whole block (`_gram_certificate`), so the certificate does not rest on
+    the folding; `_certified` judges the result.
     """
     whole = _AxisPencil.of(block)
     norms = _gram_norms(whole)
     classes = _reflection_classes(whole)
     q_pairs = [[np.linalg.eigh(q_k) for q_k in _axis_bounds(pencil)] for pencil, _ in classes]
     shares = _class_shares(q_pairs, m)
-
-    def start(i: int, columns: int) -> np.ndarray:
-        return _smallest_sums(q_pairs[i], columns, multiplet_limit=classes[i][0].size // 2)[1]
-
-    if whole.size * (m + GUARD) < SPLIT_ITERATE * len(classes):
-        span = np.hstack([
-            _along_axes(folds, start(i, min(shares[i] + 1, pencil.size) + GUARD), pencil.shape)
-            for i, (pencil, folds) in enumerate(classes)])
-        values, vectors = _lobpcg(
-            functools.partial(_gram_products, whole), norms,
-            _preconditioner([np.linalg.eigh(q_k) for q_k in _axis_bounds(whole)]), span, m)
-        values, vectors = values[:m], vectors[:, :m]
-        return _certified(values, vectors, _gram_certificate(whole, values, vectors, norms), tol)
     orbits = _class_orbits(whole)
 
     @functools.cache
@@ -993,9 +975,10 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
         for i in sorted(counts):
             pencil, folds = classes[i]
             if i not in solved or solved[i][0].size < counts[i]:
+                start = _smallest_sums(q_pairs[i], START_SPAN * (counts[i] + GUARD),
+                                       multiplet_limit=pencil.size // 2)[1]
                 values, vectors = _lobpcg(functools.partial(_gram_products, pencil), norms,
-                                          _preconditioner(q_pairs[i]),
-                                          start(i, START_SPAN * (counts[i] + GUARD)), counts[i])
+                                          _preconditioner(q_pairs[i]), start, counts[i])
                 solved[i] = (values[:counts[i]],
                              _along_axes(folds, vectors[:, :counts[i]], pencil.shape))
         # each member of a solved orbit takes its representative's pairs, its

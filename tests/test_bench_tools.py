@@ -29,8 +29,8 @@ def test_crossover_reads_only_names_that_eigensolve_defines(bench):
     tree = ast.parse((BENCH / "crossover.py").read_text())
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id == "eigensolve"}
-    assert {"DENSE_CUTOFF", "SPLIT_ITERATE", "STRUCTURED_MAX_M", "GUARD",
-            "_structured_solve", "solve_pencil", "DEFAULT_TOL"} <= read
+    assert {"DENSE_CUTOFF", "STRUCTURED_MAX_M", "_dense_block_solve", "_structured_solve",
+            "solve_pencil", "DEFAULT_TOL"} <= read
     assert sorted(name for name in read if not hasattr(es, name)) == []
 
 
@@ -154,10 +154,10 @@ def test_crossover_record_matches_its_rules(bench):
     # crossover's rules give on its own per-run timings
     _, crossover = bench
     record = json.loads((ROOT / "BENCH_dense_cutoff.json").read_text())
-    for section in ("dense_cutoff", "reflection_classes"):
-        result = crossover.least_cost(crossover.COMPARISONS[section], record[section]["timings"])
-        for key in ("recommended", "band", "per_run", "recommended_per_m", "acts_as"):
-            assert result[key] == record[section][key], (section, key)
+    cutoff = record["dense_cutoff"]
+    result = crossover.least_cost(crossover.COMPARISONS["dense_cutoff"], cutoff["timings"])
+    for key in ("recommended", "band", "per_run", "acts_as"):
+        assert result[key] == cutoff[key], key
     route = record["structured_route"]
     assert crossover.losses_beyond_import(route["timings"], route["scipy_import_s"]["values"]) \
         == route["losses_beyond_import"]

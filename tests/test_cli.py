@@ -348,11 +348,11 @@ def test_each_route_loads_only_the_scipy_it_uses(tmp_path, argv, loaded):
 
 
 def test_general_route_loads_scipy_when_it_runs(tmp_path):
-    # the 255-dof 1D block of this ladder is above DENSE_CUTOFF and takes
+    # the 511-dof 1D block of this ladder is above DENSE_CUTOFF and takes
     # solve_pencil; a positive control that the probe sees imports made
     # inside functions
     argv = ["converge", "--dim", "1", "--extent", "1", "--problem", "clamped_plate",
-            "--degree", "0", "--resolutions", "63,127,255"]
+            "--degree", "0", "--resolutions", "127,255,511"]
     assert "scipy.sparse.linalg" in _modules_loaded(tmp_path, argv)
 
 

@@ -114,16 +114,13 @@ def test_large_block_does_not_use_dense_eigh(monkeypatch):
 CROSSOVER = Path(__file__).resolve().parents[1] / "BENCH_dense_cutoff.json"
 
 
-@pytest.mark.parametrize("section, constant", [("dense_cutoff", "DENSE_CUTOFF"),
-                                               ("reflection_classes", "SPLIT_ITERATE")])
-def test_threshold_acts_as_a_value_in_its_measured_band(section, constant):
-    # blocks of more than DENSE_CUTOFF dof take the structured solve, and
-    # blocks whose per-class iterate N (m + GUARD) / 2^n reaches SPLIT_ITERATE
-    # are split into their reflection classes.  The swept value each acts as
-    # lies between the least-cost thresholds of the single runs
-    record = json.loads(CROSSOVER.read_text())[section]
+def test_dense_cutoff_acts_as_a_value_in_its_measured_band():
+    # blocks of more than DENSE_CUTOFF dof take the structured solve.  The
+    # swept value it acts as lies between the least-cost thresholds of the
+    # single runs
+    record = json.loads(CROSSOVER.read_text())["dense_cutoff"]
     assert len(record["per_run"]) == record["runs"] > 1
-    assert record["constant"] == constant and record["value"] == getattr(es, constant)
+    assert record["constant"] == "DENSE_CUTOFF" and record["value"] == es.DENSE_CUTOFF
     assert {row["m"] for row in record["timings"]} == set(record["m"])
     low, high = record["band"]
     assert low <= record["acts_as"] <= high
@@ -132,13 +129,12 @@ def test_threshold_acts_as_a_value_in_its_measured_band(section, constant):
 def test_structured_route_loses_nowhere_by_more_than_the_scipy_import():
     # on the blocks measured for the current STRUCTURED_MAX_M, no structured
     # solve is slower than solve_pencil by more than the scipy import that
-    # solve_pencil would cost the command; the split sweep covers every m
-    # the structured route takes
-    record = json.loads(CROSSOVER.read_text())
-    route = record["structured_route"]
+    # solve_pencil would cost the command; the sweep covers every m the
+    # structured route takes
+    route = json.loads(CROSSOVER.read_text())["structured_route"]
     assert route["constant"] == "STRUCTURED_MAX_M" and route["value"] == es.STRUCTURED_MAX_M
     assert len(route["timings"]) > 0 and route["losses_beyond_import"] == []
-    assert max(record["reflection_classes"]["m"]) == es.STRUCTURED_MAX_M
+    assert max(route["m"]) == es.STRUCTURED_MAX_M
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +327,8 @@ def structured_only(monkeypatch, no_general_solver):
 
 @pytest.fixture
 def split_only(monkeypatch, structured_only):
-    """Solve every fourth-order block class by class; record each class solve's size."""
-    monkeypatch.setattr(es, "SPLIT_ITERATE", 0)
+    """Send every fourth-order block to the structured solve; record each class solve's
+    size."""
     sizes = []
     real = es._lobpcg
 
@@ -474,13 +470,24 @@ def test_cube_triples_across_an_orbit_are_bitwise_equal(kind, split_only):
     assert np.all(np.abs(gram - np.diag(np.diag(gram))) <= 1e-10 * np.outer(norms, norms))
 
 
+@pytest.mark.parametrize("cells,distinct", [([15, 15, 15], 2), ([31, 31], 3)])
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_readme_grid_multiplets_are_bitwise_equal(kind, cells, distinct, no_general_solver):
+    # the README's 15^3 and 31^2 verify grids at the default count: the
+    # cube's 2nd to 4th values form one triple, the square's 2nd and 3rd
+    # one pair, and each multiplet comes out bitwise equal
+    prob = assemble(build_domain(len(cells), [1.0] * len(cells), cells), 0, kind)
+    spec = solve_problem(prob, m=4)
+    assert np.unique(spec.values).size == distinct
+    assert np.all(spec.residuals <= es.DEFAULT_TOL)
+
+
 def test_a_class_short_of_tolerance_fails_without_growing(monkeypatch):
     # the first class solve stops after one step, far above tol; its wide
     # bounds must not be answered by doubling its count: the solve fails at
     # once, each class solved once for its first count, and the block falls
     # back to solve_pencil; the classes without a share of Q's 14 lowest
     # values are not solved in the first round
-    monkeypatch.setattr(es, "SPLIT_ITERATE", 0)
     counts = []
     real = es._lobpcg
 
@@ -638,25 +645,19 @@ def test_fourth_order_solves_never_factorize(monkeypatch):
         assert np.all(spec.residuals <= es.DEFAULT_TOL), kind
 
 
-def test_structured_path_is_bitwise_repeatable_and_degree_independent(no_general_solver,
-                                                                       monkeypatch):
-    # a 504-dof 3D block (structured, one class), the same block split into
-    # its reflection classes, a split cube (one class solved per orbit), and
-    # a 210-dof block (dense): two solves agree bit for bit, the 1-form
-    # spectrum (three copies of the same block, same request) repeats each
-    # scalar value three times, and the 3-form (Hodge dual of the scalar)
-    # reproduces it exactly
-    for extent, cells, split_iterate in (([1.0, 1.1, 0.9], [7, 8, 9], es.SPLIT_ITERATE),
-                                         ([1.0, 1.1, 0.9], [7, 8, 9], 0),
-                                         ([1.0, 1.0, 1.0], [7, 7, 7], 0),
-                                         ([1.0, 1.1, 0.9], [5, 6, 7], es.SPLIT_ITERATE)):
-        monkeypatch.setattr(es, "SPLIT_ITERATE", split_iterate)
+def test_structured_path_is_bitwise_repeatable_and_degree_independent(no_general_solver):
+    # a 504-dof 3D block (structured, solved by reflection class), a cube
+    # (one class solved per orbit), and a 210-dof block (dense): two solves
+    # agree bit for bit, the 1-form spectrum (three copies of the same
+    # block, same request) repeats each scalar value three times, and the
+    # 3-form (Hodge dual of the scalar) reproduces it exactly
+    for extent, cells in (([1.0, 1.1, 0.9], [7, 8, 9]), ([1.0, 1.0, 1.0], [7, 7, 7]),
+                          ([1.0, 1.1, 0.9], [5, 6, 7])):
         dom = build_domain(3, extent, cells)
         one = solve_problem(assemble(dom, 0, ProblemKind.BUCKLING), m=4)
         two = solve_problem(assemble(dom, 0, ProblemKind.BUCKLING), m=4)
         for field in ("values", "residuals", "error_bounds", "vectors"):
-            assert np.array_equal(getattr(one, field), getattr(two, field)), (cells, field,
-                                                                             split_iterate)
+            assert np.array_equal(getattr(one, field), getattr(two, field)), (cells, field)
         dual = solve_problem(assemble(dom, 3, ProblemKind.BUCKLING), m=4)
         assert np.array_equal(dual.values, one.values), cells
         one_form = solve_problem(assemble(dom, 1, ProblemKind.BUCKLING), m=4)
@@ -687,7 +688,7 @@ def test_dense_path_matches_the_assembled_pencil(kind, extent, cells, monkeypatc
 
 @pytest.mark.parametrize("cells,m", [
     # a 1D block above the dense cutoff
-    ([255], 4),
+    ([511], 4),
     # more values than the structured route takes in 2D
     ([40, 40], 33),
 ])
