@@ -81,16 +81,18 @@ BLOCKS = (
     ((127, 127), (1, 1), "buckling", 0, 32),
     ((31, 31, 31), (1, 1, 1), "clamped_plate", 0, 32),
     ((63, 63, 63), (1, 1, 1), "clamped_plate", 0, 4),
-    # thin blocks: 3x80 (240 dof) and 3x3x26 (234) are solved densely while
-    # DENSE_CUTOFF is at least 240; on 5x100 (500) a class solve can stall
-    # above the rounding floor
+    ((17, 17, 17), (1, 1, 1), "clamped_plate", 0, 64),
+    # thin blocks, whose classes (at most 80, 52, 150 and 128 dof) are dense
+    # while DENSE_CUTOFF is at least 150; as LOBPCG classes, 5x100 and
+    # 15x15x3 stall
     ((3, 80), (1, 30), "clamped_plate", 0, 8),
     ((3, 3, 26), (1, 1, 8), "buckling", 0, 32),
     ((5, 100), (1, 20), "clamped_plate", 0, 4),
+    ((15, 15, 3), (1, 1, 0.05), "buckling", 0, 4),
     # general route (solve_pencil), which assembles block.a and block.b: a 1D
-    # block, and a 3D one asked for more than STRUCTURED_MAX_M values
+    # block, and a 2D one asked for more than STRUCTURED_MAX_M values
     ((1023,), (1,), "buckling", 0, 4),
-    ((8, 8, 8), (1, 1, 1), "buckling", 0, 64),
+    ((63, 63), (1, 1), "clamped_plate", 0, 64),
 )
 SCIPY_PARTS = ("scipy", "scipy.sparse", "scipy.linalg", "scipy.sparse.linalg")
 PERFBENCH_METRICS = ("wall_s", "setup_s", "peak_rss_mb", "ok_ratio")

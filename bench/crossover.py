@@ -5,14 +5,16 @@ Usage (from the repository root):
     python3 bench/crossover.py [--out BENCH_dense_cutoff.json]
 
 Each of the COMPARISONS times two of the ROUTES on one degree-0 block per
-fourth-order kind, side and m: dense against the structured solve
-(threshold DENSE_CUTOFF), and the structured solve against `solve_pencil`
-(no threshold).  For each block and m the two routes alternate, so that a
-slow stretch of a shared machine hits both, and each keeps the best of
-REPEATS solves; every comparison is made RUNS times, BLAS on one thread.
-`least_cost` measures the threshold; `losses_beyond_import` checks the
-structured route.  The second-order kinds take the separable solve, which
-reaches neither.
+fourth-order kind, side and m: the reflection-class solve with every
+class dense against every class by LOBPCG (threshold DENSE_CUTOFF, on
+the dof of a block's largest class), and the LOBPCG classes against
+`solve_pencil` on 2D blocks (STRUCTURED_MAX_M caps only 2D).  For each
+block and m the two routes alternate, so that a slow stretch of a shared
+machine hits both, and each keeps the best of REPEATS solves; every
+comparison is made RUNS times, BLAS on one thread.  `least_cost`
+measures the threshold; `losses_beyond_import` checks the structured
+route.  The second-order kinds take the separable solve, which reaches
+neither.
 """
 
 from __future__ import annotations
@@ -46,19 +48,15 @@ REPEATS = 3
 RUNS = 5
 # the kinds whose blocks reach the fourth-order routes
 KINDS = tuple(kind for kind in ProblemKind if kind.is_fourth_order)
-# dense cutoff: block side lengths, side**dim from 49 to 625 dof in 2D, 64
-# to 729 in 3D
+# dense cutoff: block side lengths, whose largest classes, ceil(side / 2)**dim,
+# hold 16 to 289 dof in 2D and 27 to 343 in 3D
 SIDES = {
-    2: (7, 9, 11, 13, 15, 17, 19, 21, 25),
-    3: (4, 5, 6, 7, 8, 9),
+    2: (7, 11, 15, 19, 21, 23, 25, 27, 29, 31, 33),
+    3: (5, 7, 9, 11, 13),
 }
-# structured route: values requested and block side lengths per dimension
-# (289 to 16,129 dof in 2D, 343 to 4,913 in 3D)
+# structured route: values requested and 2D block sides (289 to 16,129 dof)
 COLUMN_COUNTS = (1, 4, 8, 16, 32)
-COLUMN_SIDES = {
-    2: (17, 23, 31, 47, 63, 127),
-    3: (7, 8, 9, 11, 13, 15, 17),
-}
+COLUMN_SIDES = {2: (17, 23, 31, 47, 63, 127)}
 IMPORT_SAMPLES = 9
 IMPORT_PROBE = ("import time, hodge_spectra.cli; start = time.perf_counter(); "
                 "import scipy.sparse.linalg; print(time.perf_counter() - start)")
@@ -67,8 +65,8 @@ IMPORT_PROBE = ("import time, hodge_spectra.cli; start = time.perf_counter(); "
 # each route: the solve timed, called as solve(block, m, DEFAULT_TOL), and
 # the eigensolve constants set for it
 ROUTES = {
-    "dense": (eigensolve._dense_block_solve, {}),
-    "structured": (eigensolve._structured_solve, {}),
+    "dense": (eigensolve._structured_solve, {"DENSE_CUTOFF": math.inf}),
+    "structured": (eigensolve._structured_solve, {"DENSE_CUTOFF": 0}),
     "general": (lambda block, m, tol: eigensolve.solve_pencil(block.a, block.b, m, tol),
                 {"DENSE_CUTOFF": 0}),
 }
@@ -120,7 +118,8 @@ def sweep(comparison: Comparison) -> list[dict]:
         for _ in range(REPEATS):
             for route in comparison.routes:
                 seconds[route].append(_seconds(route, block, m))
-        rows.append({"kind": kind.value, "dim": dim, "dof": side ** dim, "m": m,
+        rows.append({"kind": kind.value, "dim": dim, "side": side,
+                     "class_dof": math.ceil(side / 2) ** dim, "m": m,
                      **{f"{route}_s": min(values) for route, values in seconds.items()}})
         print("#", json.dumps(rows[-1]), flush=True)
     return rows
@@ -144,7 +143,7 @@ def _median(row: dict, route: str) -> float:
 
 def _route(comparison: Comparison, row: dict, threshold: float) -> str:
     first, second = comparison.routes
-    return second if row["dof"] > threshold else first
+    return second if row["class_dof"] > threshold else first
 
 
 def _cost(comparison: Comparison, rows: list[dict], threshold: float, seconds) -> float:
@@ -154,7 +153,7 @@ def _cost(comparison: Comparison, rows: list[dict], threshold: float, seconds) -
 def _swept(rows: list[dict]) -> list[int]:
     # the swept values, and one above them all that keeps every block on the
     # first route
-    values = sorted({row["dof"] for row in rows})
+    values = sorted({row["class_dof"] for row in rows})
     return values + [values[-1] + 1]
 
 
@@ -165,12 +164,12 @@ def _least_cost_threshold(comparison: Comparison, rows: list[dict], seconds) -> 
 
 def least_cost(comparison: Comparison, timings: list[dict]) -> dict:
     """A threshold T (DENSE_CUTOFF) sends a block down the second route when
-    its dof exceeds T, and costs the summed seconds of the routes it picks.
-    Recommended: the swept value of least cost on the medians (the
-    smallest, on a tie).  Band: the smallest to the largest single-run
-    recommendation.  The constant acts as the smallest swept value that
-    routes every block as it does; its cost and the blocks whose median is
-    slower on the route it picks (misrouted) are reported."""
+    its largest class has more than T dof, and costs the summed seconds of
+    the routes it picks.  Recommended: the swept value of least cost on the
+    medians (the smallest, on a tie).  Band: the smallest to the largest
+    single-run recommendation.  The constant acts as the smallest swept
+    value that routes every block as it does; its cost and the blocks whose
+    median is slower on the route it picks (misrouted) are reported."""
     name, value = comparison.constant
     per_run = [_least_cost_threshold(comparison, timings,
                                      lambda row, route, i=i: row[f"{route}_s"][i])

@@ -1,7 +1,7 @@
 """Symmetric generalized eigensolver for the assembled pencils.
 
 Solves A x = theta B x for the m smallest eigenvalues with certified
-pairs, by one of four routes.
+pairs, by one of three routes.
 
 Separable (second order, numpy only).  Dirichlet and absolute Laplacian
 blocks are Kronecker sums of 1D pencils (S_k, W_k): each 1D pencil is
@@ -14,49 +14,44 @@ kernel (the constant mode, at absolute p = 0) is the known product of the
 certified from the 1D pencils alone: the error bound is the sum of
 per-axis bounds plus rounding terms (`_separable_certificate`).
 
-Dense (fourth order, at most DENSE_CUTOFF dof, numpy only).  A and B are
-formed by the per-axis contractions of the structured route applied to
-the identity, and the pencil is reduced by a Cholesky factor of B, or by
-clamped plate's scalar B = vol I (`_dense_solve`, O(n^3)); the pairs are
-certified like structured ones.
-
-Structured (fourth order, larger 2D and 3D blocks asked for at most
-STRUCTURED_MAX_M values, numpy only).  The clamped operator A = vol
-(sum_k T_k)^2 + D, from the block's per-axis second differences T_k and
-face terms d_k, lies between the Kronecker sum Q of the per-axis q_k =
-vol T_k^2 + diag(d_k) and n Q, and between P / n and P, P = (sum_k
-q_k^1/2)^2, for every h.  LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001)
-preconditioned by P^-1, which is applied exactly by per-axis
-eigendecompositions, finds the m smallest pairs; P matches A's cross
-terms away from the faces, where Q drops them, so it takes fewer steps.
-A and buckling's B = vol sum_k T_k are applied by per-axis contractions
-with the T_k, clamped plate's B = vol I as a scalar; buckling's B is
-inverted like Q for its error bounds.  Nothing is assembled or
-factorized.  A, B and Q commute with the reflection of each axis, so the
-block splits into 2^n reflection classes, each again a per-axis pencil of
-about N / 2^n dof (Bossavit, Comput. Methods Appl. Mech. Eng. 56, 1986).
-Each class is started from its own lowest Q modes, so none is left out.
-The classes are solved one by one and their counts grown until none can
+Reflection classes (fourth order, numpy only: 3D blocks at any m, 2D
+blocks asked for at most STRUCTURED_MAX_M values, and any block whose
+largest class has at most DENSE_CUTOFF dof).  The clamped operator A =
+vol (sum_k T_k)^2 + D, from the block's per-axis second differences T_k
+and face terms d_k, and buckling's B = vol sum_k T_k are applied by
+per-axis contractions with the T_k, clamped plate's B = vol I as a
+scalar.  A and B commute with the reflection of each axis, so the block
+splits into 2^n reflection classes, each again a per-axis pencil of about
+N / 2^n dof (Bossavit, Comput. Methods Appl. Mech. Eng. 56, 1986).  A
+class of at most DENSE_CUTOFF dof is formed by the contractions applied to
+the identity and solved once, completely, by `_dense_solve` (Golub & Van
+Loan, Matrix Computations, sec. 8.7).  A larger class is solved by LOBPCG
+(Knyazev, SIAM J. Sci. Comput. 23, 2001): A lies between the Kronecker
+sum Q of the per-axis q_k = vol T_k^2 + diag(d_k) and n Q, and between P
+/ n and P, P = (sum_k q_k^1/2)^2, for every h; P^-1, applied exactly by
+per-axis eigendecompositions, preconditions it, and each class is
+started from its own lowest Q modes, so none is left out.
+Buckling's B is inverted like Q for the error bounds.  Nothing is
+assembled or factorized.  The classes' counts are grown until none can
 hide an eigenvalue below the m-th; a class with no share of Q's m lowest
-values is solved only if its per-axis lower bound does not prove it
-empty below them.  Axes with bitwise-equal T_k and d_k (a cube, a
-square) are interchangeable, and permuting them maps classes onto
-classes with the same spectrum: one class per orbit is solved, and its
-vectors, their grid axes transposed, serve the orbit's other classes (at
-most 4 LOBPCG runs in place of 8 on a cube, 2 at m = 4; 3 in place of 4
-on a square), so the multiplets across an orbit are bitwise equal.
+values is solved only if its per-axis lower bound does not prove it empty
+below them.  Axes with bitwise-equal T_k and d_k (a cube, a square) are
+interchangeable, and permuting them maps classes onto classes with the
+same spectrum: one class per orbit is solved, and its vectors, their grid
+axes transposed, serve the orbit's other classes, so the multiplets
+across an orbit are bitwise equal.
 
-General (`solve_pencil`: 1D fourth-order blocks above DENSE_CUTOFF, where
-the structured solve is several times slower; requests for more values
-than STRUCTURED_MAX_M; a numpy solve that fails its certificate; and any
+General (`solve_pencil`: 1D fourth-order blocks, and 2D ones asked for
+more than STRUCTURED_MAX_M values, whose largest class has more than
+DENSE_CUTOFF dof; a class solve that fails its certificate; and any
 assembled pencil, a fourth-order block's assembled from the same T_k and
 d_k).  At most DENSE_CUTOFF dof are reduced by `_dense_solve`; larger
 pencils use shift-invert Lanczos around a factorized (A - sigma B).  Only
 this route imports scipy (scipy.sparse and scipy.sparse.linalg),
-when it runs.  DENSE_CUTOFF (dense against structured, on dof) is the
-threshold of least summed time over the blocks `bench/crossover.py`
-sweeps (BENCH_dense_cutoff.json), which also times the structured solve
-against shift-invert Lanczos on the blocks of the structured route.
+when it runs.  DENSE_CUTOFF (dense against LOBPCG, on a block's largest
+class) is the threshold of least summed time over the blocks
+`bench/crossover.py` sweeps (BENCH_dense_cutoff.json), which also times
+the LOBPCG classes against shift-invert Lanczos on 2D blocks.
 
 Every pair is certified once, straight from the eigensolver, with r =
 Ax - theta Bx.  Its normwise backward error ||r|| / ((||A||_1 + |theta|
@@ -69,10 +64,9 @@ bound on the rounding made in forming r is added, so the bound encloses
 the eigenvalue in floating point.  A structured residual is formed from
 the per-axis factors, and its rounding bound also covers the entry
 rounding of the assembled A and B (`_gram_residual`), so the bound holds
-for the pencil the general route solves; dense fourth-order pairs are
-certified the same way.  It is free when B is diagonal; otherwise B^-1
-comes from its per-axis factors (dense and structured routes) or one
-factorization per block (general route).  Separable pairs bound both
+for the pencil the general route solves.  It is free when B is diagonal;
+otherwise B^-1 comes from its per-axis factors (reflection classes) or
+one factorization per block (general route).  Separable pairs bound both
 from their 1D pencils instead.
 
 A run with identical inputs and configuration is bitwise reproducible
@@ -100,11 +94,13 @@ __all__ = [
     "DENSE_CUTOFF",
 ]
 
-# largest block size (dof) solved densely; see BENCH_dense_cutoff.json
-DENSE_CUTOFF = 289
+# largest reflection class (dof) solved densely, and largest pencil
+# solve_pencil reduces densely; see BENCH_dense_cutoff.json
+DENSE_CUTOFF = 216
 MAX_ITER = 10_000
-# largest number of values the structured solve takes from a 2D or 3D block;
-# more go to solve_pencil, as do 1D blocks above DENSE_CUTOFF
+# largest number of values the class solve takes from a 2D block whose
+# largest class is above DENSE_CUTOFF; more go to solve_pencil, as do such
+# 1D blocks
 STRUCTURED_MAX_M = 32
 # structured fourth-order solve (`_structured_solve`): guard columns beyond
 # the m reported, Q modes in the start space per column, the relative gap
@@ -922,16 +918,20 @@ def _class_floor(whole: _AxisPencil, pencil: _AxisPencil, q_pairs) -> float:
 
 
 def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
-    """m smallest eigenpairs of a fourth-order block by preconditioned LOBPCG.
+    """m smallest eigenpairs of a fourth-order block, by reflection class.
 
     A and B are applied from the block's per-axis factors (`_gram_products`).
     The block splits into 2^n reflection classes (`_reflection_classes`),
-    each a per-axis pencil of about N / 2^n dof.  A class is preconditioned
-    by its P^-1, applied exactly from the eigenpairs of its q_k (P / n <= A
-    <= P makes the iteration count independent of h; `_axis_bounds`), and
-    started from the START_SPAN (count + GUARD) lowest eigenvectors of its
-    Q, whole multiplets, which A ranks by Rayleigh-Ritz.  An iteration never
-    leaves the classes its start holds.
+    each a per-axis pencil of about N / 2^n dof.  A class of at most
+    DENSE_CUTOFF dof is formed by `_gram_products` on the identity and
+    solved once, completely, by `_dense_solve` (clamped plate's B = vol I
+    as the scalar vol); each later count re-slices its pairs.  A larger
+    class is solved by LOBPCG, preconditioned by its P^-1, applied exactly
+    from the eigenpairs of its q_k (P / n <= A <= P makes the iteration
+    count independent of h; `_axis_bounds`), and started from the
+    START_SPAN (count + GUARD) lowest eigenvectors of its Q, whole
+    multiplets, which A ranks by Rayleigh-Ritz.  An iteration never leaves
+    the classes its start holds.
 
     Each orbit of classes under permutations of interchangeable axes
     (`_class_orbits`) is solved once, by its representative, asked first
@@ -946,12 +946,13 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     solved is solved for one value if its lower bound (`_class_floor`) is
     not above sigma; this repeats until no orbit changes.  A class solved
     then holds no eigenvalue below sigma that it did not return (as long as
-    each class returns its lowest values), and one never solved is proven
-    to hold none, so none is missed.  A class solve that stops short of tol
-    fails the block at once, since its wide bounds would only grow it.
-    The pairs are unfolded, merged by (value, class), and certified on the
-    whole block (`_gram_certificate`), so the certificate does not rest on
-    the folding; `_certified` judges the result.
+    each class returns its lowest values, as a dense class does by
+    construction), and one never solved is proven to hold none, so none is
+    missed.  A class solve that stops short of tol fails the block at once,
+    since its wide bounds would only grow it.  The pairs are unfolded,
+    merged by (value, class), and certified on the whole block
+    (`_gram_certificate`), so the certificate does not rest on the folding;
+    `_certified` judges the result.
     """
     whole = _AxisPencil.of(block)
     norms = _gram_norms(whole)
@@ -964,6 +965,12 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     def floor(i: int) -> float:
         return _class_floor(whole, classes[i][0], q_pairs[i])
 
+    @functools.cache
+    def dense(i: int) -> tuple[np.ndarray, np.ndarray]:
+        pencil = classes[i][0]
+        a, b = _gram_products(pencil, np.eye(pencil.size))
+        return _dense_solve(a, pencil.volume if pencil.b_is_mass else b, pencil.size)
+
     # the count each orbit's representative is solved for, once it is solved
     counts: dict = {}
     for i, (representative, _) in enumerate(orbits):
@@ -975,10 +982,13 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
         for i in sorted(counts):
             pencil, folds = classes[i]
             if i not in solved or solved[i][0].size < counts[i]:
-                start = _smallest_sums(q_pairs[i], START_SPAN * (counts[i] + GUARD),
-                                       multiplet_limit=pencil.size // 2)[1]
-                values, vectors = _lobpcg(functools.partial(_gram_products, pencil), norms,
-                                          _preconditioner(q_pairs[i]), start, counts[i])
+                if pencil.size <= DENSE_CUTOFF:
+                    values, vectors = dense(i)
+                else:
+                    start = _smallest_sums(q_pairs[i], START_SPAN * (counts[i] + GUARD),
+                                           multiplet_limit=pencil.size // 2)[1]
+                    values, vectors = _lobpcg(functools.partial(_gram_products, pencil), norms,
+                                              _preconditioner(q_pairs[i]), start, counts[i])
                 solved[i] = (values[:counts[i]],
                              _along_axes(folds, vectors[:, :counts[i]], pencil.shape))
         # each member of a solved orbit takes its representative's pairs, its
@@ -1015,33 +1025,18 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     return _certified(values[chosen], vectors[:, chosen], (eta[chosen], delta[chosen]), tol)
 
 
-def _dense_block_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
-    """m smallest eigenpairs of a small fourth-order block, densely, by numpy alone.
-
-    A and B are formed by `_gram_products` on the identity, the pencil is
-    reduced by `_dense_solve` (clamped plate's B = vol I as the scalar vol),
-    and the pairs are certified like structured ones (`_gram_certificate`).
-    """
-    whole = _AxisPencil.of(block)
-    a, b = _gram_products(whole, np.eye(whole.size))
-    values, vectors = _dense_solve(a, whole.volume if whole.b_is_mass else b, m)
-    return _certified(values, vectors,
-                      _gram_certificate(whole, values, vectors, _gram_norms(whole)), tol)
-
-
 def _solve_fourth_order(block: ComponentBlock, m: int, tol: float) -> Spectrum:
-    """m smallest eigenpairs of a fourth-order block: densely up to DENSE_CUTOFF
-    dof, by the structured solve for at most STRUCTURED_MAX_M values of a 2D
-    or 3D block, both by numpy alone, and by `solve_pencil` otherwise or when
-    the numpy solve fails its certificate."""
-    if block.size <= DENSE_CUTOFF:
-        route = _dense_block_solve
-    elif block.domain.dim > 1 and m <= STRUCTURED_MAX_M:
-        route = _structured_solve
-    else:
+    """m smallest eigenpairs of a fourth-order block: by reflection class, numpy
+    alone (`_structured_solve`), unless its largest class has more than
+    DENSE_CUTOFF dof and the block is 1D, or 2D and asked for more than
+    STRUCTURED_MAX_M values; those, and a block whose class solve fails its
+    certificate, go to `solve_pencil`."""
+    largest = math.prod((d.size + 1) // 2 for _, d in block.axis_terms)
+    dim = block.domain.dim
+    if largest > DENSE_CUTOFF and (dim == 1 or (dim == 2 and m > STRUCTURED_MAX_M)):
         return solve_pencil(block.a, block.b, m, tol)
     try:
-        return route(block, m, tol)
+        return _structured_solve(block, m, tol)
     except NumericalFailure:
         return solve_pencil(block.a, block.b, m, tol)
 

@@ -29,8 +29,8 @@ def test_crossover_reads_only_names_that_eigensolve_defines(bench):
     tree = ast.parse((BENCH / "crossover.py").read_text())
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id == "eigensolve"}
-    assert {"DENSE_CUTOFF", "STRUCTURED_MAX_M", "_dense_block_solve", "_structured_solve",
-            "solve_pencil", "DEFAULT_TOL"} <= read
+    assert {"DENSE_CUTOFF", "STRUCTURED_MAX_M", "_structured_solve", "solve_pencil",
+            "DEFAULT_TOL"} <= read
     assert sorted(name for name in read if not hasattr(es, name)) == []
 
 
@@ -137,7 +137,7 @@ def test_blocks_include_general_route_blocks_in_1d_and_higher_dimensions(bench, 
             raise Routed(name)
         return stop
 
-    for name in ("solve_pencil", "_structured_solve", "_dense_block_solve"):
+    for name in ("solve_pencil", "_structured_solve"):
         monkeypatch.setattr(es, name, route(name))
     general = set()
     for cells, extent, kind, degree, m in compare.BLOCKS:

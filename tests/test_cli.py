@@ -330,17 +330,20 @@ _BOX_23 = ["box", "--dim", "3", "--extent", "1,1,1", "--cells", "23,23,23", "--p
     # the separable route needs numpy only
     (_BOX_23 + ["dirichlet_laplace", "--degree", "1"], {"numpy"}),
     (_BOX_23 + ["absolute_laplace", "--degree", "0"], {"numpy"}),
-    # so does the structured route, which applies A and B from their per-axis factors
+    # so does the reflection-class route, which applies A and B from their per-axis factors
     (_BOX_23 + ["clamped_plate", "--degree", "0"], {"numpy"}),
     (_BOX_23 + ["buckling", "--degree", "1"], {"numpy"}),
-    # and the dense one: the README verify and converge commands, whose
-    # fourth-order blocks are dense (ladders, 1D) or structured (31^2, 63^2)
+    # and the README verify and converge commands, whose fourth-order
+    # blocks have dense classes (ladders, 1D) or LOBPCG ones (31^2, 63^2)
     (["verify", "--dim", "2", "--extent", "1,1", "--cells", "63,63", "--degrees", "0,1,2",
       "--error-estimates"], {"numpy"}),
     (["verify", "--dim", "2", "--extent", "1,1", "--cells", "31,31", "--degrees", "0,1",
       "--format", "csv"], {"numpy"}),
     (["converge", "--dim", "1", "--extent", "1", "--problem", "clamped_plate", "--degree", "0",
       "--resolutions", "31,63,127"], {"numpy"}),
+    # and 3D blocks at any count
+    (["box", "--dim", "3", "--extent", "1,1,1", "--cells", "13,13,13", "--problem",
+      "clamped_plate", "--degree", "0", "--count", "64"], {"numpy"}),
 ])
 def test_each_route_loads_only_the_scipy_it_uses(tmp_path, argv, loaded):
     # a fresh interpreter per command, so that sys.modules holds only what it imported
@@ -348,7 +351,7 @@ def test_each_route_loads_only_the_scipy_it_uses(tmp_path, argv, loaded):
 
 
 def test_general_route_loads_scipy_when_it_runs(tmp_path):
-    # the 511-dof 1D block of this ladder is above DENSE_CUTOFF and takes
+    # the 511-dof 1D block of this ladder has classes above DENSE_CUTOFF and takes
     # solve_pencil; a positive control that the probe sees imports made
     # inside functions
     argv = ["converge", "--dim", "1", "--extent", "1", "--problem", "clamped_plate",

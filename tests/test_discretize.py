@@ -249,8 +249,8 @@ def _count_fourth_order_a(monkeypatch) -> list:
 
 def test_gram_forms_are_built_once_per_distinct_block(monkeypatch):
     # 15^2 battery at degrees 0, 1, 2 with its ladder 3^2, 7^2, 15^2: every
-    # clamped and buckling block has at most DENSE_CUTOFF dof and is solved
-    # densely from its per-axis factors, so solve_problem builds no block.a
+    # clamped and buckling block is solved by reflection class from its
+    # per-axis factors, so solve_problem builds no block.a
     from hodge_spectra.verify import box_battery
 
     built = _count_fourth_order_a(monkeypatch)

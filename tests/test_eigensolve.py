@@ -499,6 +499,8 @@ def test_a_class_short_of_tolerance_fails_without_growing(monkeypatch):
             return real(apply, norms, precond, span, m)
 
     monkeypatch.setattr(es, "_lobpcg", first_stops_early)
+    # its 80-dof classes would be solved densely
+    monkeypatch.setattr(es, "DENSE_CUTOFF", 0)
     (block,) = assemble(build_domain(2, [1.0, 6.0], [8, 40]), 0,
                         ProblemKind.CLAMPED_PLATE).blocks
     shares = es._class_shares([[np.linalg.eigh(q) for q in es._axis_bounds(pencil)]
@@ -646,13 +648,14 @@ def test_fourth_order_solves_never_factorize(monkeypatch):
 
 
 def test_structured_path_is_bitwise_repeatable_and_degree_independent(no_general_solver):
-    # a 504-dof 3D block (structured, solved by reflection class), a cube
-    # (one class solved per orbit), and a 210-dof block (dense): two solves
-    # agree bit for bit, the 1-form spectrum (three copies of the same
-    # block, same request) repeats each scalar value three times, and the
-    # 3-form (Hodge dual of the scalar) reproduces it exactly
+    # a 504-dof 3D block, a cube (one class solved per orbit) and a
+    # 210-dof block, all with dense classes, and a 2,730-dof block with
+    # LOBPCG ones: two solves agree bit for bit, the 1-form spectrum (three
+    # copies of the same block, same request) repeats each scalar value
+    # three times, and the 3-form (Hodge dual of the scalar) reproduces it
+    # exactly
     for extent, cells in (([1.0, 1.1, 0.9], [7, 8, 9]), ([1.0, 1.0, 1.0], [7, 7, 7]),
-                          ([1.0, 1.1, 0.9], [5, 6, 7])):
+                          ([1.0, 1.1, 0.9], [5, 6, 7]), ([1.0, 1.1, 0.9], [13, 14, 15])):
         dom = build_domain(3, extent, cells)
         one = solve_problem(assemble(dom, 0, ProblemKind.BUCKLING), m=4)
         two = solve_problem(assemble(dom, 0, ProblemKind.BUCKLING), m=4)
@@ -664,26 +667,44 @@ def test_structured_path_is_bitwise_repeatable_and_degree_independent(no_general
         assert np.array_equal(one_form.values, one.values[[0, 0, 0, 1]]), cells
 
 
-@pytest.mark.parametrize("extent,cells", [
-    ([1.0], [127]),
-    ([1.0, 1.0], [15, 15]),
-    ([1.0, 1.1, 0.9], [5, 6, 7]),
-    ([1.0, 2.0, 6.0], [3, 5, 14]),
+@pytest.mark.parametrize("kind,extent,cells,m", [
+    pytest.param(kind, extent, cells, 6, id=f"{kind.value}-extent{i}-cells{i}")
+    for kind in (ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING)
+    for i, (extent, cells) in enumerate((([1.0], [127]), ([1.0, 1.0], [15, 15]),
+                                         ([1.0, 1.1, 0.9], [5, 6, 7]),
+                                         ([1.0, 2.0, 6.0], [3, 5, 14])))
+] + [
+    # complete at any m: most of a square's values, and every value of a cube
+    pytest.param(ProblemKind.BUCKLING, [1.0, 1.0], [20, 20], 300, id="buckling-20x20-m300"),
+    pytest.param(ProblemKind.CLAMPED_PLATE, [1.0, 1.0, 1.0], [7, 7, 7], 343,
+                 id="clamped_plate-7x7x7-every-value"),
 ])
-@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
-def test_dense_path_matches_the_assembled_pencil(kind, extent, cells, monkeypatch,
+def test_dense_path_matches_the_assembled_pencil(kind, extent, cells, m, monkeypatch,
                                                  no_general_solver):
-    # blocks of at most DENSE_CUTOFF dof are solved densely from their
-    # per-axis factors, without the assembled a or b, and every value lies
-    # within its error bound of scipy's dense eigh of the assembled pencil
+    # blocks whose reflection classes have at most DENSE_CUTOFF dof are
+    # solved class by class, densely, from their per-axis factors, without
+    # the assembled a or b, and every value lies within its error bound of
+    # scipy's dense eigh of the assembled pencil
     dom = build_domain(len(cells), extent, cells)
     reference = assemble(dom, 0, kind)
-    assert reference.dof_count <= es.DENSE_CUTOFF
-    full = sla.eigh(reference.A.toarray(), reference.B.toarray(), eigvals_only=True)[:6]
+    assert math.prod((c + 1) // 2 for c in cells) <= es.DENSE_CUTOFF
+    full = sla.eigh(reference.A.toarray(), reference.B.toarray(), eigvals_only=True)[:m]
     _forbid_assembled_blocks(monkeypatch)
-    spec = solve_problem(assemble(dom, 0, kind), m=6)
+    spec = solve_problem(assemble(dom, 0, kind), m=m)
     assert np.all(np.abs(spec.values - full) <= spec.error_bounds)
     assert np.all(spec.residuals <= es.DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("kind,extent,cells", [
+    # largest classes of 150 and 128 dof: as LOBPCG classes, the first
+    # stalled at a backward error of 2e-10 and the second above tol
+    (ProblemKind.CLAMPED_PLATE, [1.0, 20.0], [5, 100]),
+    (ProblemKind.BUCKLING, [1.0, 1.0, 0.05], [15, 15, 3]),
+])
+def test_thin_blocks_reach_the_rounding_floor(kind, extent, cells, no_general_solver):
+    prob = assemble(build_domain(len(cells), extent, cells), 0, kind)
+    spec = solve_problem(prob, m=4)
+    assert spec.residuals.max() <= 1e-14
 
 
 @pytest.mark.parametrize("cells,m", [
