@@ -17,8 +17,9 @@ workloads at seed 0 (without their --out) and of BOX_COMMANDS, run as
 worst residual and largest error bound.  Per row and side, each run records
 the child's wall seconds (interpreter start included), a block's solve
 seconds, its import time of hodge_spectra.cli, its peak RSS, its exit code,
-whether it had loaded numpy, and which of scipy, scipy.sparse, scipy.linalg
-and scipy.sparse.linalg it had loaded.  Per row come the medians and
+whether it had loaded numpy, which of scipy, scipy.sparse, scipy.linalg
+and scipy.sparse.linalg it had loaded, and whether it had loaded
+hodge_spectra.bessel, hodge_spectra.checks and fractions.  Per row come the medians and
 quartiles, and the pairs in which the change was faster (wins), as fast
 (ties) or slower (losses), on solve seconds for a block and on wall seconds
 otherwise.
@@ -121,7 +122,10 @@ else:
     run["exit_code"] = cli.run(args) if args else 0
 run.update(peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
            numpy="numpy" in sys.modules,
-           scipy=[m for m in {SCIPY_PARTS!r} if m in sys.modules])
+           scipy=[m for m in {SCIPY_PARTS!r} if m in sys.modules],
+           bessel="hodge_spectra.bessel" in sys.modules,
+           checks="hodge_spectra.checks" in sys.modules,
+           fractions="fractions" in sys.modules)
 print(json.dumps(run))
 """
 
@@ -290,7 +294,9 @@ def main(argv=None) -> int:
     result = {
         "what": "fresh interpreters on each side, one run per pair: wall seconds of the whole "
                 "child, solve seconds of a block, import seconds of hodge_spectra.cli, peak "
-                "RSS, exit code, whether numpy was loaded and the scipy modules loaded; wins, "
+                "RSS, exit code, whether numpy was loaded, the scipy modules loaded, and "
+                "whether hodge_spectra.bessel, hodge_spectra.checks and fractions were "
+                "loaded; wins, "
                 "ties and losses count the pairs in which the change's solve (blocks) or wall "
                 f"(otherwise) seconds are lower, equal or higher; {args.pairs} pairs, sides "
                 "alternating",

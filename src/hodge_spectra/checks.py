@@ -1,7 +1,9 @@
-"""Curvature-bound constants, the eigenvalue-inequality battery, and the
-problem kinds and default tolerance the rest of the package shares, in pure
-Python: this module loads neither numpy nor scipy, so the CLI loads it at
-start-up and runs `ball` and `constants` without them.
+"""Curvature-bound constants and the eigenvalue-inequality battery, in pure
+Python: this module loads neither numpy nor scipy, nor `bessel`, so `ball`
+and `constants` run without numpy.  The CLI loads it in the commands that
+read it (`ball`, `verify`, `constants`), never in `box` or `converge`.  It
+re-exports the problem kinds and the default tolerance, which live in the
+package `__init__`.
 
 Check semantics: a strict check ('<') passes only when its margin exceeds the
 combined numerical tolerance of its inputs (each eigenvalue's error bound
@@ -19,15 +21,15 @@ are reported "constants-only".
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .bessel import BallSpectrum
+from . import DEFAULT_TOL, ProblemKind
 
 if TYPE_CHECKING:
+    from .bessel import BallSpectrum
     from .eigensolve import Spectrum
 
 __all__ = [
@@ -41,20 +43,6 @@ __all__ = [
     "halfdegree_identity_gap",
     "check_inequalities",
 ]
-
-# the normwise backward error every certified pair must meet unless asked otherwise
-DEFAULT_TOL = 1e-9
-
-
-class ProblemKind(str, enum.Enum):
-    CLAMPED_PLATE = "clamped_plate"
-    BUCKLING = "buckling"
-    DIRICHLET_LAPLACE = "dirichlet_laplace"
-    ABSOLUTE_LAPLACE = "absolute_laplace"
-
-    @property
-    def is_fourth_order(self) -> bool:
-        return self in (ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING)
 
 
 # ---------------------------------------------------------------------------

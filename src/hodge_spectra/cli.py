@@ -8,19 +8,22 @@ be written at the end.  JSON is the primary format; CSV flattens the check
 table.  Identical configurations produce byte-identical reports; numbers are
 serialized in shortest round-trip decimal form.
 
-Loading this module imports only pure-Python parts of the package (the
-problem kinds, the constants and the inequality battery from `checks`, the
-ball spectra from `bessel`), so `ball` and `constants` run without numpy
-or scipy.  `box`, `verify` and `converge` take their solver names from
-`verify` when they run, and load numpy with it; the report's numpy and
-scipy versions are read from the packages' version files, not by
-importing them.
+Loading this module imports, of the package, only its `__init__` (the
+problem kinds and the default tolerance) and `errors`, and neither numpy
+nor scipy.  Each command loads what it runs, when it runs: `ball` loads
+`bessel` and `checks`, `constants` loads `checks`, and `box`, `verify`
+and `converge` take their solver names from `verify` and load numpy with
+it; of those, only `verify` loads `checks`.  The report's numpy and scipy
+versions are read from the packages' version files, not by importing
+them, and `csv` is loaded only to write a CSV report.  `ball_spectrum`
+and `check_inequalities` are module-level functions that call through to
+their modules, so that a caller (or a tracer) finds them bound here
+before those modules load.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.util
 import io
 import json
@@ -30,21 +33,12 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import __version__
-from .bessel import ball_spectrum
-from .checks import (
-    DEFAULT_TOL,
-    ConstantsBundle,
-    ProblemKind,
-    SpectrumSet,
-    _curvature_bounds,
-    check_inequalities,
-    evaluate_constants,
-    halfdegree_identity_gap,
-)
+from . import DEFAULT_TOL, ProblemKind, __version__
 from .errors import NumericalFailure
 
 if TYPE_CHECKING:
+    from .bessel import BallSpectrum
+    from .checks import ConstantsBundle, InequalityReport, SpectrumSet
     from .eigensolve import Spectrum
     from .verify import ConvergenceStudy
 
@@ -250,6 +244,8 @@ def emit_report(report: dict, fmt: str, path: str) -> None:
     if fmt == "json":
         payload = json.dumps(report, indent=2) + "\n"
     elif fmt == "csv":
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["name", "lhs", "rhs", "relation", "margin", "status"])
@@ -276,7 +272,25 @@ def emit_report(report: dict, fmt: str, path: str) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
+def ball_spectrum(n: int, radius: float) -> BallSpectrum:
+    """`bessel.ball_spectrum`, loading `bessel` on first call."""
+    from .bessel import ball_spectrum
+
+    return ball_spectrum(n, radius)
+
+
+def check_inequalities(spectra: SpectrumSet) -> InequalityReport:
+    """`checks.check_inequalities`, loading `checks` on first call."""
+    from .checks import check_inequalities
+
+    return check_inequalities(spectra)
+
+
 def _cmd_ball(cfg: RunConfig, report: dict) -> None:
+    # both modules load before the calls, so that a span around a call times its work alone
+    from . import bessel  # noqa: F401
+    from .checks import SpectrumSet
+
     spec = ball_spectrum(cfg.dim, cfg.radius)
     report["constants"] = {
         "dim": spec.dim,
@@ -300,6 +314,7 @@ def _cmd_box(cfg: RunConfig, report: dict) -> None:
 
 
 def _cmd_verify(cfg: RunConfig, report: dict) -> None:
+    from .checks import _curvature_bounds, evaluate_constants, halfdegree_identity_gap
     from .verify import box_battery, build_domain
 
     domain = build_domain(cfg.dim, cfg.extent, cfg.cells)
@@ -319,6 +334,8 @@ def _cmd_verify(cfg: RunConfig, report: dict) -> None:
 
 
 def _cmd_constants(cfg: RunConfig, report: dict) -> None:
+    from .checks import evaluate_constants, halfdegree_identity_gap
+
     bundle = evaluate_constants(cfg.dim, cfg.degree, cfg.gamma)
     report["constants"] = {
         "dim": bundle.dim,

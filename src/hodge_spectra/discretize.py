@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .checks import ProblemKind
+from . import ProblemKind
 
 if TYPE_CHECKING:
     import scipy.sparse as sp

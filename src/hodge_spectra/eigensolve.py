@@ -83,7 +83,7 @@ from typing import Optional
 
 import numpy as np
 
-from .checks import DEFAULT_TOL
+from . import DEFAULT_TOL
 from .discretize import ComponentBlock, FormProblem
 from .errors import FactorizationFailure, NumericalFailure
 

@@ -3,31 +3,27 @@ battery that solves all four problems on a box and runs the inequality
 checks on their spectra.
 
 This module loads numpy and the solvers (`discretize`, `eigensolve`) with
-it.  The constants and the inequality battery themselves live in `checks`,
-which loads neither, and are re-exported here.
+it.  The constants and the inequality battery live in `checks`, which
+loads neither; it is loaded only when the battery runs or one of its
+names is read from here (PEP 562), so `box` and `converge`, which take
+their solvers from here, never load it.  `check_inequalities` is a
+module-level function that calls through to `checks`, so that a caller
+(the battery, or a tracer) finds it bound here before `checks` loads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .checks import (
-    DEFAULT_TOL,
-    ConstantsBundle,
-    InequalityCheck,
-    InequalityReport,
-    ProblemKind,
-    SpectrumSet,
-    _Quantity,
-    check_inequalities,
-    evaluate_constants,
-    halfdegree_identity_gap,
-)
+from . import DEFAULT_TOL, ProblemKind
 from .discretize import BoxDomain, assemble, build_domain
 from .eigensolve import solve_problem
 from .errors import NumericalFailure
+
+if TYPE_CHECKING:
+    from .checks import InequalityReport, SpectrumSet
 
 __all__ = [
     "ConstantsBundle",
@@ -41,6 +37,26 @@ __all__ = [
     "convergence_study",
     "box_battery",
 ]
+
+# the names of `checks` read from here, resolved when first read
+_FROM_CHECKS = frozenset({"ConstantsBundle", "InequalityCheck", "InequalityReport",
+                          "SpectrumSet", "evaluate_constants", "halfdegree_identity_gap",
+                          "_Quantity"})
+
+
+def __getattr__(name: str):
+    if name in _FROM_CHECKS:
+        from . import checks
+
+        return getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def check_inequalities(spectra: SpectrumSet) -> InequalityReport:
+    """`checks.check_inequalities`, loading `checks` on first call."""
+    from .checks import check_inequalities
+
+    return check_inequalities(spectra)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +141,8 @@ def box_battery(domain: BoxDomain, degrees: Sequence[int], m: int = 4,
     convergence study ending at this grid (requires cells + 1 divisible by 4
     and a cubic grid), and the combined check tolerances include it.
     """
+    from .checks import SpectrumSet
+
     degrees = sorted(set(int(p) for p in degrees))
     if any(not 0 <= p <= domain.dim for p in degrees):
         raise ValueError(f"degrees must lie in [0, {domain.dim}], got {degrees}")

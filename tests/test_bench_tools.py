@@ -105,6 +105,11 @@ def test_import_probe_records_that_the_cli_loads_neither_numpy_nor_scipy(bench, 
     run = compare.run_once(ROOT / "src", [], tmp_path)
     assert run["exit_code"] == 0 and run["import_s"] > 0
     assert run["numpy"] is False and run["scipy"] == []
+    # nor the ball spectra or the battery, which the commands load when they run
+    assert run["bessel"] is False and run["checks"] is False and run["fractions"] is False
+    run = compare.run_once(ROOT / "src", ["ball", "--dim", "2", "--out", "report"], tmp_path)
+    assert run["exit_code"] == 0 and run["numpy"] is False
+    assert run["bessel"] is True and run["checks"] is True and run["fractions"] is True
 
 
 def test_block_rows_name_their_cells_and_extents(bench):

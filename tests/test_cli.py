@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy
@@ -13,6 +14,7 @@ import pytest
 import scipy
 import scipy.sparse.linalg as spla
 
+import hodge_spectra
 import hodge_spectra.verify as verify
 from hodge_spectra.cli import _build_parser, run
 
@@ -311,7 +313,8 @@ def test_thread_cap_below_one_or_malformed_is_ignored_with_a_warning(cap):
     assert f"ignoring HODGE_SPECTRA_THREADS={cap!r}" in probe.stderr
 
 
-_MODULES = ("numpy", "scipy", "scipy.sparse", "scipy.linalg", "scipy.sparse.linalg")
+_MODULES = ("numpy", "scipy", "scipy.sparse", "scipy.linalg", "scipy.sparse.linalg",
+            "hodge_spectra.bessel", "hodge_spectra.checks", "fractions", "csv")
 _PROBE = f"""
 import sys
 from hodge_spectra.cli import run
@@ -320,32 +323,35 @@ if sys.argv[1:] and run(sys.argv[1:]) != 0:
 print(",".join(m for m in {_MODULES!r} if m in sys.modules))
 """
 _BOX_23 = ["box", "--dim", "3", "--extent", "1,1,1", "--cells", "23,23,23", "--problem"]
+_BATTERY = {"hodge_spectra.checks", "fractions"}
 
 
 @pytest.mark.parametrize("argv,loaded", [
-    # loading the CLI, and the commands that solve nothing, need neither numpy nor scipy
+    # loading the CLI needs no numpy, no scipy and neither bessel nor checks;
+    # the commands that solve nothing load only what they evaluate
     ([], set()),
-    (["ball", "--dim", "2", "--radius", "1"], set()),
-    (["constants", "--dim", "4", "--degree", "2", "--gamma", "1"], set()),
-    # the separable route needs numpy only
+    (["ball", "--dim", "2", "--radius", "1"], {"hodge_spectra.bessel"} | _BATTERY),
+    (["constants", "--dim", "4", "--degree", "2", "--gamma", "1"], _BATTERY),
+    # box needs no battery, and its separable route numpy only
     (_BOX_23 + ["dirichlet_laplace", "--degree", "1"], {"numpy"}),
     (_BOX_23 + ["absolute_laplace", "--degree", "0"], {"numpy"}),
     # so does the reflection-class route, which applies A and B from their per-axis factors
     (_BOX_23 + ["clamped_plate", "--degree", "0"], {"numpy"}),
     (_BOX_23 + ["buckling", "--degree", "1"], {"numpy"}),
     # and the README verify and converge commands, whose fourth-order
-    # blocks have dense classes (ladders, 1D) or LOBPCG ones (31^2, 63^2)
+    # blocks have dense classes (ladders, 1D) or LOBPCG ones (31^2, 63^2);
+    # verify adds the battery, and csv only for a CSV report
     (["verify", "--dim", "2", "--extent", "1,1", "--cells", "63,63", "--degrees", "0,1,2",
-      "--error-estimates"], {"numpy"}),
+      "--error-estimates"], {"numpy"} | _BATTERY),
     (["verify", "--dim", "2", "--extent", "1,1", "--cells", "31,31", "--degrees", "0,1",
-      "--format", "csv"], {"numpy"}),
+      "--format", "csv"], {"numpy", "csv"} | _BATTERY),
     (["converge", "--dim", "1", "--extent", "1", "--problem", "clamped_plate", "--degree", "0",
       "--resolutions", "31,63,127"], {"numpy"}),
     # and 3D blocks at any count
     (["box", "--dim", "3", "--extent", "1,1,1", "--cells", "13,13,13", "--problem",
       "clamped_plate", "--degree", "0", "--count", "64"], {"numpy"}),
 ])
-def test_each_route_loads_only_the_scipy_it_uses(tmp_path, argv, loaded):
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
     # a fresh interpreter per command, so that sys.modules holds only what it imported
     assert _modules_loaded(tmp_path, argv) == loaded
 
@@ -365,6 +371,41 @@ def test_report_versions_are_the_imported_packages(tmp_path):
     versions = json.loads(path.read_text())["meta"]["versions"]
     assert versions["numpy"] == numpy.__version__
     assert versions["scipy"] == scipy.__version__
+
+
+_TRACED = [
+    (["ball", "--dim", "2", "--radius", "1"],
+     {"ball_spectrum": 1, "check_inequalities": 1, "emit_report": 1}),
+    (["verify", "--dim", "2", "--extent", "1,1", "--cells", "15,15", "--degrees", "0,1"],
+     {"build_domain": 1, "box_battery": 1, "assemble": 9, "solve_problem": 9,
+      "check_inequalities": 1, "emit_report": 1}),
+    (["box", "--dim", "2", "--extent", "1,1", "--cells", "15,15", "--problem", "buckling",
+      "--degree", "0", "--count", "4"],
+     {"build_domain": 1, "assemble": 1, "solve_problem": 1, "emit_report": 1}),
+]
+
+
+@pytest.mark.parametrize("argv,spans", _TRACED, ids=[argv[0] for argv, _ in _TRACED])
+def test_the_tracer_finds_every_name_it_wraps(tmp_path, argv, spans):
+    # perfbench/traced_cli.py wraps names where cli and verify bind them
+    # before the command runs; a name bound only inside a command would
+    # drop its spans silently
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+    trace = tmp_path / "spans.json"
+    proc = subprocess.run([sys.executable, str(tracer), str(trace), "--", *argv,
+                           "--out", str(tmp_path / "report")],
+                          env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    recorded = json.loads(trace.read_text())["spans"]
+    assert Counter(span["name"] for span in recorded) == spans
+    # the battery's verdicts reach the trace
+    for span in recorded:
+        if span["name"] == "check_inequalities":
+            assert sum(span["attrs"]["statuses"].values()) > 0
+    # the names exported lazily still resolve
+    for module in (hodge_spectra, verify):
+        for name in module.__all__:
+            getattr(module, name)
 
 
 def _modules_loaded(tmp_path, argv) -> set:
