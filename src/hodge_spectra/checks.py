@@ -2,8 +2,7 @@
 Python: this module loads neither numpy nor scipy, nor `bessel`, so `ball`
 and `constants` run without numpy.  The CLI loads it in the commands that
 read it (`ball`, `verify`, `constants`), never in `box` or `converge`.  It
-re-exports the problem kinds and the default tolerance, which live in the
-package `__init__`.
+re-exports the problem kinds, which live in the package `__init__`.
 
 Check semantics: a strict check ('<') passes only when its margin exceeds the
 combined numerical tolerance of its inputs (each eigenvalue's error bound
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from . import DEFAULT_TOL, ProblemKind
+from . import ProblemKind
 
 if TYPE_CHECKING:
     from .bessel import BallSpectrum
@@ -34,7 +33,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ProblemKind",
-    "DEFAULT_TOL",
     "ConstantsBundle",
     "InequalityCheck",
     "InequalityReport",

@@ -201,13 +201,6 @@ def _kron_sum(mats: Sequence, others: Sequence[sp.spmatrix]) -> sp.csr_matrix:
     return sum(terms[1:], terms[0])
 
 
-def _symmetrize(a: sp.spmatrix) -> sp.csr_matrix:
-    out = ((a + a.T) * 0.5).tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
-
-
 def _second_difference(cells: int, h: float) -> np.ndarray:
     """1D Dirichlet second difference T = tridiag(-1, 2, -1) / h^2, dense."""
     off = np.full(cells - 1, -1.0 / h ** 2)
@@ -234,7 +227,7 @@ class ComponentBlock:
     T_k x I and D = sum_k I x diag(d_k) x I from its `axis_terms`, against
     b = vol I (clamped plate) or vol K (buckling).  Its sparse pencil (`a`,
     `b`) is built on first access, since only the general solver and the
-    tests read it.
+    tests read it; it is exactly symmetric as built from symmetric factors.
     """
 
     component: ComponentIndex
@@ -288,9 +281,13 @@ class ComponentBlock:
             for k, (_, d) in enumerate(self.axis_terms):
                 diagonal += d.reshape([-1 if j == k else 1 for j in range(self.domain.dim)])
             a.setdiag(diagonal.ravel())
-            return _symmetrize(a)
-        return _symmetrize(_kron_sum([s_k for s_k, _ in self.axis_factors],
-                                     [sp.diags(w, format="csr") for _, w in self.axis_factors]))
+            # exactly symmetric as formed (an entry and its transpose sum the
+            # same one or two products), but scipy's product leaves the
+            # column indices of a row unsorted
+            a.sort_indices()
+            return a
+        return _kron_sum([s_k for s_k, _ in self.axis_factors],
+                         [sp.diags(w, format="csr") for _, w in self.axis_factors])
 
     @functools.cached_property
     def b(self) -> sp.csr_matrix:
@@ -301,7 +298,7 @@ class ComponentBlock:
         volume = self.domain.cell_volume
         if self.b_is_mass:
             return (sp.identity(self.size, format="csr") * volume).tocsr()
-        return _symmetrize(_laplacian(self) * volume)
+        return _laplacian(self) * volume
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,8 @@ this route imports scipy (scipy.sparse and scipy.sparse.linalg),
 when it runs.  DENSE_CUTOFF (dense against LOBPCG, on a block's largest
 class) is the threshold of least summed time over the blocks
 `bench/crossover.py` sweeps (BENCH_dense_cutoff.json), which also times
-the LOBPCG classes against shift-invert Lanczos on 2D blocks.
+the LOBPCG classes against shift-invert Lanczos on 2D blocks.  This
+route's dense switch shares the value without a measurement of its own.
 
 Every pair is certified once, straight from the eigensolver, with r =
 Ax - theta Bx.  Its normwise backward error ||r|| / ((||A||_1 + |theta|
@@ -94,8 +95,11 @@ __all__ = [
     "DENSE_CUTOFF",
 ]
 
-# largest reflection class (dof) solved densely, and largest pencil
-# solve_pencil reduces densely; see BENCH_dense_cutoff.json
+# largest reflection class (dof) solved densely, as bench/crossover.py
+# measures it against LOBPCG classes (BENCH_dense_cutoff.json).
+# solve_pencil's dense reduction shares the value unmeasured; a block of
+# solve_problem reaches it only after a failed class solve, or when asked
+# for n - 1 values or more
 DENSE_CUTOFF = 216
 MAX_ITER = 10_000
 # largest number of values the class solve takes from a 2D block whose
@@ -586,9 +590,7 @@ def _gram_residual(pencil: _AxisPencil, values,
     then added one by one.  An entry is a sum of at most 2n + 1 terms of one
     sign (the grid graph has no triangles): products, each off by up to 2n
     roundings (K's diagonal is a sum of n terms), and face terms, off by
-    two; the sum adds 2n, so |a - A*| <= gamma_{4n} |A*|.  Off the diagonal
-    a product carries at most n + 1 roundings and a sum has at most two
-    terms, so the symmetrization's one rounding stays within that.  An entry
+    two; the sum adds 2n, so |a - A*| <= gamma_{4n} |A*|.  An entry
     of vol K is off by at most n roundings, so |b - B*| <= gamma_n |B*|.
     Together g = gamma_{6n+7} (|A||x| + |theta||B||x|); the factor 1 +
     gamma_{2n+10} covers the roundings made in computing g itself, a sum of

@@ -4,11 +4,11 @@ checks on their spectra.
 
 This module loads numpy and the solvers (`discretize`, `eigensolve`) with
 it.  The constants and the inequality battery live in `checks`, which
-loads neither; it is loaded only when the battery runs or one of its
-names is read from here (PEP 562), so `box` and `converge`, which take
-their solvers from here, never load it.  `check_inequalities` is a
-module-level function that calls through to `checks`, so that a caller
-(the battery, or a tracer) finds it bound here before `checks` loads.
+loads neither; it is loaded only when the battery runs, so `box` and
+`converge`, which take their solvers from here, never load it.
+`check_inequalities` is a module-level function that calls through to
+`checks`, so that a caller (the battery, or a tracer) finds it bound here
+before `checks` loads.
 """
 
 from __future__ import annotations
@@ -26,30 +26,11 @@ if TYPE_CHECKING:
     from .checks import InequalityReport, SpectrumSet
 
 __all__ = [
-    "ConstantsBundle",
-    "InequalityCheck",
-    "InequalityReport",
-    "SpectrumSet",
     "ConvergenceStudy",
-    "evaluate_constants",
-    "halfdegree_identity_gap",
     "check_inequalities",
     "convergence_study",
     "box_battery",
 ]
-
-# the names of `checks` read from here, resolved when first read
-_FROM_CHECKS = frozenset({"ConstantsBundle", "InequalityCheck", "InequalityReport",
-                          "SpectrumSet", "evaluate_constants", "halfdegree_identity_gap",
-                          "_Quantity"})
-
-
-def __getattr__(name: str):
-    if name in _FROM_CHECKS:
-        from . import checks
-
-        return getattr(checks, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def check_inequalities(spectra: SpectrumSet) -> InequalityReport:

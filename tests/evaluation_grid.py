@@ -5,8 +5,6 @@ fourth-order block's a is the Gram form L^T M~ L."""
 import numpy as np
 import scipy.sparse as sp
 
-from hodge_spectra.discretize import _symmetrize
-
 
 def evaluation_laplacian(domain):
     """L and M~, one row per evaluation node.
@@ -47,12 +45,13 @@ def evaluation_laplacian(domain):
 
 
 def gram_pencil(domain, mass: bool):
-    """(L^T M~ L, B) of the clamped plate (mass) or buckling, symmetrized
-    like the assembled blocks; buckling's B is vol times L's interior rows."""
+    """(L^T M~ L, B) of the clamped plate (mass) or buckling, in canonical CSR
+    form like the assembled blocks; buckling's B is vol times L's interior rows."""
     laplacian, weights = evaluation_laplacian(domain)
-    a = laplacian.T @ sp.diags(weights) @ laplacian
+    a = (laplacian.T @ sp.diags(weights) @ laplacian).tocsr()
+    a.sort_indices()
     if mass:
         b = sp.identity(domain.interior_count, format="csr") * domain.cell_volume
     else:
         b = laplacian[:domain.interior_count] * domain.cell_volume
-    return _symmetrize(a), _symmetrize(b)
+    return a, b

@@ -16,6 +16,7 @@ import pytest
 import hodge_spectra.bessel as bessel_mod
 from evaluation_grid import evaluation_laplacian
 from hodge_spectra.bessel import ball_spectrum, first_zero_cross, first_zero_j
+from hodge_spectra.checks import evaluate_constants, halfdegree_identity_gap
 from hodge_spectra.cli import run
 from hodge_spectra.discretize import (
     ComponentBlock,
@@ -27,8 +28,7 @@ from hodge_spectra.discretize import (
     _second_order_block,
 )
 from hodge_spectra.eigensolve import solve_pencil, solve_problem
-from hodge_spectra.verify import box_battery, convergence_study, evaluate_constants, \
-    halfdegree_identity_gap
+from hodge_spectra.verify import box_battery, convergence_study
 
 # solves shared across criteria on the 63x63 square
 _CACHE: dict = {}

@@ -149,12 +149,20 @@ def test_global_pencil_is_built_on_first_access():
         assert (prob.B[window, window] != blk.b).nnz == 0
 
 
+@pytest.mark.parametrize("extent,cells", [
+    ([1.0], [15]), ([1.0, 1.5], [5, 7]), ([1.0, 1.1, 0.9], [4, 5, 6]),
+    ([1.0, 1.0, 0.05], [15, 15, 3]),
+])
 @pytest.mark.parametrize("kind", list(ProblemKind))
-def test_assembled_pairs_are_exactly_symmetric(kind):
-    dom = build_domain(2, [1.0, 1.5], [5, 7])
-    prob = assemble(dom, 1, kind)
-    assert (prob.A != prob.A.T).nnz == 0
-    assert (prob.B != prob.B.T).nnz == 0
+def test_assembled_pairs_are_exactly_symmetric(kind, extent, cells):
+    # exact as assembled: the per-axis factors are symmetric, and an entry of
+    # (vol K) K sums the same products as its transposed entry (the grid
+    # graph has no triangles)
+    dom = build_domain(len(cells), extent, cells)
+    for degree in range(dom.dim + 1):
+        prob = assemble(dom, degree, kind)
+        assert (prob.A != prob.A.T).nnz == 0, degree
+        assert (prob.B != prob.B.T).nnz == 0, degree
 
 
 @pytest.mark.parametrize("kind", list(ProblemKind))

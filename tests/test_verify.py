@@ -11,18 +11,16 @@ import numpy as np
 import pytest
 
 from hodge_spectra.bessel import ball_spectrum
-from hodge_spectra.discretize import ProblemKind, build_domain
-from hodge_spectra.eigensolve import Spectrum
-from hodge_spectra.verify import (
+from hodge_spectra.checks import (
     InequalityReport,
     SpectrumSet,
-    box_battery,
-    check_inequalities,
-    convergence_study,
     evaluate_constants,
     halfdegree_identity_gap,
     _Quantity,
 )
+from hodge_spectra.discretize import ProblemKind, build_domain
+from hodge_spectra.eigensolve import Spectrum
+from hodge_spectra.verify import box_battery, check_inequalities, convergence_study
 
 
 def bisect(f, lo, hi, iters=80):
