@@ -11,18 +11,19 @@ PYTHONPATH set to that side's src and BLAS on one thread
 even pairs and this checkout first in odd ones, so that a slow stretch of a
 shared machine hits both sides.  The rows are: importing hodge_spectra.cli
 alone; each command of the README's "Command line" block, of the perfbench
-workloads at seed 0 (without their --out) and of BOX_COMMANDS, run as
-`python -m hodge_spectra` would run it; and each block of BLOCKS, whose
-`solve_problem(problem, m)` is timed after `assemble`, with its first value,
-worst residual and largest error bound.  Per row and side, each run records
-the child's wall seconds (interpreter start included), a block's solve
-seconds, its import time of hodge_spectra.cli, its peak RSS, its exit code,
-whether it had loaded numpy, which of scipy, scipy.sparse, scipy.linalg
-and scipy.sparse.linalg it had loaded, and whether it had loaded
-hodge_spectra.bessel, hodge_spectra.checks and fractions.  Per row come the medians and
-quartiles, and the pairs in which the change was faster (wins), as fast
-(ties) or slower (losses), on solve seconds for a block and on wall seconds
-otherwise.
+workloads at seed 0 (without their --out) and of BOX_COMMANDS, run through
+`cli.main()` as `python -m hodge_spectra` runs it; and each block of
+BLOCKS, whose `solve_problem(problem, m)` is timed after `assemble`, with
+its first value, worst residual and largest error bound.  Per row and
+side, each run records the child's wall seconds (interpreter start
+included), a block's solve seconds, its import time of hodge_spectra.cli,
+its peak RSS, its exit code, whether its heap was frozen when it ended (as
+`cli.main()` leaves it), whether it had loaded numpy, which of scipy,
+scipy.sparse, scipy.linalg and scipy.sparse.linalg it had loaded, and
+whether it had loaded hodge_spectra.bessel, hodge_spectra.checks and
+fractions.  Per row come the medians and quartiles, and the pairs in which
+the change was faster (wins), as fast (ties) or slower (losses), on solve
+seconds for a block and on wall seconds otherwise.
 
 --perfbench adds, per workload, the results of `perfbench/run.py --workload
 WORKLOAD --seed N --seconds 10 --trace 0` at the parent commit and at the
@@ -102,7 +103,7 @@ TIMED = ("wall_s", "solve_s", "import_s", "peak_rss_mb")
 IMPORT_ONLY = "import hodge_spectra.cli"
 # arguments: none (import only), a CLI command, or --block and a BLOCKS entry as JSON
 PROBE = f"""
-import json, resource, sys, time
+import gc, json, resource, sys, time
 start = time.perf_counter()
 import hodge_spectra.cli as cli
 run = {{"import_s": time.perf_counter() - start}}
@@ -118,9 +119,17 @@ if args[:1] == ["--block"]:
                first_value=float(spectrum.values[0]),
                worst_residual=float(max(spectrum.residuals)),
                largest_error_bound=float(max(spectrum.error_bounds)))
+elif args:
+    # through the process entry point, collector policy included
+    sys.argv = ["hodge-spectra", *args]
+    try:
+        cli.main()
+    except SystemExit as exc:
+        run["exit_code"] = exc.code
 else:
-    run["exit_code"] = cli.run(args) if args else 0
+    run["exit_code"] = 0
 run.update(peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+           frozen=gc.get_freeze_count() > 0,
            numpy="numpy" in sys.modules,
            scipy=[m for m in {SCIPY_PARTS!r} if m in sys.modules],
            bessel="hodge_spectra.bessel" in sys.modules,
@@ -294,7 +303,8 @@ def main(argv=None) -> int:
     result = {
         "what": "fresh interpreters on each side, one run per pair: wall seconds of the whole "
                 "child, solve seconds of a block, import seconds of hodge_spectra.cli, peak "
-                "RSS, exit code, whether numpy was loaded, the scipy modules loaded, and "
+                "RSS, exit code, whether the heap was frozen at the end, whether numpy was "
+                "loaded, the scipy modules loaded, and "
                 "whether hodge_spectra.bessel, hodge_spectra.checks and fractions were "
                 "loaded; wins, "
                 "ties and losses count the pairs in which the change's solve (blocks) or wall "

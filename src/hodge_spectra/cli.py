@@ -8,6 +8,10 @@ be written at the end.  JSON is the primary format; CSV flattens the check
 table.  Identical configurations produce byte-identical reports; numbers are
 serialized in shortest round-trip decimal form.
 
+`main`, the process entry point, runs a command with the cyclic garbage
+collector disabled and freezes the heap before the interpreter exits;
+`run`, for in-process callers, leaves the collector alone.
+
 Loading this module imports, of the package, only its `__init__` (the
 problem kinds and the default tolerance) and `errors`, and neither numpy
 nor scipy.  Each command loads what it runs, when it runs: `ball` loads
@@ -24,6 +28,7 @@ before those modules load.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import io
 import json
@@ -404,7 +409,20 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The process entry point (`python -m hodge_spectra`, the `hodge-spectra`
+    script): `run` on the process's arguments, then exit with its code.
+
+    A command is one short process whose memory the kernel frees at exit,
+    so the cyclic garbage collector has nothing to do in it: it is disabled
+    while the command runs, and once the report is written every tracked
+    object is frozen (moved to the permanent generation), which the
+    collections at interpreter shutdown skip.  `run` leaves the collector
+    as it finds it, for in-process callers.
+    """
+    gc.disable()
+    code = run(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -408,6 +408,23 @@ def _kron_sum_solver(pairs, power: int = 1):
     return solve
 
 
+def _eighs(mats, pairs: Optional[dict] = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """np.linalg.eigh of each square matrix, one call per bitwise-distinct matrix.
+
+    `pairs` holds the decompositions by the matrix's bytes (their count fixes
+    the order), so that the equal per-axis factors of interchangeable axes,
+    and of the reflection classes that share an axis's parity, share one.
+    """
+    pairs = {} if pairs is None else pairs
+    out = []
+    for mat in mats:
+        key = mat.tobytes()
+        if key not in pairs:
+            pairs[key] = np.linalg.eigh(mat)
+        out.append(pairs[key])
+    return out
+
+
 def _axis_pairs(factors) -> list[tuple[np.ndarray, np.ndarray]]:
     """All eigenpairs of each 1D pencil (S_k, W_k), from the symmetric
     W_k^-1/2 S_k W_k^-1/2: its eigenvectors times W_k^-1/2 are W_k-orthonormal.
@@ -614,8 +631,7 @@ def _gram_certificate(pencil: _AxisPencil, values, vectors: np.ndarray,
         def b_solve(v):
             return v / volume
     else:
-        b_solve = _kron_sum_solver([np.linalg.eigh(volume * second)
-                                    for second, _ in pencil.terms])
+        b_solve = _kron_sum_solver(_eighs([volume * second for second, _ in pencil.terms]))
     return _bounds(values, vectors, *_gram_residual(pencil, values, vectors), *norms, b_solve)
 
 
@@ -959,7 +975,8 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     whole = _AxisPencil.of(block)
     norms = _gram_norms(whole)
     classes = _reflection_classes(whole)
-    q_pairs = [[np.linalg.eigh(q_k) for q_k in _axis_bounds(pencil)] for pencil, _ in classes]
+    q_eighs: dict = {}
+    q_pairs = [_eighs(_axis_bounds(pencil), q_eighs) for pencil, _ in classes]
     shares = _class_shares(q_pairs, m)
     orbits = _class_orbits(whole)
 
@@ -1053,7 +1070,9 @@ def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,
     `_solve_fourth_order` picks.
     A block's kernel (the constants at absolute p = 0) is left out, so the
     first reported eigenvalue is positive.  `cache` may be shared across
-    problems on the same grid to reuse block solves.
+    problems on the same grid to reuse block solves: a block is served by
+    a cached solve of the same block and tolerance for at least as many
+    values, of which the merge reads the first ones.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -1069,8 +1088,9 @@ def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,
     block_results: dict[int, Spectrum] = {}
     for index, block in enumerate(problem.blocks):
         m_block = min(m, block.size - block.kernel_dim)
-        key = (block.signature, m_block, tol)
-        if key not in local_cache:
+        key = (block.signature, tol)
+        # a cached solve for at least m_block values serves: only its first m_block are read
+        if key not in local_cache or local_cache[key].values.size < m_block:
             solve = _separable_solve if block.axis_factors is not None else _solve_fourth_order
             local_cache[key] = solve(block, m_block, tol)
         result = local_cache[key]

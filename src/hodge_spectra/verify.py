@@ -61,12 +61,14 @@ class ConvergenceStudy:
 
 def convergence_study(dim: int, extent: Sequence[float], kind: ProblemKind,
                       degree: int, resolutions: Sequence[int],
-                      tol: float = DEFAULT_TOL, m: int = 1,
+                      tol: float = DEFAULT_TOL,
                       cache: Optional[dict] = None) -> ConvergenceStudy:
-    """Solve the problem on successively refined grids and extrapolate.
+    """Solve the problem on successively refined grids for their first
+    eigenvalue and extrapolate.
 
     The observed order comes from the last three levels, which must share a
-    common refinement ratio in (cells + 1).
+    common refinement ratio in (cells + 1).  A level whose blocks `cache`
+    holds, solved for more values, is served from it.
     """
     res = tuple(int(r) for r in resolutions)
     if len(res) < 3:
@@ -77,10 +79,7 @@ def convergence_study(dim: int, extent: Sequence[float], kind: ProblemKind,
     values = []
     for r in res:
         domain = build_domain(dim, extent, [r] * dim)
-        problem = assemble(domain, degree, kind)
-        # only the first value is read, so a coarse level gives what it holds
-        held = problem.dof_count - sum(block.kernel_dim for block in problem.blocks)
-        spectrum = solve_problem(problem, m=min(m, held), tol=tol, cache=cache)
+        spectrum = solve_problem(assemble(domain, degree, kind), m=1, tol=tol, cache=cache)
         values.append(float(spectrum.values[0]))
     coarse, mid, fine = values[-3], values[-2], values[-1]
     rc, rm, rf = res[-3], res[-2], res[-1]
@@ -146,7 +145,8 @@ def box_battery(domain: BoxDomain, degrees: Sequence[int], m: int = 4,
                                   m=m, tol=tol, cache=cache))
     if with_error_estimates:
         for (kind_value, p) in list(spectra.spectra):
+            # the ladder's last level is this grid, served by the solves above
             study = convergence_study(domain.dim, domain.extent, ProblemKind(kind_value),
-                                      p, ladder, tol=tol, m=m, cache=cache)
+                                      p, ladder, tol=tol, cache=cache)
             spectra.error_estimates[(kind_value, p)] = study.error_estimate
     return spectra, check_inequalities(spectra)

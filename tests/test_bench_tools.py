@@ -94,6 +94,7 @@ def test_block_probe_reports_seconds_and_certificate(bench, tmp_path):
     assert run["exit_code"] == 0
     assert run["solve_s"] > 0 and run["wall_s"] > run["solve_s"] and run["import_s"] > 0
     assert run["peak_rss_mb"] > 0 and run["numpy"] and run["scipy"] == []
+    assert run["frozen"] is False
     assert run["worst_residual"] <= es.DEFAULT_TOL
     # the continuum clamped-plate value of the unit square is 1294.934
     assert run["first_value"] == pytest.approx(1294.934, rel=5e-2)
@@ -107,9 +108,21 @@ def test_import_probe_records_that_the_cli_loads_neither_numpy_nor_scipy(bench, 
     assert run["numpy"] is False and run["scipy"] == []
     # nor the ball spectra or the battery, which the commands load when they run
     assert run["bessel"] is False and run["checks"] is False and run["fractions"] is False
+    # the import never reaches cli.main(), which freezes the heap
+    assert run["frozen"] is False
     run = compare.run_once(ROOT / "src", ["ball", "--dim", "2", "--out", "report"], tmp_path)
     assert run["exit_code"] == 0 and run["numpy"] is False
     assert run["bessel"] is True and run["checks"] is True and run["fractions"] is True
+    assert run["frozen"] is True
+
+
+def test_command_probe_runs_the_process_entry_point(bench, tmp_path):
+    # cli.main()'s exit code reaches the record, a failed solve's 2 included
+    compare, _ = bench
+    run = compare.run_once(ROOT / "src", "box --dim 2 --extent 1,1 --cells 15,15 --problem "
+                           "buckling --degree 1 --tol 1e-30 --out report".split(), tmp_path)
+    assert run["exit_code"] == 2 and run["frozen"] is True
+    assert json.loads((tmp_path / "report").read_text())["meta"]["status"] == "error"
 
 
 def test_block_rows_name_their_cells_and_extents(bench):

@@ -1,5 +1,6 @@
 """CLI tests: flags, exit codes, report schema, determinism, round-trips."""
 
+import gc
 import json
 import math
 import os
@@ -15,7 +16,9 @@ import scipy
 import scipy.sparse.linalg as spla
 
 import hodge_spectra
+import hodge_spectra.eigensolve as es
 import hodge_spectra.verify as verify
+from hodge_spectra import ProblemKind
 from hodge_spectra.cli import _build_parser, run
 
 
@@ -280,6 +283,74 @@ def _child_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, HODGE_SPECTRA_THREADS="1",
                 PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+_ENTRY_POINT = [
+    (["box", "--dim", "2", "--extent", "1,1", "--cells", "15,15", "--problem", "buckling",
+      "--degree", "1", "--count", "3"], "box.json"),
+    (["verify", "--dim", "2", "--extent", "1,1", "--cells", "15,15", "--degrees", "0,1",
+      "--format", "csv"], "verify.csv"),
+    (["box", "--dim", "2", "--extent", "1,1", "--cells", "15,15", "--problem",
+      "clamped_plate", "--degree", "0"], "-"),
+    # a failed solve: exit 2 and the flagged partial report
+    (["box", "--dim", "1", "--extent", "1", "--cells", "31", "--problem", "clamped_plate",
+      "--degree", "0", "--tol", "1e-30"], "fail.json"),
+]
+
+
+@pytest.mark.parametrize("argv,out", _ENTRY_POINT,
+                         ids=["box", "verify-csv", "stdout", "exit-2"])
+def test_the_process_entry_point_writes_what_run_writes(tmp_path, capsys, argv, out):
+    # python -m hodge_spectra runs main(), which adds the collector policy to run()
+    path = "-" if out == "-" else str(tmp_path / out)
+    env = dict(os.environ, PYTHONPATH=_child_env()["PYTHONPATH"])
+    proc = subprocess.run([sys.executable, "-m", "hodge_spectra", *argv, "--out", path],
+                          env=env, capture_output=True, timeout=300)
+    child = proc.stdout if out == "-" else Path(path).read_bytes()
+    code = run(argv + ["--out", path])
+    captured = capsys.readouterr()
+    assert proc.returncode == code
+    assert proc.stderr.decode() == captured.err
+    assert child == (captured.out.encode() if out == "-" else Path(path).read_bytes())
+    if code == 2:
+        report = json.loads(child)
+        assert report["meta"]["status"] == "error" and report["spectra"]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_collector_as_it_finds_it(capsys, enabled):
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(["box", "--dim", "2", "--extent", "1,1", "--cells", "7,7", "--problem",
+                    "buckling", "--degree", "0"]) == 0
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_a_ladder_level_is_served_by_a_solve_for_more_values(monkeypatch, kind):
+    # verify --error-estimates solves each block of the grid for --count
+    # values, and its ladder then asks the same grid for one: the cached
+    # solve serves it, first pair and all
+    problem = verify.assemble(verify.build_domain(2, (1.0, 1.0), (15, 15)), 1, kind)
+    cache: dict = {}
+    four = es.solve_problem(problem, m=4, cache=cache)
+    solves = []
+    for name in ("_separable_solve", "_solve_fourth_order"):
+        monkeypatch.setattr(es, name, lambda *args: solves.append(args))
+    one = es.solve_problem(problem, m=1, cache=cache)
+    assert solves == []
+    assert one.values.tobytes() == four.values[:1].tobytes()
+    assert one.residuals.tobytes() == four.residuals[:1].tobytes()
+    assert one.error_bounds.tobytes() == four.error_bounds[:1].tobytes()
+    assert one.vectors.tobytes() == four.vectors[:, :1].tobytes()
+    # a cached solve for fewer values does not serve a request for more
+    monkeypatch.undo()
+    assert es.solve_problem(problem, m=6, cache=cache).values.size == 6
 
 
 def test_module_invocation_honors_thread_cap(tmp_path):
