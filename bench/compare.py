@@ -91,6 +91,11 @@ BLOCKS = (
     ((3, 3, 26), (1, 1, 8), "buckling", 0, 32),
     ((5, 100), (1, 20), "clamped_plate", 0, 4),
     ((15, 15, 3), (1, 1, 0.05), "buckling", 0, 4),
+    # dense classes of both kinds (196 and 216 dof): each class is one eigh
+    # of B^-1/2 A B^-1/2
+    ((27, 27), (1, 1), "clamped_plate", 0, 4),
+    ((27, 27), (1, 1), "buckling", 0, 4),
+    ((11, 11, 11), (1, 1, 1), "buckling", 1, 4),
     # general route (solve_pencil), which assembles block.a and block.b: a 1D
     # block, and a 2D one asked for more than STRUCTURED_MAX_M values
     ((1023,), (1,), "buckling", 0, 4),

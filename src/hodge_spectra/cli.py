@@ -1,12 +1,12 @@
 """Command-line front end: configure domains and problems, run solves and
 verification batteries, and emit machine-readable reports.
 
-Exit codes: 0 success, 1 usage error (including an --out whose directory
-does not exist, found before any solve), 2 numerical failure (a partial
-report is still written, flagged in its meta block) or a report that cannot
-be written at the end.  JSON is the primary format; CSV flattens the check
-table.  Identical configurations produce byte-identical reports; numbers are
-serialized in shortest round-trip decimal form.
+Exit codes: 0 success, 1 usage error (including an --out that is a directory
+or whose directory does not exist, found before any solve), 2 numerical
+failure (a partial report is still written, flagged in its meta block) or a
+report that cannot be written at the end.  JSON is the primary format; CSV
+flattens the check table.  Identical configurations produce byte-identical
+reports; numbers are serialized in shortest round-trip decimal form.
 
 `main`, the process entry point, runs a command with the cyclic garbage
 collector disabled and freezes the heap before the interpreter exits;
@@ -157,6 +157,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     # before any solve: a report that has nowhere to go is a usage error
     if cfg.out != "-" and not os.path.isdir(os.path.dirname(cfg.out) or "."):
         raise UsageError(f"--out {cfg.out!r}: its directory does not exist")
+    if cfg.out != "-" and os.path.isdir(cfg.out):
+        raise UsageError(f"--out {cfg.out!r} is a directory")
     return cfg
 
 

@@ -23,15 +23,15 @@ per-axis contractions with the T_k, clamped plate's B = vol I as a
 scalar.  A and B commute with the reflection of each axis, so the block
 splits into 2^n reflection classes, each again a per-axis pencil of about
 N / 2^n dof (Bossavit, Comput. Methods Appl. Mech. Eng. 56, 1986).  A
-class of at most DENSE_CUTOFF dof is formed by the contractions applied to
-the identity and solved once, completely, by `_dense_solve` (Golub & Van
-Loan, Matrix Computations, sec. 8.7).  A larger class is solved by LOBPCG
+class of at most DENSE_CUTOFF dof is reduced to B^-1/2 A B^-1/2 by the
+contractions applied to the identity and solved once, completely, by
+eigh; `_b_solver` applies B^-1/2, and B^-1 for the error bounds, buckling's
+like Q^-1.  A larger class is solved by LOBPCG
 (Knyazev, SIAM J. Sci. Comput. 23, 2001): A lies between the Kronecker
 sum Q of the per-axis q_k = vol T_k^2 + diag(d_k) and n Q, and between P
 / n and P, P = (sum_k q_k^1/2)^2, for every h; P^-1, applied exactly by
 per-axis eigendecompositions, preconditions it, and each class is
-started from its own lowest Q modes, so none is left out.
-Buckling's B is inverted like Q for the error bounds.  Nothing is
+started from its own lowest Q modes, so none is left out.  Nothing is
 assembled or factorized.  The classes' counts are grown until none can
 hide an eigenvalue below the m-th; a class with no share of Q's m lowest
 values is solved only if its per-axis lower bound does not prove it empty
@@ -45,14 +45,16 @@ General (`solve_pencil`: 1D fourth-order blocks, and 2D ones asked for
 more than STRUCTURED_MAX_M values, whose largest class has more than
 DENSE_CUTOFF dof; a class solve that fails its certificate; and any
 assembled pencil, a fourth-order block's assembled from the same T_k and
-d_k).  At most DENSE_CUTOFF dof are reduced by `_dense_solve`; larger
-pencils use shift-invert Lanczos around a factorized (A - sigma B).  Only
-this route imports scipy (scipy.sparse and scipy.sparse.linalg),
-when it runs.  DENSE_CUTOFF (dense against LOBPCG, on a block's largest
-class) is the threshold of least summed time over the blocks
-`bench/crossover.py` sweeps (BENCH_dense_cutoff.json), which also times
-the LOBPCG classes against shift-invert Lanczos on 2D blocks.  This
-route's dense switch shares the value without a measurement of its own.
+d_k).  At most DENSE_CUTOFF dof are solved by scipy.linalg's dense
+generalized eigh; larger pencils use shift-invert Lanczos around a
+factorized (A - sigma B).  Only this route imports scipy, when it runs:
+scipy.sparse, scipy.linalg for the dense solve, and scipy.sparse.linalg
+for shift-invert and a non-diagonal B's factorization.  DENSE_CUTOFF
+(dense against LOBPCG, on a block's largest class) is the threshold of
+least summed time over the blocks `bench/crossover.py` sweeps
+(BENCH_dense_cutoff.json), which also times the LOBPCG classes against
+shift-invert Lanczos on 2D blocks.  This route's dense switch shares the
+value without a measurement of its own.
 
 Every pair is certified once, straight from the eigensolver, with r =
 Ax - theta Bx.  Its normwise backward error ||r|| / ((||A||_1 + |theta|
@@ -66,9 +68,9 @@ the eigenvalue in floating point.  A structured residual is formed from
 the per-axis factors, and its rounding bound also covers the entry
 rounding of the assembled A and B (`_gram_residual`), so the bound holds
 for the pencil the general route solves.  It is free when B is diagonal;
-otherwise B^-1 comes from its per-axis factors (reflection classes) or
-one factorization per block (general route).  Separable pairs bound both
-from their 1D pencils instead.
+otherwise B^-1 comes from its per-axis factors (reflection classes,
+`_b_solver`) or one factorization per block (general route).  Separable
+pairs bound both from their 1D pencils instead.
 
 A run with identical inputs and configuration is bitwise reproducible
 (start vectors fixed by the block, deterministic merge order).
@@ -256,15 +258,14 @@ def _residuals(a, b, values, vectors) -> tuple[np.ndarray, np.ndarray]:
     return _bounds(values, vectors, r, bx, rounding, _norm1(a), _norm1(b), b_solve)
 
 
-def _certified(values, vectors, certificates, tol: float, kind=None, degree=None,
-               kernel_dim: int = 0) -> Spectrum:
+def _certified(values, vectors, certificates, tol: float, kernel_dim: int = 0) -> Spectrum:
     """The pairs as a Spectrum, given their (backward errors, error bounds);
     NumericalFailure carries it when a backward error exceeds tol."""
     residuals, error_bounds = certificates
     failed = not np.all(residuals <= tol)   # a NaN fails too
     try:
         spectrum = Spectrum(
-            kind=kind, degree=degree, values=values, residuals=residuals,
+            kind=None, degree=None, values=values, residuals=residuals,
             error_bounds=error_bounds, vectors=vectors, deflated_kernel_dim=kernel_dim,
         )
     except ValueError:
@@ -277,26 +278,6 @@ def _certified(values, vectors, certificates, tol: float, kind=None, degree=None
             partial=spectrum,
         )
     return spectrum
-
-
-def _dense_solve(a: np.ndarray, b, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m smallest eigenpairs of the dense pencil (a, b), by numpy alone; b is a
-    matrix, or a positive scalar standing for b I.
-
-    The Cholesky factor L of b reduces the pencil to the standard problem
-    L^-1 a L^-T y = theta y, and x = L^-T y (as LAPACK's sygv does).  A
-    scalar b needs no factor: theta = eig(a) / b and x = b^-1/2 y.
-    """
-    try:
-        if np.ndim(b) == 0:
-            values, vectors = np.linalg.eigh((a + a.T) / 2)
-            return values[:m] / b, vectors[:, :m] / math.sqrt(b)
-        inverse = np.linalg.inv(np.linalg.cholesky(b))
-        reduced = inverse @ a @ inverse.T
-        values, vectors = np.linalg.eigh((reduced + reduced.T) / 2)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationFailure(f"dense reduction failed: {exc}") from exc
-    return values[:m], inverse.T @ vectors[:, :m]
 
 
 def _sparse_solve(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -325,8 +306,7 @@ def _sparse_solve(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
     return values[order], vectors[:, order]
 
 
-def solve_pencil(a, b, m: int, tol: float = DEFAULT_TOL,
-                 kind: Optional[str] = None, degree: Optional[int] = None) -> Spectrum:
+def solve_pencil(a, b, m: int, tol: float = DEFAULT_TOL) -> Spectrum:
     """m smallest eigenpairs of A x = theta B x, A symmetric, B SPD."""
     a = _as_csr(a)
     b = _as_csr(b)
@@ -339,11 +319,15 @@ def solve_pencil(a, b, m: int, tol: float = DEFAULT_TOL,
     _check_symmetry(a, "A")
     _check_symmetry(b, "B")
     if n <= DENSE_CUTOFF or m >= n - 1:
-        values, vectors = _dense_solve(a.toarray(), b.toarray(), m)
+        import scipy.linalg as sla
+
+        try:
+            values, vectors = sla.eigh(a.toarray(), b.toarray(), subset_by_index=[0, m - 1])
+        except sla.LinAlgError as exc:
+            raise FactorizationFailure(f"dense reduction failed: {exc}") from exc
     else:
         values, vectors = _sparse_solve(a, b, m)
-    return _certified(values, vectors, _residuals(a, b, values, vectors), tol,
-                      kind=kind, degree=degree)
+    return _certified(values, vectors, _residuals(a, b, values, vectors), tol)
 
 
 def _smallest_sums(pairs, count: int, skip_first: bool = False, multiplet_limit: int = 0):
@@ -389,7 +373,7 @@ def _along_axes(mats, x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return out.reshape((math.prod(shape),) + x.shape[1:])
 
 
-def _kron_sum_solver(pairs, power: int = 1):
+def _kron_sum_solver(pairs, power: float = 1):
     """x -> (sum_k I x M_k x I)^-power x on a block of vectors, from the eigenpairs of each M_k.
 
     The inverse is U diag(1 / sums^power) U^T with U the Kronecker product of
@@ -622,17 +606,31 @@ def _gram_residual(pencil: _AxisPencil, values,
     return r, bx, rounding
 
 
+def _b_solver(pencil: _AxisPencil, power: float = 1):
+    """x -> B^-power x on a block of vectors of a fourth-order pencil: a division for
+    B = vol I, `_kron_sum_solver` over the eigenpairs of each vol T_k for B = vol sum_k T_k."""
+    if pencil.b_is_mass:
+        divisor = pencil.volume ** power
+        return lambda x: x / divisor
+    return _kron_sum_solver(_eighs([pencil.volume * second for second, _ in pencil.terms]),
+                            power)
+
+
 def _gram_certificate(pencil: _AxisPencil, values, vectors: np.ndarray,
                       norms: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Backward errors and error bounds (`_bounds`) of pairs of a fourth-order block, from
-    `_gram_residual` and the norms of `_gram_norms`; buckling's B^-1 is applied like Q^-1."""
-    volume = pencil.volume
-    if pencil.b_is_mass:
-        def b_solve(v):
-            return v / volume
-    else:
-        b_solve = _kron_sum_solver(_eighs([volume * second for second, _ in pencil.terms]))
-    return _bounds(values, vectors, *_gram_residual(pencil, values, vectors), *norms, b_solve)
+    `_gram_residual`, the norms of `_gram_norms` and `_b_solver`'s B^-1."""
+    return _bounds(values, vectors, *_gram_residual(pencil, values, vectors), *norms,
+                   _b_solver(pencil))
+
+
+def _dense_class(pencil: _AxisPencil) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs of a reflection class: eigh of B^-1/2 A B^-1/2, by `_gram_products` and
+    `_b_solver` on the identity, and x = B^-1/2 y (Golub & Van Loan, Matrix Computations, 8.7)."""
+    half = _b_solver(pencil, 0.5)
+    reduced = half(_gram_products(pencil, half(np.eye(pencil.size)))[0])
+    values, vectors = np.linalg.eigh((reduced + reduced.T) / 2)
+    return values, half(vectors)
 
 
 def _b_orthonormalize(vs: tuple) -> tuple:
@@ -938,18 +936,17 @@ def _class_floor(whole: _AxisPencil, pencil: _AxisPencil, q_pairs) -> float:
 def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     """m smallest eigenpairs of a fourth-order block, by reflection class.
 
-    A and B are applied from the block's per-axis factors (`_gram_products`).
-    The block splits into 2^n reflection classes (`_reflection_classes`),
-    each a per-axis pencil of about N / 2^n dof.  A class of at most
-    DENSE_CUTOFF dof is formed by `_gram_products` on the identity and
-    solved once, completely, by `_dense_solve` (clamped plate's B = vol I
-    as the scalar vol); each later count re-slices its pairs.  A larger
-    class is solved by LOBPCG, preconditioned by its P^-1, applied exactly
-    from the eigenpairs of its q_k (P / n <= A <= P makes the iteration
-    count independent of h; `_axis_bounds`), and started from the
-    START_SPAN (count + GUARD) lowest eigenvectors of its Q, whole
-    multiplets, which A ranks by Rayleigh-Ritz.  An iteration never leaves
-    the classes its start holds.
+    A and B are applied from the block's per-axis factors
+    (`_gram_products`).  The block splits into 2^n reflection classes
+    (`_reflection_classes`), each a per-axis pencil of about N / 2^n dof.  A
+    class of at most DENSE_CUTOFF dof is solved once, completely, by
+    `_dense_class`; each later count re-slices its pairs.  A larger class is
+    solved by LOBPCG, preconditioned by its P^-1, applied exactly from the
+    eigenpairs of its q_k (P / n <= A <= P makes the iteration count
+    independent of h; `_axis_bounds`), and started from the START_SPAN
+    (count + GUARD) lowest eigenvectors of its Q, whole multiplets, which A
+    ranks by Rayleigh-Ritz.  An iteration never leaves the classes its start
+    holds.
 
     Each orbit of classes under permutations of interchangeable axes
     (`_class_orbits`) is solved once, by its representative, asked first
@@ -986,9 +983,7 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
 
     @functools.cache
     def dense(i: int) -> tuple[np.ndarray, np.ndarray]:
-        pencil = classes[i][0]
-        a, b = _gram_products(pencil, np.eye(pencil.size))
-        return _dense_solve(a, pencil.volume if pencil.b_is_mass else b, pencil.size)
+        return _dense_class(classes[i][0])
 
     # the count each orbit's representative is solved for, once it is solved
     counts: dict = {}

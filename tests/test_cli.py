@@ -179,6 +179,10 @@ def test_usage_errors_exit_one(tmp_path, capsys, monkeypatch):
     assert run(["box", "--dim", "2", "--extent", "1,1", "--cells", "5,5",
                 "--problem", "clamped_plate", "--degree", "0",
                 "--out", str(tmp_path / "missing" / "box.json")]) == 1
+    # and so does one that names an existing directory
+    for out in (str(tmp_path), str(tmp_path) + os.sep):
+        assert run(["box", "--dim", "2", "--extent", "1,1", "--cells", "5,5",
+                    "--problem", "clamped_plate", "--degree", "0", "--out", out]) == 1, out
     for gamma in ("1e160", "1e200", "1e-200"):
         assert run(["constants", "--dim", "3", "--degree", "1", "--gamma", gamma]) == 1, gamma
         assert run(["verify", "--dim", "2", "--extent", "1,1", "--cells", "5,5",

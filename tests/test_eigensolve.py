@@ -99,11 +99,12 @@ def test_sparse_path_matches_dense_path(monkeypatch):
 
 def test_large_block_does_not_use_dense_eigh(monkeypatch):
     # a 63^2 clamped block (3969 dof) is far above the measured dense
-    # crossover
+    # crossover: neither its classes nor the block go to a dense eigh
     def no_dense(*args, **kwargs):
         raise AssertionError("dense solve called on a 3969-dof block")
 
-    monkeypatch.setattr(es, "_dense_solve", no_dense)
+    monkeypatch.setattr(es, "_dense_class", no_dense)
+    monkeypatch.setattr(sla, "eigh", no_dense)
     prob = assemble(build_domain(2, [1.0, 1.0], [63, 63]), 0, ProblemKind.CLAMPED_PLATE)
     spec = solve_problem(prob, m=2)
     assert np.all(spec.residuals <= es.DEFAULT_TOL)
@@ -678,6 +679,10 @@ def test_structured_path_is_bitwise_repeatable_and_degree_independent(no_general
     pytest.param(ProblemKind.BUCKLING, [1.0, 1.0], [20, 20], 300, id="buckling-20x20-m300"),
     pytest.param(ProblemKind.CLAMPED_PLATE, [1.0, 1.0, 1.0], [7, 7, 7], 343,
                  id="clamped_plate-7x7x7-every-value"),
+    # buckling classes of exactly DENSE_CUTOFF dof, reduced by the per-axis B^-1/2
+    pytest.param(ProblemKind.BUCKLING, [1.0], [431], 6, id="buckling-431-at-cutoff"),
+    pytest.param(ProblemKind.BUCKLING, [1.0, 1.0, 1.0], [11, 11, 11], 6,
+                 id="buckling-11x11x11-at-cutoff"),
 ])
 def test_dense_path_matches_the_assembled_pencil(kind, extent, cells, m, monkeypatch,
                                                  no_general_solver):
