@@ -23,13 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from . import ProblemKind
 
 if TYPE_CHECKING:
     from .bessel import BallSpectrum
     from .eigensolve import Spectrum
+    from .separable import SeparableSpectrum
 
 __all__ = [
     "ProblemKind",
@@ -222,14 +223,16 @@ class _Quantity:
 
 @dataclass
 class SpectrumSet:
-    """Labeled spectra feeding the inequality battery."""
+    """Labeled spectra feeding the inequality battery: a second-order one as
+    `separable` returns it, a fourth-order one as `eigensolve` does."""
 
     dim: int
-    spectra: dict[tuple[str, int], Spectrum] = field(default_factory=dict)
+    spectra: dict[tuple[str, int], Union[SeparableSpectrum, Spectrum]] = field(
+        default_factory=dict)
     ball: Optional[BallSpectrum] = None
     error_estimates: dict[tuple[str, int], float] = field(default_factory=dict)
 
-    def add(self, spectrum: Spectrum) -> None:
+    def add(self, spectrum: Union[SeparableSpectrum, Spectrum]) -> None:
         if spectrum.kind is None or spectrum.degree is None:
             raise ValueError("spectrum must carry kind and degree labels")
         key = (str(spectrum.kind), int(spectrum.degree))
@@ -242,7 +245,7 @@ class SpectrumSet:
 
     def quantity(self, kind: str, degree: int, index: int = 0) -> Optional[_Quantity]:
         spec = self.spectra.get((kind, degree))
-        if spec is None or index >= spec.values.size:
+        if spec is None or index >= len(spec.values):
             return None
         tol = float(spec.error_bounds[index]) + self.error_estimates.get((kind, degree), 0.0)
         return _Quantity(spec.values[index], tol)

@@ -392,10 +392,12 @@ def run(argv: Sequence[str]) -> int:
     except NumericalFailure as exc:
         report["meta"]["status"] = "error"
         report["meta"]["error"] = str(exc)
-        # a Spectrum exists only once eigensolve has loaded, which ball and constants never do
-        eigensolve = sys.modules.get(f"{__package__}.eigensolve")
-        if eigensolve is not None and isinstance(exc.partial, eigensolve.Spectrum):
-            report["spectra"].append(_spectrum_entry(exc.partial))
+        # a spectrum exists only once a solver module has loaded, which ball and
+        # constants never do
+        for module, name in (("eigensolve", "Spectrum"), ("separable", "SeparableSpectrum")):
+            loaded = sys.modules.get(f"{__package__}.{module}")
+            if loaded is not None and isinstance(exc.partial, getattr(loaded, name)):
+                report["spectra"].append(_spectrum_entry(exc.partial))
         try:
             emit_report(report, cfg.fmt, cfg.out)
         except OSError as io_exc:

@@ -10,14 +10,17 @@ value eliminates its boundary nodes, a face whose condition fixes the
 normal derivative keeps them and closes the stencil by ghost reflection
 (ghost value = mirror interior value, the centered derivative = 0 rule).
 
-`assemble` keeps every block as its dense per-axis factors and its grid,
-with numpy alone, and the separable, dense and structured solvers work
-from those.  A fourth-order block's operator is defined once, per axis:
-a = vol (sum_k T_k)^2 + D, T_k the 1D second differences and D the
-diagonal of face terms, which is the Gram form of the evaluation-grid
-Laplacian (see `ComponentBlock.axis_terms`).  A block's sparse matrices
-are assembled from the same factors on first access, and scipy.sparse is
-imported only then.
+`assemble` keeps every block as its grid and its per-axis face
+conditions, in plain Python; this module imports numpy only when a block's
+dense per-axis factors are first read, so the separable route, which
+works from the grid and the conditions alone, runs without it.  A
+second-order block's 1D pencils (S_k, w_k) are built on first access
+(`ComponentBlock.axis_factors`).  A fourth-order block's operator is
+defined once, per axis: a = vol (sum_k T_k)^2 + D, T_k the 1D second
+differences and D the diagonal of face terms, which is the Gram form of
+the evaluation-grid Laplacian (see `ComponentBlock.axis_terms`).  A
+block's sparse matrices are assembled from the same factors on first
+access, and scipy.sparse is imported only then.
 """
 
 from __future__ import annotations
@@ -29,11 +32,10 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import ProblemKind
 
 if TYPE_CHECKING:
+    import numpy as np
     import scipy.sparse as sp
 
 __all__ = [
@@ -93,11 +95,11 @@ class BoxDomain:
 
     @property
     def interior_count(self) -> int:
-        return int(np.prod(self.cells))
+        return math.prod(self.cells)
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return math.prod(self.spacing)
 
 
 def build_domain(dim: int, extent: Sequence[float], cells: Sequence[int]) -> BoxDomain:
@@ -166,6 +168,8 @@ def _axis_stiffness(cells: int, h: float, cond: FaceCondition) -> tuple[np.ndarr
     DERIVATIVE faces keep them, with half mass weight and corner entries
     from the ghost reflection so that S stays symmetric.
     """
+    import numpy as np
+
     if cond is FaceCondition.VALUE:
         m = cells
         main = np.full(m, 2.0 / h)
@@ -203,6 +207,8 @@ def _kron_sum(mats: Sequence, others: Sequence[sp.spmatrix]) -> sp.csr_matrix:
 
 def _second_difference(cells: int, h: float) -> np.ndarray:
     """1D Dirichlet second difference T = tridiag(-1, 2, -1) / h^2, dense."""
+    import numpy as np
+
     off = np.full(cells - 1, -1.0 / h ** 2)
     return np.diag(np.full(cells, 2.0 / h ** 2)) + np.diag(off, -1) + np.diag(off, 1)
 
@@ -210,6 +216,7 @@ def _second_difference(cells: int, h: float) -> np.ndarray:
 def _laplacian(block: ComponentBlock) -> sp.csr_matrix:
     """K = sum_k I x T_k x I of a fourth-order block, assembled from the three
     diagonals of each T_k (a dense T_k would be scanned whole)."""
+    import numpy as np
     import scipy.sparse as sp
 
     return _kron_sum([sp.diags([np.diag(second, j) for j in (-1, 0, 1)], [-1, 0, 1])
@@ -221,13 +228,15 @@ def _laplacian(block: ComponentBlock) -> sp.csr_matrix:
 class ComponentBlock:
     """One scalar diagonal block of an assembled p-form problem.
 
-    A block keeps its per-axis factors and its grid, from which the
-    separable, dense and structured solves work.  A fourth-order block is
-    its grid and the kind of its b: a = vol K^2 + D, with K = sum_k I x
-    T_k x I and D = sum_k I x diag(d_k) x I from its `axis_terms`, against
-    b = vol I (clamped plate) or vol K (buckling).  Its sparse pencil (`a`,
-    `b`) is built on first access, since only the general solver and the
-    tests read it; it is exactly symmetric as built from symmetric factors.
+    A block is its grid and the face conditions of its axes, in its
+    signature.  A second-order block is the Kronecker sum of its axes' 1D
+    pencils (`axis_factors`).  A fourth-order block is its grid and the
+    kind of its b: a = vol K^2 + D, with K = sum_k I x T_k x I (`laplacian`)
+    and D = sum_k I x diag(d_k) x I from its `axis_terms`, against b = vol
+    I (clamped plate) or vol K (buckling).  The dense per-axis factors are
+    built on first access, with numpy, and the sparse pencil (`a`, `b`)
+    too, since only the general solver and the tests read it; it is
+    exactly symmetric as built from symmetric factors.
     """
 
     component: ComponentIndex
@@ -235,14 +244,26 @@ class ComponentBlock:
     size: int
     signature: tuple
     domain: BoxDomain
-    # second order: per-axis dense 1D pencils (S_k, w_k) whose Kronecker sum is (a, b)
-    axis_factors: Optional[tuple[tuple[np.ndarray, np.ndarray], ...]] = None
     kernel_dim: int = 0                         # dimension of the kernel of a
+
+    @property
+    def conditions(self) -> tuple[FaceCondition, ...]:
+        """The condition on the faces of each axis (`component_conditions`)."""
+        return self.signature[3]
 
     @property
     def b_is_mass(self) -> bool:
         """Whether b is a mass matrix: vol I for clamped plate, not buckling's vol K."""
         return self.signature[1] == "mass"
+
+    @functools.cached_property
+    def axis_factors(self) -> Optional[tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        """Per axis k of a second-order block, its dense 1D pencil (S_k, w_k), whose
+        Kronecker sum is (a, b) (`_second_order_block`); None for a fourth-order one."""
+        if self.signature[0] != "laplacian":
+            return None
+        return tuple(_axis_stiffness(c, h, cond) for c, h, cond in
+                     zip(self.domain.cells, self.domain.spacing, self.conditions))
 
     @functools.cached_property
     def axis_terms(self) -> Optional[tuple[tuple[np.ndarray, np.ndarray], ...]]:
@@ -257,8 +278,10 @@ class ComponentBlock:
         Laplacian L, and a the whole form (a node on two faces or more has
         a zero Laplacian, and no row).
         """
-        if self.axis_factors is not None:
+        if self.signature[0] == "laplacian":
             return None
+        import numpy as np
+
         half = self.domain.cell_volume / 2.0
         terms = []
         for c, h in zip(self.domain.cells, self.domain.spacing):
@@ -269,11 +292,17 @@ class ComponentBlock:
         return tuple(terms)
 
     @functools.cached_property
+    def laplacian(self) -> sp.csr_matrix:
+        """K = sum_k I x T_k x I of a fourth-order block, built once for both `a`
+        and buckling's `b`."""
+        return _laplacian(self)
+
+    @functools.cached_property
     def a(self) -> sp.csr_matrix:
         import scipy.sparse as sp
 
         if self.axis_factors is None:
-            laplacian = _laplacian(self)
+            laplacian = self.laplacian
             a = (self.domain.cell_volume * laplacian) @ laplacian
             # a node's face terms follow its interior sum one by one, in axis
             # order, as the face rows of L follow its interior rows
@@ -298,7 +327,7 @@ class ComponentBlock:
         volume = self.domain.cell_volume
         if self.b_is_mass:
             return (sp.identity(self.size, format="csr") * volume).tocsr()
-        return _laplacian(self) * volume
+        return self.laplacian * volume
 
 
 @dataclass(frozen=True)
@@ -351,16 +380,16 @@ def _second_order_block(domain: BoxDomain, conds: tuple[FaceCondition, ...]) -> 
     """Componentwise Laplacian with per-axis conditions, as a Kronecker sum.
 
     K = sum_k W_1 x ... x S_k x ... x W_n against M = W_1 x ... x W_n, where
-    (S_k, w_k) is axis k's 1D pencil and W_k = diag(w_k).  The only kernel
-    is the constant, present when every axis keeps its boundary nodes.
+    (S_k, w_k) is axis k's 1D pencil (`_axis_stiffness`, built on first
+    access) and W_k = diag(w_k): c_k nodes on an axis with value faces,
+    c_k + 2 with derivative faces.  The only kernel is the constant, present
+    when every axis keeps its boundary nodes.
     """
-    axes = tuple(_axis_stiffness(c, h, cond)
-                 for c, h, cond in zip(domain.cells, domain.spacing, conds))
     return {
-        "size": math.prod(w.size for _, w in axes),
+        "size": math.prod(c + 2 if cond is FaceCondition.DERIVATIVE else c
+                          for c, cond in zip(domain.cells, conds)),
         "signature": ("laplacian", "mass", domain.key, conds),
         "domain": domain,
-        "axis_factors": axes,
         "kernel_dim": int(all(c is FaceCondition.DERIVATIVE for c in conds)),
     }
 
@@ -372,7 +401,7 @@ def assemble(domain: BoxDomain, degree: int, kind: ProblemKind) -> FormProblem:
     Dirichlet Laplacian sum_k I x T_k x I.  Buckling: the same A against the
     stiffness vol K.  Dirichlet / absolute Laplacian: the stiffness against
     the (trapezoidal) mass, with per-component face conditions.
-    Only the per-axis factors are built here (see `ComponentBlock`).
+    Only the grid and the face conditions are kept here (see `ComponentBlock`).
     Components with the same per-axis conditions share a block signature,
     so `solve_problem` solves their block once.
     """

@@ -1,18 +1,12 @@
 """Symmetric generalized eigensolver for the assembled pencils.
 
 Solves A x = theta B x for the m smallest eigenvalues with certified
-pairs, by one of three routes.
-
-Separable (second order, numpy only).  Dirichlet and absolute Laplacian
-blocks are Kronecker sums of 1D pencils (S_k, W_k): each 1D pencil is
-diagonalized densely, the m smallest sums of 1D eigenvalues are the
-block's eigenvalues, and the Kronecker products of the 1D eigenvectors are
-its eigenvectors (Lynch, Rice & Thomas, Numer. Math. 6, 1964).  Every sum
-is taken, so no eigenvalue below the reported ones is missed, and the
-kernel (the constant mode, at absolute p = 0) is the known product of the
-1D kernel vectors, which is skipped rather than deflated.  The pairs are
-certified from the 1D pencils alone: the error bound is the sum of
-per-axis bounds plus rounding terms (`_separable_certificate`).
+pairs.  `solve_problem` takes Dirichlet and absolute Laplacian problems,
+whose blocks are Kronecker sums of 1D pencils, to `separable`, which
+solves and certifies them from closed-form 1D eigenpairs with the
+standard library alone, and forms their eigenvectors here, as Kronecker
+products of the 1D vectors (`_separable_vectors`).  A fourth-order block
+takes one of two routes.
 
 Reflection classes (fourth order, numpy only: 3D blocks at any m, 2D
 blocks asked for at most STRUCTURED_MAX_M values, and any block whose
@@ -69,8 +63,7 @@ the per-axis factors, and its rounding bound also covers the entry
 rounding of the assembled A and B (`_gram_residual`), so the bound holds
 for the pencil the general route solves.  It is free when B is diagonal;
 otherwise B^-1 comes from its per-axis factors (reflection classes,
-`_b_solver`) or one factorization per block (general route).  Separable
-pairs bound both from their 1D pencils instead.
+`_b_solver`) or one factorization per block (general route).
 
 A run with identical inputs and configuration is bitwise reproducible
 (start vectors fixed by the block, deterministic merge order).
@@ -86,9 +79,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import DEFAULT_TOL
+from . import DEFAULT_TOL, separable
 from .discretize import ComponentBlock, FormProblem
 from .errors import FactorizationFailure, NumericalFailure
+from .separable import MULTIPLICITY_GAP, _check_tol, _gamma, smallest_sums
 
 __all__ = [
     "Spectrum",
@@ -119,10 +113,7 @@ CLUSTER_GAP = 3e-2
 ROUNDING_TARGET = 4e-16
 STALL_ITERATIONS = 10
 LOBPCG_MAXITER = 200
-_UNIT_ROUNDOFF = 2.0 ** -53
 _SEED = 0x5EEDBA11
-# relative gap below which equal eigenvalues are labeled as one multiplet
-MULTIPLICITY_GAP = 1e-7
 
 
 @dataclass
@@ -186,19 +177,9 @@ def _check_symmetry(matrix, name: str) -> None:
             raise ValueError(f"{name} is not symmetric")
 
 
-def _check_tol(tol: float) -> None:
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-
-
 def _norm1(matrix) -> float:
     """||M||_1 of a sparse matrix: its largest absolute column sum."""
     return abs(matrix).sum(axis=0).max()
-
-
-def _gamma(k: int) -> float:
-    """gamma_k = k u / (1 - k u), u the unit roundoff."""
-    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
 def _residual_vectors(a, b, values, vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -330,36 +311,6 @@ def solve_pencil(a, b, m: int, tol: float = DEFAULT_TOL) -> Spectrum:
     return _certified(values, vectors, _residuals(a, b, values, vectors), tol)
 
 
-def _smallest_sums(pairs, count: int, skip_first: bool = False, multiplet_limit: int = 0):
-    """The `count` smallest sums of 1D eigenvalues, their Kronecker-product vectors and indices.
-
-    Ties are broken by stable argsort of the flat grid; vectors are in the
-    block's axis order (axis 1 slowest).  `skip_first` drops flat index 0,
-    the all-lowest multi-index.  With `multiplet_limit`, count grows, up to
-    that limit, until the next sum lies outside the last one's multiplet.
-    The grid holds each axis's first `cap` values only: the 1D values ascend,
-    so an index past the cap comes after at least cap others in (value, flat
-    index) order, and the order of the rest is unchanged.
-    """
-    cap = max(count, multiplet_limit + 1) + skip_first
-    grid = functools.reduce(np.add.outer, [values[:cap] for values, _ in pairs])   # in axis order
-    order = np.argsort(grid, axis=None, kind="stable")
-    if skip_first:
-        order = order[order != 0]
-    if multiplet_limit:
-        ranked = grid.ravel()[order[:multiplet_limit + 1]]
-        while (count < ranked.size - 1
-               and ranked[count] <= ranked[count - 1] * (1.0 + MULTIPLICITY_GAP)):
-            count += 1
-    chosen = order[:count]
-    multi = np.unravel_index(chosen, grid.shape)
-    vectors = np.empty((math.prod(v.shape[0] for _, v in pairs), chosen.size))
-    for col, indices in enumerate(zip(*multi)):
-        vectors[:, col] = functools.reduce(
-            np.kron, [axis_vectors[:, j] for (_, axis_vectors), j in zip(pairs, indices)])
-    return grid.ravel()[chosen], vectors, multi
-
-
 def _along_axes(mats, x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Apply mats[j] along axis j of every column of x (columns of length prod(shape));
     a None entry leaves its axis alone.  A c'_j x c_j matrix changes axis j's length
@@ -409,104 +360,26 @@ def _eighs(mats, pairs: Optional[dict] = None) -> list[tuple[np.ndarray, np.ndar
     return out
 
 
-def _axis_pairs(factors) -> list[tuple[np.ndarray, np.ndarray]]:
-    """All eigenpairs of each 1D pencil (S_k, W_k), from the symmetric
-    W_k^-1/2 S_k W_k^-1/2: its eigenvectors times W_k^-1/2 are W_k-orthonormal.
-    Where the rows of S_k sum to exactly 0 (derivative faces), the lowest pair is
-    exactly (0, 1 / sqrt(sum w_k)); eigh's value, of order u ||S_k||, would swamp
-    the other axes' values in the sums at small h_k."""
-    pairs = []
-    for stiff, weights in factors:
-        scale = 1.0 / np.sqrt(weights)
-        axis_values, axis_vectors = np.linalg.eigh(stiff * np.outer(scale, scale))
-        axis_vectors *= scale[:, None]
-        if not np.any(stiff.sum(axis=1)):
-            axis_values[0] = 0.0
-            axis_vectors[:, 0] = 1.0 / math.sqrt(weights.sum())
-        pairs.append((axis_values, axis_vectors))
-    return pairs
+def _kron_columns(size: int, column, multis) -> np.ndarray:
+    """Kronecker products of 1D vectors, one column of `size` per multi-index in
+    `multis`, the factor of axis k being column(k, multi[k]) (axis 1 slowest)."""
+    vectors = np.empty((size, len(multis)))
+    for col, multi in enumerate(multis):
+        vectors[:, col] = functools.reduce(np.kron, [column(k, j) for k, j in enumerate(multi)])
+    return vectors
 
 
-def _axis_certificate(stiff, weights, values, vectors) -> np.ndarray:
-    """Per-axis certificate pieces of the 1D pairs (lambda, v) of (S, W), one column each.
+def _separable_vectors(block: ComponentBlock, multis) -> np.ndarray:
+    """The eigenvectors of a second-order block that `separable` certified: Kronecker
+    products of its closed-form 1D vectors (`separable.axis_vector`), one column per
+    multi-index in `multis`."""
+    axes = separable.block_axes(block)
 
-    rho = S v - lambda W v is formed with |fl(rho) - rho| <= g = gamma_4
-    (|S||v| + |lambda| W|v|) (at most 3 nonzero terms, two products, one
-    subtraction; Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., sec. 3.5).  Rows: (||fl(rho)||_{W^-1} + ||g||_{W^-1}) / ||v||_W,
-    which bounds ||rho||_{W^-1} / ||v||_W; ||(|S||v|)||_{W^-1} / ||v||_W;
-    ||fl(rho)||_2 / ||Wv||_2; and ||Wv||_2 / ||v||_2.
-    """
-    w = weights[:, None]
-    wv = w * vectors
-    rho = stiff @ vectors - wv * values
-    abs_sv = np.abs(stiff) @ np.abs(vectors)
-    rounding = _gamma(4) * (abs_sv + w * np.abs(vectors) * np.abs(values))
-    rho_w, rounding_w, abs_sv_w = np.sqrt(np.sum(np.stack([rho, rounding, abs_sv]) ** 2 / w,
-                                                 axis=1))
-    norm_v = np.sqrt(np.sum(vectors * wv, axis=0))
-    norm_wv = np.linalg.norm(wv, axis=0)
-    return np.stack([(rho_w + rounding_w) / norm_v, abs_sv_w / norm_v,
-                     np.linalg.norm(rho, axis=0) / norm_wv,
-                     norm_wv / np.linalg.norm(vectors, axis=0)])
+    @functools.cache
+    def column(k: int, j: int) -> np.ndarray:
+        return np.array(separable.axis_vector(*axes[k], j))
 
-
-def _separable_norms(factors) -> tuple[float, float]:
-    """||A||_1 and ||B||_1 of the Kronecker-sum pencil: the largest entry of
-    |A| 1 = sum_k w_1 x ... x |S_k| 1 x ... x w_n (A is symmetric), and the
-    product of the largest weights, which rounds as B's largest entry does."""
-    weights = [w for _, w in factors]
-    row_sums = sum(functools.reduce(np.multiply.outer,
-                                    weights[:k] + [np.abs(stiff).sum(axis=1)] + weights[k + 1:])
-                   for k, (stiff, _) in enumerate(factors))
-    return row_sums.max(), math.prod(w.max() for w in weights)
-
-
-def _separable_certificate(factors, pairs, values, multi) -> tuple[np.ndarray, np.ndarray]:
-    """Backward errors and error bounds of the pairs (theta, x) of the Kronecker-sum
-    pencil (K, M) of 1D pencils (S_k, W_k), from the 1D pairs that `multi` indexes.
-
-    For x = v_1 x ... x v_n and theta = fl(sum_k lambda_k) in axis order,
-    Kx - theta Mx is the sum over k of rho_k (`_axis_certificate`) times
-    W_j v_j on the other axes, plus (sum_k lambda_k - theta) Mx.  The M^-1
-    norm of a Kronecker product is the product of the W_j^-1 norms, so the
-    error bound is at most the sum of the per-axis bounds plus gamma_{n-1}
-    sum_k |lambda_k|.  The assembled `block.a`, `block.b` round each entry of
-    K through at most 2n - 2 factors and of M through n - 1: that adds
-    gamma_{2n-2} (sum_k ||(|S_k||v_k|)||_{W_k^-1} / ||v_k||_{W_k} + |theta|)
-    and a factor (1 - gamma_{n-1})^-1.  The sum takes at most 2c + n + 19
-    roundings of nonnegative numbers (c the longest axis); one factor 1 +
-    gamma_{2c+2n+24} covers them, that factor and its own.  The backward
-    error bounds ||Kx - theta Mx||_2 by sum_k ||rho_k||_2 prod_{j != k}
-    ||W_j v_j||_2 + |sum_k lambda_k - theta| ||Mx||_2.
-    """
-    n = len(factors)
-    bound, assembly, rho, scale = np.stack(
-        [_axis_certificate(stiff, weights, *pair)[:, index]
-         for (stiff, weights), pair, index in zip(factors, pairs, multi)], axis=1)
-    theta_rounding = _gamma(n - 1) * np.sum(np.abs(np.stack(
-        [axis_values[index] for (axis_values, _), index in zip(pairs, multi)])), axis=0)
-    theta = np.abs(values)
-    norm_a, norm_b = _separable_norms(factors)
-    eta = ((np.sum(rho, axis=0) + theta_rounding) * np.prod(scale, axis=0)
-           / (norm_a + theta * norm_b))
-    delta = (np.sum(bound, axis=0) + theta_rounding
-             + _gamma(2 * n - 2) * (np.sum(assembly, axis=0) + theta))
-    return eta, delta * (1.0 + _gamma(2 * max(w.size for _, w in factors) + 2 * n + 24))
-
-
-def _separable_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
-    """m smallest eigenpairs of a Kronecker-sum block from its 1D pencils.
-
-    The block's eigenvalues are all sums lambda_{j_1} + ... + lambda_{j_n}
-    of 1D eigenvalues and its eigenvectors the matching Kronecker products;
-    with a kernel, the product of the 1D constants is skipped.
-    """
-    pairs = _axis_pairs(block.axis_factors)
-    values, vectors, multi = _smallest_sums(pairs, m, skip_first=bool(block.kernel_dim))
-    return _certified(values, vectors,
-                      _separable_certificate(block.axis_factors, pairs, values, multi),
-                      tol, kernel_dim=block.kernel_dim)
+    return _kron_columns(block.size, column, multis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -549,19 +422,26 @@ def _axis_sum(mats, x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return total
 
 
-def _gram_products(pencil: _AxisPencil, x: np.ndarray,
-                   magnitudes: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(A x, B x) of a fourth-order pencil on a block of vectors, by 2n per-axis contractions.
-
-    y = vol sum_k T_k x is buckling's B x, and A x = sum_k T_k y + D x;
-    clamped plate's B = vol I is applied as a scalar.  With `magnitudes`,
-    the same contractions with |T_k| give (|A| x, |B| x) of a whole block:
-    every entry of (sum_k T_k)^2 is a sum of products of one sign (the grid
-    graph has no triangles), so |A| = vol (sum_k |T_k|)^2 + D entrywise.
-    """
+def _a_products(pencil: _AxisPencil, x: np.ndarray,
+                magnitudes: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(A x, y) of a fourth-order pencil on a block of vectors, by 2n per-axis contractions:
+    y = vol sum_k T_k x, and A x = sum_k T_k y + D x (see `_gram_products`)."""
     seconds = [np.abs(second) if magnitudes else second for second, _ in pencil.terms]
     y = pencil.volume * _axis_sum(seconds, x, pencil.shape)
-    ax = _axis_sum(seconds, y, pencil.shape) + pencil.face_diagonal[:, None] * x
+    return _axis_sum(seconds, y, pencil.shape) + pencil.face_diagonal[:, None] * x, y
+
+
+def _gram_products(pencil: _AxisPencil, x: np.ndarray,
+                   magnitudes: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(A x, B x) of a fourth-order pencil on a block of vectors (`_a_products`).
+
+    y = vol sum_k T_k x is buckling's B x; clamped plate's B = vol I is
+    applied as a scalar.  With `magnitudes`, the same contractions with
+    |T_k| give (|A| x, |B| x) of a whole block: every entry of (sum_k
+    T_k)^2 is a sum of products of one sign (the grid graph has no
+    triangles), so |A| = vol (sum_k |T_k|)^2 + D entrywise.
+    """
+    ax, y = _a_products(pencil, x, magnitudes)
     return ax, (pencil.volume * x if pencil.b_is_mass else y)
 
 
@@ -625,10 +505,16 @@ def _gram_certificate(pencil: _AxisPencil, values, vectors: np.ndarray,
 
 
 def _dense_class(pencil: _AxisPencil) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs of a reflection class: eigh of B^-1/2 A B^-1/2, by `_gram_products` and
-    `_b_solver` on the identity, and x = B^-1/2 y (Golub & Van Loan, Matrix Computations, 8.7)."""
+    """All eigenpairs of a reflection class: eigh of B^-1/2 A B^-1/2, by `_a_products` and
+    `_b_solver` on the identity, and x = B^-1/2 y (Golub & Van Loan, Matrix Computations, 8.7).
+    For B = vol I that is eigh of A itself, its values divided by vol and its vectors by
+    vol^1/2."""
+    if pencil.b_is_mass:
+        a = _a_products(pencil, np.eye(pencil.size))[0]
+        values, vectors = np.linalg.eigh((a + a.T) / 2)
+        return values / pencil.volume, vectors / math.sqrt(pencil.volume)
     half = _b_solver(pencil, 0.5)
-    reduced = half(_gram_products(pencil, half(np.eye(pencil.size)))[0])
+    reduced = half(_a_products(pencil, half(np.eye(pencil.size)))[0])
     values, vectors = np.linalg.eigh((reduced + reduced.T) / 2)
     return values, half(vectors)
 
@@ -999,8 +885,11 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
                 if pencil.size <= DENSE_CUTOFF:
                     values, vectors = dense(i)
                 else:
-                    start = _smallest_sums(q_pairs[i], START_SPAN * (counts[i] + GUARD),
+                    multis = smallest_sums([values.tolist() for values, _ in q_pairs[i]],
+                                           START_SPAN * (counts[i] + GUARD),
                                            multiplet_limit=pencil.size // 2)[1]
+                    start = _kron_columns(pencil.size, lambda k, j: q_pairs[i][k][1][:, j],
+                                          multis)
                     values, vectors = _lobpcg(functools.partial(_gram_products, pencil), norms,
                                               _preconditioner(q_pairs[i]), start, counts[i])
                 solved[i] = (values[:counts[i]],
@@ -1055,56 +944,53 @@ def _solve_fourth_order(block: ComponentBlock, m: int, tol: float) -> Spectrum:
         return solve_pencil(block.a, block.b, m, tol)
 
 
+def _separable_block(block: ComponentBlock, m: int, tol: float):
+    """`separable.solve_block`; on failure its partial spectrum becomes a Spectrum,
+    vectors included."""
+    try:
+        return separable.solve_block(block, m, tol)
+    except NumericalFailure as exc:
+        partial = exc.partial
+        raise NumericalFailure(str(exc), partial=Spectrum(
+            kind=None, degree=None, values=partial.values, residuals=partial.residuals,
+            error_bounds=partial.error_bounds, vectors=_separable_vectors(block, partial.multi),
+            deflated_kernel_dim=partial.deflated_kernel_dim)) from exc
+
+
 def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,
                   cache: Optional[dict] = None) -> Spectrum:
-    """Solve an assembled FormProblem blockwise and merge the spectra.
+    """Solve an assembled FormProblem blockwise and merge the spectra
+    (`separable.merge_blocks`).
 
     Identical blocks are solved once and replicated, which keeps discrete
-    degree-independence and Hodge duality exact at the bit level.  Blocks
-    with 1D factors take the separable solve, fourth-order blocks the route
-    `_solve_fourth_order` picks.
+    degree-independence and Hodge duality exact at the bit level.
+    Second-order blocks are solved by `separable.solve_block` (a cached
+    solve is shared with `separable.solve_problem`), and their vectors formed
+    here; fourth-order blocks take the route `_solve_fourth_order` picks.
     A block's kernel (the constants at absolute p = 0) is left out, so the
     first reported eigenvalue is positive.  `cache` may be shared across
     problems on the same grid to reuse block solves: a block is served by
     a cached solve of the same block and tolerance for at least as many
     values, of which the merge reads the first ones.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    _check_tol(tol)
-    kernel_dim = sum(block.kernel_dim for block in problem.blocks)
-    available = problem.dof_count - kernel_dim
-    if m > available:
-        raise ValueError(
-            f"m={m} exceeds the {available} eigenvalues left of dof_count="
-            f"{problem.dof_count} after dropping {kernel_dim} kernel mode(s)")
-    local_cache: dict = cache if cache is not None else {}
-    merged: list[tuple[float, int, int]] = []
-    block_results: dict[int, Spectrum] = {}
-    for index, block in enumerate(problem.blocks):
-        m_block = min(m, block.size - block.kernel_dim)
-        key = (block.signature, tol)
-        # a cached solve for at least m_block values serves: only its first m_block are read
-        if key not in local_cache or local_cache[key].values.size < m_block:
-            solve = _separable_solve if block.axis_factors is not None else _solve_fourth_order
-            local_cache[key] = solve(block, m_block, tol)
-        result = local_cache[key]
-        block_results[index] = result
-        for j in range(m_block):
-            merged.append((float(result.values[j]), index, j))
-    merged.sort()
-    chosen = merged[:m]
+    second_order = not problem.kind.is_fourth_order
+    chosen, results = separable.merge_blocks(
+        problem, m, tol, cache, _separable_block if second_order else _solve_fourth_order)
+    block_vectors: dict = {}   # by signature, a block's vectors for the first m values
     vectors = np.zeros((problem.dof_count, len(chosen)))
     for col, (_, index, j) in enumerate(chosen):
         block = problem.blocks[index]
-        vectors[block.offset:block.offset + block.size, col] = \
-            block_results[index].vectors[:, j]
+        if block.signature not in block_vectors:
+            block_vectors[block.signature] = (
+                _separable_vectors(block, results[index].multi[:m]) if second_order
+                else results[index].vectors)
+        vectors[block.offset:block.offset + block.size, col] = block_vectors[block.signature][:, j]
     return Spectrum(
         kind=problem.kind.value,
         degree=problem.degree,
         values=np.array([value for value, _, _ in chosen]),
-        residuals=np.array([block_results[i].residuals[j] for _, i, j in chosen]),
-        error_bounds=np.array([block_results[i].error_bounds[j] for _, i, j in chosen]),
+        residuals=np.array([results[i].residuals[j] for _, i, j in chosen]),
+        error_bounds=np.array([results[i].error_bounds[j] for _, i, j in chosen]),
         vectors=vectors,
-        deflated_kernel_dim=kernel_dim,
+        deflated_kernel_dim=sum(block.kernel_dim for block in problem.blocks),
     )

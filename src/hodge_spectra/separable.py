@@ -1,0 +1,339 @@
+"""Second-order blocks solved from closed-form 1D eigenpairs, with the
+standard library alone.
+
+A Dirichlet or absolute Laplacian block is the Kronecker sum of the 1D
+pencils (S_k, W_k) that `discretize._axis_stiffness` assembles, whose
+eigenpairs are known in closed form (Lynch, Rice & Thomas, Numer. Math. 6,
+1964).  On an axis of c cells and spacing h, with N = c + 1, they are
+lambda_j = (4 / h^2) sin^2(j pi / (2N)), for j = 1..c with value faces and
+j = 0..N with derivative faces, and the vectors sin(j pi i / N) on the
+interior nodes i = 1..c (DST-I) and cos(j pi i / N) on the nodes i = 0..N
+(DCT-I), scaled to ||v||_{W_k} = 1.  Every 1D eigenvalue is known, so the
+count of block eigenvalues below any value is exact: the m smallest sums of
+1D values (`smallest_sums`) are the block's m smallest eigenvalues, none
+missed, and the constant kernel at absolute p = 0, the all-lowest
+multi-index, is skipped rather than deflated.
+
+The pairs are certified from the 1D pencils alone, with the same float
+entries `_axis_stiffness` assembles (`_axis_certificate`,
+`_certificates`), so the bounds hold for the Kronecker product of the float
+1D vectors against the assembled `block.a` and `block.b` too.  No vector of
+block size is formed here; `eigensolve.solve_problem` forms them with
+numpy, for the library's `Spectrum`.  `verify.solve_problem` sends
+second-order problems here, so `box` and `converge` on them load neither
+numpy nor `eigensolve`.  `merge_blocks`, the blockwise merge, serves both
+modules' `solve_problem`.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+import math
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+
+from . import DEFAULT_TOL
+from .discretize import FaceCondition
+from .errors import NumericalFailure
+
+if TYPE_CHECKING:
+    from .discretize import ComponentBlock, FormProblem
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+# relative gap below which equal eigenvalues are labeled as one multiplet
+MULTIPLICITY_GAP = 1e-7
+
+
+class SeparableSpectrum(NamedTuple):
+    """Sorted smallest eigenvalues of a second-order problem or block with their
+    certificates, as floats: `residuals` holds an upper bound on each pair's normwise
+    backward error, `error_bounds` an absolute bound on the distance from each value
+    to an eigenvalue.  A block's spectrum also holds, per value, the multi-index of
+    its 1D pairs (`multi`)."""
+
+    kind: Optional[str]
+    degree: Optional[int]
+    values: tuple[float, ...]
+    residuals: tuple[float, ...]
+    error_bounds: tuple[float, ...]
+    deflated_kernel_dim: int = 0
+    multi: tuple[tuple[int, ...], ...] = ()
+
+    @property
+    def label(self) -> str:
+        kind = self.kind or "pencil"
+        return f"{kind} p={self.degree}" if self.degree is not None else kind
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u the unit roundoff."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _check_tol(tol: float) -> None:
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
+def _sin_pi(num: int, den: int) -> float:
+    """sin(pi num / den) for integers num and den > 0, the angle reduced exactly to
+    [0, pi / 2] first, so that it carries one relative rounding at any num."""
+    num %= 2 * den
+    sign = 1.0
+    if num >= den:
+        num, sign = num - den, -1.0
+    if 2 * num > den:
+        num = den - num
+    return sign * math.sin(math.pi * num / den)
+
+
+def block_axes(block: ComponentBlock) -> list[tuple[int, float, bool]]:
+    """(cells, spacing, whether its faces fix the derivative) of each axis of a
+    second-order block."""
+    return [(c, h, cond is FaceCondition.DERIVATIVE)
+            for c, h, cond in zip(block.domain.cells, block.domain.spacing, block.conditions)]
+
+
+def _axis_pencil(cells: int, h: float, derivative: bool) -> tuple[list[float], float, list[float]]:
+    """The diagonal, off-diagonal and weights of an axis's 1D pencil, the float
+    entries of `discretize._axis_stiffness`."""
+    if derivative:
+        return ([1.0 / h] + [2.0 / h] * cells + [1.0 / h], -1.0 / h,
+                [h / 2.0] + [h] * cells + [h / 2.0])
+    return [2.0 / h] * cells, -1.0 / h, [h] * cells
+
+
+def axis_values(cells: int, h: float, derivative: bool, count: int) -> list[float]:
+    """The `count` smallest eigenvalues of an axis's 1D pencil (all, if it has fewer),
+    ascending; with derivative faces the first is exactly 0."""
+    size, first = (cells + 2, 0) if derivative else (cells, 1)
+    return [(2.0 * _sin_pi(j, 2 * cells + 2) / h) ** 2
+            for j in range(first, first + min(count, size))]
+
+
+def axis_vector(cells: int, h: float, derivative: bool, index: int) -> list[float]:
+    """The W-normalized eigenvector of the `index`-th smallest eigenvalue of an axis's
+    1D pencil (counted from 0)."""
+    n = cells + 1
+    if derivative:
+        # cos(j pi i / N) = sin(pi (N - 2 j i) / (2N)), j = index
+        scale = math.sqrt((1.0 if index in (0, n) else 2.0) / (h * n))
+        return [scale * _sin_pi(n - 2 * index * i, 2 * n) for i in range(n + 1)]
+    scale = math.sqrt(2.0 / (h * n))
+    return [scale * _sin_pi((index + 1) * i, n) for i in range(1, n)]
+
+
+def smallest_sums(values: list, count: int, skip_first: bool = False,
+                  multiplet_limit: int = 0) -> tuple[list[float], list[tuple[int, ...]]]:
+    """The `count` smallest sums of one value per axis, with their multi-indices.
+
+    `values` holds each axis's values in ascending order.  A sum is added in
+    axis order, so it equals the entry of the grid
+    functools.reduce(np.add.outer, values) bit for bit, and the sums come in
+    (value, flat index) order, axis 1 slowest, as a stable argsort of that
+    grid ranks them.  `skip_first` drops flat index 0, the all-lowest
+    multi-index.  With `multiplet_limit`, count grows, up to that limit,
+    until the next sum lies outside the last one's multiplet.
+
+    A heap holds the frontier: each multi-index is pushed by its one parent,
+    itself less its last nonzero axis by one, whose sum and flat index are no
+    larger (the values ascend, and rounding is monotone).  So every
+    multi-index pops after its parent and before any of larger (value, flat
+    index), and each is pushed once.
+    """
+    shape = [len(axis) for axis in values]
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+    limit = min(multiplet_limit, math.prod(shape) - skip_first - 1)
+
+    def entry(multi):
+        total_value = values[0][multi[0]]
+        for axis, index in zip(values[1:], multi[1:]):
+            total_value += axis[index]
+        return total_value, sum(s * i for s, i in zip(strides, multi)), multi
+
+    heap = [entry((0,) * len(shape))]
+    sums, multis = [], []
+    while heap:
+        value, flat, multi = heapq.heappop(heap)
+        last = max((k for k, index in enumerate(multi) if index), default=0)
+        for k in range(last, len(shape)):
+            if multi[k] + 1 < shape[k]:
+                heapq.heappush(heap, entry(multi[:k] + (multi[k] + 1,) + multi[k + 1:]))
+        if skip_first and flat == 0:
+            continue
+        if len(sums) >= count and not (len(sums) < limit
+                                       and value <= sums[-1] * (1.0 + MULTIPLICITY_GAP)):
+            break
+        sums.append(value)
+        multis.append(multi)
+    return sums, multis
+
+
+def _axis_certificate(cells: int, h: float, derivative: bool, index: int,
+                      value: float) -> tuple[float, float, float, float]:
+    """Per-axis certificate pieces of the 1D pair (lambda, v) of (S, W), v the
+    `index`-th closed-form vector and lambda = `value`.
+
+    rho = S v - lambda W v is formed with |fl(rho) - rho| <= g = gamma_4
+    (|S||v| + |lambda| W|v|) (at most 3 nonzero terms, two products, one
+    subtraction; Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., sec. 3.5).  Returns (||fl(rho)||_{W^-1} + ||g||_{W^-1}) / ||v||_W,
+    which bounds ||rho||_{W^-1} / ||v||_W; ||(|S||v|)||_{W^-1} / ||v||_W;
+    ||fl(rho)||_2 / ||Wv||_2; and ||Wv||_2 / ||v||_2.  The sums run node by node.
+    """
+    main, off, weights = _axis_pencil(cells, h, derivative)
+    v = axis_vector(cells, h, derivative, index)
+    padded = [0.0] + v + [0.0]
+    g = _gamma(4)
+    rho_w = rounding_w = abs_sv_w = v_wv = wv_wv = rho_rho = v_v = 0.0
+    for i, (d, w, x) in enumerate(zip(main, weights, v)):
+        left, right = padded[i], padded[i + 2]
+        wv = w * x
+        rho = (off * left + d * x) + off * right - wv * value
+        abs_sv = (abs(off) * abs(left) + abs(d) * abs(x)) + abs(off) * abs(right)
+        rounding = g * (abs_sv + w * abs(x) * abs(value))
+        rho_w += rho * rho / w
+        rounding_w += rounding * rounding / w
+        abs_sv_w += abs_sv * abs_sv / w
+        v_wv += x * wv
+        wv_wv += wv * wv
+        rho_rho += rho * rho
+        v_v += x * x
+    norm_v, norm_wv = math.sqrt(v_wv), math.sqrt(wv_wv)
+    return ((math.sqrt(rho_w) + math.sqrt(rounding_w)) / norm_v, math.sqrt(abs_sv_w) / norm_v,
+            math.sqrt(rho_rho) / norm_wv, norm_wv / math.sqrt(v_v))
+
+
+def _norms(axes) -> tuple[float, float]:
+    """||A||_1 and ||B||_1 of the Kronecker-sum pencil.  A is symmetric, so ||A||_1 is
+    the largest entry of |A| 1 = sum_k w_1 x ... x |S_k| 1 x ... x w_n, taken over
+    the distinct (weight, row sum) pairs of each axis (its end and inner nodes),
+    every combination of which is a node of the grid; ||B||_1 is the product of the
+    largest weights, which rounds as B's largest entry does."""
+    per_axis, largest = [], []
+    for axis in axes:
+        main, off, weights = _axis_pencil(*axis)
+        ends = (weights[0], abs(main[0]) + abs(off))
+        inner = (weights[1], abs(off) + abs(main[1]) + abs(off))
+        per_axis.append((ends, inner))
+        largest.append(max(weights))
+    norm_a = max(sum(math.prod(row if j == k else weight for j, (weight, row) in enumerate(nodes))
+                     for k in range(len(nodes)))
+                 for nodes in itertools.product(*per_axis))
+    return norm_a, math.prod(largest)
+
+
+def _certificates(axes, values, sums, multis) -> tuple[list[float], list[float]]:
+    """Backward errors and error bounds of the pairs (theta, x) of the Kronecker-sum
+    pencil (K, M) of the 1D pencils (S_k, W_k) of `axes`, from the 1D pairs that
+    `multis` index in `values`.
+
+    For x = v_1 x ... x v_n and theta = fl(sum_k lambda_k) in axis order,
+    Kx - theta Mx is the sum over k of rho_k (`_axis_certificate`) times
+    W_j v_j on the other axes, plus (sum_k lambda_k - theta) Mx.  The M^-1
+    norm of a Kronecker product is the product of the W_j^-1 norms, so the
+    error bound is at most the sum of the per-axis bounds plus gamma_{n-1}
+    sum_k |lambda_k|.  The assembled `block.a`, `block.b` round each entry of
+    K through at most 2n - 2 factors and of M through n - 1: that adds
+    gamma_{2n-2} (sum_k ||(|S_k||v_k|)||_{W_k^-1} / ||v_k||_{W_k} + |theta|)
+    and a factor (1 - gamma_{n-1})^-1.  The sum takes at most 2c + n + 19
+    roundings of nonnegative numbers (c the longest axis); one factor 1 +
+    gamma_{2c+2n+24} covers them, that factor and its own.  The backward
+    error bounds ||Kx - theta Mx||_2 by sum_k ||rho_k||_2 prod_{j != k}
+    ||W_j v_j||_2 + |sum_k lambda_k - theta| ||Mx||_2.  Each distinct 1D pair
+    is certified once, interchangeable axes included.
+    """
+    n = len(axes)
+    norm_a, norm_b = _norms(axes)
+    longest = max(c + 2 if derivative else c for c, _, derivative in axes)
+    widen = 1.0 + _gamma(2 * longest + 2 * n + 24)
+    pieces: dict = {}
+    eta, delta = [], []
+    for theta, multi in zip(sums, multis):
+        parts, lambdas = [], []
+        for axis, axis_values, index in zip(axes, values, multi):
+            if (axis, index) not in pieces:
+                pieces[axis, index] = _axis_certificate(*axis, index, axis_values[index])
+            parts.append(pieces[axis, index])
+            lambdas.append(abs(axis_values[index]))
+        bound, assembly, rho, scale = zip(*parts)
+        theta_rounding = _gamma(n - 1) * sum(lambdas)
+        eta.append((sum(rho) + theta_rounding) * math.prod(scale)
+                   / (norm_a + abs(theta) * norm_b))
+        delta.append((sum(bound) + theta_rounding
+                      + _gamma(2 * n - 2) * (sum(assembly) + abs(theta))) * widen)
+    return eta, delta
+
+
+def solve_block(block: ComponentBlock, m: int, tol: float) -> SeparableSpectrum:
+    """m smallest eigenpairs of a second-order block from its 1D pencils, as values,
+    certificates and multi-indices; NumericalFailure carries them when a backward
+    error exceeds tol.
+
+    The block's eigenvalues are all sums lambda_{j_1} + ... + lambda_{j_n} of
+    1D eigenvalues; an index past m (m + 1 with a kernel) on any axis comes
+    after at least as many others, so each axis's m (+ 1) lowest suffice.
+    """
+    axes = block_axes(block)
+    skip = bool(block.kernel_dim)
+    values = [axis_values(*axis, m + skip) for axis in axes]
+    sums, multis = smallest_sums(values, m, skip_first=skip)
+    eta, delta = _certificates(axes, values, sums, multis)
+    spectrum = SeparableSpectrum(kind=None, degree=None, values=tuple(sums),
+                                 residuals=tuple(eta), error_bounds=tuple(delta),
+                                 deflated_kernel_dim=block.kernel_dim, multi=tuple(multis))
+    if not all(r <= tol for r in eta):
+        raise NumericalFailure(
+            f"residual tolerance {tol} not met (worst backward error {max(eta):.3e})",
+            partial=spectrum)
+    return spectrum
+
+
+def merge_blocks(problem: FormProblem, m: int, tol: float, cache: Optional[dict],
+                 solve: Callable) -> tuple[list[tuple[float, int, int]], dict]:
+    """The m smallest (value, block index, index in its block's solve) over the blocks of
+    a problem, and each block's solve by index.
+
+    `solve(block, m, tol)` solves one block.  Identical blocks are solved
+    once and replicated, which keeps discrete degree-independence and Hodge
+    duality exact at the bit level.  `cache` may be shared across problems on
+    the same grid to reuse block solves: a block is served by a cached solve
+    of the same block and tolerance for at least as many values, of which the
+    merge reads the first ones.
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    _check_tol(tol)
+    kernel_dim = sum(block.kernel_dim for block in problem.blocks)
+    available = problem.dof_count - kernel_dim
+    if m > available:
+        raise ValueError(
+            f"m={m} exceeds the {available} eigenvalues left of dof_count="
+            f"{problem.dof_count} after dropping {kernel_dim} kernel mode(s)")
+    cache = {} if cache is None else cache
+    merged, results = [], {}
+    for index, block in enumerate(problem.blocks):
+        m_block = min(m, block.size - block.kernel_dim)
+        key = (block.signature, tol)
+        if key not in cache or len(cache[key].values) < m_block:
+            cache[key] = solve(block, m_block, tol)
+        results[index] = cache[key]
+        merged.extend((float(cache[key].values[j]), index, j) for j in range(m_block))
+    merged.sort()
+    return merged[:m], results
+
+
+def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,
+                  cache: Optional[dict] = None) -> SeparableSpectrum:
+    """The m smallest eigenvalues of a Dirichlet or absolute problem with their
+    certificates, block by block (`solve_block`, `merge_blocks`).  A block's kernel
+    (the constants at absolute p = 0) is left out, so the first value is positive."""
+    chosen, results = merge_blocks(problem, m, tol, cache, solve_block)
+    return SeparableSpectrum(
+        kind=problem.kind.value,
+        degree=problem.degree,
+        values=tuple(value for value, _, _ in chosen),
+        residuals=tuple(results[i].residuals[j] for _, i, j in chosen),
+        error_bounds=tuple(results[i].error_bounds[j] for _, i, j in chosen),
+        deflated_kernel_dim=sum(block.kernel_dim for block in problem.blocks),
+    )

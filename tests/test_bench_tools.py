@@ -5,6 +5,7 @@ probe and its blocks, and the crossover record against crossover's rules."""
 import ast
 import importlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,18 @@ def test_block_probe_reports_seconds_and_certificate(bench, tmp_path):
     assert 0 < run["largest_error_bound"] < 1e-3 * run["first_value"]
 
 
+def test_block_probe_solves_second_order_blocks_without_numpy(bench, tmp_path):
+    # the probe times the solve_problem that verify binds, which takes a
+    # second-order block to the closed-form route
+    compare, _ = bench
+    run = compare.run_once(
+        ROOT / "src", ["--block", json.dumps([[63, 63], [1, 1], "dirichlet_laplace", 0, 4])],
+        tmp_path)
+    assert run["exit_code"] == 0 and run["numpy"] is False and run["scipy"] == []
+    assert run["first_value"] == pytest.approx(2 * math.pi ** 2, rel=5e-3)
+    assert run["worst_residual"] <= es.DEFAULT_TOL
+
+
 def test_import_probe_records_that_the_cli_loads_neither_numpy_nor_scipy(bench, tmp_path):
     compare, _ = bench
     run = compare.run_once(ROOT / "src", [], tmp_path)
@@ -159,6 +172,8 @@ def test_blocks_include_general_route_blocks_in_1d_and_higher_dimensions(bench, 
         monkeypatch.setattr(es, name, route(name))
     general = set()
     for cells, extent, kind, degree, m in compare.BLOCKS:
+        if not ProblemKind(kind).is_fourth_order:
+            continue
         problem = assemble(build_domain(len(cells), extent, cells), degree, ProblemKind(kind))
         with pytest.raises(Routed) as routed:
             es.solve_problem(problem, m=m)

@@ -344,7 +344,7 @@ def test_a_ladder_level_is_served_by_a_solve_for_more_values(monkeypatch, kind):
     cache: dict = {}
     four = es.solve_problem(problem, m=4, cache=cache)
     solves = []
-    for name in ("_separable_solve", "_solve_fourth_order"):
+    for name in ("_separable_block", "_solve_fourth_order"):
         monkeypatch.setattr(es, name, lambda *args: solves.append(args))
     one = es.solve_problem(problem, m=1, cache=cache)
     assert solves == []
@@ -389,7 +389,8 @@ def test_thread_cap_below_one_or_malformed_is_ignored_with_a_warning(cap):
 
 
 _MODULES = ("numpy", "scipy", "scipy.sparse", "scipy.linalg", "scipy.sparse.linalg",
-            "hodge_spectra.bessel", "hodge_spectra.checks", "fractions", "csv")
+            "hodge_spectra.eigensolve", "hodge_spectra.bessel", "hodge_spectra.checks",
+            "fractions", "csv")
 _PROBE = f"""
 import sys
 from hodge_spectra.cli import run
@@ -399,6 +400,8 @@ print(",".join(m for m in {_MODULES!r} if m in sys.modules))
 """
 _BOX_23 = ["box", "--dim", "3", "--extent", "1,1,1", "--cells", "23,23,23", "--problem"]
 _BATTERY = {"hodge_spectra.checks", "fractions"}
+# what the reflection-class route loads
+_FOURTH = {"numpy", "hodge_spectra.eigensolve"}
 
 
 @pytest.mark.parametrize("argv,loaded", [
@@ -407,28 +410,69 @@ _BATTERY = {"hodge_spectra.checks", "fractions"}
     ([], set()),
     (["ball", "--dim", "2", "--radius", "1"], {"hodge_spectra.bessel"} | _BATTERY),
     (["constants", "--dim", "4", "--degree", "2", "--gamma", "1"], _BATTERY),
-    # box needs no battery, and its separable route numpy only
-    (_BOX_23 + ["dirichlet_laplace", "--degree", "1"], {"numpy"}),
-    (_BOX_23 + ["absolute_laplace", "--degree", "0"], {"numpy"}),
-    # so does the reflection-class route, which applies A and B from their per-axis factors
-    (_BOX_23 + ["clamped_plate", "--degree", "0"], {"numpy"}),
-    (_BOX_23 + ["buckling", "--degree", "1"], {"numpy"}),
-    # and the README verify and converge commands, whose fourth-order
+    # box needs no battery, and its separable route, from closed-form 1D
+    # pairs, neither numpy nor eigensolve, at any count; nor does converge
+    (_BOX_23 + ["dirichlet_laplace", "--degree", "1"], set()),
+    (_BOX_23 + ["absolute_laplace", "--degree", "0"], set()),
+    (["box", "--dim", "2", "--extent", "1,1", "--cells", "127,127", "--problem",
+      "absolute_laplace", "--degree", "1", "--count", "64"], set()),
+    (["converge", "--dim", "2", "--extent", "1,1", "--problem", "dirichlet_laplace",
+      "--degree", "1", "--resolutions", "31,63,127"], set()),
+    # the reflection-class route applies A and B from their per-axis factors, with numpy
+    (_BOX_23 + ["clamped_plate", "--degree", "0"], _FOURTH),
+    (_BOX_23 + ["buckling", "--degree", "1"], _FOURTH),
+    # and so do the README verify and converge commands, whose fourth-order
     # blocks have dense classes (ladders, 1D) or LOBPCG ones (31^2, 63^2);
     # verify adds the battery, and csv only for a CSV report
     (["verify", "--dim", "2", "--extent", "1,1", "--cells", "63,63", "--degrees", "0,1,2",
-      "--error-estimates"], {"numpy"} | _BATTERY),
+      "--error-estimates"], _FOURTH | _BATTERY),
     (["verify", "--dim", "2", "--extent", "1,1", "--cells", "31,31", "--degrees", "0,1",
-      "--format", "csv"], {"numpy", "csv"} | _BATTERY),
+      "--format", "csv"], _FOURTH | {"csv"} | _BATTERY),
     (["converge", "--dim", "1", "--extent", "1", "--problem", "clamped_plate", "--degree", "0",
-      "--resolutions", "31,63,127"], {"numpy"}),
+      "--resolutions", "31,63,127"], _FOURTH),
     # and 3D blocks at any count
     (["box", "--dim", "3", "--extent", "1,1,1", "--cells", "13,13,13", "--problem",
-      "clamped_plate", "--degree", "0", "--count", "64"], {"numpy"}),
+      "clamped_plate", "--degree", "0", "--count", "64"], _FOURTH),
 ])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
     # a fresh interpreter per command, so that sys.modules holds only what it imported
     assert _modules_loaded(tmp_path, argv) == loaded
+
+
+def test_second_order_failure_exits_two_with_a_flagged_partial_report(tmp_path):
+    # the separable route misses an impossible tolerance without numpy: the
+    # failed block's values are reported under the flagged status
+    report = tmp_path / "fail.json"
+    probe = _PROBE.replace("sys.exit(3)", "print('exit', 2)")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "box", "--dim", "2", "--extent", "1,1", "--cells", "9,9",
+         "--problem", "dirichlet_laplace", "--degree", "1", "--tol", "1e-30", "--out",
+         str(report)], env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.stdout.split() == ["exit", "2"], proc.stdout
+    data = json.loads(report.read_text())
+    assert data["meta"]["status"] == "error" and "residual" in data["meta"]["error"]
+    (partial,) = data["spectra"]
+    assert partial["label"] == "pencil" and len(partial["values"]) == 4
+    assert max(partial["residuals"]) > 1e-30
+
+
+def test_box_verify_and_the_library_agree_bitwise_on_second_order_values(tmp_path):
+    # box and the verify battery take their second-order values from the same
+    # closed-form route, and eigensolve.solve_problem wraps the same values
+    argv = ["--dim", "2", "--extent", "1,1.3", "--cells", "9,11"]
+    _, path = run_to_file(tmp_path, "verify.json", ["verify", *argv, "--degrees", "0,1,2"])
+    battery = {(entry["kind"], entry["degree"]): entry
+               for entry in json.loads(path.read_text())["spectra"]}
+    for kind in ("dirichlet_laplace", "absolute_laplace"):
+        for degree in (0, 1, 2):
+            _, path = run_to_file(tmp_path, "box.json", ["box", *argv, "--problem", kind,
+                                                         "--degree", str(degree)])
+            (entry,) = json.loads(path.read_text())["spectra"]
+            for field in ("values", "residuals", "error_bounds"):
+                assert entry[field] == battery[kind, degree][field], (kind, degree, field)
+            problem = verify.assemble(verify.build_domain(2, (1.0, 1.3), (9, 11)), degree,
+                                      ProblemKind(kind))
+            assert es.solve_problem(problem, m=4).values.tolist() == entry["values"]
 
 
 def test_general_route_loads_scipy_when_it_runs(tmp_path):

@@ -417,3 +417,26 @@ def test_absolute_blocks_match_direct_relative_assembly():
             rel = rel_blocks[complement]
             assert (blk.a != rel.a).nnz == 0
             assert (blk.b != rel.b).nnz == 0
+
+
+def test_buckling_builds_its_laplacian_once(monkeypatch):
+    # a and buckling's b share one K = sum_k I x T_k x I, built on first access
+    import hodge_spectra.discretize as discretize
+
+    builds = []
+    real = discretize._laplacian
+
+    def counted(block):
+        builds.append(block.size)
+        return real(block)
+
+    monkeypatch.setattr(discretize, "_laplacian", counted)
+    (block,) = assemble(build_domain(2, [1.0, 1.3], [9, 11]), 0, ProblemKind.BUCKLING).blocks
+    a, b = block.a, block.b
+    assert builds == [99]
+    # bitwise the matrices of a block that reads them in the other order,
+    # and b is vol K of a K built apart
+    monkeypatch.undo()
+    (fresh,) = assemble(build_domain(2, [1.0, 1.3], [9, 11]), 0, ProblemKind.BUCKLING).blocks
+    assert (b != fresh.b).nnz == 0 and (a != fresh.a).nnz == 0
+    assert (b != real(fresh) * fresh.domain.cell_volume).nnz == 0

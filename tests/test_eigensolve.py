@@ -15,6 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import hodge_spectra.eigensolve as es
+from hodge_spectra import separable
 from hodge_spectra.discretize import ComponentBlock, ProblemKind, assemble, build_domain
 from hodge_spectra.eigensolve import Spectrum, solve_pencil, solve_problem
 from hodge_spectra.errors import NumericalFailure
@@ -247,17 +248,19 @@ def test_absolute_kernel_survives_an_extreme_aspect_ratio(thin):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_smallest_sums_match_the_untruncated_rule(seed):
-    # a grid over each axis's first values only gives the same sums,
-    # vectors and indices as the argsort of the whole grid, ties included
+    # the heap gives the same sums, bit for bit, and multi-indices as the
+    # stable argsort of the whole np.add.outer grid, ties included: small
+    # integers tie often, and tenths round when summed
     rng = np.random.default_rng(seed)
     shape = tuple(rng.integers(2, 9, size=rng.integers(1, 4)))
-    pairs = [(np.sort(rng.integers(0, 4, size=c).astype(float)), rng.standard_normal((c, c)))
-             for c in shape]
+    values = [np.sort(rng.integers(0, 4, size=c).astype(float) if seed % 2
+                      else rng.integers(0, 30, size=c) / 10.0) for c in shape]
+    vectors = [rng.standard_normal((c, c)) for c in shape]
     size = math.prod(shape)
     for count, skip, limit in ((1, False, 0), (3, True, 0), (size - 1, True, 0),
                                (2, False, size // 2), (1, True, 3)):
         count = min(count, size - skip)
-        grid = functools.reduce(np.add.outer, [values for values, _ in pairs])
+        grid = functools.reduce(np.add.outer, values)
         order = np.argsort(grid, axis=None, kind="stable")
         order = order[order != 0] if skip else order
         want = count
@@ -266,13 +269,44 @@ def test_smallest_sums_match_the_untruncated_rule(seed):
             while (want < ranked.size - 1
                    and ranked[want] <= ranked[want - 1] * (1.0 + es.MULTIPLICITY_GAP)):
                 want += 1
-        multi = np.unravel_index(order[:want], shape)
-        vectors = np.stack([functools.reduce(np.kron, [v[:, j] for (_, v), j in zip(pairs, index)])
-                            for index in zip(*multi)], axis=1)
-        got = es._smallest_sums(pairs, count, skip_first=skip, multiplet_limit=limit)
-        assert np.array_equal(got[0], grid.ravel()[order[:want]])
-        assert np.array_equal(got[1], vectors)
-        assert all(np.array_equal(a, b) for a, b in zip(got[2], multi))
+        multis = [tuple(int(j) for j in index)
+                  for index in zip(*np.unravel_index(order[:want], shape))]
+        sums, got = separable.smallest_sums([v.tolist() for v in values], count,
+                                            skip_first=skip, multiplet_limit=limit)
+        assert np.array_equal(sums, grid.ravel()[order[:want]])
+        assert got == multis
+        # the start space's vectors are the Kronecker products they index
+        kron = np.stack([functools.reduce(np.kron, [v[:, j] for v, j in zip(vectors, index)])
+                         for index in multis], axis=1)
+        assert np.array_equal(es._kron_columns(size, lambda k, j: vectors[k][:, j], got), kron)
+
+
+@pytest.mark.parametrize("derivative", [False, True], ids=["value", "derivative"])
+@pytest.mark.parametrize("cells", [3, 4, 127, 1023])
+def test_closed_form_axis_pairs_match_the_assembled_pencil(cells, derivative):
+    # every closed-form pair of a 1D pencil (S, W) against eigh of the
+    # assembled W^-1/2 S W^-1/2: the same values, and W-orthonormal vectors
+    # that span the same lines; the 1D values ascend, from exactly 0 with
+    # derivative faces
+    from hodge_spectra.discretize import FaceCondition, _axis_stiffness
+
+    h = 1.3 / (cells + 1)
+    stiff, weights = _axis_stiffness(
+        cells, h, FaceCondition.DERIVATIVE if derivative else FaceCondition.VALUE)
+    scale = 1.0 / np.sqrt(weights)
+    reference, eigh_vectors = np.linalg.eigh(stiff * np.outer(scale, scale))
+    eigh_vectors *= scale[:, None]
+    values = separable.axis_values(cells, h, derivative, weights.size + 5)
+    assert len(values) == weights.size
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert (values[0] == 0.0) is derivative
+    np.testing.assert_allclose(values, reference, rtol=1e-12, atol=1e-13 * reference[-1])
+    vectors = np.array([separable.axis_vector(cells, h, derivative, j)
+                        for j in range(weights.size)]).T
+    gram = vectors.T @ (weights[:, None] * vectors)
+    assert np.abs(gram - np.eye(weights.size)).max() <= 1e-12
+    overlap = np.abs(np.sum(vectors * (weights[:, None] * eigh_vectors), axis=0))
+    assert np.abs(overlap - 1.0).max() <= 1e-8
 
 
 def test_request_beyond_deflated_dof_count_is_rejected():
@@ -948,12 +982,10 @@ def test_separable_error_bound_covers_the_exact_residual(kind, extent, cells):
     # the absolute blocks)
     dom = build_domain(len(cells), extent, cells)
     for block in assemble(dom, 1, kind).blocks:
-        spec = es._separable_solve(block, 3, es.DEFAULT_TOL)
-        pairs = es._axis_pairs(block.axis_factors)
-        _, _, multi = es._smallest_sums(pairs, 3, skip_first=bool(block.kernel_dim))
-        for col, (theta, bound) in enumerate(zip(spec.values, spec.error_bounds)):
-            axis_x = [[Fraction(v) for v in axis_vectors[:, index[col]]]
-                      for (_, axis_vectors), index in zip(pairs, multi)]
+        spec = separable.solve_block(block, 3, es.DEFAULT_TOL)
+        for theta, bound, multi in zip(spec.values, spec.error_bounds, spec.multi):
+            axis_x = [[Fraction(v) for v in separable.axis_vector(*axis, index)]
+                      for axis, index in zip(separable.block_axes(block), multi)]
             x = [math.prod(entries) for entries in itertools.product(*axis_x)]
             for a, b in (_exact_kronecker_sum(block.axis_factors),
                          (_sparse_entries(block.a), _sparse_entries(block.b))):
@@ -963,19 +995,19 @@ def test_separable_error_bound_covers_the_exact_residual(kind, extent, cells):
                         r[i] += scale * value * x[j]
                 r_norm_sq = sum(r[i] ** 2 / b[i, i] for i in range(block.size))
                 x_norm_sq = sum(b[i, i] * x[i] ** 2 for i in range(block.size))
-                assert r_norm_sq <= Fraction(bound) ** 2 * x_norm_sq, (block.component, col)
+                assert r_norm_sq <= Fraction(bound) ** 2 * x_norm_sq, (block.component, multi)
 
 
 @pytest.mark.parametrize("extent,cells", [([1.0, 1.3], [9, 11]), ([1.0, 1.2, 0.9], [23, 17, 29])])
 @pytest.mark.parametrize("kind", [ProblemKind.DIRICHLET_LAPLACE, ProblemKind.ABSOLUTE_LAPLACE])
 def test_separable_norms_match_the_assembled_block(kind, extent, cells):
-    # ||A||_1 from |A| 1 and ||B||_1 from diag(B), without the sparse block,
-    # equal the sparse block's largest absolute column sums (A up to the
-    # order of summation)
+    # ||A||_1 from the distinct (weight, row sum) pairs of each axis and
+    # ||B||_1 from the weights, without the sparse block, equal the sparse
+    # block's largest absolute column sums (A up to the order of summation)
     dom = build_domain(len(cells), extent, cells)
     for p in range(dom.dim + 1):
         for block in assemble(dom, p, kind).blocks:
-            norm_a, norm_b = es._separable_norms(block.axis_factors)
+            norm_a, norm_b = separable._norms(separable.block_axes(block))
             assert norm_a == pytest.approx(abs(block.a).sum(axis=0).max(), rel=1e-15)
             assert norm_b == abs(block.b).sum(axis=0).max()
 
