@@ -25,16 +25,21 @@ its peak RSS, its exit code, whether its heap was frozen when it ended (as
 `cli.main()` leaves it), whether it had loaded numpy, which of scipy,
 scipy.sparse, scipy.linalg and scipy.sparse.linalg it had loaded, and
 whether it had loaded hodge_spectra.bessel, hodge_spectra.checks and
-fractions.  Per row come the medians and quartiles, and the pairs in which
+fractions.  Per row come the medians and quartiles, the pairs in which
 the change was faster (wins), as fast (ties) or slower (losses), on solve
-seconds for a block and on wall seconds otherwise.
+seconds for a block and on wall seconds otherwise, and whether the row is
+resolved on that metric: whether the medians differ by more than the
+parent's own spread, the distance between its quartiles, so that a
+one-sided pair count inside that spread reads as unresolved, not as a
+regression or a gain.
 
 --perfbench adds, per workload, the results of `perfbench/run.py --workload
 WORKLOAD --seed N --seconds 10 --trace 0` at the parent commit and at the
 change: the final JSON line of each run, line i of both files being one
-pair of runs.  The machine facts (cores, BLAS threads, Python, numpy and
-scipy versions) are recorded too.  This process imports neither numpy nor
-hodge_spectra, so no child's peak RSS counts a large parent's.
+pair of runs, with the pair counts and `resolved` on wall_s.  The machine
+facts (cores, BLAS threads, Python, numpy and scipy versions) are recorded
+too.  This process imports neither numpy nor hodge_spectra, so no child's
+peak RSS counts a large parent's.
 """
 
 from __future__ import annotations
@@ -234,6 +239,12 @@ def pair_counts(metric: str, parent: list[float], change: list[float]) -> dict:
             "ties": sum(c == p for p, c in pairs), "losses": sum(c > p for p, c in pairs)}
 
 
+def resolved(parent: dict, change: dict) -> bool:
+    """Whether two sides' medians differ by more than the parent's interquartile
+    spread, each side summarized by `_quartiles`."""
+    return abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]
+
+
 def _side(runs: list[dict]) -> dict:
     out = {}
     for name in runs[0]:
@@ -247,6 +258,7 @@ def _row(by_side: dict[str, list[dict]]) -> dict:
     timed = "solve_s" if "solve_s" in row["change"] else "wall_s"
     row["pairs"] = pair_counts(timed, row["parent"][timed]["values"],
                                row["change"][timed]["values"])
+    row["resolved"] = resolved(row["parent"][timed], row["change"][timed])
     return row
 
 
@@ -268,7 +280,8 @@ def measure(parent_src: Path, pairs: int) -> dict:
         print(f"# {label[:72]:72s} {row['parent'][timed]['median']:7.3f} -> "
               f"{row['change'][timed]['median']:7.3f} s  "
               f"{row['parent']['peak_rss_mb']['median']:5.0f} -> "
-              f"{row['change']['peak_rss_mb']['median']:5.0f} MB", flush=True)
+              f"{row['change']['peak_rss_mb']['median']:5.0f} MB"
+              f"{'' if row['resolved'] else '  unresolved'}", flush=True)
     return {"order": order, "rows": result}
 
 
@@ -282,7 +295,7 @@ def _perfbench_summary(path: Path) -> dict:
 
 def perfbench_pairs(parent_path: Path, change_path: Path) -> dict:
     """Median and quartiles of each metric on both sides, and the pairs won,
-    tied and lost on wall_s.
+    tied and lost on wall_s and whether it is `resolved`.
 
     Each file holds the final JSON line of `perfbench/run.py` runs, line i
     of both files being one pair of runs (same seed).
@@ -293,7 +306,8 @@ def perfbench_pairs(parent_path: Path, change_path: Path) -> dict:
                          f"{change['runs']}: line i of both files must be one pair of runs")
     return {"parent": parent, "change": change,
             "pairs": pair_counts("wall_s", parent["wall_s"]["values"],
-                                 change["wall_s"]["values"])}
+                                 change["wall_s"]["values"]),
+            "resolved": resolved(parent["wall_s"], change["wall_s"])}
 
 
 def machine_facts() -> dict:
@@ -336,8 +350,9 @@ def main(argv=None) -> int:
                 "whether hodge_spectra.bessel, hodge_spectra.checks and fractions were "
                 "loaded; wins, "
                 "ties and losses count the pairs in which the change's solve (blocks) or wall "
-                f"(otherwise) seconds are lower, equal or higher; {args.pairs} pairs, sides "
-                "alternating",
+                f"(otherwise) seconds are lower, equal or higher; resolved: the medians of "
+                "that metric differ by more than the parent's interquartile spread; "
+                f"{args.pairs} pairs, sides alternating",
         "machine": machine_facts(),
         **measure(args.parent_src, args.pairs),
         "perfbench": perfbench,

@@ -392,12 +392,10 @@ def run(argv: Sequence[str]) -> int:
     except NumericalFailure as exc:
         report["meta"]["status"] = "error"
         report["meta"]["error"] = str(exc)
-        # a spectrum exists only once a solver module has loaded, which ball and
-        # constants never do
-        for module, name in (("eigensolve", "Spectrum"), ("separable", "SeparableSpectrum")):
-            loaded = sys.modules.get(f"{__package__}.{module}")
-            if loaded is not None and isinstance(exc.partial, getattr(loaded, name)):
-                report["spectra"].append(_spectrum_entry(exc.partial))
+        # a partial spectrum, of either solver, is reported; a study's partial
+        # ladder of values is not a spectrum
+        if hasattr(exc.partial, "error_bounds"):
+            report["spectra"].append(_spectrum_entry(exc.partial))
         try:
             emit_report(report, cfg.fmt, cfg.out)
         except OSError as io_exc:

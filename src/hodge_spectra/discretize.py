@@ -11,16 +11,16 @@ normal derivative keeps them and closes the stencil by ghost reflection
 (ghost value = mirror interior value, the centered derivative = 0 rule).
 
 `assemble` keeps every block as its grid and its per-axis face
-conditions, in plain Python; this module imports numpy only when a block's
-dense per-axis factors are first read, so the separable route, which
-works from the grid and the conditions alone, runs without it.  A
-second-order block's 1D pencils (S_k, w_k) are built on first access
-(`ComponentBlock.axis_factors`).  A fourth-order block's operator is
-defined once, per axis: a = vol (sum_k T_k)^2 + D, T_k the 1D second
+conditions, in plain Python.  Each block's operator is defined once, per
+axis.  A second-order block's 1D pencils (S_k, w_k) have their entries
+written by `_axis_pencil` alone, in plain Python, which both the sparse
+assembly and the numpy-free separable route (`separable`) read.  A
+fourth-order block's is a = vol (sum_k T_k)^2 + D, T_k the 1D second
 differences and D the diagonal of face terms, which is the Gram form of
-the evaluation-grid Laplacian (see `ComponentBlock.axis_terms`).  A
-block's sparse matrices are assembled from the same factors on first
-access, and scipy.sparse is imported only then.
+the evaluation-grid Laplacian (see `ComponentBlock.axis_terms`); these
+dense factors load numpy on first access.  A block's sparse matrices are
+assembled from the same per-axis definitions on first access, and
+scipy.sparse is imported only then.
 """
 
 from __future__ import annotations
@@ -161,30 +161,25 @@ def component_conditions(
 # scalar building blocks
 # ---------------------------------------------------------------------------
 
-def _axis_stiffness(cells: int, h: float, cond: FaceCondition) -> tuple[np.ndarray, np.ndarray]:
-    """1D stiffness S (dense) and lumped mass weights w for one axis.
+def block_axes(block: ComponentBlock) -> list[tuple[int, float, bool]]:
+    """(cells, spacing, whether its faces fix the derivative) of each axis of a
+    second-order block."""
+    return [(c, h, cond is FaceCondition.DERIVATIVE)
+            for c, h, cond in zip(block.domain.cells, block.domain.spacing, block.conditions)]
 
-    VALUE faces drop the boundary nodes (classical interior Laplacian);
-    DERIVATIVE faces keep them, with half mass weight and corner entries
+
+def _axis_pencil(cells: int, h: float, derivative: bool) -> tuple[list[float], float, list[float]]:
+    """The diagonal, off-diagonal and lumped mass weights of an axis's 1D pencil
+    (S, w), the one definition of its entries.
+
+    Value faces drop the boundary nodes (classical interior Laplacian);
+    derivative faces keep them, with half mass weight and corner entries
     from the ghost reflection so that S stays symmetric.
     """
-    import numpy as np
-
-    if cond is FaceCondition.VALUE:
-        m = cells
-        main = np.full(m, 2.0 / h)
-        weights = np.full(m, h)
-    elif cond is FaceCondition.DERIVATIVE:
-        m = cells + 2
-        main = np.full(m, 2.0 / h)
-        main[0] = main[-1] = 1.0 / h
-        weights = np.full(m, h)
-        weights[0] = weights[-1] = h / 2.0
-    else:
-        raise ValueError(f"no second-order axis operator for {cond}")
-    off = np.full(m - 1, -1.0 / h)
-    stiff = np.diag(main) + np.diag(off, -1) + np.diag(off, 1)
-    return stiff, weights
+    if derivative:
+        return ([1.0 / h] + [2.0 / h] * cells + [1.0 / h], -1.0 / h,
+                [h / 2.0] + [h] * cells + [h / 2.0])
+    return [2.0 / h] * cells, -1.0 / h, [h] * cells
 
 
 def _kron_chain(mats: Iterable[sp.spmatrix]) -> sp.csr_matrix:
@@ -196,8 +191,8 @@ def _kron_chain(mats: Iterable[sp.spmatrix]) -> sp.csr_matrix:
     return out.tocsr()
 
 
-def _kron_sum(mats: Sequence, others: Sequence[sp.spmatrix]) -> sp.csr_matrix:
-    """sum_k others[0] x ... x mats[k] x ... x others[-1], for dense or sparse mats[k]."""
+def _kron_sum(mats: Sequence[sp.spmatrix], others: Sequence[sp.spmatrix]) -> sp.csr_matrix:
+    """sum_k others[0] x ... x mats[k] x ... x others[-1], for mats[k] in any sparse format."""
     import scipy.sparse as sp
 
     terms = [_kron_chain([sp.csr_matrix(mat) if j == k else other
@@ -230,13 +225,13 @@ class ComponentBlock:
 
     A block is its grid and the face conditions of its axes, in its
     signature.  A second-order block is the Kronecker sum of its axes' 1D
-    pencils (`axis_factors`).  A fourth-order block is its grid and the
-    kind of its b: a = vol K^2 + D, with K = sum_k I x T_k x I (`laplacian`)
-    and D = sum_k I x diag(d_k) x I from its `axis_terms`, against b = vol
-    I (clamped plate) or vol K (buckling).  The dense per-axis factors are
-    built on first access, with numpy, and the sparse pencil (`a`, `b`)
-    too, since only the general solver and the tests read it; it is
-    exactly symmetric as built from symmetric factors.
+    pencils (`block_axes`, `_axis_pencil`).  A fourth-order block is its
+    grid and the kind of its b: a = vol K^2 + D, with K = sum_k I x T_k x I
+    (`laplacian`) and D = sum_k I x diag(d_k) x I from its `axis_terms`,
+    against b = vol I (clamped plate) or vol K (buckling).  The dense
+    fourth-order factors are built on first access, with numpy, and the
+    sparse pencil (`a`, `b`) too, since only the general solver and the
+    tests read it; it is exactly symmetric as built from symmetric factors.
     """
 
     component: ComponentIndex
@@ -255,15 +250,6 @@ class ComponentBlock:
     def b_is_mass(self) -> bool:
         """Whether b is a mass matrix: vol I for clamped plate, not buckling's vol K."""
         return self.signature[1] == "mass"
-
-    @functools.cached_property
-    def axis_factors(self) -> Optional[tuple[tuple[np.ndarray, np.ndarray], ...]]:
-        """Per axis k of a second-order block, its dense 1D pencil (S_k, w_k), whose
-        Kronecker sum is (a, b) (`_second_order_block`); None for a fourth-order one."""
-        if self.signature[0] != "laplacian":
-            return None
-        return tuple(_axis_stiffness(c, h, cond) for c, h, cond in
-                     zip(self.domain.cells, self.domain.spacing, self.conditions))
 
     @functools.cached_property
     def axis_terms(self) -> Optional[tuple[tuple[np.ndarray, np.ndarray], ...]]:
@@ -301,7 +287,7 @@ class ComponentBlock:
     def a(self) -> sp.csr_matrix:
         import scipy.sparse as sp
 
-        if self.axis_factors is None:
+        if self.axis_terms is not None:
             laplacian = self.laplacian
             a = (self.domain.cell_volume * laplacian) @ laplacian
             # a node's face terms follow its interior sum one by one, in axis
@@ -315,15 +301,17 @@ class ComponentBlock:
             # column indices of a row unsorted
             a.sort_indices()
             return a
-        return _kron_sum([s_k for s_k, _ in self.axis_factors],
-                         [sp.diags(w, format="csr") for _, w in self.axis_factors])
+        pencils = [_axis_pencil(*axis) for axis in block_axes(self)]
+        return _kron_sum([sp.diags([main, off, off], [0, -1, 1]) for main, off, _ in pencils],
+                         [sp.diags(w, format="csr") for _, _, w in pencils])
 
     @functools.cached_property
     def b(self) -> sp.csr_matrix:
         import scipy.sparse as sp
 
-        if self.axis_factors is not None:
-            return _kron_chain([sp.diags(w, format="csr") for _, w in self.axis_factors])
+        if self.axis_terms is None:
+            return _kron_chain([sp.diags(_axis_pencil(*axis)[2], format="csr")
+                                for axis in block_axes(self)])
         volume = self.domain.cell_volume
         if self.b_is_mass:
             return (sp.identity(self.size, format="csr") * volume).tocsr()
@@ -380,7 +368,7 @@ def _second_order_block(domain: BoxDomain, conds: tuple[FaceCondition, ...]) -> 
     """Componentwise Laplacian with per-axis conditions, as a Kronecker sum.
 
     K = sum_k W_1 x ... x S_k x ... x W_n against M = W_1 x ... x W_n, where
-    (S_k, w_k) is axis k's 1D pencil (`_axis_stiffness`, built on first
+    (S_k, w_k) is axis k's 1D pencil (`_axis_pencil`, read on first
     access) and W_k = diag(w_k): c_k nodes on an axis with value faces,
     c_k + 2 with derivative faces.  The only kernel is the constant, present
     when every axis keeps its boundary nodes.

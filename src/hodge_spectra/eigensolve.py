@@ -72,6 +72,7 @@ A run with identical inputs and configuration is bitwise reproducible
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,7 +81,7 @@ from typing import Optional
 import numpy as np
 
 from . import DEFAULT_TOL, separable
-from .discretize import ComponentBlock, FormProblem
+from .discretize import ComponentBlock, FormProblem, block_axes
 from .errors import FactorizationFailure, NumericalFailure
 from .separable import MULTIPLICITY_GAP, _check_tol, _gamma, smallest_sums
 
@@ -239,16 +240,14 @@ def _residuals(a, b, values, vectors) -> tuple[np.ndarray, np.ndarray]:
     return _bounds(values, vectors, r, bx, rounding, _norm1(a), _norm1(b), b_solve)
 
 
-def _certified(values, vectors, certificates, tol: float, kernel_dim: int = 0) -> Spectrum:
+def _certified(values, vectors, certificates, tol: float) -> Spectrum:
     """The pairs as a Spectrum, given their (backward errors, error bounds);
     NumericalFailure carries it when a backward error exceeds tol."""
     residuals, error_bounds = certificates
     failed = not np.all(residuals <= tol)   # a NaN fails too
     try:
-        spectrum = Spectrum(
-            kind=None, degree=None, values=values, residuals=residuals,
-            error_bounds=error_bounds, vectors=vectors, deflated_kernel_dim=kernel_dim,
-        )
+        spectrum = Spectrum(kind=None, degree=None, values=values, residuals=residuals,
+                            error_bounds=error_bounds, vectors=vectors)
     except ValueError:
         if not failed:
             raise
@@ -373,7 +372,7 @@ def _separable_vectors(block: ComponentBlock, multis) -> np.ndarray:
     """The eigenvectors of a second-order block that `separable` certified: Kronecker
     products of its closed-form 1D vectors (`separable.axis_vector`), one column per
     multi-index in `multis`."""
-    axes = separable.block_axes(block)
+    axes = block_axes(block)
 
     @functools.cache
     def column(k: int, j: int) -> np.ndarray:
@@ -715,12 +714,19 @@ def _class_orbits(pencil: _AxisPencil) -> list[tuple[int, tuple[int, ...]]]:
 
 def _class_shares(q_pairs, m: int) -> list[int]:
     """Each class's share of the m smallest eigenvalues of Q, over all classes: the first
-    guess of the number of values it needs, less one."""
-    lowest = [np.sort(functools.reduce(np.add.outer, [values[:m] for values, _ in pairs]),
-                      axis=None)[:m] for pairs in q_pairs]
-    labels = np.repeat(np.arange(len(lowest)), [values.size for values in lowest])
-    shares = labels[np.argsort(np.concatenate(lowest), kind="stable")[:m]]
-    return [int(share) for share in np.bincount(shares, minlength=len(lowest))]
+    guess of the number of values it needs, less one.
+
+    A class's m smallest values of Q are its m smallest sums of per-axis
+    values (`smallest_sums`, which needs only each axis's m lowest); the
+    classes' lists are merged by (value, class index), so a tie goes to the
+    lower class.
+    """
+    lowest = [smallest_sums([values[:m].tolist() for values, _ in pairs], m)[0]
+              for pairs in q_pairs]
+    merged = heapq.merge(*[[(value, index) for value in sums]
+                           for index, sums in enumerate(lowest)])
+    chosen = [index for _, index in itertools.islice(merged, m)]
+    return [chosen.count(index) for index in range(len(lowest))]
 
 
 def _lowered(x: float, k: int) -> float:

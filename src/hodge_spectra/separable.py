@@ -2,7 +2,7 @@
 standard library alone.
 
 A Dirichlet or absolute Laplacian block is the Kronecker sum of the 1D
-pencils (S_k, W_k) that `discretize._axis_stiffness` assembles, whose
+pencils (S_k, W_k) whose entries `discretize._axis_pencil` writes, whose
 eigenpairs are known in closed form (Lynch, Rice & Thomas, Numer. Math. 6,
 1964).  On an axis of c cells and spacing h, with N = c + 1, they are
 lambda_j = (4 / h^2) sin^2(j pi / (2N)), for j = 1..c with value faces and
@@ -14,10 +14,10 @@ count of block eigenvalues below any value is exact: the m smallest sums of
 missed, and the constant kernel at absolute p = 0, the all-lowest
 multi-index, is skipped rather than deflated.
 
-The pairs are certified from the 1D pencils alone, with the same float
-entries `_axis_stiffness` assembles (`_axis_certificate`,
-`_certificates`), so the bounds hold for the Kronecker product of the float
-1D vectors against the assembled `block.a` and `block.b` too.  No vector of
+The pairs are certified from the 1D pencils alone (`_axis_certificate`,
+`_certificates`), read from the same `_axis_pencil` that the assembled
+`block.a` and `block.b` are built from, so the bounds hold for the
+Kronecker product of the float 1D vectors against those too.  No vector of
 block size is formed here; `eigensolve.solve_problem` forms them with
 numpy, for the library's `Spectrum`.  `verify.solve_problem` sends
 second-order problems here, so `box` and `converge` on them load neither
@@ -32,8 +32,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from . import DEFAULT_TOL
-from .discretize import FaceCondition
+from . import DEFAULT_TOL, discretize
 from .errors import NumericalFailure
 
 if TYPE_CHECKING:
@@ -85,22 +84,6 @@ def _sin_pi(num: int, den: int) -> float:
     if 2 * num > den:
         num = den - num
     return sign * math.sin(math.pi * num / den)
-
-
-def block_axes(block: ComponentBlock) -> list[tuple[int, float, bool]]:
-    """(cells, spacing, whether its faces fix the derivative) of each axis of a
-    second-order block."""
-    return [(c, h, cond is FaceCondition.DERIVATIVE)
-            for c, h, cond in zip(block.domain.cells, block.domain.spacing, block.conditions)]
-
-
-def _axis_pencil(cells: int, h: float, derivative: bool) -> tuple[list[float], float, list[float]]:
-    """The diagonal, off-diagonal and weights of an axis's 1D pencil, the float
-    entries of `discretize._axis_stiffness`."""
-    if derivative:
-        return ([1.0 / h] + [2.0 / h] * cells + [1.0 / h], -1.0 / h,
-                [h / 2.0] + [h] * cells + [h / 2.0])
-    return [2.0 / h] * cells, -1.0 / h, [h] * cells
 
 
 def axis_values(cells: int, h: float, derivative: bool, count: int) -> list[float]:
@@ -181,7 +164,7 @@ def _axis_certificate(cells: int, h: float, derivative: bool, index: int,
     which bounds ||rho||_{W^-1} / ||v||_W; ||(|S||v|)||_{W^-1} / ||v||_W;
     ||fl(rho)||_2 / ||Wv||_2; and ||Wv||_2 / ||v||_2.  The sums run node by node.
     """
-    main, off, weights = _axis_pencil(cells, h, derivative)
+    main, off, weights = discretize._axis_pencil(cells, h, derivative)
     v = axis_vector(cells, h, derivative, index)
     padded = [0.0] + v + [0.0]
     g = _gamma(4)
@@ -212,7 +195,7 @@ def _norms(axes) -> tuple[float, float]:
     largest weights, which rounds as B's largest entry does."""
     per_axis, largest = [], []
     for axis in axes:
-        main, off, weights = _axis_pencil(*axis)
+        main, off, weights = discretize._axis_pencil(*axis)
         ends = (weights[0], abs(main[0]) + abs(off))
         inner = (weights[1], abs(off) + abs(main[1]) + abs(off))
         per_axis.append((ends, inner))
@@ -274,7 +257,7 @@ def solve_block(block: ComponentBlock, m: int, tol: float) -> SeparableSpectrum:
     1D eigenvalues; an index past m (m + 1 with a kernel) on any axis comes
     after at least as many others, so each axis's m (+ 1) lowest suffice.
     """
-    axes = block_axes(block)
+    axes = discretize.block_axes(block)
     skip = bool(block.kernel_dim)
     values = [axis_values(*axis, m + skip) for axis in axes]
     sums, multis = smallest_sums(values, m, skip_first=skip)

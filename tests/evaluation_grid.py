@@ -1,9 +1,20 @@
 """The evaluation-grid Laplacian L of a clamped box and its quadrature weights
 M~, built node by node: the reference against which the tests check that a
-fourth-order block's a is the Gram form L^T M~ L."""
+fourth-order block's a is the Gram form L^T M~ L.  Also a second-order axis's
+1D pencil as dense factors, for the tests that form its Kronecker sum."""
 
 import numpy as np
 import scipy.sparse as sp
+
+from hodge_spectra.discretize import _axis_pencil
+
+
+def dense_axis_pencil(axis):
+    """The dense stiffness S and the weights w of a second-order axis's 1D pencil,
+    `axis` being its (cells, spacing, derivative faces), from `_axis_pencil`."""
+    main, off, weights = _axis_pencil(*axis)
+    off = np.full(len(main) - 1, off)
+    return np.diag(main) + np.diag(off, -1) + np.diag(off, 1), np.array(weights)
 
 
 def evaluation_laplacian(domain):

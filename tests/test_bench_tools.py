@@ -54,6 +54,28 @@ def test_perfbench_pairs_count_wins_ties_and_losses(bench, tmp_path):
     assert pairs["change"]["wall_s"]["values"] == [0.5, 2.0, 3.5, 3.0]
 
 
+def test_resolved_needs_a_median_shift_beyond_the_parents_quartiles(bench, tmp_path):
+    # every pair lost by 0.05 s inside the parent's 0.2 s interquartile spread
+    # is unresolved; a 0.25 s shift is resolved, on perfbench and block rows
+    compare, _ = bench
+    walls = [1.0, 1.1, 1.2, 1.3, 1.4]
+    parent = _perfbench_runs(tmp_path / "parent.jsonl", walls)
+    within = compare.perfbench_pairs(
+        parent, _perfbench_runs(tmp_path / "within.jsonl", [w + 0.05 for w in walls]))
+    assert within["pairs"]["losses"] == 5 and within["resolved"] is False
+    beyond = compare.perfbench_pairs(
+        parent, _perfbench_runs(tmp_path / "beyond.jsonl", [w + 0.25 for w in walls]))
+    assert beyond["resolved"] is True
+
+    def runs(solves):
+        return [{"wall_s": 0.5, "solve_s": solve} for solve in solves]
+
+    for shift, expected in ((-0.05, False), (-0.25, True)):
+        row = compare._row({"parent": runs(walls), "change": runs([w + shift for w in walls])})
+        assert row["pairs"]["metric"] == "solve_s" and row["pairs"]["wins"] == 5
+        assert row["resolved"] is expected
+
+
 def test_perfbench_files_of_unequal_length_are_rejected_before_any_run(bench, tmp_path,
                                                                         monkeypatch):
     compare, _ = bench

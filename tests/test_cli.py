@@ -9,6 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy
 import pytest
@@ -224,6 +225,25 @@ def test_numerical_failure_exit_two_with_partial_report(tmp_path, capsys):
     assert "residual" in report["meta"]["error"]
     assert report["spectra"], "partial spectrum must be flagged, not dropped"
     capsys.readouterr()
+
+
+def test_converge_whose_refinement_is_not_monotone_exits_two_without_spectra(
+        tmp_path, monkeypatch, capsys):
+    # a rising ladder fails the study; its partial is the tuple of values, not
+    # a spectrum, so the report holds the error and no spectra
+    ladder = iter([1.0, 2.0, 4.0])
+    monkeypatch.setattr(verify, "solve_problem",
+                        lambda problem, m, tol, cache: SimpleNamespace(values=(next(ladder),)))
+    code, path = run_to_file(
+        tmp_path, "ladder.json",
+        ["converge", "--dim", "1", "--extent", "1", "--problem", "dirichlet_laplace",
+         "--degree", "0", "--resolutions", "15,31,63"])
+    assert code == 2
+    report = json.loads(path.read_text())
+    assert report["meta"]["status"] == "error"
+    assert "monotonically" in report["meta"]["error"]
+    assert report["spectra"] == []
+    assert "monotonically" in capsys.readouterr().err
 
 
 def test_reports_byte_identical_across_runs(tmp_path):

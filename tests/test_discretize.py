@@ -14,13 +14,14 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import hodge_spectra.eigensolve as es
-from evaluation_grid import evaluation_laplacian, gram_pencil
+from evaluation_grid import dense_axis_pencil, evaluation_laplacian, gram_pencil
 from hodge_spectra.discretize import (
     ComponentBlock,
     ComponentIndex,
     FaceCondition,
     ProblemKind,
     assemble,
+    block_axes,
     build_domain,
     component_conditions,
     _second_order_block,
@@ -245,7 +246,7 @@ def _count_fourth_order_a(monkeypatch) -> list:
     build = ComponentBlock.a.func
 
     def counting(block):
-        if block.axis_factors is None:
+        if block.axis_terms is not None:
             built.append(block.domain.cells)
         return build(block)
 
@@ -342,12 +343,14 @@ def test_block_kernel_dim_matches_numerical_nullity(kind, extent, cells):
 def test_second_order_block_is_the_kronecker_sum_of_its_axis_factors(kind, p):
     dom = build_domain(2, [1.0, 1.7], [4, 6])
     for block in assemble(dom, p, kind).blocks:
-        stiff = [s for s, _ in block.axis_factors]
-        mass = [np.diag(w) for _, w in block.axis_factors]
+        factors = [dense_axis_pencil(axis) for axis in block_axes(block)]
+        stiff = [s for s, _ in factors]
+        mass = [np.diag(w) for _, w in factors]
         kron = functools.partial(functools.reduce, np.kron)
         a = sum(kron([stiff[j] if j == k else mass[j] for j in range(dom.dim)])
                 for k in range(dom.dim))
-        assert np.allclose(block.a.toarray(), a, rtol=0.0, atol=1e-12 * np.abs(a).max())
+        # the sparse Kronecker sum multiplies and adds as the dense one does
+        assert np.array_equal(block.a.toarray(), a)
         assert np.array_equal(block.b.toarray(), kron(mass))
 
 

@@ -16,7 +16,9 @@ import scipy.sparse.linalg as spla
 
 import hodge_spectra.eigensolve as es
 from hodge_spectra import separable
-from hodge_spectra.discretize import ComponentBlock, ProblemKind, assemble, build_domain
+from evaluation_grid import dense_axis_pencil
+from hodge_spectra.discretize import (ComponentBlock, ProblemKind, assemble, block_axes,
+                                      build_domain)
 from hodge_spectra.eigensolve import Spectrum, solve_pencil, solve_problem
 from hodge_spectra.errors import NumericalFailure
 
@@ -281,6 +283,33 @@ def test_smallest_sums_match_the_untruncated_rule(seed):
         assert np.array_equal(es._kron_columns(size, lambda k, j: vectors[k][:, j], got), kron)
 
 
+def _grid_shares(q_pairs, m):
+    """Each class's share of Q's m lowest values by the untruncated rule: a stable
+    argsort over the classes' sorted np.add.outer grids."""
+    lowest = [np.sort(functools.reduce(np.add.outer, [values[:m] for values, _ in pairs]),
+                      axis=None)[:m] for pairs in q_pairs]
+    labels = np.repeat(np.arange(len(lowest)), [values.size for values in lowest])
+    shares = labels[np.argsort(np.concatenate(lowest), kind="stable")[:m]]
+    return [int(share) for share in np.bincount(shares, minlength=len(lowest))]
+
+
+@pytest.mark.parametrize("extent,cells", [
+    ([1.0, 1.0], [15, 15]), ([1.0, 1.3], [9, 11]), ([1.0, 20.0], [5, 100]),
+    ([1.0, 1.0, 1.0], [11, 11, 11]), ([1.0, 1.0, 1.35], [9, 9, 12]),
+    ([1.0, 1.1, 0.9], [7, 8, 9]), ([1.0, 1.0, 0.05], [9, 9, 3])])
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_class_shares_match_the_untruncated_grid_rule(kind, extent, cells):
+    # the per-class heaps merged by (value, class) give every class the share
+    # the whole grids give it, ties included: interchangeable axes make the
+    # classes' values tie, and summation order can break those ties either way
+    (block,) = assemble(build_domain(len(cells), extent, cells), 0, kind).blocks
+    q_eighs: dict = {}
+    q_pairs = [es._eighs(es._axis_bounds(pencil), q_eighs)
+               for pencil, _ in es._reflection_classes(es._AxisPencil.of(block))]
+    for m in (1, 2, 3, 4, 8, 16, 32, 64):
+        assert es._class_shares(q_pairs, m) == _grid_shares(q_pairs, m), m
+
+
 @pytest.mark.parametrize("derivative", [False, True], ids=["value", "derivative"])
 @pytest.mark.parametrize("cells", [3, 4, 127, 1023])
 def test_closed_form_axis_pairs_match_the_assembled_pencil(cells, derivative):
@@ -288,11 +317,8 @@ def test_closed_form_axis_pairs_match_the_assembled_pencil(cells, derivative):
     # assembled W^-1/2 S W^-1/2: the same values, and W-orthonormal vectors
     # that span the same lines; the 1D values ascend, from exactly 0 with
     # derivative faces
-    from hodge_spectra.discretize import FaceCondition, _axis_stiffness
-
     h = 1.3 / (cells + 1)
-    stiff, weights = _axis_stiffness(
-        cells, h, FaceCondition.DERIVATIVE if derivative else FaceCondition.VALUE)
+    stiff, weights = dense_axis_pencil((cells, h, derivative))
     scale = 1.0 / np.sqrt(weights)
     reference, eigh_vectors = np.linalg.eigh(stiff * np.outer(scale, scale))
     eigh_vectors *= scale[:, None]
@@ -985,9 +1011,10 @@ def test_separable_error_bound_covers_the_exact_residual(kind, extent, cells):
         spec = separable.solve_block(block, 3, es.DEFAULT_TOL)
         for theta, bound, multi in zip(spec.values, spec.error_bounds, spec.multi):
             axis_x = [[Fraction(v) for v in separable.axis_vector(*axis, index)]
-                      for axis, index in zip(separable.block_axes(block), multi)]
+                      for axis, index in zip(block_axes(block), multi)]
             x = [math.prod(entries) for entries in itertools.product(*axis_x)]
-            for a, b in (_exact_kronecker_sum(block.axis_factors),
+            factors = [dense_axis_pencil(axis) for axis in block_axes(block)]
+            for a, b in (_exact_kronecker_sum(factors),
                          (_sparse_entries(block.a), _sparse_entries(block.b))):
                 r = [Fraction(0)] * block.size
                 for entries, scale in ((a, Fraction(1)), (b, -Fraction(theta))):
@@ -1007,7 +1034,7 @@ def test_separable_norms_match_the_assembled_block(kind, extent, cells):
     dom = build_domain(len(cells), extent, cells)
     for p in range(dom.dim + 1):
         for block in assemble(dom, p, kind).blocks:
-            norm_a, norm_b = separable._norms(separable.block_axes(block))
+            norm_a, norm_b = separable._norms(block_axes(block))
             assert norm_a == pytest.approx(abs(block.a).sum(axis=0).max(), rel=1e-15)
             assert norm_b == abs(block.b).sum(axis=0).max()
 
