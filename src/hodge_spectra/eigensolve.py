@@ -16,24 +16,26 @@ and face terms d_k, and buckling's B = vol sum_k T_k are applied by
 per-axis contractions with the T_k, clamped plate's B = vol I as a
 scalar.  A and B commute with the reflection of each axis, so the block
 splits into 2^n reflection classes, each again a per-axis pencil of about
-N / 2^n dof (Bossavit, Comput. Methods Appl. Mech. Eng. 56, 1986).  A
-class of at most DENSE_CUTOFF dof is reduced to B^-1/2 A B^-1/2 by the
-contractions applied to the identity and solved once, completely, by
-eigh; `_b_solver` applies B^-1/2, and B^-1 for the error bounds, buckling's
-like Q^-1.  A larger class is solved by LOBPCG
-(Knyazev, SIAM J. Sci. Comput. 23, 2001): A lies between the Kronecker
-sum Q of the per-axis q_k = vol T_k^2 + diag(d_k) and n Q, and between P
-/ n and P, P = (sum_k q_k^1/2)^2, for every h; P^-1, applied exactly by
-per-axis eigendecompositions, preconditions it, and each class is
-started from its own lowest Q modes, so none is left out.  Nothing is
+N / 2^n dof (Bossavit, Comput. Methods Appl. Mech. Eng. 56, 1986); the
+premises, bitwise reflection-symmetric T_k and d_k and exact folds, are
+checked.  A class of at most DENSE_CUTOFF dof is reduced to B^-1/2 A
+B^-1/2 by the contractions applied to the identity and solved once,
+completely, by eigh; `_b_solver` applies B^-1/2, and B^-1 for the error
+bounds, buckling's like Q^-1.  A larger class is solved by LOBPCG
+(Knyazev, SIAM J. Sci. Comput. 23, 2001) in the eigenbasis of the per-axis
+q_k = vol T_k^2 + diag(d_k) (Lynch, Rice & Thomas, Numer. Math. 6, 1964):
+there their Kronecker sum Q, with Q <= A <= n Q, and P = (sum_k
+q_k^1/2)^2, with P / n <= A <= P for every h, are diagonal, so P^-1
+preconditions elementwise, and each class is started from the unit
+vectors of its own lowest Q values, so none is left out.  Nothing is
 assembled or factorized.  The classes' counts are grown until none can
 hide an eigenvalue below the m-th; a class with no share of Q's m lowest
 values is solved only if its per-axis lower bound does not prove it empty
 below them.  Axes with bitwise-equal T_k and d_k (a cube, a square) are
 interchangeable, and permuting them maps classes onto classes with the
-same spectrum: one class per orbit is solved, and its vectors, their grid
-axes transposed, serve the orbit's other classes, so the multiplets
-across an orbit are bitwise equal.
+same spectrum: one class per orbit is solved and certified, and its
+vectors, their grid axes transposed, serve the orbit's other classes, so
+the multiplets across an orbit are bitwise equal.
 
 General (`solve_pencil`: 1D fourth-order blocks, and 2D ones asked for
 more than STRUCTURED_MAX_M values, whose largest class has more than
@@ -61,7 +63,11 @@ bound on the rounding made in forming r is added, so the bound encloses
 the eigenvalue in floating point.  A structured residual is formed from
 the per-axis factors, and its rounding bound also covers the entry
 rounding of the assembled A and B (`_gram_residual`), so the bound holds
-for the pencil the general route solves.  It is free when B is diagonal;
+for the pencil the general route solves.  A reflection class's pairs are
+certified on its folded pencil, and the bound adds the proven distance
+from the computed folds to the exact ones and the assembly's entry
+rounding, normwise (`_gram_certificate`), so it holds for the unfolded
+pairs of the whole block.  The B^-1-norm is free when B is diagonal;
 otherwise B^-1 comes from its per-axis factors (reflection classes,
 `_b_solver`) or one factorization per block (general route).
 
@@ -76,14 +82,14 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import DEFAULT_TOL, separable
 from .discretize import ComponentBlock, FormProblem, block_axes
 from .errors import FactorizationFailure, NumericalFailure
-from .separable import MULTIPLICITY_GAP, _check_tol, _gamma, smallest_sums
+from .separable import MULTIPLICITY_GAP, _check_tol, _gamma, ordered_sums, smallest_sums
 
 __all__ = [
     "Spectrum",
@@ -211,15 +217,24 @@ def _bounds(values, vectors, r, bx, rounding, norm_a: float, norm_b: float,
     the exact ||r||_{B^-1} / ||x||_B.  `b_solve` applies B^-1 to a block of
     vectors.
     """
+    numerator, x_norm = _b_norms(vectors, r, bx, rounding, b_solve)
+    return _backward_errors(values, vectors, r, norm_a, norm_b), numerator / x_norm
+
+
+def _backward_errors(values, vectors, r, norm_a: float, norm_b: float) -> np.ndarray:
+    """||r|| / ((||A||_1 + |theta| ||B||_1) ||x||) per column, 0 where r is 0."""
     scale = norm_a + np.abs(values) * norm_b
     norm_r = np.linalg.norm(r, axis=0)
-    eta = np.divide(norm_r, scale * np.linalg.norm(vectors, axis=0),
-                    out=np.zeros_like(norm_r), where=norm_r != 0.0)
+    return np.divide(norm_r, scale * np.linalg.norm(vectors, axis=0),
+                     out=np.zeros_like(norm_r), where=norm_r != 0.0)
+
+
+def _b_norms(vectors, r, bx, rounding, b_solve) -> tuple[np.ndarray, np.ndarray]:
+    """(||fl(r)||_{B^-1} + ||g||_{B^-1}, ||x||_B) per column (see `_bounds`)."""
     both = np.hstack([r, rounding])
     b_norms = np.sqrt(np.abs(np.sum(both * b_solve(both), axis=0)))
     m = r.shape[1]
-    delta = (b_norms[:m] + b_norms[m:]) / np.sqrt(np.sum(vectors * bx, axis=0))
-    return eta, delta
+    return b_norms[:m] + b_norms[m:], np.sqrt(np.sum(vectors * bx, axis=0))
 
 
 def _residuals(a, b, values, vectors) -> tuple[np.ndarray, np.ndarray]:
@@ -399,11 +414,11 @@ class _AxisPencil:
     def of(cls, block: ComponentBlock) -> "_AxisPencil":
         return cls(block.axis_terms, block.domain.cell_volume, block.b_is_mass)
 
-    @property
+    @functools.cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(d.size for _, d in self.terms)
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
         return math.prod(self.shape)
 
@@ -450,8 +465,8 @@ def _gram_norms(pencil: _AxisPencil) -> tuple[float, float]:
     return abs_a.max(), abs_b.max()
 
 
-def _gram_residual(pencil: _AxisPencil, values,
-                   vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gram_residual(pencil: _AxisPencil, values, vectors: np.ndarray,
+                   assembled: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Computed r = Ax - theta Bx of a fourth-order block by `_gram_products`, Bx, and a
     componentwise bound g on the distance from fl(r) to the exact residual.
 
@@ -474,45 +489,107 @@ def _gram_residual(pencil: _AxisPencil, values,
     of vol K is off by at most n roundings, so |b - B*| <= gamma_n |B*|.
     Together g = gamma_{6n+7} (|A||x| + |theta||B||x|); the factor 1 +
     gamma_{2n+10} covers the roundings made in computing g itself, a sum of
-    nonnegative terms.
+    nonnegative terms.  Without `assembled`, g covers the evaluation alone,
+    gamma_{2n+7}: a reflection class's certificate bounds the assembly
+    normwise (`_gram_certificate`), and the same argument holds for a
+    class's folded T_k, tridiagonal too, with |A| <= vol (sum_k |T_k|)^2 + D.
     """
     n = len(pencil.shape)
     values = np.asarray(values, dtype=float)
     ax, bx = _gram_products(pencil, vectors)
     r = ax - bx * values
     abs_ax, abs_bx = _gram_products(pencil, np.abs(vectors), magnitudes=True)
-    rounding = (_gamma(6 * n + 7) * (1.0 + _gamma(2 * n + 10))) * (abs_ax + abs_bx * np.abs(values))
+    share = _gamma((6 if assembled else 2) * n + 7) * (1.0 + _gamma(2 * n + 10))
+    rounding = share * (abs_ax + abs_bx * np.abs(values))
     return r, bx, rounding
 
 
-def _b_solver(pencil: _AxisPencil, power: float = 1):
+def _b_solver(pencil: _AxisPencil, power: float = 1, pairs: Optional[dict] = None):
     """x -> B^-power x on a block of vectors of a fourth-order pencil: a division for
-    B = vol I, `_kron_sum_solver` over the eigenpairs of each vol T_k for B = vol sum_k T_k."""
+    B = vol I, `_kron_sum_solver` over the eigenpairs of each vol T_k for B = vol sum_k T_k
+    (`_eighs`, which keeps them in `pairs`)."""
     if pencil.b_is_mass:
         divisor = pencil.volume ** power
         return lambda x: x / divisor
-    return _kron_sum_solver(_eighs([pencil.volume * second for second, _ in pencil.terms]),
+    return _kron_sum_solver(_eighs([pencil.volume * second for second, _ in pencil.terms], pairs),
                             power)
 
 
+class _Fold(NamedTuple):
+    """What a reflection class's certificate needs of its whole block (`_fold_terms`)."""
+
+    t: float         # >= sum_k ||T_k||_2
+    e: float         # >= sum_k ||T'_k - T~_k||_2, for a class's computed and exact folds
+    b_floor: float   # <= lambda_min(B) of the whole block, so of every class
+
+
 def _gram_certificate(pencil: _AxisPencil, values, vectors: np.ndarray,
-                      norms: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Backward errors and error bounds (`_bounds`) of pairs of a fourth-order block, from
-    `_gram_residual`, the norms of `_gram_norms` and `_b_solver`'s B^-1."""
-    return _bounds(values, vectors, *_gram_residual(pencil, values, vectors), *norms,
-                   _b_solver(pencil))
+                      norms: tuple[float, float], fold: Optional[_Fold] = None,
+                      pairs: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Backward errors and error bounds (`_bounds`) of pairs of a fourth-order pencil, from
+    `_gram_residual`, the whole block's norms (`_gram_norms`) and `_b_solver`'s B^-1
+    (its eigenpairs kept in `pairs`).
+
+    With `fold`, `pencil` is a reflection class of a block (`_reflection_classes`)
+    and `vectors` hold class coordinates y; each bound then encloses an
+    eigenvalue of the whole block, certified by the exact unfolding x = F* y.
+    Each computed fold is F = F* S, F* exactly orthonormal and S diagonal
+    within u of I (`_is_fold`), so the unfolding that `_along_axes` computes
+    lies within gamma_{2n} |x| of x.  A and B commute with every axis
+    reflection, so the whole block's residual of x has the 2-norm and
+    B^-1-norm of the exact class residual (A~ - theta B~) y, A~ = vol K~^2 + D
+    the class pencil of the exact folds T~_k = F*^T T_k F*, K~ = sum_k T~_k.
+    That residual differs from the one of the computed class pencil, K' =
+    sum_k T'_k, which `_gram_residual` bounds, by
+      vol (K~^2 - K'^2) y = vol (E K~ + K' E) y, E = K~ - K', ||E|| <= e
+        (`_class_floor`'s spread), ||K~ y|| <= ||K' y|| + e ||y||, ||K'|| <= t + e:
+        at most vol e (||K' y|| + (t + 2e) ||y||), where vol ||K' y||^2 <= y^T A' y
+        = y^T r + theta y^T B' y <= ||y|| (||r|| + |theta| ||B' y||);
+      buckling's theta vol E y: at most |theta| vol e ||y||.
+    The assembled block differs from A* and B* entrywise by gamma_{4n} |A*| and
+    gamma_n |B*| (`_gram_residual`), so its residual of x by at most
+    (gamma_{4n} ||A||_1 + gamma_n |theta| ||B||_1) ||y||, the 2-norm of a
+    nonnegative symmetric matrix being at most its largest row sum.  Over
+    sqrt(b_floor), these 2-norms bound their B^-1-norms.  For buckling, B~ >=
+    (1 - rho) B', rho = vol e / (b_floor - vol e), turns the B'-norms that
+    `_bounds` evaluates into B~-norms.  A class with no such bound raises
+    NumericalFailure.
+    """
+    r, bx, rounding = _gram_residual(pencil, values, vectors, assembled=fold is None)
+    eta = _backward_errors(values, vectors, r, *norms)
+    numerator, x_norm = _b_norms(vectors, r, bx, rounding, _b_solver(pencil, pairs=pairs))
+    if fold is None:
+        return eta, numerator / x_norm
+    n, volume, mass = len(pencil.shape), pencil.volume, pencil.b_is_mass
+    t, e, b_floor = fold
+    norm_a, norm_b = norms
+    theta = np.abs(np.asarray(values, dtype=float))
+    y_norm = np.linalg.norm(vectors, axis=0)
+    by_norm = (volume * y_norm if mass else
+               np.linalg.norm(bx, axis=0) + _gamma(n + 3) * volume * (t + e) * y_norm)
+    r_norm = np.linalg.norm(r, axis=0) + np.linalg.norm(rounding, axis=0)
+    k_norm = np.sqrt(y_norm * (r_norm + theta * by_norm) / volume)
+    spread = (volume * e * (k_norm + (t + 2.0 * e + (0.0 if mass else theta)) * y_norm)
+              + (_gamma(4 * n) * norm_a + _gamma(n) * theta * norm_b) * y_norm)
+    rho = 0.0 if mass else volume * e / (b_floor - volume * e)
+    if not (b_floor > 0.0 and 0.0 <= rho < 1.0):
+        raise NumericalFailure("no lower bound on a reflection class's B")
+    scale = math.sqrt(1.0 - rho)
+    return eta, (numerator / scale + spread * (1.0 + _gamma(8)) / math.sqrt(b_floor)) / (
+        scale * x_norm)
 
 
-def _dense_class(pencil: _AxisPencil) -> tuple[np.ndarray, np.ndarray]:
+def _dense_class(pencil: _AxisPencil,
+                 pairs: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of a reflection class: eigh of B^-1/2 A B^-1/2, by `_a_products` and
-    `_b_solver` on the identity, and x = B^-1/2 y (Golub & Van Loan, Matrix Computations, 8.7).
-    For B = vol I that is eigh of A itself, its values divided by vol and its vectors by
-    vol^1/2."""
+    `_b_solver` (its eigenpairs kept in `pairs`) on the identity, and x = B^-1/2 y (Golub &
+    Van Loan, Matrix Computations, 8.7).  For B = vol I that is eigh of A itself, its
+    values divided by vol and its vectors by vol^1/2."""
     if pencil.b_is_mass:
         a = _a_products(pencil, np.eye(pencil.size))[0]
         values, vectors = np.linalg.eigh((a + a.T) / 2)
         return values / pencil.volume, vectors / math.sqrt(pencil.volume)
-    half = _b_solver(pencil, 0.5)
+    half = _b_solver(pencil, 0.5, pairs)
     reduced = half(_a_products(pencil, half(np.eye(pencil.size)))[0])
     values, vectors = np.linalg.eigh((reduced + reduced.T) / 2)
     return values, half(vectors)
@@ -560,8 +637,10 @@ def _lobpcg(apply, norms: tuple[float, float], precond, span: np.ndarray,
     columns not yet converged and P the previous update W c_W + P c_P
     (Knyazev, SIAM J. Sci. Comput. 23, 2001; Hetmaniuk & Lehoucq, J.
     Comput. Phys. 218, 2006).  A step applies the pencil twice, to W and to
-    the new X; the images of P follow the combinations that form it, and
-    the Gram matrix is filled block by block into one array.  It stops once
+    the new X (in a class's Q basis, `_q_basis`, 2(n - 1) contractions each,
+    2n - 1 for buckling, and `precond` is elementwise); the images of P
+    follow the combinations that form it, and the Gram matrix is filled
+    block by block into one array.  It stops once
     the m first columns reach a backward error of ROUNDING_TARGET, or after
     STALL_ITERATIONS without halving the backward error, and returns the
     best iterate: near the rounding floor the error can creep down by
@@ -639,16 +718,60 @@ def _axis_bounds(pencil: _AxisPencil) -> list[np.ndarray]:
     Q <= A <= n Q for every h.  With s_k = q_k^1/2 >= vol^1/2 T_k (the
     square root is operator monotone), P = (sum_k I x s_k x I)^2 = Q + 2
     sum_{j<k} s_j x s_k >= A, and P <= n Q <= n A: P / n <= A <= P, with
-    A's cross terms matched away from the faces (`_preconditioner`).
+    A's cross terms matched away from the faces (`_q_basis`).
     """
     return [pencil.volume * (second @ second) + np.diag(d) for second, d in pencil.terms]
 
 
-def _preconditioner(q_pairs):
-    """x -> P^-1 x, P = (sum_k I x q_k^1/2 x I)^2 (`_axis_bounds`), from the eigenpairs of
-    each q_k: P is diagonal in their Kronecker basis, with the values (sum_k mu_k^1/2)^2,
-    so it costs what Q^-1 costs."""
-    return _kron_sum_solver([(np.sqrt(values), vectors) for values, vectors in q_pairs], power=2)
+def _q_basis(pencil: _AxisPencil, q_pairs, rotated: Optional[dict] = None):
+    """(apply, precondition, unrotate) of a fourth-order pencil in the eigenbasis
+    V = V_1 x ... x V_n of its q_k (`_axis_bounds`), from the eigenpairs (mu_k, V_k).
+
+    In that basis (Lynch, Rice & Thomas, Numer. Math. 6, 1964) Q = diag(sum_k
+    mu_k) and P^-1 = 1 / (sum_k mu_k^1/2)^2 are diagonal, and A = Q + 2 vol
+    sum_{j<k} R_j x R_k, with R_k = V_k^T T_k V_k; buckling's B is vol sum_k
+    R_k and clamped plate's vol I.  `apply` maps y to (A y, B y) by 2(n - 1)
+    contractions, 2n - 1 for buckling, summing the cross terms from the last
+    axis down, sum_j R_j (sum_{k>j} R_k y); `precondition` multiplies by P^-1;
+    `unrotate` forms x = V y by n contractions.  `rotated` keeps each R_k by
+    the bytes of (T_k, V_k), so that classes sharing a factor share it.
+    """
+    rotated = {} if rotated is None else rotated
+    shape, n = pencil.shape, len(pencil.shape)
+    seconds = []
+    for (second, _), (_, vectors) in zip(pencil.terms, q_pairs):
+        key = (second.tobytes(), vectors.tobytes())
+        if key not in rotated:
+            rotated[key] = vectors.T @ second @ vectors
+        seconds.append(rotated[key])
+    diagonal = functools.reduce(np.add.outer, [values for values, _ in q_pairs]).reshape(-1, 1)
+    inverse_p = 1.0 / functools.reduce(
+        np.add.outer, [np.sqrt(values) for values, _ in q_pairs]).reshape(-1, 1) ** 2
+
+    def along(k: int, y: np.ndarray) -> np.ndarray:
+        return _along_axes([None] * k + [seconds[k]], y, shape)
+
+    def apply(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cross = suffix = None   # sum_{j<k} R_j R_k y, and sum_{k>j} R_k y
+        for j in reversed(range(n)):
+            if suffix is not None:
+                term = along(j, suffix)
+                cross = term if cross is None else cross + term
+            if j or not pencil.b_is_mass:
+                term = along(j, y)
+                suffix = term if suffix is None else suffix + term
+        ay = diagonal * y
+        if cross is not None:
+            ay += (2.0 * pencil.volume) * cross
+        return ay, pencil.volume * (y if pencil.b_is_mass else suffix)
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        return r * inverse_p
+
+    def unrotate(y: np.ndarray) -> np.ndarray:
+        return _along_axes([vectors for _, vectors in q_pairs], y, shape)
+
+    return apply, precondition, unrotate
 
 
 def _fold_bases(c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -664,6 +787,27 @@ def _fold_bases(c: int) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
+def _is_fold(fold: np.ndarray, odd: bool) -> bool:
+    """Whether `fold` is F* S, F* an exactly orthonormal basis of the vectors of its
+    length that are even (odd) under the reflection i -> c - 1 - i, and S
+    diagonal within u of I.
+
+    Its rows reflected give the fold (its negative), so each column has that
+    parity; each row holds at most one nonzero, so the columns have disjoint
+    supports; each column is a mirror pair of entries fl(sqrt(1/2)) in
+    magnitude, or the middle entry 1; and it has as many columns as the
+    parity has dimensions, so the columns span it.
+    """
+    c = fold.shape[0]
+    nonzero = fold != 0.0
+    sizes = nonzero.sum(axis=0)
+    return (fold.shape[1] == (c // 2 if odd else c - c // 2)
+            and np.array_equal(fold[::-1], -fold if odd else fold)
+            and bool(np.all(nonzero.sum(axis=1) <= 1))
+            and bool(np.all((sizes == 1) | (sizes == 2)))
+            and np.array_equal(np.abs(fold), nonzero * np.where(sizes == 2, math.sqrt(0.5), 1.0)))
+
+
 def _reflection_classes(pencil: _AxisPencil) -> list[tuple[_AxisPencil, list[np.ndarray]]]:
     """The 2^n reflection classes of a fourth-order pencil, each with its per-axis folds.
 
@@ -674,10 +818,18 @@ def _reflection_classes(pencil: _AxisPencil) -> list[tuple[_AxisPencil, list[np.
     the orthonormal basis of that parity (`_fold_bases`), the pencil on the
     class is again a per-axis pencil, of terms F_k^T T_k F_k and d_k's first
     half (d_k is even), and its vectors unfold by F_1 x ... x F_n
-    (`_along_axes`).  Classes come in lexicographic parity order.
+    (`_along_axes`).  Classes come in lexicographic parity order.  The
+    premises are checked: a T_k or d_k that is not bitwise reflection
+    symmetric, or a fold that `_is_fold` refuses, raises NumericalFailure.
     """
-    per_axis = [[(fold, (fold.T @ second @ fold, d[:fold.shape[1]]))
-                 for fold in _fold_bases(d.size)] for second, d in pencil.terms]
+    for second, d in pencil.terms:
+        if not (np.array_equal(second[::-1, ::-1], second) and np.array_equal(d[::-1], d)):
+            raise NumericalFailure("a per-axis term is not reflection symmetric")
+    bases = {c: _fold_bases(c) for c in dict.fromkeys(d.size for _, d in pencil.terms)}
+    if not all(_is_fold(fold, odd) for folds in bases.values() for odd, fold in enumerate(folds)):
+        raise NumericalFailure("a fold is not an orthonormal basis of its parity")
+    per_axis = [[(fold, (fold.T @ second @ fold, d[:fold.shape[1]])) for fold in bases[d.size]]
+                for second, d in pencil.terms]
     return [(_AxisPencil(tuple(term for _, term in choice), pencil.volume, pencil.b_is_mass),
              [fold for fold, _ in choice])
             for choice in itertools.product(*per_axis)]
@@ -716,17 +868,27 @@ def _class_shares(q_pairs, m: int) -> list[int]:
     """Each class's share of the m smallest eigenvalues of Q, over all classes: the first
     guess of the number of values it needs, less one.
 
-    A class's m smallest values of Q are its m smallest sums of per-axis
-    values (`smallest_sums`, which needs only each axis's m lowest); the
-    classes' lists are merged by (value, class index), so a tie goes to the
-    lower class.
+    A class's values of Q are its sums of per-axis values (`ordered_sums`,
+    which yields them lazily, in order; its first m need only each axis's m
+    lowest).  The classes' sums are merged by (value, class index), so a
+    tie goes to the lower class, and the merge pulls about m + 2^n of them.
     """
-    lowest = [smallest_sums([values[:m].tolist() for values, _ in pairs], m)[0]
-              for pairs in q_pairs]
-    merged = heapq.merge(*[[(value, index) for value in sums]
-                           for index, sums in enumerate(lowest)])
+    merged = heapq.merge(*[
+        zip((value for value, _, _ in ordered_sums([values[:m].tolist() for values, _ in pairs])),
+            itertools.repeat(index))
+        for index, pairs in enumerate(q_pairs)])
     chosen = [index for _, index in itertools.islice(merged, m)]
-    return [chosen.count(index) for index in range(len(lowest))]
+    return [chosen.count(index) for index in range(len(q_pairs))]
+
+
+def _merge_classes(values: np.ndarray, bounds: np.ndarray, labels: np.ndarray,
+                   m: int) -> tuple[np.ndarray, float]:
+    """The order of the classes' pairs by (value, class index), and sigma, the m-th
+    value plus its bound (inf with fewer than m pairs): what closes a round of
+    `_structured_solve`."""
+    order = np.lexsort((labels, values))
+    sigma = values[order[m - 1]] + bounds[order[m - 1]] if values.size >= m else math.inf
+    return order, sigma
 
 
 def _lowered(x: float, k: int) -> float:
@@ -799,8 +961,7 @@ def _class_floor(whole: _AxisPencil, pencil: _AxisPencil, q_pairs) -> float:
     taus, mus, cs = [], [], []
     for (whole_second, _), (second, d), q, q_pair in zip(
             whole.terms, pencil.terms, _axis_bounds(pencil), q_pairs):
-        t = np.abs(whole_second).sum(axis=1).max() * (1.0 + _gamma(3))
-        spread_t = _gamma(6) * t
+        t, spread_t = _fold_spread(whole_second)
         spread_q = _gamma(7) * (3.0 * volume * t * t + d.max())
         t_values, t_vectors = t_pair = np.linalg.eigh(second)
         taus.append(max(_lowest_floor(second, spread_t, t_pair), 0.0))
@@ -825,46 +986,83 @@ def _class_floor(whole: _AxisPencil, pencil: _AxisPencil, q_pairs) -> float:
                for k, c in enumerate(cs))
 
 
+def _fold_spread(second: np.ndarray) -> tuple[float, float]:
+    """(t, e) of an axis's T_k: t >= ||T_k||_2, the largest row sum of |T_k| rounded
+    up, and e = gamma_6 t >= ||T'_k - T~_k||_2, the distance from either computed fold
+    fl(F^T T_k F) to the exact F*^T T_k F* (`_class_floor`)."""
+    t = np.abs(second).sum(axis=1).max() * (1.0 + _gamma(3))
+    return t, _gamma(6) * t
+
+
+def _fold_terms(whole: _AxisPencil, classes) -> _Fold:
+    """The sums over the axes of `_fold_spread`, and a lower bound on lambda_min(B) of
+    the whole block: vol for clamped plate; for buckling, vol sum_k tau_k, tau_k the
+    smaller of the floors (`_lowest_floor`, spread e_k) of axis k's two folded T_k,
+    whose spectra make up T_k's."""
+    n = len(whole.terms)
+    spreads = [_fold_spread(second) for second, _ in whole.terms]
+    t, e = (sum(column) * (1.0 + _gamma(n)) for column in zip(*spreads))
+    if whole.b_is_mass:
+        return _Fold(t, e, whole.volume)
+    floors: dict = {}   # by the bytes of a folded T_k and its spread, shared by equal axes
+    taus = []
+    for k, (_, spread) in enumerate(spreads):
+        lowest = math.inf
+        for pencil, _ in classes:
+            second = pencil.terms[k][0]
+            key = (second.tobytes(), spread)
+            if key not in floors:
+                floors[key] = max(_lowest_floor(second, spread), 0.0)
+            lowest = min(lowest, floors[key])
+        taus.append(lowest)
+    return _Fold(t, e, _lowered(whole.volume * sum(taus), n + 1))
+
+
 def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     """m smallest eigenpairs of a fourth-order block, by reflection class.
 
-    A and B are applied from the block's per-axis factors
-    (`_gram_products`).  The block splits into 2^n reflection classes
-    (`_reflection_classes`), each a per-axis pencil of about N / 2^n dof.  A
+    The block splits into 2^n reflection classes (`_reflection_classes`, which
+    checks their premises), each a per-axis pencil of about N / 2^n dof.  A
     class of at most DENSE_CUTOFF dof is solved once, completely, by
     `_dense_class`; each later count re-slices its pairs.  A larger class is
-    solved by LOBPCG, preconditioned by its P^-1, applied exactly from the
-    eigenpairs of its q_k (P / n <= A <= P makes the iteration count
-    independent of h; `_axis_bounds`), and started from the START_SPAN
-    (count + GUARD) lowest eigenvectors of its Q, whole multiplets, which A
-    ranks by Rayleigh-Ritz.  An iteration never leaves the classes its start
-    holds.
+    solved by LOBPCG in the eigenbasis of its q_k (`_q_basis`), where Q and
+    the preconditioner P^-1 are diagonal (P / n <= A <= P makes the
+    iteration count independent of h; `_axis_bounds`), started from the unit
+    vectors of the START_SPAN (count + GUARD) lowest values of Q, whole
+    multiplets, which A ranks by Rayleigh-Ritz; its vectors are then rotated
+    back to the class.  An iteration never leaves the class it starts in.
 
     Each orbit of classes under permutations of interchangeable axes
     (`_class_orbits`) is solved once, by its representative, asked first
     for the largest over its members of their share of Q's m lowest values
     plus one (`_class_shares`; summation order can break Q's ties
     differently in each member); an orbit whose share is 0 is not solved
-    yet.  Each member takes the representative's unfolded vectors with the
-    grid axes transposed, an exact permutation, and its values bit for bit.
-    With sigma the m-th smallest value over the classes solved and its
-    bound, a solved orbit with a class whose top value is not clearly above
-    sigma (top - its bound <= sigma) doubles its count, and an orbit not
-    solved is solved for one value if its lower bound (`_class_floor`) is
-    not above sigma; this repeats until no orbit changes.  A class solved
-    then holds no eigenvalue below sigma that it did not return (as long as
-    each class returns its lowest values, as a dense class does by
-    construction), and one never solved is proven to hold none, so none is
-    missed.  A class solve that stops short of tol fails the block at once,
-    since its wide bounds would only grow it.  The pairs are unfolded,
-    merged by (value, class), and certified on the whole block
-    (`_gram_certificate`), so the certificate does not rest on the folding;
+    yet.  Each solve is certified on its folded class pencil
+    (`_gram_certificate` with the block's `_fold_terms`), with bounds that
+    hold for the unfolded pairs of the whole block; a class not solved again
+    keeps its certificate, and each member of an orbit takes its
+    representative's values and certificates bit for bit.  With sigma the
+    m-th smallest value over the classes solved and its bound
+    (`_merge_classes`), a solved orbit with a class whose top value is not
+    clearly above sigma (top - its bound <= sigma) doubles its count, and an
+    orbit not solved is solved for one value if its lower bound
+    (`_class_floor`) is not above sigma; this repeats until no orbit
+    changes.  A class solved then holds no eigenvalue below sigma that it
+    did not return (as long as each class returns its lowest values, as a
+    dense class does by construction), and one never solved is proven to
+    hold none, so none is missed.  A class solve that stops short of tol
+    fails the block at the end of its round, since its wide bounds would
+    only grow it.  Only the m pairs chosen, by (value, class), are unfolded,
+    each member's with the grid axes transposed, an exact permutation;
     `_certified` judges the result.
     """
     whole = _AxisPencil.of(block)
     norms = _gram_norms(whole)
     classes = _reflection_classes(whole)
+    fold = _fold_terms(whole, classes)
     q_eighs: dict = {}
+    b_eighs: dict = {}
+    rotated: dict = {}
     q_pairs = [_eighs(_axis_bounds(pencil), q_eighs) for pencil, _ in classes]
     shares = _class_shares(q_pairs, m)
     orbits = _class_orbits(whole)
@@ -875,7 +1073,21 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
 
     @functools.cache
     def dense(i: int) -> tuple[np.ndarray, np.ndarray]:
-        return _dense_class(classes[i][0])
+        return _dense_class(classes[i][0], b_eighs)
+
+    def solve(i: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        pencil = classes[i][0]
+        if pencil.size <= DENSE_CUTOFF:
+            values, vectors = dense(i)
+            return values[:count], vectors[:, :count]
+        apply, precondition, unrotate = _q_basis(pencil, q_pairs[i], rotated)
+        multis = smallest_sums([values.tolist() for values, _ in q_pairs[i]],
+                               START_SPAN * (count + GUARD), multiplet_limit=pencil.size // 2)[1]
+        start = np.zeros((pencil.size, len(multis)))
+        start[np.ravel_multi_index(tuple(zip(*multis)), pencil.shape),
+              np.arange(len(multis))] = 1.0
+        values, vectors = _lobpcg(apply, norms, precondition, start, count)
+        return values[:count], unrotate(vectors[:, :count])
 
     # the count each orbit's representative is solved for, once it is solved
     counts: dict = {}
@@ -883,41 +1095,27 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
         if shares[i]:
             counts[representative] = max(counts.get(representative, 0),
                                          min(shares[i] + 1, classes[i][0].size))
+    # per representative: its values, class vectors, backward errors and bounds
     solved: dict = {}
     while True:
         for i in sorted(counts):
-            pencil, folds = classes[i]
             if i not in solved or solved[i][0].size < counts[i]:
-                if pencil.size <= DENSE_CUTOFF:
-                    values, vectors = dense(i)
-                else:
-                    multis = smallest_sums([values.tolist() for values, _ in q_pairs[i]],
-                                           START_SPAN * (counts[i] + GUARD),
-                                           multiplet_limit=pencil.size // 2)[1]
-                    start = _kron_columns(pencil.size, lambda k, j: q_pairs[i][k][1][:, j],
-                                          multis)
-                    values, vectors = _lobpcg(functools.partial(_gram_products, pencil), norms,
-                                              _preconditioner(q_pairs[i]), start, counts[i])
-                solved[i] = (values[:counts[i]],
-                             _along_axes(folds, vectors[:, :counts[i]], pencil.shape))
-        # each member of a solved orbit takes its representative's pairs, its
-        # grid axes transposed
+                values, vectors = solve(i, counts[i])
+                solved[i] = (values, vectors, *_gram_certificate(
+                    classes[i][0], values, vectors, norms, fold, b_eighs))
         members = [(i, representative, axes) for i, (representative, axes) in enumerate(orbits)
                    if representative in solved]
-        values = np.concatenate([solved[representative][0] for _, representative, _ in members])
-        vectors = np.hstack([
-            np.transpose(solved[representative][1].reshape(whole.shape + (-1,)),
-                         axes + (len(axes),)).reshape(whole.size, -1)
-            for _, representative, axes in members])
-        eta, delta = _gram_certificate(whole, values, vectors, norms)
+        values, eta, delta = (np.concatenate([solved[representative][field]
+                                              for _, representative, _ in members])
+                              for field in (0, 2, 3))
         if not np.all(eta <= tol):
             # a class that stopped short of tol has wide bounds, which the
             # rule below would answer by doubling its count round after round
             raise NumericalFailure(f"a reflection class missed the residual tolerance {tol} "
                                    f"(worst backward error {eta.max():.3e})")
         sizes = [solved[representative][0].size for _, representative, _ in members]
-        order = np.lexsort((np.repeat([i for i, _, _ in members], sizes), values))
-        sigma = values[order[m - 1]] + delta[order[m - 1]] if values.size >= m else math.inf
+        order, sigma = _merge_classes(values, delta, np.repeat([i for i, _, _ in members], sizes),
+                                      m)
         tops = np.cumsum(sizes) - 1
         grow = {representative for (i, representative, _), top in zip(members, tops)
                 if counts[representative] < classes[i][0].size
@@ -931,7 +1129,19 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
         for i in new:
             counts[i] = 1
     chosen = order[:m]
-    return _certified(values[chosen], vectors[:, chosen], (eta[chosen], delta[chosen]), tol)
+    # unfold the chosen pairs only, each member's its representative's with
+    # the grid axes transposed
+    owner = np.repeat(np.arange(len(members)), sizes)[chosen]
+    column = np.concatenate([np.arange(size) for size in sizes])[chosen]
+    vectors = np.empty((whole.size, chosen.size))
+    for index, (_, representative, axes) in enumerate(members):
+        picked = np.flatnonzero(owner == index)
+        if picked.size:
+            pencil, folds = classes[representative]
+            x = _along_axes(folds, solved[representative][1][:, column[picked]], pencil.shape)
+            vectors[:, picked] = np.transpose(x.reshape(whole.shape + (-1,)),
+                                              axes + (len(axes),)).reshape(whole.size, -1)
+    return _certified(values[chosen], vectors, (eta[chosen], delta[chosen]), tol)
 
 
 def _solve_fourth_order(block: ComponentBlock, m: int, tol: float) -> Spectrum:

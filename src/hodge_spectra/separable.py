@@ -106,17 +106,14 @@ def axis_vector(cells: int, h: float, derivative: bool, index: int) -> list[floa
     return [scale * _sin_pi((index + 1) * i, n) for i in range(1, n)]
 
 
-def smallest_sums(values: list, count: int, skip_first: bool = False,
-                  multiplet_limit: int = 0) -> tuple[list[float], list[tuple[int, ...]]]:
-    """The `count` smallest sums of one value per axis, with their multi-indices.
+def ordered_sums(values: list):
+    """Yield (sum, flat index, multi-index) for every choice of one value per axis,
+    in (sum, flat index) order, lazily.
 
     `values` holds each axis's values in ascending order.  A sum is added in
     axis order, so it equals the entry of the grid
     functools.reduce(np.add.outer, values) bit for bit, and the sums come in
-    (value, flat index) order, axis 1 slowest, as a stable argsort of that
-    grid ranks them.  `skip_first` drops flat index 0, the all-lowest
-    multi-index.  With `multiplet_limit`, count grows, up to that limit,
-    until the next sum lies outside the last one's multiplet.
+    the order a stable argsort of that grid ranks them, axis 1 slowest.
 
     A heap holds the frontier: each multi-index is pushed by its one parent,
     itself less its last nonzero axis by one, whose sum and flat index are no
@@ -126,7 +123,6 @@ def smallest_sums(values: list, count: int, skip_first: bool = False,
     """
     shape = [len(axis) for axis in values]
     strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
-    limit = min(multiplet_limit, math.prod(shape) - skip_first - 1)
 
     def entry(multi):
         total_value = values[0][multi[0]]
@@ -135,13 +131,28 @@ def smallest_sums(values: list, count: int, skip_first: bool = False,
         return total_value, sum(s * i for s, i in zip(strides, multi)), multi
 
     heap = [entry((0,) * len(shape))]
-    sums, multis = [], []
     while heap:
-        value, flat, multi = heapq.heappop(heap)
+        item = heapq.heappop(heap)
+        multi = item[2]
         last = max((k for k, index in enumerate(multi) if index), default=0)
         for k in range(last, len(shape)):
             if multi[k] + 1 < shape[k]:
                 heapq.heappush(heap, entry(multi[:k] + (multi[k] + 1,) + multi[k + 1:]))
+        yield item
+
+
+def smallest_sums(values: list, count: int, skip_first: bool = False,
+                  multiplet_limit: int = 0) -> tuple[list[float], list[tuple[int, ...]]]:
+    """The `count` smallest sums of one value per axis, with their multi-indices, in
+    the order of `ordered_sums`.
+
+    `skip_first` drops flat index 0, the all-lowest multi-index.  With
+    `multiplet_limit`, count grows, up to that limit, until the next sum lies
+    outside the last one's multiplet.
+    """
+    limit = min(multiplet_limit, math.prod(len(axis) for axis in values) - skip_first - 1)
+    sums, multis = [], []
+    for value, flat, multi in ordered_sums(values):
         if skip_first and flat == 0:
             continue
         if len(sums) >= count and not (len(sums) < limit

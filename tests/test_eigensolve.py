@@ -402,16 +402,16 @@ def split_only(monkeypatch, structured_only):
 
 
 def _record_rounds(monkeypatch, solves: list) -> list:
-    """The number of class solves made by each split round's certificate, which
-    closes the round; `solves` holds one entry per class solve."""
+    """The number of class solves made by the end of each split round, whose merge
+    of the classes' values closes it; `solves` holds one entry per class solve."""
     rounds = []
-    real = es._gram_certificate
+    real = es._merge_classes
 
     def recorded(*args):
         rounds.append(len(solves))
         return real(*args)
 
-    monkeypatch.setattr(es, "_gram_certificate", recorded)
+    monkeypatch.setattr(es, "_merge_classes", recorded)
     return rounds
 
 
@@ -517,9 +517,9 @@ def test_cube_triples_across_an_orbit_are_bitwise_equal(kind, split_only):
     # the 2nd to 4th values come from the orbit of classes 001, 010 and
     # 100, the 5th to 7th from that of 011, 101 and 110: each member takes
     # its representative's vectors with the grid axes transposed, so the
-    # three values agree bit for bit, each column is certified on the whole
-    # block, and the transposed vectors lie in their own classes, so all
-    # are B-orthogonal
+    # three values agree bit for bit, each column is certified on its
+    # class's folded pencil, and the transposed vectors lie in their own
+    # classes, so all are B-orthogonal
     prob = assemble(build_domain(3, [1.0] * 3, [7, 7, 7]), 0, kind)
     spec = solve_problem(prob, m=14)
     _assert_enclosures_meet(spec, prob, 14)
@@ -590,21 +590,157 @@ def _class_pencils(kind, extent, cells):
 CLASS_BOXES = [([1.0, 1.3], [9, 11]), ([1.0, 0.8, 1.1], [4, 5, 6]), ([1.0, 1.0, 0.05], [6, 5, 3])]
 
 
+def _rotation(q_pairs):
+    """V = V_1 x ... x V_n, the Kronecker product of the q_k's eigenvectors."""
+    return functools.reduce(np.kron, [vectors for _, vectors in q_pairs])
+
+
 @pytest.mark.parametrize("extent,cells", CLASS_BOXES)
 @pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
 def test_preconditioner_bounds_each_class_pencil(kind, extent, cells):
-    # P = (sum_k I x q_k^1/2 x I)^2 satisfies P / n <= A <= P on every
-    # class, and the preconditioner applies its inverse
+    # in the eigenbasis V of the q_k, P = (sum_k I x q_k^1/2 x I)^2 is the
+    # diagonal (sum_k mu_k^1/2)^2, and it satisfies P / n <= V^T A V <= P on
+    # every class; the Q-basis preconditioner multiplies by its inverse
     n = len(cells)
     for _, pencil, q_pairs, (a, _) in _class_pencils(kind, extent, cells):
-        eyes = [np.eye(c) for c in pencil.shape]
-        root = sum(functools.reduce(np.kron, [
-            vectors @ np.diag(np.sqrt(values)) @ vectors.T if j == k else eyes[j]
-            for j in range(n)]) for k, (values, vectors) in enumerate(q_pairs))
-        p = root @ root
-        ratios = sla.eigh((a + a.T) / 2, (p + p.T) / 2, eigvals_only=True)
+        v = _rotation(q_pairs)
+        rotated = v.T @ a @ v
+        p = functools.reduce(np.add.outer, [np.sqrt(values) for values, _ in q_pairs]).ravel() ** 2
+        ratios = sla.eigh((rotated + rotated.T) / 2, np.diag(p), eigvals_only=True)
         assert ratios[0] >= 1.0 / n - 1e-9 and ratios[-1] <= 1.0 + 1e-9
-        assert np.allclose(es._preconditioner(q_pairs)(p), np.eye(pencil.size), atol=1e-9)
+        _, precondition, _ = es._q_basis(pencil, q_pairs)
+        assert np.allclose(precondition(np.diag(p)), np.eye(pencil.size), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("extent,cells", CLASS_BOXES)
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_q_basis_operator_matches_the_rotated_class_pencil(kind, extent, cells):
+    # the LOBPCG operator of each class, applied to the identity, is V^T A V
+    # and V^T B V, and unrotate applies V itself
+    for _, pencil, q_pairs, (a, b) in _class_pencils(kind, extent, cells):
+        v = _rotation(q_pairs)
+        apply, _, unrotate = es._q_basis(pencil, q_pairs)
+        ay, by = apply(np.eye(pencil.size))
+        for got, want in ((ay, v.T @ a @ v), (by, v.T @ b @ v)):
+            assert np.allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        assert np.allclose(unrotate(np.eye(pencil.size)), v, rtol=0, atol=1e-15)
+
+
+# 2D and 3D boxes, odd and even sides (a fold with and without a middle
+# node), unequal and thin extents
+FOLD_BOXES = [([1.0, 1.3], [9, 12]), ([1.0, 1.0], [10, 10]), ([1.0, 20.0], [5, 100]),
+              ([1.0, 0.8, 1.1], [4, 5, 7]), ([1.0, 1.0, 0.05], [6, 6, 3])]
+
+
+@pytest.mark.parametrize("extent,cells", FOLD_BOXES)
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_class_bounds_enclose_the_assembled_spectrum(kind, extent, cells):
+    # every pair of every class, certified on its folded pencil, has an
+    # eigenvalue of the assembled block within its bound plus the dense
+    # reference's own certified bound; a pair made 1e-4 noisy, its bound far
+    # above the rounding floor, has its nearest eigenvalue within that bound,
+    # which the whole-block certificate of the unfolded vector undercuts by
+    # no more than the fold and assembly terms, negligible there
+    prob = assemble(build_domain(len(cells), extent, cells), 0, kind)
+    (block,) = prob.blocks
+    whole = es._AxisPencil.of(block)
+    norms = es._gram_norms(whole)
+    classes = es._reflection_classes(whole)
+    fold = es._fold_terms(whole, classes)
+    reference, reference_bounds = _certified_reference(prob, block.size)
+    rng = np.random.default_rng(3)
+    for pencil, folds in classes:
+        values, vectors = es._dense_class(pencil)
+        residuals, bounds = es._gram_certificate(pencil, values, vectors, norms, fold)
+        assert np.all(residuals <= es.DEFAULT_TOL)
+        gaps = np.abs(values[:, None] - reference[None, :]) - reference_bounds[None, :]
+        assert np.all(gaps.min(axis=1) <= bounds), pencil.shape
+        y = vectors[:, :1] + 1e-4 * rng.standard_normal((pencil.size, 1))
+        ay, by = es._gram_products(pencil, y)
+        theta = (y[:, 0] @ ay[:, 0]) / (y[:, 0] @ by[:, 0])
+        _, (bound,) = es._gram_certificate(pencil, [theta], y, norms, fold)
+        distance = np.min(np.abs(reference - theta))
+        assert distance <= bound and bound > 100.0 * bounds[0]
+        x = es._along_axes(folds, y, pencil.shape)
+        _, (whole_bound,) = es._gram_certificate(whole, [theta], x, norms)
+        assert whole_bound <= bound <= 1.001 * whole_bound
+
+
+def _refused_and_never_certified(monkeypatch, block):
+    """Assert that the class route refuses the block before any certificate, and that
+    the general solver answers it."""
+    certified = []
+    real = es._gram_certificate
+    monkeypatch.setattr(es, "_gram_certificate",
+                        lambda *args, **kwargs: certified.append(1) or real(*args, **kwargs))
+    with pytest.raises(NumericalFailure):
+        es._structured_solve(block, 4, es.DEFAULT_TOL)
+    assert not certified
+    reference = solve_pencil(block.a, block.b, 4)
+    assert np.array_equal(es._solve_fourth_order(block, 4, es.DEFAULT_TOL).values,
+                          reference.values)
+    assert not certified
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=["even", "odd"])
+@pytest.mark.parametrize("cells", [[9, 12], [4, 5, 7]])
+def test_a_fold_with_a_flipped_sign_is_refused(monkeypatch, cells, odd):
+    # one entry of one fold's mirror pair changes sign, so that column lies
+    # in the other parity: the block is refused before any class is solved
+    real = es._fold_bases
+
+    def flipped(c):
+        folds = [fold.copy() for fold in real(c)]
+        folds[odd][c - 1, 0] *= -1.0
+        return tuple(folds)
+
+    monkeypatch.setattr(es, "_fold_bases", flipped)
+    (block,) = assemble(build_domain(len(cells), [1.0] * len(cells), cells), 0,
+                        ProblemKind.BUCKLING).blocks
+    _refused_and_never_certified(monkeypatch, block)
+
+
+@pytest.mark.parametrize("term", [0, 1], ids=["second-difference", "face-terms"])
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_a_term_that_is_not_reflection_symmetric_is_refused(monkeypatch, kind, term):
+    # one entry of T_2 or d_2 moved by one ulp breaks the reflection symmetry
+    # of axis 2: the block has no reflection classes and goes to solve_pencil
+    (block,) = assemble(build_domain(2, [1.0, 1.3], [9, 12]), 0, kind).blocks
+    terms = [[second.copy(), d.copy()] for second, d in block.axis_terms]
+    factor = terms[1][term]
+    factor.flat[0] = np.nextafter(factor.flat[0], np.inf)
+    monkeypatch.setattr(es._AxisPencil, "of", classmethod(
+        lambda cls, block: cls(tuple(map(tuple, terms)), block.domain.cell_volume,
+                               block.b_is_mass)))
+    _refused_and_never_certified(monkeypatch, block)
+
+
+def test_is_fold_accepts_only_an_orthonormal_parity_basis():
+    for c in (1, 2, 7, 8):
+        even, odd = es._fold_bases(c)
+        assert es._is_fold(even, False) and es._is_fold(odd, True)
+        assert not es._is_fold(odd, False) and (c < 2 or not es._is_fold(even, True))
+        if c > 2:
+            for fold, parity in ((even, False), (odd, True)):
+                for change in ("sign", "scale", "column"):
+                    bad = fold.copy()
+                    if change == "sign":
+                        bad[0, 0] *= -1.0
+                    elif change == "scale":
+                        bad[[0, -1], 0] *= 2.0
+                    else:
+                        bad = bad[:, 1:]
+                    assert not es._is_fold(bad, parity), (c, parity, change)
+
+
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_orbit_members_inherit_their_representatives_bounds(kind, split_only):
+    # the cube's triples come from one class solve each: the members' values,
+    # backward errors and bounds equal the representative's bit for bit
+    spec = solve_problem(assemble(build_domain(3, [1.0] * 3, [7, 7, 7]), 0, kind), m=14)
+    for field in ("values", "residuals", "error_bounds"):
+        column = getattr(spec, field)
+        assert np.all(column[1:4] == column[1]) and np.all(column[4:7] == column[4]), field
 
 
 @pytest.mark.parametrize("extent,cells", CLASS_BOXES)
