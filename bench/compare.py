@@ -24,8 +24,9 @@ start included), a block's solve seconds, its import time of hodge_spectra.cli,
 its peak RSS, its exit code, whether its heap was frozen when it ended (as
 `cli.main()` leaves it), whether it had loaded numpy, which of scipy,
 scipy.sparse, scipy.linalg and scipy.sparse.linalg it had loaded, and
-whether it had loaded hodge_spectra.bessel, hodge_spectra.checks and
-fractions.  Per row come the medians and quartiles, the pairs in which
+which of LOADED it had loaded: hodge_spectra.bessel, hodge_spectra.checks,
+hodge_spectra.separable, fractions, dataclasses, inspect and platform.
+Per row come the medians and quartiles, the pairs in which
 the change was faster (wins), as fast (ties) or slower (losses), on solve
 seconds for a block and on wall seconds otherwise, and whether the row is
 resolved on that metric: whether the medians differ by more than the
@@ -125,6 +126,10 @@ BLOCKS = (
     ((23, 23, 23), (1, 1, 1), "absolute_laplace", 0, 64),
 )
 SCIPY_PARTS = ("scipy", "scipy.sparse", "scipy.linalg", "scipy.sparse.linalg")
+# (field, module): whether the child had loaded each module
+LOADED = (("bessel", "hodge_spectra.bessel"), ("checks", "hodge_spectra.checks"),
+          ("separable", "hodge_spectra.separable"), ("fractions", "fractions"),
+          ("dataclasses", "dataclasses"), ("inspect", "inspect"), ("platform", "platform"))
 PERFBENCH_METRICS = ("wall_s", "setup_s", "peak_rss_mb", "ok_ratio")
 # the run fields summarized by median and quartiles; the others are listed per run
 TIMED = ("wall_s", "solve_s", "import_s", "peak_rss_mb")
@@ -164,9 +169,7 @@ run.update(peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
            frozen=gc.get_freeze_count() > 0,
            numpy="numpy" in sys.modules,
            scipy=[m for m in {SCIPY_PARTS!r} if m in sys.modules],
-           bessel="hodge_spectra.bessel" in sys.modules,
-           checks="hodge_spectra.checks" in sys.modules,
-           fractions="fractions" in sys.modules)
+           **{{field: module in sys.modules for field, module in {LOADED!r}}})
 print(json.dumps(run))
 """
 
@@ -347,8 +350,8 @@ def main(argv=None) -> int:
                 "child), import seconds of hodge_spectra.cli, peak "
                 "RSS, exit code, whether the heap was frozen at the end, whether numpy was "
                 "loaded, the scipy modules loaded, and "
-                "whether hodge_spectra.bessel, hodge_spectra.checks and fractions were "
-                "loaded; wins, "
+                "whether hodge_spectra.bessel, hodge_spectra.checks, hodge_spectra.separable, "
+                "fractions, dataclasses, inspect and platform were loaded; wins, "
                 "ties and losses count the pairs in which the change's solve (blocks) or wall "
                 f"(otherwise) seconds are lower, equal or higher; resolved: the medians of "
                 "that metric differ by more than the parent's interquartile spread; "

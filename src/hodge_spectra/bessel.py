@@ -13,11 +13,11 @@ needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Union
 
+from . import _FrozenRecord
 from .errors import BracketNotFound
 
 __all__ = [
@@ -39,13 +39,13 @@ _BISECT_ITERS = 50
 _SCAN_SPAN = 20.0
 
 
-@dataclass(frozen=True)
-class BesselOrder:
+class BesselOrder(_FrozenRecord):
     """Half-integer order nu = twice_order / 2."""
 
     twice_order: int
 
-    def __post_init__(self):
+    def __init__(self, twice_order):
+        super().__init__(twice_order)
         if not isinstance(self.twice_order, int) or isinstance(self.twice_order, bool):
             raise ValueError(f"twice_order must be an integer, got {self.twice_order!r}")
         if self.twice_order < 0:
@@ -65,8 +65,7 @@ class BesselOrder:
         return cls(int(twice))
 
 
-@dataclass(frozen=True)
-class ZeroBracket:
+class ZeroBracket(_FrozenRecord):
     """An interval [lo, hi] with a sign change of the scanned function."""
 
     lo: float
@@ -74,7 +73,8 @@ class ZeroBracket:
     f_lo: float
     f_hi: float
 
-    def __post_init__(self):
+    def __init__(self, lo, hi, f_lo, f_hi):
+        super().__init__(lo, hi, f_lo, f_hi)
         if not (self.lo > 0.0 and self.hi > self.lo):
             raise ValueError(f"bad bracket [{self.lo}, {self.hi}]")
         if not self.f_lo * self.f_hi < 0.0:
@@ -214,8 +214,7 @@ def first_zero_cross(a: Union[BesselOrder, int, float]) -> float:
     return _first_zero_cross_cached(BesselOrder.coerce(a).twice_order)
 
 
-@dataclass(frozen=True)
-class BallSpectrum:
+class BallSpectrum(_FrozenRecord):
     """Closed-form first eigenvalues for the Euclidean ball of radius R in R^n.
 
     With H0 = 1/R:  the first Dirichlet eigenvalue is j_{n/2-1,1}^2 H0^2, the
@@ -229,7 +228,8 @@ class BallSpectrum:
     big_lambda1: float
     big_gamma1: float
 
-    def __post_init__(self):
+    def __init__(self, dim, radius, lambda1, big_lambda1, big_gamma1):
+        super().__init__(dim, radius, lambda1, big_lambda1, big_gamma1)
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
         if not self.radius > 0.0:

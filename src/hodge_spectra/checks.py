@@ -21,11 +21,10 @@ are reported "constants-only".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
-from . import ProblemKind
+from . import ProblemKind, _FrozenRecord, _Record
 
 if TYPE_CHECKING:
     from .bessel import BallSpectrum
@@ -48,8 +47,7 @@ __all__ = [
 # constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantsBundle:
+class ConstantsBundle(_FrozenRecord):
     """Dimension constants for the curvature-driven lower bounds.
 
     c_np is the mixing constant of the degree-coupling estimates;
@@ -64,6 +62,11 @@ class ConstantsBundle:
     dirichlet_bound: float
     buckling_bound: float
     clamped_bound: float
+
+    def __init__(self, dim, degree, gamma, c_np, dirichlet_bound, buckling_bound,
+                 clamped_bound):
+        super().__init__(dim, degree, gamma, c_np, dirichlet_bound, buckling_bound,
+                         clamped_bound)
 
 
 def _c_np_exact(n: int, p: int) -> Fraction:
@@ -115,8 +118,7 @@ def halfdegree_identity_gap(n: int) -> float:
 # inequality report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InequalityCheck:
+class InequalityCheck(_FrozenRecord):
     name: str
     relation: str                       # "<" or "<="
     lhs: Optional[float]
@@ -127,10 +129,16 @@ class InequalityCheck:
     tolerance: float = 0.0
     note: str = ""
 
+    def __init__(self, name, relation, lhs, rhs, margin, status, provenance=provenance,
+                 tolerance=tolerance, note=note):
+        super().__init__(name, relation, lhs, rhs, margin, status, provenance, tolerance, note)
 
-@dataclass
-class InequalityReport:
-    checks: list[InequalityCheck] = field(default_factory=list)
+
+class InequalityReport(_Record):
+    checks: list[InequalityCheck]               # a new empty list by default
+
+    def __init__(self, checks=None):
+        super().__init__([] if checks is None else checks)
 
     def names(self) -> list[str]:
         return [c.name for c in self.checks]
@@ -221,16 +229,19 @@ class _Quantity:
         return _Quantity(root, _upper_bound(radius))
 
 
-@dataclass
-class SpectrumSet:
+class SpectrumSet(_Record):
     """Labeled spectra feeding the inequality battery: a second-order one as
-    `separable` returns it, a fourth-order one as `eigensolve` does."""
+    `separable` returns it, a fourth-order one as `eigensolve` does.
+    `spectra` and `error_estimates` default to new empty dicts."""
 
     dim: int
-    spectra: dict[tuple[str, int], Union[SeparableSpectrum, Spectrum]] = field(
-        default_factory=dict)
+    spectra: dict[tuple[str, int], Union[SeparableSpectrum, Spectrum]]
     ball: Optional[BallSpectrum] = None
-    error_estimates: dict[tuple[str, int], float] = field(default_factory=dict)
+    error_estimates: dict[tuple[str, int], float]
+
+    def __init__(self, dim, spectra=None, ball=ball, error_estimates=None):
+        super().__init__(dim, {} if spectra is None else spectra, ball,
+                         {} if error_estimates is None else error_estimates)
 
     def add(self, spectrum: Union[SeparableSpectrum, Spectrum]) -> None:
         if spectrum.kind is None or spectrum.degree is None:

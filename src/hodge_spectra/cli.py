@@ -13,14 +13,17 @@ collector disabled and freezes the heap before the interpreter exits;
 `run`, for in-process callers, leaves the collector alone.
 
 Loading this module imports, of the package, only its `__init__` (the
-problem kinds and the default tolerance) and `errors`, and neither numpy
-nor scipy.  Each command loads what it runs, when it runs: `ball` loads
-`bessel` and `checks`, `constants` loads `checks`, and `box`, `verify`
-and `converge` take their solver names from `verify` and load numpy with
-it; of those, only `verify` loads `checks`.  The report's numpy and scipy
-versions are read from the packages' version files, not by importing
-them, and `csv` is loaded only to write a CSV report.  `ball_spectrum`
-and `check_inequalities` are module-level functions that call through to
+problem kinds, the default tolerance and the record bases) and `errors`,
+and neither numpy nor scipy, nor `dataclasses`, `inspect` or `platform`:
+the report's Python version is read from `sys.version`.  Each command
+loads what it runs, when it runs: `ball` loads `bessel` and `checks`,
+`constants` loads `checks`, and `box`, `verify` and `converge` take their
+solver names from `verify`, which loads `separable` for a second-order
+problem and numpy with `eigensolve` for a fourth-order one; of those, only
+`verify` loads `checks`.  The report's numpy and scipy versions are read
+from the packages' version files, not by importing them, and `csv` is
+loaded only to write a CSV report.  `ball_spectrum` and
+`check_inequalities` are module-level functions that call through to
 their modules, so that a caller (or a tracer) finds them bound here
 before those modules load.
 """
@@ -33,12 +36,10 @@ import importlib.util
 import io
 import json
 import os
-import platform
 import sys
-from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import DEFAULT_TOL, ProblemKind, __version__
+from . import DEFAULT_TOL, ProblemKind, _Record, __version__
 from .errors import NumericalFailure
 
 if TYPE_CHECKING:
@@ -61,8 +62,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(_Record):
+    """A command's flags; each default is also a class attribute."""
+
     command: str
     dim: int = 0
     extent: tuple[float, ...] = ()
@@ -78,6 +80,13 @@ class RunConfig:
     error_estimates: bool = False
     out: str = "-"
     fmt: str = "json"
+
+    def __init__(self, command, dim=dim, extent=extent, cells=cells, degree=degree,
+                 degrees=degrees, problem=problem, count=count, tol=tol, gamma=gamma,
+                 radius=radius, resolutions=resolutions, error_estimates=error_estimates,
+                 out=out, fmt=fmt):
+        super().__init__(command, dim, extent, cells, degree, degrees, problem, count, tol,
+                         gamma, radius, resolutions, error_estimates, out, fmt)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -149,9 +158,7 @@ def _build_parser() -> _Parser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
-    for name in ("dim", "extent", "cells", "degree", "degrees", "problem", "count",
-                 "tol", "gamma", "radius", "resolutions", "error_estimates",
-                 "out", "fmt"):
+    for name in RunConfig._fields[1:]:
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
     # before any solve: a report that has nowhere to go is a usage error
@@ -225,15 +232,15 @@ def _package_version(package: str) -> str:
 
 
 def _new_report(cfg: RunConfig) -> dict:
-    config = {k: (list(v) if isinstance(v, tuple) else v)
-              for k, v in asdict(cfg).items()}
+    config = {name: (list(value) if isinstance(value, tuple) else value)
+              for name, value in zip(cfg._fields, cfg._values())}
     return {
         "meta": {
             "command": cfg.command,
             "config": config,
             "versions": {
                 "hodge-spectra": __version__,
-                "python": platform.python_version(),
+                "python": sys.version.split()[0],
                 "numpy": _package_version("numpy"),
                 "scipy": _package_version("scipy"),
             },

@@ -29,10 +29,9 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from . import ProblemKind
+from . import ProblemKind, _FrozenRecord
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,8 +63,7 @@ def _representable_spacing(h: float) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class BoxDomain:
+class BoxDomain(_FrozenRecord):
     """Axis-aligned box with a uniform interior grid per axis."""
 
     dim: int
@@ -73,7 +71,8 @@ class BoxDomain:
     cells: tuple[int, ...]
     spacing: tuple[float, ...]
 
-    def __post_init__(self):
+    def __init__(self, dim, extent, cells, spacing):
+        super().__init__(dim, extent, cells, spacing)
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be in {{1,2,3}}, got {self.dim}")
         for name, seq in (("extent", self.extent), ("cells", self.cells),
@@ -110,14 +109,14 @@ def build_domain(dim: int, extent: Sequence[float], cells: Sequence[int]) -> Box
     return BoxDomain(dim=dim, extent=extent_t, cells=cells_t, spacing=spacing)
 
 
-@dataclass(frozen=True)
-class ComponentIndex:
+class ComponentIndex(_FrozenRecord):
     """Multi-index I of a component omega_I dx^I; axes are 1-based."""
 
     degree: int
     axes: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, degree, axes):
+        super().__init__(degree, axes)
         if len(self.axes) != self.degree:
             raise ValueError(f"|axes| must equal degree, got {self.axes} vs {self.degree}")
         if any(a < 1 for a in self.axes):
@@ -219,8 +218,7 @@ def _laplacian(block: ComponentBlock) -> sp.csr_matrix:
                      [sp.identity(c, format="csr") for c in block.domain.cells])
 
 
-@dataclass(frozen=True)
-class ComponentBlock:
+class ComponentBlock(_FrozenRecord):
     """One scalar diagonal block of an assembled p-form problem.
 
     A block is its grid and the face conditions of its axes, in its
@@ -240,6 +238,9 @@ class ComponentBlock:
     signature: tuple
     domain: BoxDomain
     kernel_dim: int = 0                         # dimension of the kernel of a
+
+    def __init__(self, component, offset, size, signature, domain, kernel_dim=kernel_dim):
+        super().__init__(component, offset, size, signature, domain, kernel_dim)
 
     @property
     def conditions(self) -> tuple[FaceCondition, ...]:
@@ -318,8 +319,7 @@ class ComponentBlock:
         return self.laplacian * volume
 
 
-@dataclass(frozen=True)
-class FormProblem:
+class FormProblem(_FrozenRecord):
     """Assembled symmetric pencil (A, B) for one degree and problem kind.
 
     The solvers work block by block; the global block-diagonal matrices A
@@ -331,6 +331,9 @@ class FormProblem:
     kind: ProblemKind
     dof_count: int
     blocks: tuple[ComponentBlock, ...]
+
+    def __init__(self, domain, degree, kind, dof_count, blocks):
+        super().__init__(domain, degree, kind, dof_count, blocks)
 
     def _global(self, name: str) -> sp.csr_matrix:
         """block_diag of each block's matrix `name`, taken from the first block

@@ -5,8 +5,9 @@ pairs.  `solve_problem` takes Dirichlet and absolute Laplacian problems,
 whose blocks are Kronecker sums of 1D pencils, to `separable`, which
 solves and certifies them from closed-form 1D eigenpairs with the
 standard library alone, and forms their eigenvectors here, as Kronecker
-products of the 1D vectors (`_separable_vectors`).  A fourth-order block
-takes one of two routes.
+products of the 1D vectors (`_separable_vectors`); `separable` is loaded
+for them alone, and the blockwise merge comes from `blockwise`.  A
+fourth-order block takes one of two routes.
 
 Reflection classes (fourth order, numpy only: 3D blocks at any m, 2D
 blocks asked for at most STRUCTURED_MAX_M values, and any block whose
@@ -81,15 +82,15 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import DEFAULT_TOL, separable
+from . import DEFAULT_TOL, _FrozenRecord, _Record
+from .blockwise import (MULTIPLICITY_GAP, _check_tol, _gamma, merge_blocks, ordered_sums,
+                        smallest_sums)
 from .discretize import ComponentBlock, FormProblem, block_axes
 from .errors import FactorizationFailure, NumericalFailure
-from .separable import MULTIPLICITY_GAP, _check_tol, _gamma, ordered_sums, smallest_sums
 
 __all__ = [
     "Spectrum",
@@ -123,8 +124,7 @@ LOBPCG_MAXITER = 200
 _SEED = 0x5EEDBA11
 
 
-@dataclass
-class Spectrum:
+class Spectrum(_Record):
     """Sorted smallest eigenvalues of one pencil with their certificates.
 
     `residuals` holds each pair's normwise backward error (an upper bound
@@ -140,10 +140,11 @@ class Spectrum:
     vectors: Optional[np.ndarray] = None
     deflated_kernel_dim: int = 0
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.residuals = np.asarray(self.residuals, dtype=float)
-        self.error_bounds = np.asarray(self.error_bounds, dtype=float)
+    def __init__(self, kind, degree, values, residuals, error_bounds, vectors=vectors,
+                 deflated_kernel_dim=deflated_kernel_dim):
+        super().__init__(kind, degree, np.asarray(values, dtype=float),
+                         np.asarray(residuals, dtype=float),
+                         np.asarray(error_bounds, dtype=float), vectors, deflated_kernel_dim)
         if not self.values.shape == self.residuals.shape == self.error_bounds.shape:
             raise ValueError("values, residuals and error_bounds must align")
         if not np.all(np.isfinite(self.error_bounds) & (self.error_bounds >= 0.0)):
@@ -387,17 +388,18 @@ def _separable_vectors(block: ComponentBlock, multis) -> np.ndarray:
     """The eigenvectors of a second-order block that `separable` certified: Kronecker
     products of its closed-form 1D vectors (`separable.axis_vector`), one column per
     multi-index in `multis`."""
+    from .separable import axis_vector
+
     axes = block_axes(block)
 
     @functools.cache
     def column(k: int, j: int) -> np.ndarray:
-        return np.array(separable.axis_vector(*axes[k], j))
+        return np.array(axis_vector(*axes[k], j))
 
     return _kron_columns(block.size, column, multis)
 
 
-@dataclass(frozen=True, eq=False)
-class _AxisPencil:
+class _AxisPencil(_FrozenRecord):
     """A fourth-order pencil given by its per-axis factors: a whole block, or one
     reflection class of it (`_reflection_classes`).
 
@@ -409,6 +411,13 @@ class _AxisPencil:
     terms: tuple[tuple[np.ndarray, np.ndarray], ...]   # (T_k, d_k) per axis
     volume: float
     b_is_mass: bool
+
+    # compared and hashed as an object: its terms are arrays
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, terms, volume, b_is_mass):
+        super().__init__(terms, volume, b_is_mass)
 
     @classmethod
     def of(cls, block: ComponentBlock) -> "_AxisPencil":
@@ -1163,8 +1172,10 @@ def _solve_fourth_order(block: ComponentBlock, m: int, tol: float) -> Spectrum:
 def _separable_block(block: ComponentBlock, m: int, tol: float):
     """`separable.solve_block`; on failure its partial spectrum becomes a Spectrum,
     vectors included."""
+    from .separable import solve_block
+
     try:
-        return separable.solve_block(block, m, tol)
+        return solve_block(block, m, tol)
     except NumericalFailure as exc:
         partial = exc.partial
         raise NumericalFailure(str(exc), partial=Spectrum(
@@ -1176,7 +1187,7 @@ def _separable_block(block: ComponentBlock, m: int, tol: float):
 def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,
                   cache: Optional[dict] = None) -> Spectrum:
     """Solve an assembled FormProblem blockwise and merge the spectra
-    (`separable.merge_blocks`).
+    (`blockwise.merge_blocks`).
 
     Identical blocks are solved once and replicated, which keeps discrete
     degree-independence and Hodge duality exact at the bit level.
@@ -1190,7 +1201,7 @@ def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,
     values, of which the merge reads the first ones.
     """
     second_order = not problem.kind.is_fourth_order
-    chosen, results = separable.merge_blocks(
+    chosen, results = merge_blocks(
         problem, m, tol, cache, _separable_block if second_order else _solve_fourth_order)
     block_vectors: dict = {}   # by signature, a block's vectors for the first m values
     vectors = np.zeros((problem.dof_count, len(chosen)))

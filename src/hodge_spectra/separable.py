@@ -21,26 +21,25 @@ Kronecker product of the float 1D vectors against those too.  No vector of
 block size is formed here; `eigensolve.solve_problem` forms them with
 numpy, for the library's `Spectrum`.  `verify.solve_problem` sends
 second-order problems here, so `box` and `converge` on them load neither
-numpy nor `eigensolve`.  `merge_blocks`, the blockwise merge, serves both
-modules' `solve_problem`.
+numpy nor `eigensolve`.  `merge_blocks`, the blockwise merge, and
+`smallest_sums` come from `blockwise`, which `eigensolve` shares, so that a
+fourth-order command never loads this module; they are re-exported here.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import DEFAULT_TOL, discretize
+# MULTIPLICITY_GAP, _check_tol and ordered_sums are re-exported from here
+from .blockwise import (  # noqa: F401
+    MULTIPLICITY_GAP, _check_tol, _gamma, merge_blocks, ordered_sums, smallest_sums)
 from .errors import NumericalFailure
 
 if TYPE_CHECKING:
     from .discretize import ComponentBlock, FormProblem
-
-_UNIT_ROUNDOFF = 2.0 ** -53
-# relative gap below which equal eigenvalues are labeled as one multiplet
-MULTIPLICITY_GAP = 1e-7
 
 
 class SeparableSpectrum(NamedTuple):
@@ -62,16 +61,6 @@ class SeparableSpectrum(NamedTuple):
     def label(self) -> str:
         kind = self.kind or "pencil"
         return f"{kind} p={self.degree}" if self.degree is not None else kind
-
-
-def _gamma(k: int) -> float:
-    """gamma_k = k u / (1 - k u), u the unit roundoff."""
-    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-
-
-def _check_tol(tol: float) -> None:
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
 def _sin_pi(num: int, den: int) -> float:
@@ -104,63 +93,6 @@ def axis_vector(cells: int, h: float, derivative: bool, index: int) -> list[floa
         return [scale * _sin_pi(n - 2 * index * i, 2 * n) for i in range(n + 1)]
     scale = math.sqrt(2.0 / (h * n))
     return [scale * _sin_pi((index + 1) * i, n) for i in range(1, n)]
-
-
-def ordered_sums(values: list):
-    """Yield (sum, flat index, multi-index) for every choice of one value per axis,
-    in (sum, flat index) order, lazily.
-
-    `values` holds each axis's values in ascending order.  A sum is added in
-    axis order, so it equals the entry of the grid
-    functools.reduce(np.add.outer, values) bit for bit, and the sums come in
-    the order a stable argsort of that grid ranks them, axis 1 slowest.
-
-    A heap holds the frontier: each multi-index is pushed by its one parent,
-    itself less its last nonzero axis by one, whose sum and flat index are no
-    larger (the values ascend, and rounding is monotone).  So every
-    multi-index pops after its parent and before any of larger (value, flat
-    index), and each is pushed once.
-    """
-    shape = [len(axis) for axis in values]
-    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
-
-    def entry(multi):
-        total_value = values[0][multi[0]]
-        for axis, index in zip(values[1:], multi[1:]):
-            total_value += axis[index]
-        return total_value, sum(s * i for s, i in zip(strides, multi)), multi
-
-    heap = [entry((0,) * len(shape))]
-    while heap:
-        item = heapq.heappop(heap)
-        multi = item[2]
-        last = max((k for k, index in enumerate(multi) if index), default=0)
-        for k in range(last, len(shape)):
-            if multi[k] + 1 < shape[k]:
-                heapq.heappush(heap, entry(multi[:k] + (multi[k] + 1,) + multi[k + 1:]))
-        yield item
-
-
-def smallest_sums(values: list, count: int, skip_first: bool = False,
-                  multiplet_limit: int = 0) -> tuple[list[float], list[tuple[int, ...]]]:
-    """The `count` smallest sums of one value per axis, with their multi-indices, in
-    the order of `ordered_sums`.
-
-    `skip_first` drops flat index 0, the all-lowest multi-index.  With
-    `multiplet_limit`, count grows, up to that limit, until the next sum lies
-    outside the last one's multiplet.
-    """
-    limit = min(multiplet_limit, math.prod(len(axis) for axis in values) - skip_first - 1)
-    sums, multis = [], []
-    for value, flat, multi in ordered_sums(values):
-        if skip_first and flat == 0:
-            continue
-        if len(sums) >= count and not (len(sums) < limit
-                                       and value <= sums[-1] * (1.0 + MULTIPLICITY_GAP)):
-            break
-        sums.append(value)
-        multis.append(multi)
-    return sums, multis
 
 
 def _axis_certificate(cells: int, h: float, derivative: bool, index: int,
@@ -281,40 +213,6 @@ def solve_block(block: ComponentBlock, m: int, tol: float) -> SeparableSpectrum:
             f"residual tolerance {tol} not met (worst backward error {max(eta):.3e})",
             partial=spectrum)
     return spectrum
-
-
-def merge_blocks(problem: FormProblem, m: int, tol: float, cache: Optional[dict],
-                 solve: Callable) -> tuple[list[tuple[float, int, int]], dict]:
-    """The m smallest (value, block index, index in its block's solve) over the blocks of
-    a problem, and each block's solve by index.
-
-    `solve(block, m, tol)` solves one block.  Identical blocks are solved
-    once and replicated, which keeps discrete degree-independence and Hodge
-    duality exact at the bit level.  `cache` may be shared across problems on
-    the same grid to reuse block solves: a block is served by a cached solve
-    of the same block and tolerance for at least as many values, of which the
-    merge reads the first ones.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    _check_tol(tol)
-    kernel_dim = sum(block.kernel_dim for block in problem.blocks)
-    available = problem.dof_count - kernel_dim
-    if m > available:
-        raise ValueError(
-            f"m={m} exceeds the {available} eigenvalues left of dof_count="
-            f"{problem.dof_count} after dropping {kernel_dim} kernel mode(s)")
-    cache = {} if cache is None else cache
-    merged, results = [], {}
-    for index, block in enumerate(problem.blocks):
-        m_block = min(m, block.size - block.kernel_dim)
-        key = (block.signature, tol)
-        if key not in cache or len(cache[key].values) < m_block:
-            cache[key] = solve(block, m_block, tol)
-        results[index] = cache[key]
-        merged.extend((float(cache[key].values[j]), index, j) for j in range(m_block))
-    merged.sort()
-    return merged[:m], results
 
 
 def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,

@@ -18,10 +18,9 @@ load, so that a caller (the battery, or a tracer) finds them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from . import DEFAULT_TOL, ProblemKind
+from . import DEFAULT_TOL, ProblemKind, _FrozenRecord
 from .discretize import BoxDomain, FormProblem, assemble, build_domain
 from .errors import NumericalFailure
 
@@ -63,8 +62,7 @@ def check_inequalities(spectra: SpectrumSet) -> InequalityReport:
 # mesh convergence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConvergenceStudy:
+class ConvergenceStudy(_FrozenRecord):
     """First-eigenvalue refinement series with Richardson extrapolation."""
 
     label: str
@@ -72,6 +70,9 @@ class ConvergenceStudy:
     values: tuple[float, ...]
     extrapolated: float
     observed_order: float
+
+    def __init__(self, label, resolutions, values, extrapolated, observed_order):
+        super().__init__(label, resolutions, values, extrapolated, observed_order)
 
     @property
     def error_estimate(self) -> float:

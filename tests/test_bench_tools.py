@@ -118,6 +118,9 @@ def test_block_probe_reports_seconds_and_certificate(bench, tmp_path):
     assert run["solve_s"] > 0 and run["wall_s"] > run["solve_s"] and run["import_s"] > 0
     assert run["peak_rss_mb"] > 0 and run["numpy"] and run["scipy"] == []
     assert run["frozen"] is False
+    # a fourth-order block never loads separable; numpy loads inspect and platform
+    assert run["separable"] is False and run["dataclasses"] is False
+    assert run["inspect"] is True and run["platform"] is True
     assert run["worst_residual"] <= es.DEFAULT_TOL
     # the continuum clamped-plate value of the unit square is 1294.934
     assert run["first_value"] == pytest.approx(1294.934, rel=5e-2)
@@ -132,6 +135,8 @@ def test_block_probe_solves_second_order_blocks_without_numpy(bench, tmp_path):
         ROOT / "src", ["--block", json.dumps([[63, 63], [1, 1], "dirichlet_laplace", 0, 4])],
         tmp_path)
     assert run["exit_code"] == 0 and run["numpy"] is False and run["scipy"] == []
+    assert run["separable"] is True
+    assert not (run["dataclasses"] or run["inspect"] or run["platform"])
     assert run["first_value"] == pytest.approx(2 * math.pi ** 2, rel=5e-3)
     assert run["worst_residual"] <= es.DEFAULT_TOL
 
@@ -141,13 +146,17 @@ def test_import_probe_records_that_the_cli_loads_neither_numpy_nor_scipy(bench, 
     run = compare.run_once(ROOT / "src", [], tmp_path)
     assert run["exit_code"] == 0 and run["import_s"] > 0
     assert run["numpy"] is False and run["scipy"] == []
-    # nor the ball spectra or the battery, which the commands load when they run
-    assert run["bessel"] is False and run["checks"] is False and run["fractions"] is False
+    # nor the ball spectra, the battery or a solver, which the commands load
+    # when they run, nor dataclasses, inspect or platform
+    assert {field: run[field] for field, _ in compare.LOADED} == dict.fromkeys(
+        ("bessel", "checks", "separable", "fractions", "dataclasses", "inspect", "platform"),
+        False)
     # the import never reaches cli.main(), which freezes the heap
     assert run["frozen"] is False
     run = compare.run_once(ROOT / "src", ["ball", "--dim", "2", "--out", "report"], tmp_path)
     assert run["exit_code"] == 0 and run["numpy"] is False
     assert run["bessel"] is True and run["checks"] is True and run["fractions"] is True
+    assert not (run["separable"] or run["dataclasses"] or run["inspect"] or run["platform"])
     assert run["frozen"] is True
 
 

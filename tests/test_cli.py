@@ -409,8 +409,8 @@ def test_thread_cap_below_one_or_malformed_is_ignored_with_a_warning(cap):
 
 
 _MODULES = ("numpy", "scipy", "scipy.sparse", "scipy.linalg", "scipy.sparse.linalg",
-            "hodge_spectra.eigensolve", "hodge_spectra.bessel", "hodge_spectra.checks",
-            "fractions", "csv")
+            "hodge_spectra.eigensolve", "hodge_spectra.separable", "hodge_spectra.bessel",
+            "hodge_spectra.checks", "fractions", "csv", "dataclasses", "inspect", "platform")
 _PROBE = f"""
 import sys
 from hodge_spectra.cli import run
@@ -420,34 +420,40 @@ print(",".join(m for m in {_MODULES!r} if m in sys.modules))
 """
 _BOX_23 = ["box", "--dim", "3", "--extent", "1,1,1", "--cells", "23,23,23", "--problem"]
 _BATTERY = {"hodge_spectra.checks", "fractions"}
-# what the reflection-class route loads
-_FOURTH = {"numpy", "hodge_spectra.eigensolve"}
+# what the closed-form route loads
+_SECOND = {"hodge_spectra.separable"}
+# what the reflection-class route loads: numpy loads inspect and platform,
+# which no module of the package imports, and nothing loads dataclasses
+_FOURTH = {"numpy", "inspect", "platform", "hodge_spectra.eigensolve"}
 
 
 @pytest.mark.parametrize("argv,loaded", [
-    # loading the CLI needs no numpy, no scipy and neither bessel nor checks;
-    # the commands that solve nothing load only what they evaluate
+    # loading the CLI needs no numpy, no scipy and neither bessel nor checks,
+    # nor dataclasses, inspect or platform; the commands that solve nothing
+    # load only what they evaluate
     ([], set()),
     (["ball", "--dim", "2", "--radius", "1"], {"hodge_spectra.bessel"} | _BATTERY),
     (["constants", "--dim", "4", "--degree", "2", "--gamma", "1"], _BATTERY),
     # box needs no battery, and its separable route, from closed-form 1D
     # pairs, neither numpy nor eigensolve, at any count; nor does converge
-    (_BOX_23 + ["dirichlet_laplace", "--degree", "1"], set()),
-    (_BOX_23 + ["absolute_laplace", "--degree", "0"], set()),
+    (_BOX_23 + ["dirichlet_laplace", "--degree", "1"], _SECOND),
+    (_BOX_23 + ["absolute_laplace", "--degree", "0"], _SECOND),
     (["box", "--dim", "2", "--extent", "1,1", "--cells", "127,127", "--problem",
-      "absolute_laplace", "--degree", "1", "--count", "64"], set()),
+      "absolute_laplace", "--degree", "1", "--count", "64"], _SECOND),
     (["converge", "--dim", "2", "--extent", "1,1", "--problem", "dirichlet_laplace",
-      "--degree", "1", "--resolutions", "31,63,127"], set()),
-    # the reflection-class route applies A and B from their per-axis factors, with numpy
+      "--degree", "1", "--resolutions", "31,63,127"], _SECOND),
+    # the reflection-class route applies A and B from their per-axis factors,
+    # with numpy, and never loads separable
     (_BOX_23 + ["clamped_plate", "--degree", "0"], _FOURTH),
     (_BOX_23 + ["buckling", "--degree", "1"], _FOURTH),
     # and so do the README verify and converge commands, whose fourth-order
     # blocks have dense classes (ladders, 1D) or LOBPCG ones (31^2, 63^2);
-    # verify adds the battery, and csv only for a CSV report
+    # verify adds the battery and its second-order problems, and csv only
+    # for a CSV report
     (["verify", "--dim", "2", "--extent", "1,1", "--cells", "63,63", "--degrees", "0,1,2",
-      "--error-estimates"], _FOURTH | _BATTERY),
+      "--error-estimates"], _FOURTH | _SECOND | _BATTERY),
     (["verify", "--dim", "2", "--extent", "1,1", "--cells", "31,31", "--degrees", "0,1",
-      "--format", "csv"], _FOURTH | {"csv"} | _BATTERY),
+      "--format", "csv"], _FOURTH | _SECOND | {"csv"} | _BATTERY),
     (["converge", "--dim", "1", "--extent", "1", "--problem", "clamped_plate", "--degree", "0",
       "--resolutions", "31,63,127"], _FOURTH),
     # and 3D blocks at any count
@@ -468,7 +474,7 @@ def test_second_order_failure_exits_two_with_a_flagged_partial_report(tmp_path):
         [sys.executable, "-c", probe, "box", "--dim", "2", "--extent", "1,1", "--cells", "9,9",
          "--problem", "dirichlet_laplace", "--degree", "1", "--tol", "1e-30", "--out",
          str(report)], env=_child_env(), capture_output=True, text=True, timeout=120)
-    assert proc.stdout.split() == ["exit", "2"], proc.stdout
+    assert proc.stdout.split() == ["exit", "2", "hodge_spectra.separable"], proc.stdout
     data = json.loads(report.read_text())
     assert data["meta"]["status"] == "error" and "residual" in data["meta"]["error"]
     (partial,) = data["spectra"]
