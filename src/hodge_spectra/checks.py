@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from . import ProblemKind, _FrozenRecord, _Record
 
 if TYPE_CHECKING:
     from .bessel import BallSpectrum
-    from .eigensolve import Spectrum
-    from .separable import SeparableSpectrum
+    from .blockwise import Spectrum
 
 __all__ = [
     "ProblemKind",
@@ -230,12 +229,11 @@ class _Quantity:
 
 
 class SpectrumSet(_Record):
-    """Labeled spectra feeding the inequality battery: a second-order one as
-    `separable` returns it, a fourth-order one as `eigensolve` does.
-    `spectra` and `error_estimates` default to new empty dicts."""
+    """Labeled spectra feeding the inequality battery, as `solve_problem` returns
+    them.  `spectra` and `error_estimates` default to new empty dicts."""
 
     dim: int
-    spectra: dict[tuple[str, int], Union[SeparableSpectrum, Spectrum]]
+    spectra: dict[tuple[str, int], Spectrum]
     ball: Optional[BallSpectrum] = None
     error_estimates: dict[tuple[str, int], float]
 
@@ -243,7 +241,7 @@ class SpectrumSet(_Record):
         super().__init__(dim, {} if spectra is None else spectra, ball,
                          {} if error_estimates is None else error_estimates)
 
-    def add(self, spectrum: Union[SeparableSpectrum, Spectrum]) -> None:
+    def add(self, spectrum: Spectrum) -> None:
         if spectrum.kind is None or spectrum.degree is None:
             raise ValueError("spectrum must carry kind and degree labels")
         key = (str(spectrum.kind), int(spectrum.degree))

@@ -18,9 +18,11 @@ and neither numpy nor scipy, nor `dataclasses`, `inspect` or `platform`:
 the report's Python version is read from `sys.version`.  Each command
 loads what it runs, when it runs: `ball` loads `bessel` and `checks`,
 `constants` loads `checks`, and `box`, `verify` and `converge` take their
-solver names from `verify`, which loads `separable` for a second-order
-problem and numpy with `eigensolve` for a fourth-order one; of those, only
-`verify` loads `checks`.  The report's numpy and scipy versions are read
+solver names from `verify`, whose `solve_problem` (`blockwise`'s) loads
+`separable` for a second-order problem and numpy with `eigensolve` for a
+fourth-order one; of those, only `verify` loads `checks`.  A report holds
+each spectrum's values and certificates; no command reads, and so none
+forms, an eigenvector.  The report's numpy and scipy versions are read
 from the packages' version files, not by importing them, and `csv` is
 loaded only to write a CSV report.  `ball_spectrum` and
 `check_inequalities` are module-level functions that call through to
@@ -45,7 +47,7 @@ from .errors import NumericalFailure
 if TYPE_CHECKING:
     from .bessel import BallSpectrum
     from .checks import ConstantsBundle, InequalityReport, SpectrumSet
-    from .eigensolve import Spectrum
+    from .blockwise import Spectrum
     from .verify import ConvergenceStudy
 
 __all__ = ["RunConfig", "run", "emit_report", "main"]

@@ -1,13 +1,12 @@
 """Symmetric generalized eigensolver for the assembled pencils.
 
 Solves A x = theta B x for the m smallest eigenvalues with certified
-pairs.  `solve_problem` takes Dirichlet and absolute Laplacian problems,
-whose blocks are Kronecker sums of 1D pencils, to `separable`, which
-solves and certifies them from closed-form 1D eigenpairs with the
-standard library alone, and forms their eigenvectors here, as Kronecker
-products of the 1D vectors (`_separable_vectors`); `separable` is loaded
-for them alone, and the blockwise merge comes from `blockwise`.  A
-fourth-order block takes one of two routes.
+pairs.  `solve_problem` and `Spectrum` are `blockwise`'s, bound here too:
+the problem solve sends each fourth-order block to `_solve_fourth_order`,
+and Dirichlet and absolute blocks, Kronecker sums of 1D pencils, to
+`separable`, which solves and certifies them from closed-form 1D
+eigenpairs with the standard library alone.  A fourth-order block takes
+one of two routes.
 
 Reflection classes (fourth order, numpy only: 3D blocks at any m, 2D
 blocks asked for at most STRUCTURED_MAX_M values, and any block whose
@@ -86,10 +85,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import DEFAULT_TOL, _FrozenRecord, _Record
-from .blockwise import (MULTIPLICITY_GAP, _check_tol, _gamma, merge_blocks, ordered_sums,
-                        smallest_sums)
-from .discretize import ComponentBlock, FormProblem, block_axes
+from . import DEFAULT_TOL, _FrozenRecord
+# Spectrum and solve_problem are bound here for the library's callers
+from .blockwise import Spectrum, _check_tol, _gamma, ordered_sums, smallest_sums, solve_problem
+from .discretize import ComponentBlock
 from .errors import FactorizationFailure, NumericalFailure
 
 __all__ = [
@@ -122,50 +121,6 @@ ROUNDING_TARGET = 4e-16
 STALL_ITERATIONS = 10
 LOBPCG_MAXITER = 200
 _SEED = 0x5EEDBA11
-
-
-class Spectrum(_Record):
-    """Sorted smallest eigenvalues of one pencil with their certificates.
-
-    `residuals` holds each pair's normwise backward error (an upper bound
-    on it for separable pairs), `error_bounds` an absolute bound on the
-    distance from each value to an eigenvalue.
-    """
-
-    kind: Optional[str]
-    degree: Optional[int]
-    values: np.ndarray
-    residuals: np.ndarray
-    error_bounds: np.ndarray
-    vectors: Optional[np.ndarray] = None
-    deflated_kernel_dim: int = 0
-
-    def __init__(self, kind, degree, values, residuals, error_bounds, vectors=vectors,
-                 deflated_kernel_dim=deflated_kernel_dim):
-        super().__init__(kind, degree, np.asarray(values, dtype=float),
-                         np.asarray(residuals, dtype=float),
-                         np.asarray(error_bounds, dtype=float), vectors, deflated_kernel_dim)
-        if not self.values.shape == self.residuals.shape == self.error_bounds.shape:
-            raise ValueError("values, residuals and error_bounds must align")
-        if not np.all(np.isfinite(self.error_bounds) & (self.error_bounds >= 0.0)):
-            raise ValueError("error_bounds must be finite and >= 0")
-        if np.any(np.diff(self.values) < 0):
-            raise ValueError("values must be sorted ascending")
-        if self.deflated_kernel_dim > 0 and self.values.size and self.values[0] <= 0.0:
-            raise ValueError("deflated spectrum must be strictly positive")
-
-    @property
-    def label(self) -> str:
-        kind = self.kind or "pencil"
-        return f"{kind} p={self.degree}" if self.degree is not None else kind
-
-    def multiplicity_of_first(self) -> int:
-        """Number of reported values within the labeling gap of the smallest."""
-        if self.values.size == 0:
-            return 0
-        first = self.values[0]
-        scale = max(abs(first), 1e-300)
-        return int(np.sum(np.abs(self.values - first) <= MULTIPLICITY_GAP * scale))
 
 
 def _as_csr(matrix):
@@ -257,8 +212,9 @@ def _residuals(a, b, values, vectors) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _certified(values, vectors, certificates, tol: float) -> Spectrum:
-    """The pairs as a Spectrum, given their (backward errors, error bounds);
-    NumericalFailure carries it when a backward error exceeds tol."""
+    """The pairs as a Spectrum, given their vectors (or the function that forms them)
+    and their (backward errors, error bounds); NumericalFailure carries it when a
+    backward error exceeds tol."""
     residuals, error_bounds = certificates
     failed = not np.all(residuals <= tol)   # a NaN fails too
     try:
@@ -373,30 +329,6 @@ def _eighs(mats, pairs: Optional[dict] = None) -> list[tuple[np.ndarray, np.ndar
             pairs[key] = np.linalg.eigh(mat)
         out.append(pairs[key])
     return out
-
-
-def _kron_columns(size: int, column, multis) -> np.ndarray:
-    """Kronecker products of 1D vectors, one column of `size` per multi-index in
-    `multis`, the factor of axis k being column(k, multi[k]) (axis 1 slowest)."""
-    vectors = np.empty((size, len(multis)))
-    for col, multi in enumerate(multis):
-        vectors[:, col] = functools.reduce(np.kron, [column(k, j) for k, j in enumerate(multi)])
-    return vectors
-
-
-def _separable_vectors(block: ComponentBlock, multis) -> np.ndarray:
-    """The eigenvectors of a second-order block that `separable` certified: Kronecker
-    products of its closed-form 1D vectors (`separable.axis_vector`), one column per
-    multi-index in `multis`."""
-    from .separable import axis_vector
-
-    axes = block_axes(block)
-
-    @functools.cache
-    def column(k: int, j: int) -> np.ndarray:
-        return np.array(axis_vector(*axes[k], j))
-
-    return _kron_columns(block.size, column, multis)
 
 
 class _AxisPencil(_FrozenRecord):
@@ -939,9 +871,22 @@ def _lowest_floor(matrix: np.ndarray, spread: float, pair=None) -> float:
     return math.nextafter(lowest - margin * (1.0 + _gamma(4 * c + 12)), -math.inf)
 
 
-def _class_floor(whole: _AxisPencil, pencil: _AxisPencil, q_pairs) -> float:
+def _floor(floors: dict, matrix: np.ndarray, spread: float, pair=None) -> float:
+    """`_lowest_floor(matrix, spread, pair)`, computed once per lower triangle of
+    `matrix` and spread: `floors` holds them for one block, whose classes share
+    their folded factors."""
+    key = (np.tril(matrix).tobytes(), spread)
+    if key not in floors:
+        floors[key] = _lowest_floor(matrix, spread, pair)
+    return floors[key]
+
+
+def _class_floor(whole: _AxisPencil, pencil: _AxisPencil, q_pairs, floors: dict,
+                 eighs: dict) -> float:
     """A lower bound on every eigenvalue of a reflection class of `whole`, given by its
-    folded per-axis terms (`pencil`) and the eigenpairs of its q_k (`q_pairs`).
+    folded per-axis terms (`pencil`) and the eigenpairs of its q_k (`q_pairs`); the
+    floors are taken from the block's table `floors` (`_floor`), and T'_k's eigenpairs
+    from `eighs` (`_eighs`).
 
     With tau_k = lambda_min(T_k), mu_k = lambda_min(q_k) and c_k =
     lambda_min(q_k, vol T_k), A = sum_k q_k + 2 vol sum_{j<k} T_j x T_k
@@ -972,9 +917,9 @@ def _class_floor(whole: _AxisPencil, pencil: _AxisPencil, q_pairs) -> float:
             whole.terms, pencil.terms, _axis_bounds(pencil), q_pairs):
         t, spread_t = _fold_spread(whole_second)
         spread_q = _gamma(7) * (3.0 * volume * t * t + d.max())
-        t_values, t_vectors = t_pair = np.linalg.eigh(second)
-        taus.append(max(_lowest_floor(second, spread_t, t_pair), 0.0))
-        mus.append(max(_lowest_floor(q, spread_q, q_pair), 0.0))
+        t_values, t_vectors = t_pair = _eighs([second], eighs)[0]
+        taus.append(max(_floor(floors, second, spread_t, t_pair), 0.0))
+        mus.append(max(_floor(floors, q, spread_q, q_pair), 0.0))
         if pencil.b_is_mass:
             continue
         if not (taus[-1] > 0.0 and t_values[0] > 0.0):
@@ -982,9 +927,9 @@ def _class_floor(whole: _AxisPencil, pencil: _AxisPencil, q_pairs) -> float:
             continue
         scaled = t_vectors / np.sqrt(t_values)
         c = max(float(np.linalg.eigvalsh(scaled.T @ q @ scaled)[0]) / volume, 0.0)
-        floor = _lowest_floor(q - (c * volume) * second,
-                              spread_q + c * volume * spread_t
-                              + _gamma(3) * (np.abs(q).sum(axis=1).max() + c * volume * t))
+        floor = _floor(floors, q - (c * volume) * second,
+                       spread_q + c * volume * spread_t
+                       + _gamma(3) * (np.abs(q).sum(axis=1).max() + c * volume * t))
         if floor < 0.0:
             c = math.nextafter(c + floor / (volume * taus[-1]) * (1.0 + _gamma(4)), -math.inf)
         cs.append(max(c, 0.0))
@@ -1003,27 +948,22 @@ def _fold_spread(second: np.ndarray) -> tuple[float, float]:
     return t, _gamma(6) * t
 
 
-def _fold_terms(whole: _AxisPencil, classes) -> _Fold:
+def _fold_terms(whole: _AxisPencil, classes, floors: dict, eighs: dict) -> _Fold:
     """The sums over the axes of `_fold_spread`, and a lower bound on lambda_min(B) of
     the whole block: vol for clamped plate; for buckling, vol sum_k tau_k, tau_k the
-    smaller of the floors (`_lowest_floor`, spread e_k) of axis k's two folded T_k,
-    whose spectra make up T_k's."""
+    smaller of the floors (`_floor`, spread e_k, from the block's table `floors`) of
+    axis k's two folded T_k, whose spectra make up T_k's, from their eigenpairs in
+    `eighs` (`_eighs`)."""
     n = len(whole.terms)
     spreads = [_fold_spread(second) for second, _ in whole.terms]
     t, e = (sum(column) * (1.0 + _gamma(n)) for column in zip(*spreads))
     if whole.b_is_mass:
         return _Fold(t, e, whole.volume)
-    floors: dict = {}   # by the bytes of a folded T_k and its spread, shared by equal axes
     taus = []
     for k, (_, spread) in enumerate(spreads):
-        lowest = math.inf
-        for pencil, _ in classes:
-            second = pencil.terms[k][0]
-            key = (second.tobytes(), spread)
-            if key not in floors:
-                floors[key] = max(_lowest_floor(second, spread), 0.0)
-            lowest = min(lowest, floors[key])
-        taus.append(lowest)
+        seconds = [pencil.terms[k][0] for pencil, _ in classes]
+        taus.append(min(max(_floor(floors, second, spread, pair), 0.0)
+                        for second, pair in zip(seconds, _eighs(seconds, eighs))))
     return _Fold(t, e, _lowered(whole.volume * sum(taus), n + 1))
 
 
@@ -1061,24 +1001,28 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     dense class does by construction), and one never solved is proven to
     hold none, so none is missed.  A class solve that stops short of tol
     fails the block at the end of its round, since its wide bounds would
-    only grow it.  Only the m pairs chosen, by (value, class), are unfolded,
-    each member's with the grid axes transposed, an exact permutation;
-    `_certified` judges the result.
+    only grow it.  Only the class coordinates of the m pairs chosen, by
+    (value, class), are kept; `_certified` judges the result, and its
+    `vectors` unfolds them on first access (`_unfold`), each member's with
+    the grid axes transposed, an exact permutation.
     """
     whole = _AxisPencil.of(block)
     norms = _gram_norms(whole)
     classes = _reflection_classes(whole)
-    fold = _fold_terms(whole, classes)
-    q_eighs: dict = {}
+    # eigenpairs of the classes' q_k and T_k, and floors, by matrix, shared by the
+    # classes that share a factor
+    eighs: dict = {}
+    floors: dict = {}
+    fold = _fold_terms(whole, classes, floors, eighs)
     b_eighs: dict = {}
     rotated: dict = {}
-    q_pairs = [_eighs(_axis_bounds(pencil), q_eighs) for pencil, _ in classes]
+    q_pairs = [_eighs(_axis_bounds(pencil), eighs) for pencil, _ in classes]
     shares = _class_shares(q_pairs, m)
     orbits = _class_orbits(whole)
 
     @functools.cache
     def floor(i: int) -> float:
-        return _class_floor(whole, classes[i][0], q_pairs[i])
+        return _class_floor(whole, classes[i][0], q_pairs[i], floors, eighs)
 
     @functools.cache
     def dense(i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1138,19 +1082,31 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
         for i in new:
             counts[i] = 1
     chosen = order[:m]
-    # unfold the chosen pairs only, each member's its representative's with
-    # the grid axes transposed
+    # keep the class coordinates of the chosen pairs only, per member its
+    # representative's, to be unfolded on first access
     owner = np.repeat(np.arange(len(members)), sizes)[chosen]
     column = np.concatenate([np.arange(size) for size in sizes])[chosen]
-    vectors = np.empty((whole.size, chosen.size))
+    parts = []
     for index, (_, representative, axes) in enumerate(members):
         picked = np.flatnonzero(owner == index)
         if picked.size:
-            pencil, folds = classes[representative]
-            x = _along_axes(folds, solved[representative][1][:, column[picked]], pencil.shape)
-            vectors[:, picked] = np.transpose(x.reshape(whole.shape + (-1,)),
-                                              axes + (len(axes),)).reshape(whole.size, -1)
-    return _certified(values[chosen], vectors, (eta[chosen], delta[chosen]), tol)
+            parts.append((picked, solved[representative][1][:, column[picked]],
+                          classes[representative][1], axes))
+    return _certified(values[chosen], functools.partial(_unfold, whole.shape, parts),
+                      (eta[chosen], delta[chosen]), tol)
+
+
+def _unfold(shape: tuple[int, ...], parts) -> np.ndarray:
+    """A block's vectors, of grid `shape`, from the class coordinates of its chosen pairs
+    (`_structured_solve`): per part, the columns `picked`, unfolded by their class's
+    folds and transposed to their member's axis order."""
+    size = math.prod(shape)
+    vectors = np.empty((size, sum(picked.size for picked, *_ in parts)))
+    for picked, coordinates, folds, axes in parts:
+        x = _along_axes(folds, coordinates, tuple(fold.shape[1] for fold in folds))
+        vectors[:, picked] = np.transpose(x.reshape(shape + (-1,)),
+                                          axes + (len(axes),)).reshape(size, -1)
+    return vectors
 
 
 def _solve_fourth_order(block: ComponentBlock, m: int, tol: float) -> Spectrum:
@@ -1167,57 +1123,3 @@ def _solve_fourth_order(block: ComponentBlock, m: int, tol: float) -> Spectrum:
         return _structured_solve(block, m, tol)
     except NumericalFailure:
         return solve_pencil(block.a, block.b, m, tol)
-
-
-def _separable_block(block: ComponentBlock, m: int, tol: float):
-    """`separable.solve_block`; on failure its partial spectrum becomes a Spectrum,
-    vectors included."""
-    from .separable import solve_block
-
-    try:
-        return solve_block(block, m, tol)
-    except NumericalFailure as exc:
-        partial = exc.partial
-        raise NumericalFailure(str(exc), partial=Spectrum(
-            kind=None, degree=None, values=partial.values, residuals=partial.residuals,
-            error_bounds=partial.error_bounds, vectors=_separable_vectors(block, partial.multi),
-            deflated_kernel_dim=partial.deflated_kernel_dim)) from exc
-
-
-def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,
-                  cache: Optional[dict] = None) -> Spectrum:
-    """Solve an assembled FormProblem blockwise and merge the spectra
-    (`blockwise.merge_blocks`).
-
-    Identical blocks are solved once and replicated, which keeps discrete
-    degree-independence and Hodge duality exact at the bit level.
-    Second-order blocks are solved by `separable.solve_block` (a cached
-    solve is shared with `separable.solve_problem`), and their vectors formed
-    here; fourth-order blocks take the route `_solve_fourth_order` picks.
-    A block's kernel (the constants at absolute p = 0) is left out, so the
-    first reported eigenvalue is positive.  `cache` may be shared across
-    problems on the same grid to reuse block solves: a block is served by
-    a cached solve of the same block and tolerance for at least as many
-    values, of which the merge reads the first ones.
-    """
-    second_order = not problem.kind.is_fourth_order
-    chosen, results = merge_blocks(
-        problem, m, tol, cache, _separable_block if second_order else _solve_fourth_order)
-    block_vectors: dict = {}   # by signature, a block's vectors for the first m values
-    vectors = np.zeros((problem.dof_count, len(chosen)))
-    for col, (_, index, j) in enumerate(chosen):
-        block = problem.blocks[index]
-        if block.signature not in block_vectors:
-            block_vectors[block.signature] = (
-                _separable_vectors(block, results[index].multi[:m]) if second_order
-                else results[index].vectors)
-        vectors[block.offset:block.offset + block.size, col] = block_vectors[block.signature][:, j]
-    return Spectrum(
-        kind=problem.kind.value,
-        degree=problem.degree,
-        values=np.array([value for value, _, _ in chosen]),
-        residuals=np.array([results[i].residuals[j] for _, i, j in chosen]),
-        error_bounds=np.array([results[i].error_bounds[j] for _, i, j in chosen]),
-        vectors=vectors,
-        deflated_kernel_dim=sum(block.kernel_dim for block in problem.blocks),
-    )

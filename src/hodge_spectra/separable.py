@@ -18,49 +18,26 @@ The pairs are certified from the 1D pencils alone (`_axis_certificate`,
 `_certificates`), read from the same `_axis_pencil` that the assembled
 `block.a` and `block.b` are built from, so the bounds hold for the
 Kronecker product of the float 1D vectors against those too.  No vector of
-block size is formed here; `eigensolve.solve_problem` forms them with
-numpy, for the library's `Spectrum`.  `verify.solve_problem` sends
-second-order problems here, so `box` and `converge` on them load neither
-numpy nor `eigensolve`.  `merge_blocks`, the blockwise merge, and
-`smallest_sums` come from `blockwise`, which `eigensolve` shares, so that a
-fourth-order command never loads this module; they are re-exported here.
+block size is formed to solve or certify a block: `solve_block` leaves
+`block_vectors`, which forms the Kronecker products with numpy, to run on
+first access to its spectrum's `vectors`.  `blockwise.solve_problem` sends
+second-order blocks here, so `box` and `converge` on them load neither
+numpy nor `eigensolve`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING
 
-from . import DEFAULT_TOL, discretize
-# MULTIPLICITY_GAP, _check_tol and ordered_sums are re-exported from here
-from .blockwise import (  # noqa: F401
-    MULTIPLICITY_GAP, _check_tol, _gamma, merge_blocks, ordered_sums, smallest_sums)
+from . import discretize
+from .blockwise import Spectrum, _gamma, smallest_sums
 from .errors import NumericalFailure
 
 if TYPE_CHECKING:
-    from .discretize import ComponentBlock, FormProblem
-
-
-class SeparableSpectrum(NamedTuple):
-    """Sorted smallest eigenvalues of a second-order problem or block with their
-    certificates, as floats: `residuals` holds an upper bound on each pair's normwise
-    backward error, `error_bounds` an absolute bound on the distance from each value
-    to an eigenvalue.  A block's spectrum also holds, per value, the multi-index of
-    its 1D pairs (`multi`)."""
-
-    kind: Optional[str]
-    degree: Optional[int]
-    values: tuple[float, ...]
-    residuals: tuple[float, ...]
-    error_bounds: tuple[float, ...]
-    deflated_kernel_dim: int = 0
-    multi: tuple[tuple[int, ...], ...] = ()
-
-    @property
-    def label(self) -> str:
-        kind = self.kind or "pencil"
-        return f"{kind} p={self.degree}" if self.degree is not None else kind
+    from .discretize import ComponentBlock
 
 
 def _sin_pi(num: int, den: int) -> float:
@@ -191,10 +168,36 @@ def _certificates(axes, values, sums, multis) -> tuple[list[float], list[float]]
     return eta, delta
 
 
-def solve_block(block: ComponentBlock, m: int, tol: float) -> SeparableSpectrum:
-    """m smallest eigenpairs of a second-order block from its 1D pencils, as values,
-    certificates and multi-indices; NumericalFailure carries them when a backward
-    error exceeds tol.
+def block_vectors(block: ComponentBlock, multis):
+    """The eigenvectors of a second-order block's pairs: Kronecker products of its
+    closed-form 1D vectors (`axis_vector`), one column per multi-index in `multis`.
+    Loads numpy."""
+    import numpy as np
+
+    axes = discretize.block_axes(block)
+
+    @functools.cache
+    def column(k: int, j: int):
+        return np.array(axis_vector(*axes[k], j))
+
+    return _kron_columns(block.size, column, multis)
+
+
+def _kron_columns(size: int, column, multis):
+    """Kronecker products of 1D vectors, one column of `size` per multi-index in
+    `multis`, the factor of axis k being column(k, multi[k]) (axis 1 slowest)."""
+    import numpy as np
+
+    vectors = np.empty((size, len(multis)))
+    for col, multi in enumerate(multis):
+        vectors[:, col] = functools.reduce(np.kron, [column(k, j) for k, j in enumerate(multi)])
+    return vectors
+
+
+def solve_block(block: ComponentBlock, m: int, tol: float) -> Spectrum:
+    """m smallest eigenpairs of a second-order block from its 1D pencils, as values and
+    certificates, its vectors formed on first access (`block_vectors`);
+    NumericalFailure carries them when a backward error exceeds tol.
 
     The block's eigenvalues are all sums lambda_{j_1} + ... + lambda_{j_n} of
     1D eigenvalues; an index past m (m + 1 with a kernel) on any axis comes
@@ -205,27 +208,11 @@ def solve_block(block: ComponentBlock, m: int, tol: float) -> SeparableSpectrum:
     values = [axis_values(*axis, m + skip) for axis in axes]
     sums, multis = smallest_sums(values, m, skip_first=skip)
     eta, delta = _certificates(axes, values, sums, multis)
-    spectrum = SeparableSpectrum(kind=None, degree=None, values=tuple(sums),
-                                 residuals=tuple(eta), error_bounds=tuple(delta),
-                                 deflated_kernel_dim=block.kernel_dim, multi=tuple(multis))
+    spectrum = Spectrum(kind=None, degree=None, values=sums, residuals=eta, error_bounds=delta,
+                        vectors=lambda: block_vectors(block, multis),
+                        deflated_kernel_dim=block.kernel_dim)
     if not all(r <= tol for r in eta):
         raise NumericalFailure(
             f"residual tolerance {tol} not met (worst backward error {max(eta):.3e})",
             partial=spectrum)
     return spectrum
-
-
-def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,
-                  cache: Optional[dict] = None) -> SeparableSpectrum:
-    """The m smallest eigenvalues of a Dirichlet or absolute problem with their
-    certificates, block by block (`solve_block`, `merge_blocks`).  A block's kernel
-    (the constants at absolute p = 0) is left out, so the first value is positive."""
-    chosen, results = merge_blocks(problem, m, tol, cache, solve_block)
-    return SeparableSpectrum(
-        kind=problem.kind.value,
-        degree=problem.degree,
-        values=tuple(value for value, _, _ in chosen),
-        residuals=tuple(results[i].residuals[j] for _, i, j in chosen),
-        error_bounds=tuple(results[i].error_bounds[j] for _, i, j in chosen),
-        deflated_kernel_dim=sum(block.kernel_dim for block in problem.blocks),
-    )

@@ -3,31 +3,31 @@ battery that solves all four problems on a box and runs the inequality
 checks on their spectra.
 
 This module loads `discretize`, which loads numpy only when a block's
-dense factors are read.  `solve_problem` is a module-level function that
-sends Dirichlet and absolute problems to `separable`, which solves them
-with the standard library alone, and the fourth-order ones to
+dense factors are read.  `solve_problem` is `blockwise.solve_problem`,
+which sends Dirichlet and absolute blocks to `separable`, which solves
+them with the standard library alone, and fourth-order ones to
 `eigensolve`, loading each on first call: `box` and `converge` on a
 second-order problem, which take their solvers from here, load neither
 numpy nor `eigensolve`.  The constants and the inequality battery live in
 `checks`, which loads neither; it is loaded only when the battery runs, so
-`box` and `converge` never load it.  `check_inequalities` calls through to
-`checks` the same way.  Both functions are bound here before their modules
-load, so that a caller (the battery, or a tracer) finds them.
+`box` and `converge` never load it.  `check_inequalities` is a
+module-level function that calls through to `checks`.  Both names are
+bound here before the modules they call load, so that a caller (the
+battery, or a tracer) finds them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import DEFAULT_TOL, ProblemKind, _FrozenRecord
-from .discretize import BoxDomain, FormProblem, assemble, build_domain
+from .blockwise import solve_problem
+from .discretize import BoxDomain, assemble, build_domain
 from .errors import NumericalFailure
 
 if TYPE_CHECKING:
     from .checks import InequalityReport, SpectrumSet
-    from .eigensolve import Spectrum
-    from .separable import SeparableSpectrum
 
 __all__ = [
     "ConvergenceStudy",
@@ -36,19 +36,6 @@ __all__ = [
     "box_battery",
     "solve_problem",
 ]
-
-
-def solve_problem(problem: FormProblem, m: int, tol: float = DEFAULT_TOL,
-                  cache: Optional[dict] = None) -> Union[SeparableSpectrum, Spectrum]:
-    """`separable.solve_problem` for a Dirichlet or absolute problem, which returns
-    its values and certificates without vectors, and `eigensolve.solve_problem`
-    for a fourth-order one, each loaded on first call.  A `cache` shared across
-    problems serves both: they key block solves by the block's signature."""
-    if problem.kind.is_fourth_order:
-        from .eigensolve import solve_problem
-    else:
-        from .separable import solve_problem
-    return solve_problem(problem, m, tol=tol, cache=cache)
 
 
 def check_inequalities(spectra: SpectrumSet) -> InequalityReport:

@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 import hodge_spectra
 import hodge_spectra.eigensolve as es
 import hodge_spectra.verify as verify
-from hodge_spectra import ProblemKind
+from hodge_spectra import ProblemKind, blockwise, separable
 from hodge_spectra.cli import _build_parser, run
 
 
@@ -364,17 +364,17 @@ def test_a_ladder_level_is_served_by_a_solve_for_more_values(monkeypatch, kind):
     cache: dict = {}
     four = es.solve_problem(problem, m=4, cache=cache)
     solves = []
-    for name in ("_separable_block", "_solve_fourth_order"):
-        monkeypatch.setattr(es, name, lambda *args: solves.append(args))
+    for module, name in ((separable, "solve_block"), (es, "_solve_fourth_order")):
+        monkeypatch.setattr(module, name, lambda *args: solves.append(args))
     one = es.solve_problem(problem, m=1, cache=cache)
     assert solves == []
-    assert one.values.tobytes() == four.values[:1].tobytes()
-    assert one.residuals.tobytes() == four.residuals[:1].tobytes()
-    assert one.error_bounds.tobytes() == four.error_bounds[:1].tobytes()
+    for field in ("values", "residuals", "error_bounds"):
+        assert (numpy.asarray(getattr(one, field)).tobytes()
+                == numpy.asarray(getattr(four, field)[:1]).tobytes()), field
     assert one.vectors.tobytes() == four.vectors[:, :1].tobytes()
     # a cached solve for fewer values does not serve a request for more
     monkeypatch.undo()
-    assert es.solve_problem(problem, m=6, cache=cache).values.size == 6
+    assert len(es.solve_problem(problem, m=6, cache=cache).values) == 6
 
 
 def test_module_invocation_honors_thread_cap(tmp_path):
@@ -465,6 +465,31 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
     assert _modules_loaded(tmp_path, argv) == loaded
 
 
+def test_no_command_forms_a_vector(tmp_path, monkeypatch):
+    # with every function that forms eigenvectors made to raise, box on 23^3
+    # for every kind and the README verify command write the reports of
+    # unpatched runs to the same --out, byte for byte
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a command formed an eigenvector")
+
+    commands = [_BOX_23 + [kind, "--degree", degree] for kind, degree in (
+        ("clamped_plate", "0"), ("buckling", "1"), ("dirichlet_laplace", "1"),
+        ("absolute_laplace", "0"))]
+    commands.append(["verify", "--dim", "2", "--extent", "1,1", "--cells", "63,63",
+                     "--degrees", "0,1,2", "--error-estimates"])
+    for argv in commands:
+        code, path = run_to_file(tmp_path, "report.json", argv)
+        assert code == 0, argv
+        free = path.read_bytes()
+        with monkeypatch.context() as patch:
+            for module, name in ((blockwise, "_place_columns"), (separable, "block_vectors"),
+                                 (es, "_unfold")):
+                patch.setattr(module, name, forbidden)
+            code, path = run_to_file(tmp_path, "report.json", argv)
+        assert code == 0, argv
+        assert path.read_bytes() == free, argv
+
+
 def test_second_order_failure_exits_two_with_a_flagged_partial_report(tmp_path):
     # the separable route misses an impossible tolerance without numpy: the
     # failed block's values are reported under the flagged status
@@ -482,23 +507,28 @@ def test_second_order_failure_exits_two_with_a_flagged_partial_report(tmp_path):
     assert max(partial["residuals"]) > 1e-30
 
 
-def test_box_verify_and_the_library_agree_bitwise_on_second_order_values(tmp_path):
-    # box and the verify battery take their second-order values from the same
-    # closed-form route, and eigensolve.solve_problem wraps the same values
+def test_box_verify_and_the_library_agree_bitwise_on_every_kind(tmp_path):
+    # box, the verify battery and eigensolve.solve_problem take their values,
+    # backward errors and bounds from the one problem solve, for every kind
     argv = ["--dim", "2", "--extent", "1,1.3", "--cells", "9,11"]
     _, path = run_to_file(tmp_path, "verify.json", ["verify", *argv, "--degrees", "0,1,2"])
     battery = {(entry["kind"], entry["degree"]): entry
                for entry in json.loads(path.read_text())["spectra"]}
-    for kind in ("dirichlet_laplace", "absolute_laplace"):
+    assert battery.keys() == {(kind.value, degree) for kind in ProblemKind
+                              for degree in (0, 1, 2)}
+    for kind in ProblemKind:
         for degree in (0, 1, 2):
-            _, path = run_to_file(tmp_path, "box.json", ["box", *argv, "--problem", kind,
+            _, path = run_to_file(tmp_path, "box.json", ["box", *argv, "--problem", kind.value,
                                                          "--degree", str(degree)])
             (entry,) = json.loads(path.read_text())["spectra"]
+            problem = verify.assemble(verify.build_domain(2, (1.0, 1.3), (9, 11)), degree, kind)
+            library = es.solve_problem(problem, m=4)
             for field in ("values", "residuals", "error_bounds"):
-                assert entry[field] == battery[kind, degree][field], (kind, degree, field)
-            problem = verify.assemble(verify.build_domain(2, (1.0, 1.3), (9, 11)), degree,
-                                      ProblemKind(kind))
-            assert es.solve_problem(problem, m=4).values.tolist() == entry["values"]
+                want = numpy.asarray(entry[field]).tobytes()
+                assert numpy.asarray(battery[kind.value, degree][field]).tobytes() == want, (
+                    kind, degree, field)
+                assert numpy.asarray(getattr(library, field)).tobytes() == want, (
+                    kind, degree, field)
 
 
 def test_general_route_loads_scipy_when_it_runs(tmp_path):
