@@ -21,18 +21,22 @@ call (a library warming up, a page fault) or a slow stretch of the
 machine does not decide a pair between two sides whose solve is the same.
 Per row and side, each run records the child's wall seconds (interpreter
 start included), a block's solve seconds, its import time of hodge_spectra.cli,
-its peak RSS, its exit code, whether its heap was frozen when it ended (as
-`cli.main()` leaves it), whether it had loaded numpy, which of scipy,
-scipy.sparse, scipy.linalg and scipy.sparse.linalg it had loaded, and
-which of LOADED it had loaded: hodge_spectra.bessel, hodge_spectra.checks,
-hodge_spectra.separable, fractions, dataclasses, inspect and platform.
+its peak RSS, its exit code, a digest of its output, whether its heap
+was frozen when it ended (as `cli.main()` leaves it), whether it had
+loaded numpy, which of scipy, scipy.sparse, scipy.linalg and
+scipy.sparse.linalg it had loaded, and which of LOADED it had loaded:
+hodge_spectra.bessel, hodge_spectra.checks, hodge_spectra.separable,
+fractions, dataclasses, inspect and platform.
 Per row come the medians and quartiles, the pairs in which
 the change was faster (wins), as fast (ties) or slower (losses), on solve
 seconds for a block and on wall seconds otherwise, and whether the row is
 resolved on that metric: whether the medians differ by more than the
 parent's own spread, the distance between its quartiles, so that a
 one-sided pair count inside that spread reads as unresolved, not as a
-regression or a gain.
+regression or a gain.  A row is identical when every run on both sides
+has one digest: the SHA-256 of a command's exit code and report bytes, or
+of repr((values, residuals, error_bounds)) of a block's spectrum; the
+summary flags a row that differs.
 
 --perfbench adds, per workload, the results of `perfbench/run.py --workload
 WORKLOAD --seed N --seconds 10 --trace 0` at the parent commit and at the
@@ -136,7 +140,7 @@ TIMED = ("wall_s", "solve_s", "import_s", "peak_rss_mb")
 IMPORT_ONLY = "import hodge_spectra.cli"
 # arguments: none (import only), a CLI command, or --block and a BLOCKS entry as JSON
 PROBE = f"""
-import gc, json, resource, sys, time
+import gc, json, os, resource, sys, time
 start = time.perf_counter()
 import hodge_spectra.cli as cli
 run = {{"import_s": time.perf_counter() - start}}
@@ -156,20 +160,32 @@ if args[:1] == ["--block"]:
                first_value=float(spectrum.values[0]),
                worst_residual=float(max(spectrum.residuals)),
                largest_error_bound=float(max(spectrum.error_bounds)))
+    output = repr((spectrum.values, spectrum.residuals, spectrum.error_bounds)).encode()
 elif args:
-    # through the process entry point, collector policy included
+    # through the process entry point, collector policy included; a report
+    # left by an earlier run is removed first
+    if os.path.exists("report"):
+        os.remove("report")
     sys.argv = ["hodge-spectra", *args]
     try:
         cli.main()
     except SystemExit as exc:
         run["exit_code"] = exc.code
+    output = f"{{run['exit_code']}}\\n".encode()
+    if os.path.exists("report"):
+        with open("report", "rb") as report:
+            output += report.read()
 else:
     run["exit_code"] = 0
+    output = b""
 run.update(peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
            frozen=gc.get_freeze_count() > 0,
            numpy="numpy" in sys.modules,
            scipy=[m for m in {SCIPY_PARTS!r} if m in sys.modules],
            **{{field: module in sys.modules for field, module in {LOADED!r}}})
+# after the peak RSS and the modules are read
+import hashlib
+run["digest"] = hashlib.sha256(output).hexdigest()
 print(json.dumps(run))
 """
 
@@ -262,6 +278,7 @@ def _row(by_side: dict[str, list[dict]]) -> dict:
     row["pairs"] = pair_counts(timed, row["parent"][timed]["values"],
                                row["change"][timed]["values"])
     row["resolved"] = resolved(row["parent"][timed], row["change"][timed])
+    row["identical"] = len({run["digest"] for runs in by_side.values() for run in runs}) == 1
     return row
 
 
@@ -284,7 +301,8 @@ def measure(parent_src: Path, pairs: int) -> dict:
               f"{row['change'][timed]['median']:7.3f} s  "
               f"{row['parent']['peak_rss_mb']['median']:5.0f} -> "
               f"{row['change']['peak_rss_mb']['median']:5.0f} MB"
-              f"{'' if row['resolved'] else '  unresolved'}", flush=True)
+              f"{'' if row['resolved'] else '  unresolved'}"
+              f"{'' if row['identical'] else '  differs'}", flush=True)
     return {"order": order, "rows": result}
 
 
@@ -348,13 +366,16 @@ def main(argv=None) -> int:
         "what": "fresh interpreters on each side, one run per pair: wall seconds of the whole "
                 f"child, solve seconds of a block (the fastest of {SOLVE_REPEATS} in its "
                 "child), import seconds of hodge_spectra.cli, peak "
-                "RSS, exit code, whether the heap was frozen at the end, whether numpy was "
+                "RSS, exit code, the SHA-256 digest of the output (a command's exit code and "
+                "report bytes, a block's repr((values, residuals, error_bounds))), "
+                "whether the heap was frozen at the end, whether numpy was "
                 "loaded, the scipy modules loaded, and "
                 "whether hodge_spectra.bessel, hodge_spectra.checks, hodge_spectra.separable, "
                 "fractions, dataclasses, inspect and platform were loaded; wins, "
                 "ties and losses count the pairs in which the change's solve (blocks) or wall "
                 f"(otherwise) seconds are lower, equal or higher; resolved: the medians of "
                 "that metric differ by more than the parent's interquartile spread; "
+                "identical: every run on both sides has one digest; "
                 f"{args.pairs} pairs, sides alternating",
         "machine": machine_facts(),
         **measure(args.parent_src, args.pairs),

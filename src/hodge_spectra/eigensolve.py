@@ -81,7 +81,7 @@ import functools
 import heapq
 import itertools
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -119,7 +119,6 @@ START_SPAN = 3
 CLUSTER_GAP = 3e-2
 ROUNDING_TARGET = 4e-16
 STALL_ITERATIONS = 10
-LOBPCG_MAXITER = 200
 _SEED = 0x5EEDBA11
 
 
@@ -314,21 +313,88 @@ def _kron_sum_solver(pairs, power: float = 1):
     return solve
 
 
-def _eighs(mats, pairs: Optional[dict] = None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """np.linalg.eigh of each square matrix, one call per bitwise-distinct matrix.
+class _Term(_FrozenRecord):
+    """One axis of a fourth-order pencil: its second difference T_k and face terms d_k
+    (or a reflection class's folded ones), the cell volume, and (t, e) of the unfolded
+    axis (`_fold_spread`).  Its per-axis work is done on first access: bitwise-equal axes
+    share one term (`_AxisPencil.of`), and the classes with one parity on them one folded
+    term (`_reflection_classes`)."""
 
-    `pairs` holds the decompositions by the matrix's bytes (their count fixes
-    the order), so that the equal per-axis factors of interchangeable axes,
-    and of the reflection classes that share an axis's parity, share one.
-    """
-    pairs = {} if pairs is None else pairs
-    out = []
-    for mat in mats:
-        key = mat.tobytes()
-        if key not in pairs:
-            pairs[key] = np.linalg.eigh(mat)
-        out.append(pairs[key])
-    return out
+    second: np.ndarray
+    d: np.ndarray
+    volume: float
+    t: float   # >= ||T_k||_2 of the unfolded axis
+    e: float   # >= ||T'_k - T~_k||_2, for a fold's computed and exact T_k
+
+    # compared and hashed as an object: it holds arrays
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, second, d, volume, t, e):
+        super().__init__(second, d, volume, t, e)
+
+    @functools.cached_property
+    def q(self) -> np.ndarray:
+        """q_k = vol T_k^2 + diag(d_k).
+
+        A = sum_k I x q_k x I + 2 vol sum_{j<k} T_j x T_k.  Dropping the cross
+        terms, which are positive semidefinite, leaves Q = sum_k I x q_k x I, so
+        Q <= A <= n Q for every h.  With s_k = q_k^1/2 >= vol^1/2 T_k (the
+        square root is operator monotone), P = (sum_k I x s_k x I)^2 = Q + 2
+        sum_{j<k} s_j x s_k >= A, and P <= n Q <= n A: P / n <= A <= P, with
+        A's cross terms matched away from the faces (`_q_basis`).
+        """
+        return self.volume * (self.second @ self.second) + np.diag(self.d)
+
+    @functools.cached_property
+    def q_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.q)
+
+    @functools.cached_property
+    def t_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.second)
+
+    @functools.cached_property
+    def b_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenpairs of vol T_k, buckling's per-axis B (`_b_solver`)."""
+        return np.linalg.eigh(self.volume * self.second)
+
+    @functools.cached_property
+    def rotated(self) -> np.ndarray:
+        """R_k = V_k^T T_k V_k, V_k the eigenvectors of q_k (`_q_basis`)."""
+        vectors = self.q_pair[1]
+        return vectors.T @ self.second @ vectors
+
+    @functools.cached_property
+    def spread_q(self) -> float:
+        """A bound on ||q_k - q'_k||_2, for a fold's computed and exact q_k (`_class_floor`)."""
+        return _gamma(7) * (3.0 * self.volume * self.t * self.t + self.d.max())
+
+    @functools.cached_property
+    def tau(self) -> float:
+        """tau_k <= lambda_min(T_k), clipped at 0 (`_class_floor`)."""
+        return max(_lowest_floor(self.second, self.e, self.t_pair), 0.0)
+
+    @functools.cached_property
+    def mu(self) -> float:
+        """mu_k <= lambda_min(q_k), clipped at 0 (`_class_floor`)."""
+        return max(_lowest_floor(self.q, self.spread_q, self.q_pair), 0.0)
+
+    @functools.cached_property
+    def c(self) -> float:
+        """c_k <= lambda_min(q_k, vol T_k), clipped at 0 (`_class_floor`)."""
+        t_values, t_vectors = self.t_pair
+        if not (self.tau > 0.0 and t_values[0] > 0.0):
+            return 0.0
+        volume, q = self.volume, self.q
+        scaled = t_vectors / np.sqrt(t_values)
+        c = max(float(np.linalg.eigvalsh(scaled.T @ q @ scaled)[0]) / volume, 0.0)
+        floor = _lowest_floor(q - (c * volume) * self.second,
+                              self.spread_q + c * volume * self.e
+                              + _gamma(3) * (np.abs(q).sum(axis=1).max() + c * volume * self.t))
+        if floor < 0.0:
+            c = math.nextafter(c + floor / (volume * self.tau) * (1.0 + _gamma(4)), -math.inf)
+        return max(c, 0.0)
 
 
 class _AxisPencil(_FrozenRecord):
@@ -340,7 +406,7 @@ class _AxisPencil(_FrozenRecord):
     on a grid of `shape`, axis 1 slowest.
     """
 
-    terms: tuple[tuple[np.ndarray, np.ndarray], ...]   # (T_k, d_k) per axis
+    terms: tuple[_Term, ...]   # per axis
     volume: float
     b_is_mass: bool
 
@@ -353,11 +419,19 @@ class _AxisPencil(_FrozenRecord):
 
     @classmethod
     def of(cls, block: ComponentBlock) -> "_AxisPencil":
-        return cls(block.axis_terms, block.domain.cell_volume, block.b_is_mass)
+        """The block's pencil, its bitwise-equal axes sharing one term."""
+        volume = block.domain.cell_volume
+        distinct, terms = {}, []
+        for second, d in block.axis_terms:
+            key = (second.tobytes(), d.tobytes())
+            if key not in distinct:
+                distinct[key] = _Term(second, d, volume, *_fold_spread(second))
+            terms.append(distinct[key])
+        return cls(tuple(terms), volume, block.b_is_mass)
 
     @functools.cached_property
     def shape(self) -> tuple[int, ...]:
-        return tuple(d.size for _, d in self.terms)
+        return tuple(term.d.size for term in self.terms)
 
     @functools.cached_property
     def size(self) -> int:
@@ -366,7 +440,7 @@ class _AxisPencil(_FrozenRecord):
     @functools.cached_property
     def face_diagonal(self) -> np.ndarray:
         """The diagonal of D, the terms added in axis order."""
-        return functools.reduce(np.add.outer, [d for _, d in self.terms]).ravel()
+        return functools.reduce(np.add.outer, [term.d for term in self.terms]).ravel()
 
 
 def _axis_sum(mats, x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -381,7 +455,7 @@ def _a_products(pencil: _AxisPencil, x: np.ndarray,
                 magnitudes: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(A x, y) of a fourth-order pencil on a block of vectors, by 2n per-axis contractions:
     y = vol sum_k T_k x, and A x = sum_k T_k y + D x (see `_gram_products`)."""
-    seconds = [np.abs(second) if magnitudes else second for second, _ in pencil.terms]
+    seconds = [np.abs(term.second) if magnitudes else term.second for term in pencil.terms]
     y = pencil.volume * _axis_sum(seconds, x, pencil.shape)
     return _axis_sum(seconds, y, pencil.shape) + pencil.face_diagonal[:, None] * x, y
 
@@ -445,34 +519,24 @@ def _gram_residual(pencil: _AxisPencil, values, vectors: np.ndarray,
     return r, bx, rounding
 
 
-def _b_solver(pencil: _AxisPencil, power: float = 1, pairs: Optional[dict] = None):
+def _b_solver(pencil: _AxisPencil, power: float = 1):
     """x -> B^-power x on a block of vectors of a fourth-order pencil: a division for
-    B = vol I, `_kron_sum_solver` over the eigenpairs of each vol T_k for B = vol sum_k T_k
-    (`_eighs`, which keeps them in `pairs`)."""
+    B = vol I, `_kron_sum_solver` over the eigenpairs of each vol T_k for B = vol sum_k T_k."""
     if pencil.b_is_mass:
         divisor = pencil.volume ** power
         return lambda x: x / divisor
-    return _kron_sum_solver(_eighs([pencil.volume * second for second, _ in pencil.terms], pairs),
-                            power)
-
-
-class _Fold(NamedTuple):
-    """What a reflection class's certificate needs of its whole block (`_fold_terms`)."""
-
-    t: float         # >= sum_k ||T_k||_2
-    e: float         # >= sum_k ||T'_k - T~_k||_2, for a class's computed and exact folds
-    b_floor: float   # <= lambda_min(B) of the whole block, so of every class
+    return _kron_sum_solver([term.b_pair for term in pencil.terms], power)
 
 
 def _gram_certificate(pencil: _AxisPencil, values, vectors: np.ndarray,
-                      norms: tuple[float, float], fold: Optional[_Fold] = None,
-                      pairs: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
+                      norms: tuple[float, float],
+                      b_floor: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
     """Backward errors and error bounds (`_bounds`) of pairs of a fourth-order pencil, from
-    `_gram_residual`, the whole block's norms (`_gram_norms`) and `_b_solver`'s B^-1
-    (its eigenpairs kept in `pairs`).
+    `_gram_residual`, the whole block's norms (`_gram_norms`) and `_b_solver`'s B^-1.
 
-    With `fold`, `pencil` is a reflection class of a block (`_reflection_classes`)
-    and `vectors` hold class coordinates y; each bound then encloses an
+    With `b_floor` (`_b_floor`), `pencil` is a reflection class of a block
+    (`_reflection_classes`) and `vectors` hold class coordinates y, and t and
+    e are the sums of its terms' `_fold_spread`; each bound then encloses an
     eigenvalue of the whole block, certified by the exact unfolding x = F* y.
     Each computed fold is F = F* S, F* exactly orthonormal and S diagonal
     within u of I (`_is_fold`), so the unfolding that `_along_axes` computes
@@ -496,13 +560,14 @@ def _gram_certificate(pencil: _AxisPencil, values, vectors: np.ndarray,
     `_bounds` evaluates into B~-norms.  A class with no such bound raises
     NumericalFailure.
     """
-    r, bx, rounding = _gram_residual(pencil, values, vectors, assembled=fold is None)
+    r, bx, rounding = _gram_residual(pencil, values, vectors, assembled=b_floor is None)
     eta = _backward_errors(values, vectors, r, *norms)
-    numerator, x_norm = _b_norms(vectors, r, bx, rounding, _b_solver(pencil, pairs=pairs))
-    if fold is None:
+    numerator, x_norm = _b_norms(vectors, r, bx, rounding, _b_solver(pencil))
+    if b_floor is None:
         return eta, numerator / x_norm
     n, volume, mass = len(pencil.shape), pencil.volume, pencil.b_is_mass
-    t, e, b_floor = fold
+    t = sum(term.t for term in pencil.terms) * (1.0 + _gamma(n))
+    e = sum(term.e for term in pencil.terms) * (1.0 + _gamma(n))
     norm_a, norm_b = norms
     theta = np.abs(np.asarray(values, dtype=float))
     y_norm = np.linalg.norm(vectors, axis=0)
@@ -520,17 +585,16 @@ def _gram_certificate(pencil: _AxisPencil, values, vectors: np.ndarray,
         scale * x_norm)
 
 
-def _dense_class(pencil: _AxisPencil,
-                 pairs: Optional[dict] = None) -> tuple[np.ndarray, np.ndarray]:
+def _dense_class(pencil: _AxisPencil) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of a reflection class: eigh of B^-1/2 A B^-1/2, by `_a_products` and
-    `_b_solver` (its eigenpairs kept in `pairs`) on the identity, and x = B^-1/2 y (Golub &
-    Van Loan, Matrix Computations, 8.7).  For B = vol I that is eigh of A itself, its
-    values divided by vol and its vectors by vol^1/2."""
+    `_b_solver` on the identity, and x = B^-1/2 y (Golub & Van Loan, Matrix Computations,
+    8.7).  For B = vol I that is eigh of A itself, its values divided by vol and its
+    vectors by vol^1/2."""
     if pencil.b_is_mass:
         a = _a_products(pencil, np.eye(pencil.size))[0]
         values, vectors = np.linalg.eigh((a + a.T) / 2)
         return values / pencil.volume, vectors / math.sqrt(pencil.volume)
-    half = _b_solver(pencil, 0.5, pairs)
+    half = _b_solver(pencil, 0.5)
     reduced = half(_a_products(pencil, half(np.eye(pencil.size)))[0])
     values, vectors = np.linalg.eigh((reduced + reduced.T) / 2)
     return values, half(vectors)
@@ -581,11 +645,11 @@ def _lobpcg(apply, norms: tuple[float, float], precond, span: np.ndarray,
     the new X (in a class's Q basis, `_q_basis`, 2(n - 1) contractions each,
     2n - 1 for buckling, and `precond` is elementwise); the images of P
     follow the combinations that form it, and the Gram matrix is filled
-    block by block into one array.  It stops once
-    the m first columns reach a backward error of ROUNDING_TARGET, or after
-    STALL_ITERATIONS without halving the backward error, and returns the
-    best iterate: near the rounding floor the error can creep down by
-    noise, a new best every few steps, for hundreds of steps.
+    block by block into one array.  It stops once the m first columns reach
+    a backward error of ROUNDING_TARGET, or after STALL_ITERATIONS without
+    halving it, which bounds the loop (the error starts at most 1), and
+    returns the best iterate: near the rounding floor the error can creep
+    down by noise, a new best every few steps, for hundreds of steps.
     """
     norm_a, norm_b = norms
     x, ax, _ = _b_orthonormalize((span, *apply(span)))
@@ -599,7 +663,7 @@ def _lobpcg(apply, norms: tuple[float, float], precond, span: np.ndarray,
     p = None
     best, best_worst = (theta, x), math.inf
     progress, progress_step = math.inf, 0
-    for step in range(LOBPCG_MAXITER):
+    for step in itertools.count():
         r = ax - bx * theta
         eta = np.sqrt(np.einsum("ij,ij->j", r, r) / np.einsum("ij,ij->j", x, x)) / (
             norm_a + np.abs(theta) * norm_b)
@@ -651,22 +715,9 @@ def _combine(arrays, coefficients: np.ndarray) -> np.ndarray:
     return sum(u @ coefficients[part] for u, part in zip(arrays, rows))
 
 
-def _axis_bounds(pencil: _AxisPencil) -> list[np.ndarray]:
-    """Per-axis q_k = vol T_k^2 + diag(d_k) of a fourth-order pencil.
-
-    A = sum_k I x q_k x I + 2 vol sum_{j<k} T_j x T_k.  Dropping the cross
-    terms, which are positive semidefinite, leaves Q = sum_k I x q_k x I, so
-    Q <= A <= n Q for every h.  With s_k = q_k^1/2 >= vol^1/2 T_k (the
-    square root is operator monotone), P = (sum_k I x s_k x I)^2 = Q + 2
-    sum_{j<k} s_j x s_k >= A, and P <= n Q <= n A: P / n <= A <= P, with
-    A's cross terms matched away from the faces (`_q_basis`).
-    """
-    return [pencil.volume * (second @ second) + np.diag(d) for second, d in pencil.terms]
-
-
-def _q_basis(pencil: _AxisPencil, q_pairs, rotated: Optional[dict] = None):
+def _q_basis(pencil: _AxisPencil):
     """(apply, precondition, unrotate) of a fourth-order pencil in the eigenbasis
-    V = V_1 x ... x V_n of its q_k (`_axis_bounds`), from the eigenpairs (mu_k, V_k).
+    V = V_1 x ... x V_n of its q_k (`_Term.q`), from the eigenpairs (mu_k, V_k).
 
     In that basis (Lynch, Rice & Thomas, Numer. Math. 6, 1964) Q = diag(sum_k
     mu_k) and P^-1 = 1 / (sum_k mu_k^1/2)^2 are diagonal, and A = Q + 2 vol
@@ -674,17 +725,11 @@ def _q_basis(pencil: _AxisPencil, q_pairs, rotated: Optional[dict] = None):
     R_k and clamped plate's vol I.  `apply` maps y to (A y, B y) by 2(n - 1)
     contractions, 2n - 1 for buckling, summing the cross terms from the last
     axis down, sum_j R_j (sum_{k>j} R_k y); `precondition` multiplies by P^-1;
-    `unrotate` forms x = V y by n contractions.  `rotated` keeps each R_k by
-    the bytes of (T_k, V_k), so that classes sharing a factor share it.
+    `unrotate` forms x = V y by n contractions.
     """
-    rotated = {} if rotated is None else rotated
     shape, n = pencil.shape, len(pencil.shape)
-    seconds = []
-    for (second, _), (_, vectors) in zip(pencil.terms, q_pairs):
-        key = (second.tobytes(), vectors.tobytes())
-        if key not in rotated:
-            rotated[key] = vectors.T @ second @ vectors
-        seconds.append(rotated[key])
+    seconds = [term.rotated for term in pencil.terms]
+    q_pairs = [term.q_pair for term in pencil.terms]
     diagonal = functools.reduce(np.add.outer, [values for values, _ in q_pairs]).reshape(-1, 1)
     inverse_p = 1.0 / functools.reduce(
         np.add.outer, [np.sqrt(values) for values, _ in q_pairs]).reshape(-1, 1) ** 2
@@ -759,39 +804,44 @@ def _reflection_classes(pencil: _AxisPencil) -> list[tuple[_AxisPencil, list[np.
     the orthonormal basis of that parity (`_fold_bases`), the pencil on the
     class is again a per-axis pencil, of terms F_k^T T_k F_k and d_k's first
     half (d_k is even), and its vectors unfold by F_1 x ... x F_n
-    (`_along_axes`).  Classes come in lexicographic parity order.  The
-    premises are checked: a T_k or d_k that is not bitwise reflection
-    symmetric, or a fold that `_is_fold` refuses, raises NumericalFailure.
+    (`_along_axes`).  Classes come in lexicographic parity order, and each
+    distinct term is folded once per parity.  The premises are checked: a
+    T_k or d_k that is not bitwise reflection symmetric, or a fold that
+    `_is_fold` refuses, raises NumericalFailure.
     """
-    for second, d in pencil.terms:
+    distinct = dict.fromkeys(pencil.terms)
+    for term in distinct:
+        second, d = term.second, term.d
         if not (np.array_equal(second[::-1, ::-1], second) and np.array_equal(d[::-1], d)):
             raise NumericalFailure("a per-axis term is not reflection symmetric")
-    bases = {c: _fold_bases(c) for c in dict.fromkeys(d.size for _, d in pencil.terms)}
+    bases = {c: _fold_bases(c) for c in dict.fromkeys(pencil.shape)}
     if not all(_is_fold(fold, odd) for folds in bases.values() for odd, fold in enumerate(folds)):
         raise NumericalFailure("a fold is not an orthonormal basis of its parity")
-    per_axis = [[(fold, (fold.T @ second @ fold, d[:fold.shape[1]])) for fold in bases[d.size]]
-                for second, d in pencil.terms]
+    folded = {term: [(fold, _Term(fold.T @ term.second @ fold, term.d[:fold.shape[1]],
+                                  term.volume, term.t, term.e)) for fold in bases[term.d.size]]
+              for term in distinct}
     return [(_AxisPencil(tuple(term for _, term in choice), pencil.volume, pencil.b_is_mass),
              [fold for fold, _ in choice])
-            for choice in itertools.product(*per_axis)]
+            for choice in itertools.product(*[folded[term] for term in pencil.terms])]
 
 
 def _class_orbits(pencil: _AxisPencil) -> list[tuple[int, tuple[int, ...]]]:
     """Per reflection class (in `_reflection_classes` order), the index of its orbit's
     representative and the axis order that maps the representative's grid tensors onto it.
 
-    Axes whose (T_k, d_k) are bitwise equal are interchangeable: permuting
-    them maps A, B and Q onto themselves, and class (s_1, ..., s_n) onto the
-    class of the permuted parities, with the same eigenvalues (Fässler &
-    Stiefel, Group Theoretical Methods and Their Applications, 1992).  An
+    Axes that share a term (`_AxisPencil.of`: their T_k and d_k are bitwise
+    equal) are interchangeable: permuting them maps A, B and Q onto
+    themselves, and class (s_1, ..., s_n) onto the class of the permuted
+    parities, with the same eigenvalues (Fässler & Stiefel, Group
+    Theoretical Methods and Their Applications, 1992).  An
     orbit's representative has its parities sorted within each group of
     interchangeable axes.  A vector x of the representative, as a grid
     tensor, becomes one of the member's by np.transpose(x, axes): the
     member's axis k is the representative's axis axes[k].
     """
     n = len(pencil.terms)
-    keys = [(second.tobytes(), d.tobytes()) for second, d in pencil.terms]
-    groups = [[k for k in range(n) if keys[k] == key] for key in dict.fromkeys(keys)]
+    groups = [[k for k in range(n) if pencil.terms[k] is term]
+              for term in dict.fromkeys(pencil.terms)]
     parities = list(itertools.product((0, 1), repeat=n))
     orbits = []
     for s in parities:
@@ -805,7 +855,7 @@ def _class_orbits(pencil: _AxisPencil) -> list[tuple[int, tuple[int, ...]]]:
     return orbits
 
 
-def _class_shares(q_pairs, m: int) -> list[int]:
+def _class_shares(pencils, m: int) -> list[int]:
     """Each class's share of the m smallest eigenvalues of Q, over all classes: the first
     guess of the number of values it needs, less one.
 
@@ -815,11 +865,12 @@ def _class_shares(q_pairs, m: int) -> list[int]:
     tie goes to the lower class, and the merge pulls about m + 2^n of them.
     """
     merged = heapq.merge(*[
-        zip((value for value, _, _ in ordered_sums([values[:m].tolist() for values, _ in pairs])),
+        zip((value for value, _, _ in ordered_sums([term.q_pair[0][:m].tolist()
+                                                    for term in pencil.terms])),
             itertools.repeat(index))
-        for index, pairs in enumerate(q_pairs)])
+        for index, pencil in enumerate(pencils)])
     chosen = [index for _, index in itertools.islice(merged, m)]
-    return [chosen.count(index) for index in range(len(q_pairs))]
+    return [chosen.count(index) for index in range(len(pencils))]
 
 
 def _merge_classes(values: np.ndarray, bounds: np.ndarray, labels: np.ndarray,
@@ -871,26 +922,14 @@ def _lowest_floor(matrix: np.ndarray, spread: float, pair=None) -> float:
     return math.nextafter(lowest - margin * (1.0 + _gamma(4 * c + 12)), -math.inf)
 
 
-def _floor(floors: dict, matrix: np.ndarray, spread: float, pair=None) -> float:
-    """`_lowest_floor(matrix, spread, pair)`, computed once per lower triangle of
-    `matrix` and spread: `floors` holds them for one block, whose classes share
-    their folded factors."""
-    key = (np.tril(matrix).tobytes(), spread)
-    if key not in floors:
-        floors[key] = _lowest_floor(matrix, spread, pair)
-    return floors[key]
-
-
-def _class_floor(whole: _AxisPencil, pencil: _AxisPencil, q_pairs, floors: dict,
-                 eighs: dict) -> float:
-    """A lower bound on every eigenvalue of a reflection class of `whole`, given by its
-    folded per-axis terms (`pencil`) and the eigenpairs of its q_k (`q_pairs`); the
-    floors are taken from the block's table `floors` (`_floor`), and T'_k's eigenpairs
-    from `eighs` (`_eighs`).
+def _class_floor(pencil: _AxisPencil) -> float:
+    """A lower bound on every eigenvalue of a reflection class, given by its folded
+    per-axis terms (`_reflection_classes`), from their floors (`_Term.tau`, `_Term.mu`
+    and `_Term.c`).
 
     With tau_k = lambda_min(T_k), mu_k = lambda_min(q_k) and c_k =
     lambda_min(q_k, vol T_k), A = sum_k q_k + 2 vol sum_{j<k} T_j x T_k
-    (`_axis_bounds`) gives
+    (`_Term.q`) gives
       clamped plate (B = vol I): lambda >= (sum_k mu_k + 2 vol sum_{j<k}
         tau_j tau_k) / vol, as T_j x T_k >= tau_j tau_k I;
       buckling (B = vol sum_k T_k): lambda >= min_k (c_k + sum_{j != k}
@@ -911,33 +950,13 @@ def _class_floor(whole: _AxisPencil, pencil: _AxisPencil, q_pairs, floors: dict,
     (vol tau_k) is a valid c_k.  Every floor is clipped at 0 (T_k and q_k
     are positive definite), and the sums are lowered by `_lowered`.
     """
-    volume, n = pencil.volume, len(pencil.terms)
-    taus, mus, cs = [], [], []
-    for (whole_second, _), (second, d), q, q_pair in zip(
-            whole.terms, pencil.terms, _axis_bounds(pencil), q_pairs):
-        t, spread_t = _fold_spread(whole_second)
-        spread_q = _gamma(7) * (3.0 * volume * t * t + d.max())
-        t_values, t_vectors = t_pair = _eighs([second], eighs)[0]
-        taus.append(max(_floor(floors, second, spread_t, t_pair), 0.0))
-        mus.append(max(_floor(floors, q, spread_q, q_pair), 0.0))
-        if pencil.b_is_mass:
-            continue
-        if not (taus[-1] > 0.0 and t_values[0] > 0.0):
-            cs.append(0.0)
-            continue
-        scaled = t_vectors / np.sqrt(t_values)
-        c = max(float(np.linalg.eigvalsh(scaled.T @ q @ scaled)[0]) / volume, 0.0)
-        floor = _floor(floors, q - (c * volume) * second,
-                       spread_q + c * volume * spread_t
-                       + _gamma(3) * (np.abs(q).sum(axis=1).max() + c * volume * t))
-        if floor < 0.0:
-            c = math.nextafter(c + floor / (volume * taus[-1]) * (1.0 + _gamma(4)), -math.inf)
-        cs.append(max(c, 0.0))
+    volume, terms, n = pencil.volume, pencil.terms, len(pencil.terms)
     if pencil.b_is_mass:
-        cross = sum(taus[j] * taus[k] for j, k in itertools.combinations(range(n), 2))
-        return _lowered((sum(mus) + 2.0 * volume * cross) / volume, n * n + 6)
-    return min(_lowered(c + sum(tau for j, tau in enumerate(taus) if j != k), n)
-               for k, c in enumerate(cs))
+        cross = sum(terms[j].tau * terms[k].tau for j, k in itertools.combinations(range(n), 2))
+        return _lowered((sum(term.mu for term in terms) + 2.0 * volume * cross) / volume,
+                        n * n + 6)
+    return min(_lowered(term.c + sum(other.tau for j, other in enumerate(terms) if j != k), n)
+               for k, term in enumerate(terms))
 
 
 def _fold_spread(second: np.ndarray) -> tuple[float, float]:
@@ -948,23 +967,14 @@ def _fold_spread(second: np.ndarray) -> tuple[float, float]:
     return t, _gamma(6) * t
 
 
-def _fold_terms(whole: _AxisPencil, classes, floors: dict, eighs: dict) -> _Fold:
-    """The sums over the axes of `_fold_spread`, and a lower bound on lambda_min(B) of
-    the whole block: vol for clamped plate; for buckling, vol sum_k tau_k, tau_k the
-    smaller of the floors (`_floor`, spread e_k, from the block's table `floors`) of
-    axis k's two folded T_k, whose spectra make up T_k's, from their eigenpairs in
-    `eighs` (`_eighs`)."""
-    n = len(whole.terms)
-    spreads = [_fold_spread(second) for second, _ in whole.terms]
-    t, e = (sum(column) * (1.0 + _gamma(n)) for column in zip(*spreads))
+def _b_floor(whole: _AxisPencil, classes) -> float:
+    """A lower bound on lambda_min(B) of the whole block, so of every class: vol for
+    clamped plate; for buckling, vol sum_k tau_k, tau_k the smaller of the floors
+    (`_Term.tau`) of axis k's two folded T_k, whose spectra make up T_k's."""
     if whole.b_is_mass:
-        return _Fold(t, e, whole.volume)
-    taus = []
-    for k, (_, spread) in enumerate(spreads):
-        seconds = [pencil.terms[k][0] for pencil, _ in classes]
-        taus.append(min(max(_floor(floors, second, spread, pair), 0.0)
-                        for second, pair in zip(seconds, _eighs(seconds, eighs))))
-    return _Fold(t, e, _lowered(whole.volume * sum(taus), n + 1))
+        return whole.volume
+    taus = [min(pencil.terms[k].tau for pencil, _ in classes) for k in range(len(whole.terms))]
+    return _lowered(whole.volume * sum(taus), len(taus) + 1)
 
 
 def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
@@ -976,7 +986,7 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     `_dense_class`; each later count re-slices its pairs.  A larger class is
     solved by LOBPCG in the eigenbasis of its q_k (`_q_basis`), where Q and
     the preconditioner P^-1 are diagonal (P / n <= A <= P makes the
-    iteration count independent of h; `_axis_bounds`), started from the unit
+    iteration count independent of h; `_Term.q`), started from the unit
     vectors of the START_SPAN (count + GUARD) lowest values of Q, whole
     multiplets, which A ranks by Rayleigh-Ritz; its vectors are then rotated
     back to the class.  An iteration never leaves the class it starts in.
@@ -987,7 +997,7 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     plus one (`_class_shares`; summation order can break Q's ties
     differently in each member); an orbit whose share is 0 is not solved
     yet.  Each solve is certified on its folded class pencil
-    (`_gram_certificate` with the block's `_fold_terms`), with bounds that
+    (`_gram_certificate` with the block's `_b_floor`), with bounds that
     hold for the unfolded pairs of the whole block; a class not solved again
     keeps its certificate, and each member of an orbit takes its
     representative's values and certificates bit for bit.  With sigma the
@@ -1009,32 +1019,21 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
     whole = _AxisPencil.of(block)
     norms = _gram_norms(whole)
     classes = _reflection_classes(whole)
-    # eigenpairs of the classes' q_k and T_k, and floors, by matrix, shared by the
-    # classes that share a factor
-    eighs: dict = {}
-    floors: dict = {}
-    fold = _fold_terms(whole, classes, floors, eighs)
-    b_eighs: dict = {}
-    rotated: dict = {}
-    q_pairs = [_eighs(_axis_bounds(pencil), eighs) for pencil, _ in classes]
-    shares = _class_shares(q_pairs, m)
+    b_floor = _b_floor(whole, classes)
+    shares = _class_shares([pencil for pencil, _ in classes], m)
     orbits = _class_orbits(whole)
 
     @functools.cache
-    def floor(i: int) -> float:
-        return _class_floor(whole, classes[i][0], q_pairs[i], floors, eighs)
-
-    @functools.cache
     def dense(i: int) -> tuple[np.ndarray, np.ndarray]:
-        return _dense_class(classes[i][0], b_eighs)
+        return _dense_class(classes[i][0])
 
     def solve(i: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         pencil = classes[i][0]
         if pencil.size <= DENSE_CUTOFF:
             values, vectors = dense(i)
             return values[:count], vectors[:, :count]
-        apply, precondition, unrotate = _q_basis(pencil, q_pairs[i], rotated)
-        multis = smallest_sums([values.tolist() for values, _ in q_pairs[i]],
+        apply, precondition, unrotate = _q_basis(pencil)
+        multis = smallest_sums([term.q_pair[0].tolist() for term in pencil.terms],
                                START_SPAN * (count + GUARD), multiplet_limit=pencil.size // 2)[1]
         start = np.zeros((pencil.size, len(multis)))
         start[np.ravel_multi_index(tuple(zip(*multis)), pencil.shape),
@@ -1055,7 +1054,7 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
             if i not in solved or solved[i][0].size < counts[i]:
                 values, vectors = solve(i, counts[i])
                 solved[i] = (values, vectors, *_gram_certificate(
-                    classes[i][0], values, vectors, norms, fold, b_eighs))
+                    classes[i][0], values, vectors, norms, b_floor))
         members = [(i, representative, axes) for i, (representative, axes) in enumerate(orbits)
                    if representative in solved]
         values, eta, delta = (np.concatenate([solved[representative][field]
@@ -1073,8 +1072,8 @@ def _structured_solve(block: ComponentBlock, m: int, tol: float) -> Spectrum:
         grow = {representative for (i, representative, _), top in zip(members, tops)
                 if counts[representative] < classes[i][0].size
                 and values[top] - delta[top] <= sigma}
-        new = {representative for representative, _ in orbits
-               if representative not in counts and floor(representative) <= sigma}
+        new = {representative for representative, _ in orbits if representative not in counts
+               and _class_floor(classes[representative][0]) <= sigma}
         if not grow and not new:
             break
         for i in grow:

@@ -3,6 +3,7 @@ pairing of perfbench runs and its quartiles, the README commands, the block
 probe and its blocks, and the crossover record against crossover's rules."""
 
 import ast
+import hashlib
 import importlib
 import json
 import math
@@ -68,12 +69,26 @@ def test_resolved_needs_a_median_shift_beyond_the_parents_quartiles(bench, tmp_p
     assert beyond["resolved"] is True
 
     def runs(solves):
-        return [{"wall_s": 0.5, "solve_s": solve} for solve in solves]
+        return [{"wall_s": 0.5, "solve_s": solve, "digest": "d"} for solve in solves]
 
     for shift, expected in ((-0.05, False), (-0.25, True)):
         row = compare._row({"parent": runs(walls), "change": runs([w + shift for w in walls])})
         assert row["pairs"]["metric"] == "solve_s" and row["pairs"]["wins"] == 5
         assert row["resolved"] is expected
+
+
+def test_rows_are_identical_only_when_every_run_on_both_sides_has_one_digest(bench):
+    compare, _ = bench
+
+    def runs(digests):
+        return [{"wall_s": 1.0, "digest": digest} for digest in digests]
+
+    same = compare._row({"parent": runs("aaa"), "change": runs("aaa")})
+    assert same["identical"] is True and same["pairs"]["ties"] == 3
+    for parent, change in (("aaa", "bbb"), ("aba", "aaa"), ("aaa", "aab")):
+        row = compare._row({"parent": runs(parent), "change": runs(change)})
+        assert row["identical"] is False, (parent, change)
+        assert row["parent"]["digest"] == list(parent)
 
 
 def test_perfbench_files_of_unequal_length_are_rejected_before_any_run(bench, tmp_path,
@@ -125,6 +140,7 @@ def test_block_probe_reports_seconds_and_certificate(bench, tmp_path):
     # the continuum clamped-plate value of the unit square is 1294.934
     assert run["first_value"] == pytest.approx(1294.934, rel=5e-2)
     assert 0 < run["largest_error_bound"] < 1e-3 * run["first_value"]
+    assert len(run["digest"]) == 64
 
 
 def test_block_probe_solves_second_order_blocks_without_numpy(bench, tmp_path):
@@ -166,7 +182,10 @@ def test_command_probe_runs_the_process_entry_point(bench, tmp_path):
     run = compare.run_once(ROOT / "src", "box --dim 2 --extent 1,1 --cells 15,15 --problem "
                            "buckling --degree 1 --tol 1e-30 --out report".split(), tmp_path)
     assert run["exit_code"] == 2 and run["frozen"] is True
-    assert json.loads((tmp_path / "report").read_text())["meta"]["status"] == "error"
+    report = (tmp_path / "report").read_bytes()
+    assert json.loads(report)["meta"]["status"] == "error"
+    # the digest covers the exit code and the report bytes
+    assert run["digest"] == hashlib.sha256(b"2\n" + report).hexdigest()
 
 
 def test_block_rows_name_their_cells_and_extents(bench):

@@ -373,7 +373,7 @@ def test_fourth_order_block_lies_between_q_and_n_q(kind, extent, cells):
         return sum(kron([factors[k] if j == k else eyes[j] for j in range(dom.dim)])
                    for k in range(dom.dim))
 
-    q = kron_sum(es._axis_bounds(es._AxisPencil.of(block)))
+    q = kron_sum([term.q for term in es._AxisPencil.of(block).terms])
     ratios = sla.eigh(block.a.toarray(), q, eigvals_only=True)
     assert ratios[0] >= 1.0 - 1e-10 and ratios[-1] <= dom.dim + 1e-10
     assert block.b_is_mass is (kind is ProblemKind.CLAMPED_PLATE)

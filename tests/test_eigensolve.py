@@ -303,11 +303,10 @@ def test_class_shares_match_the_untruncated_grid_rule(kind, extent, cells):
     # the whole grids give it, ties included: interchangeable axes make the
     # classes' values tie, and summation order can break those ties either way
     (block,) = assemble(build_domain(len(cells), extent, cells), 0, kind).blocks
-    q_eighs: dict = {}
-    q_pairs = [es._eighs(es._axis_bounds(pencil), q_eighs)
-               for pencil, _ in es._reflection_classes(es._AxisPencil.of(block))]
+    pencils = [pencil for pencil, _ in es._reflection_classes(es._AxisPencil.of(block))]
+    q_pairs = [[term.q_pair for term in pencil.terms] for pencil in pencils]
     for m in (1, 2, 3, 4, 8, 16, 32, 64):
-        assert es._class_shares(q_pairs, m) == _grid_shares(q_pairs, m), m
+        assert es._class_shares(pencils, m) == _grid_shares(q_pairs, m), m
 
 
 @pytest.mark.parametrize("derivative", [False, True], ids=["value", "derivative"])
@@ -507,7 +506,7 @@ def test_class_count_rule_recovers_an_undercounted_class(kind, extent, cells, sp
     # a first guess of a share of one, two values, per class misses most of
     # the 14 lowest; doubling each class whose top value is not clearly
     # above the 14th smallest recovers every one of them
-    monkeypatch.setattr(es, "_class_shares", lambda q_pairs, m: [1] * len(q_pairs))
+    monkeypatch.setattr(es, "_class_shares", lambda pencils, m: [1] * len(pencils))
     prob = assemble(build_domain(len(cells), extent, cells), 0, kind)
     _assert_enclosures_meet(solve_problem(prob, m=14), prob, 14)
     assert len(split_only) > split_rounds[0]
@@ -545,11 +544,12 @@ def test_readme_grid_multiplets_are_bitwise_equal(kind, cells, distinct, no_gene
 
 
 def test_a_class_short_of_tolerance_fails_without_growing(monkeypatch):
-    # the first class solve stops after one step, far above tol; its wide
-    # bounds must not be answered by doubling its count: the solve fails at
-    # once, each class solved once for its first count, and the block falls
-    # back to solve_pencil; the classes without a share of Q's 14 lowest
-    # values are not solved in the first round
+    # the first class solve returns its start Rayleigh-Ritz pairs (a stall
+    # limit of 0 stops it at once), far above tol; its wide bounds must not
+    # be answered by doubling its count: the solve fails at once, each class
+    # solved once for its first count, and the block falls back to
+    # solve_pencil; the classes without a share of Q's 14 lowest values are
+    # not solved in the first round
     counts = []
     real = es._lobpcg
 
@@ -557,7 +557,7 @@ def test_a_class_short_of_tolerance_fails_without_growing(monkeypatch):
         counts.append(m)
         with monkeypatch.context() as patch:
             if len(counts) == 1:
-                patch.setattr(es, "LOBPCG_MAXITER", 1)
+                patch.setattr(es, "STALL_ITERATIONS", 0)
             return real(apply, norms, precond, span, m)
 
     monkeypatch.setattr(es, "_lobpcg", first_stops_early)
@@ -565,9 +565,8 @@ def test_a_class_short_of_tolerance_fails_without_growing(monkeypatch):
     monkeypatch.setattr(es, "DENSE_CUTOFF", 0)
     (block,) = assemble(build_domain(2, [1.0, 6.0], [8, 40]), 0,
                         ProblemKind.CLAMPED_PLATE).blocks
-    shares = es._class_shares([[np.linalg.eigh(q) for q in es._axis_bounds(pencil)]
-                               for pencil, _ in es._reflection_classes(es._AxisPencil.of(block))],
-                              14)
+    shares = es._class_shares([pencil for pencil, _ in
+                               es._reflection_classes(es._AxisPencil.of(block))], 14)
     with pytest.raises(NumericalFailure):
         es._structured_solve(block, 14, es.DEFAULT_TOL)
     assert counts == [share + 1 for share in shares if share]
@@ -578,13 +577,12 @@ def test_a_class_short_of_tolerance_fails_without_growing(monkeypatch):
 
 
 def _class_pencils(kind, extent, cells):
-    """The whole per-axis pencil of a box's p = 0 block, and each reflection class with
-    the eigenpairs of its q_k and its dense (A, B)."""
+    """Each reflection class of a box's p = 0 block, with the eigenpairs of its q_k and
+    its dense (A, B)."""
     (block,) = assemble(build_domain(len(cells), extent, cells), 0, kind).blocks
-    whole = es._AxisPencil.of(block)
-    for pencil, _ in es._reflection_classes(whole):
-        q_pairs = [np.linalg.eigh(q) for q in es._axis_bounds(pencil)]
-        yield whole, pencil, q_pairs, es._gram_products(pencil, np.eye(pencil.size))
+    for pencil, _ in es._reflection_classes(es._AxisPencil.of(block)):
+        q_pairs = [np.linalg.eigh(term.q) for term in pencil.terms]
+        yield pencil, q_pairs, es._gram_products(pencil, np.eye(pencil.size))
 
 
 # 2D and 3D boxes with unequal extents, and a thin one
@@ -603,13 +601,13 @@ def test_preconditioner_bounds_each_class_pencil(kind, extent, cells):
     # diagonal (sum_k mu_k^1/2)^2, and it satisfies P / n <= V^T A V <= P on
     # every class; the Q-basis preconditioner multiplies by its inverse
     n = len(cells)
-    for _, pencil, q_pairs, (a, _) in _class_pencils(kind, extent, cells):
+    for pencil, q_pairs, (a, _) in _class_pencils(kind, extent, cells):
         v = _rotation(q_pairs)
         rotated = v.T @ a @ v
         p = functools.reduce(np.add.outer, [np.sqrt(values) for values, _ in q_pairs]).ravel() ** 2
         ratios = sla.eigh((rotated + rotated.T) / 2, np.diag(p), eigvals_only=True)
         assert ratios[0] >= 1.0 / n - 1e-9 and ratios[-1] <= 1.0 + 1e-9
-        _, precondition, _ = es._q_basis(pencil, q_pairs)
+        _, precondition, _ = es._q_basis(pencil)
         assert np.allclose(precondition(np.diag(p)), np.eye(pencil.size), rtol=1e-14, atol=0)
 
 
@@ -618,9 +616,9 @@ def test_preconditioner_bounds_each_class_pencil(kind, extent, cells):
 def test_q_basis_operator_matches_the_rotated_class_pencil(kind, extent, cells):
     # the LOBPCG operator of each class, applied to the identity, is V^T A V
     # and V^T B V, and unrotate applies V itself
-    for _, pencil, q_pairs, (a, b) in _class_pencils(kind, extent, cells):
+    for pencil, q_pairs, (a, b) in _class_pencils(kind, extent, cells):
         v = _rotation(q_pairs)
-        apply, _, unrotate = es._q_basis(pencil, q_pairs)
+        apply, _, unrotate = es._q_basis(pencil)
         ay, by = apply(np.eye(pencil.size))
         for got, want in ((ay, v.T @ a @ v), (by, v.T @ b @ v)):
             assert np.allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
@@ -647,19 +645,19 @@ def test_class_bounds_enclose_the_assembled_spectrum(kind, extent, cells):
     whole = es._AxisPencil.of(block)
     norms = es._gram_norms(whole)
     classes = es._reflection_classes(whole)
-    fold = es._fold_terms(whole, classes, {}, {})
+    b_floor = es._b_floor(whole, classes)
     reference, reference_bounds = _certified_reference(prob, block.size)
     rng = np.random.default_rng(3)
     for pencil, folds in classes:
         values, vectors = es._dense_class(pencil)
-        residuals, bounds = es._gram_certificate(pencil, values, vectors, norms, fold)
+        residuals, bounds = es._gram_certificate(pencil, values, vectors, norms, b_floor)
         assert np.all(residuals <= es.DEFAULT_TOL)
         gaps = np.abs(values[:, None] - reference[None, :]) - reference_bounds[None, :]
         assert np.all(gaps.min(axis=1) <= bounds), pencil.shape
         y = vectors[:, :1] + 1e-4 * rng.standard_normal((pencil.size, 1))
         ay, by = es._gram_products(pencil, y)
         theta = (y[:, 0] @ ay[:, 0]) / (y[:, 0] @ by[:, 0])
-        _, (bound,) = es._gram_certificate(pencil, [theta], y, norms, fold)
+        _, (bound,) = es._gram_certificate(pencil, [theta], y, norms, b_floor)
         distance = np.min(np.abs(reference - theta))
         assert distance <= bound and bound > 100.0 * bounds[0]
         x = es._along_axes(folds, y, pencil.shape)
@@ -710,9 +708,10 @@ def test_a_term_that_is_not_reflection_symmetric_is_refused(monkeypatch, kind, t
     terms = [[second.copy(), d.copy()] for second, d in block.axis_terms]
     factor = terms[1][term]
     factor.flat[0] = np.nextafter(factor.flat[0], np.inf)
+    volume = block.domain.cell_volume
     monkeypatch.setattr(es._AxisPencil, "of", classmethod(
-        lambda cls, block: cls(tuple(map(tuple, terms)), block.domain.cell_volume,
-                               block.b_is_mass)))
+        lambda cls, block: cls(tuple(es._Term(second, d, volume, *es._fold_spread(second))
+                                     for second, d in terms), volume, block.b_is_mass)))
     _refused_and_never_certified(monkeypatch, block)
 
 
@@ -749,16 +748,25 @@ def test_orbit_members_inherit_their_representatives_bounds(kind, split_only):
 def test_class_floor_lies_below_the_class_spectrum(kind, extent, cells):
     # the per-axis lower bound of each class lies below its smallest
     # eigenvalue, and above 0
-    for whole, pencil, q_pairs, (a, b) in _class_pencils(kind, extent, cells):
+    for pencil, _, (a, b) in _class_pencils(kind, extent, cells):
         lowest = sla.eigh((a + a.T) / 2, (b + b.T) / 2, eigvals_only=True)[0]
-        floor = es._class_floor(whole, pencil, q_pairs, {}, {})
+        floor = es._class_floor(pencil)
         assert 0.0 < floor <= lowest, (pencil.shape, floor, lowest)
 
 
-@pytest.mark.parametrize("cells,degree", [([11, 11, 11], 1), ([7, 9, 11], 0)])
-def test_each_folded_matrix_is_floored_once_per_block(monkeypatch, cells, degree):
-    # _fold_terms and the class floors of a buckling block share one table,
-    # so no folded matrix is floored twice with the same spread
+@pytest.mark.parametrize("kind,extent,cells,degree,count", [
+    (ProblemKind.BUCKLING, [1.0] * 3, [23, 23, 23], 1, 4),
+    (ProblemKind.BUCKLING, [1.0] * 3, [11, 11, 11], 1, 4),
+    (ProblemKind.BUCKLING, [1.0] * 3, [7, 9, 11], 0, 12),
+    (ProblemKind.BUCKLING, [1.0, 1.0, 0.05], [15, 15, 3], 0, 7),
+    (ProblemKind.CLAMPED_PLATE, [1.0] * 3, [23, 23, 23], 0, 4),
+])
+def test_each_folded_matrix_is_floored_once_per_block(monkeypatch, kind, extent, cells, degree,
+                                                      count):
+    # each folded term is floored once, on first use, and only for what its
+    # kind reads: tau_k for _b_floor and the class floors, mu_k for clamped
+    # plate's and c_k for buckling's; at m = 4 a buckling block floors tau
+    # on every folded term and c on those of the orbits outside Q's 4 lowest
     floored = []
     lowest_floor = es._lowest_floor
 
@@ -767,11 +775,45 @@ def test_each_folded_matrix_is_floored_once_per_block(monkeypatch, cells, degree
         return lowest_floor(matrix, spread, pair)
 
     monkeypatch.setattr(es, "_lowest_floor", counted)
-    for block in assemble(build_domain(3, [1.0] * 3, cells), degree,
-                          ProblemKind.BUCKLING).blocks:
+    for block in assemble(build_domain(3, extent, cells), degree, kind).blocks:
         floored.clear()
         es._structured_solve(block, 4, es.DEFAULT_TOL)
-        assert len(floored) == len(set(floored)) > 0, block.component
+        assert len(floored) == len(set(floored)) == count, block.component
+
+
+def _orbits_by_bytes(block):
+    """`_class_orbits` by the rule that groups axes by the bytes of (T_k, d_k), and the
+    number of groups."""
+    n = len(block.axis_terms)
+    keys = [(second.tobytes(), d.tobytes()) for second, d in block.axis_terms]
+    groups = [[k for k in range(n) if keys[k] == key] for key in dict.fromkeys(keys)]
+    parities = list(itertools.product((0, 1), repeat=n))
+    orbits = []
+    for s in parities:
+        representative, axes = list(s), list(range(n))
+        for group in groups:
+            order = sorted(range(len(group)), key=lambda t: s[group[t]])
+            for t, u in enumerate(order):
+                representative[group[t]] = s[group[u]]
+                axes[group[u]] = group[t]
+        orbits.append((parities.index(tuple(representative)), tuple(axes)))
+    return orbits, len(groups)
+
+
+@pytest.mark.parametrize("extent,cells,distinct", [
+    ([1.0, 1.0, 1.0], [23, 23, 23], 2), ([1.0, 1.0, 1.35], [23, 23, 31], 4),
+    ([1.0, 1.0, 1.0], [21, 23, 25], 6), ([1.0, 1.0, 0.05], [15, 15, 3], 4)])
+@pytest.mark.parametrize("kind", [ProblemKind.CLAMPED_PLATE, ProblemKind.BUCKLING])
+def test_classes_share_one_folded_term_per_parity_of_equal_axes(kind, extent, cells, distinct):
+    # the 8 classes hold two folded terms, one per parity, for each group of
+    # interchangeable axes, and the orbits group the axes that share a term
+    # as the bytes of their (T_k, d_k) do
+    (block,) = assemble(build_domain(3, extent, cells), 0, kind).blocks
+    whole = es._AxisPencil.of(block)
+    classes = es._reflection_classes(whole)
+    orbits, groups = _orbits_by_bytes(block)
+    assert len({term for pencil, _ in classes for term in pencil.terms}) == 2 * groups == distinct
+    assert es._class_orbits(whole) == orbits
 
 
 @pytest.mark.parametrize("extent,cells", [
@@ -815,8 +857,8 @@ def test_structured_path_reaches_the_rounding_floor_past_a_cut_cluster(kind, str
 def test_class_solves_stop_near_the_rounding_floor(monkeypatch, no_general_solver):
     # at 31^2 clamped m=32 (split) one class is solved again for twice its
     # count; near the rounding floor its backward error creeps down by noise,
-    # so a stop that waits for any new best runs it to LOBPCG_MAXITER, while
-    # one that waits for the error to halve stops it within a few steps
+    # so a stop that waits for any new best runs it for hundreds of steps,
+    # while one that waits for the error to halve stops it within a few steps
     applies = []
     real = es._lobpcg
 
@@ -833,7 +875,7 @@ def test_class_solves_stop_near_the_rounding_floor(monkeypatch, no_general_solve
     rounds = _record_rounds(monkeypatch, applies)
     prob = assemble(build_domain(2, [1.0, 1.0], [31, 31]), 0, ProblemKind.CLAMPED_PLATE)
     spec = solve_problem(prob, m=32)
-    assert len(applies) > rounds[0] and max(applies) < es.LOBPCG_MAXITER // 2
+    assert len(applies) > rounds[0] and max(applies) < 100
     assert np.all(np.asarray(spec.residuals) <= 1e-13)
 
 
@@ -968,9 +1010,10 @@ def test_inside_the_structured_region_takes_the_structured_solve(monkeypatch,
 
 
 def test_failed_structured_solve_is_answered_by_the_general_path(monkeypatch):
-    # an iteration stopped far from convergence fails its certificate, and
+    # an iteration stopped at once (a stall limit of 0), returning its start
+    # Rayleigh-Ritz pairs far from convergence, fails its certificate, and
     # solve_pencil answers the block instead
-    monkeypatch.setattr(es, "LOBPCG_MAXITER", 1)
+    monkeypatch.setattr(es, "STALL_ITERATIONS", 0)
     calls = []
     real = es.solve_pencil
 
